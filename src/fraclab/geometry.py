@@ -27,12 +27,10 @@ __all__ = [
     "Domain",
     "BoundaryQuadrature",
     "unit_ball",
-    "dim",
     "delta",
     "contains",
     "measures",
     "boundary_quadrature",
-    "ray_span",
     "ray_spans",
     "parse_domain",
 ]
@@ -110,10 +108,6 @@ class BoundaryQuadrature:
 
 def unit_ball(N: int) -> Ball:
     return Ball(center=(0.0,) * N, radius=1.0)
-
-
-def dim(domain: Domain) -> int:
-    return domain.dim
 
 
 @lru_cache(maxsize=64)
@@ -310,14 +304,6 @@ def ray_spans(domain: Domain, x, thetas) -> tuple[np.ndarray, np.ndarray, np.nda
     t_lo[hit] = np.minimum(r1, r2)[hit]
     t_hi[hit] = np.maximum(r1, r2)[hit]
     return t_lo, t_hi, hit
-
-
-def ray_span(domain: Domain, x, theta):
-    """Scalar convenience wrapper around :func:`ray_spans`."""
-    t_lo, t_hi, hit = ray_spans(domain, x, np.asarray(theta, dtype=float)[None, :])
-    if not hit[0]:
-        return None
-    return float(t_lo[0]), float(t_hi[0])
 
 
 def parse_domain(literal: str, dims: int | None = None) -> Domain:

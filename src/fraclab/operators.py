@@ -173,11 +173,11 @@ def frac_laplacian(u, s, x, cfg: QuadConfig | None = None) -> IntegralResult:
 # Logarithmic Laplacian.
 # ---------------------------------------------------------------------------
 
-def _ray_segments(domain: Domain | None, x: np.ndarray, dirs: np.ndarray,
-                  lo: float, hi, ext_p: float | None
-                  ) -> list[list[tuple[float, float, float, float]]]:
-    """Per-direction segments ``(a, b, alpha_lo, alpha_hi)`` of ``[lo, hi]``
-    split at boundary crossings.
+def _crossing_segments(domain: Domain | None, x: np.ndarray,
+                       dirs: np.ndarray, lo: float, hi, ext_p: float | None
+                       ) -> tuple[np.ndarray, ...]:
+    """Flat segments ``(idx, a, b, alpha_lo, alpha_hi)`` of ``[lo, hi]``
+    along each direction, split at boundary crossings.
 
     The endpoint exponents feed :func:`~fraclab.quadrature.unit_power_rule`:
     ``0.0`` (plain dyadic grading, right for the bounded kinks of fields
@@ -191,31 +191,22 @@ def _ray_segments(domain: Domain | None, x: np.ndarray, dirs: np.ndarray,
     (per-direction upper ends).
     """
     n_dirs = len(dirs)
-    hi_arr = np.broadcast_to(np.asarray(hi, dtype=float), (n_dirs,))
-    if domain is not None:
-        t_lo, t_hi, hit = geometry.ray_spans(domain, x, dirs)
-    out = []
-    for i in range(n_dirs):
-        a0, b0 = float(lo), float(hi_arr[i])
-        eps = 1e-9 * max(1.0, abs(b0))
-        cuts = {a0, b0}
-        crossing = domain is not None and bool(hit[i])
-        if crossing:
-            for t in (float(t_lo[i]), float(t_hi[i])):
-                if a0 + eps < t < b0 - eps:
-                    cuts.add(t)
-        marks = sorted(cuts)
-        segs = []
-        for a, b in zip(marks[:-1], marks[1:]):
-            al = ah = 0.0
-            if crossing and ext_p is not None:
-                if abs(a - float(t_hi[i])) <= eps:
-                    al = float(ext_p)
-                if abs(b - float(t_lo[i])) <= eps:
-                    ah = float(ext_p)
-            segs.append((a, b, al, ah))
-        out.append(segs)
-    return out
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), (n_dirs,))
+    eps = 1e-9 * np.maximum(1.0, np.abs(hi))
+    if domain is None:
+        t_lo = t_hi = np.full(n_dirs, np.nan)
+    else:
+        t_lo, t_hi, _ = geometry.ray_spans(domain, x, dirs)
+    cuts = np.column_stack([t_lo, t_hi])
+    inside = ((float(lo) + eps)[:, None] < cuts) & (cuts < (hi - eps)[:, None])
+    cuts[~inside] = np.nan
+    idx, a, b = quad._split_rays(float(lo), hi, cuts)
+    alpha_lo = np.zeros(len(idx))
+    alpha_hi = np.zeros(len(idx))
+    if ext_p is not None:
+        alpha_lo[np.abs(a - t_hi[idx]) <= eps[idx]] = float(ext_p)
+        alpha_hi[np.abs(b - t_lo[idx]) <= eps[idx]] = float(ext_p)
+    return idx, a, b, alpha_lo, alpha_hi
 
 
 def log_laplacian(u, x, cfg: QuadConfig | None = None) -> IntegralResult:
@@ -238,25 +229,28 @@ def log_laplacian(u, x, cfg: QuadConfig | None = None) -> IntegralResult:
     compact = bool(getattr(u, "is_compact", False))
     ext_p = getattr(u, "exterior_power", None)
 
-    def seg_rule(a, b, al, ah, n_rad, levels):
-        return quad.map_rule(quad.unit_power_rule(al, ah, n_rad, levels),
-                             a, b)
-
     def one_pass(m_ang, n_rad, levels):
         dirs, w_dir = quad.polar_directions(N, m_ang)
         evals = 0
-        near = 0.0
-        for i, segs in enumerate(_ray_segments(dom, x, dirs, 0.0, 1.0,
-                                               ext_p)):
-            acc = 0.0
-            for a, b, al, ah in segs:
-                nodes, wts = seg_rule(a, b, al, ah, n_rad, levels)
-                pts = x[None, :] + nodes[:, None] * dirs[i][None, :]
-                uv = np.asarray(u(pts), dtype=float)
-                evals += len(nodes)
-                acc += float(wts @ ((u_x - uv) / nodes))
-            near += w_dir[i] * acc
-        far = 0.0
+
+        def sums(lo, hi, kernel, plain_levels):
+            # One field pass per pair of endpoint exponents; segments with
+            # plain grading at both ends take ``plain_levels``.
+            nonlocal evals
+            idx, a, b, al, ah = _crossing_segments(dom, x, dirs, lo, hi,
+                                                   ext_p)
+            total = np.zeros(len(dirs))
+            for pair in sorted(set(zip(al.tolist(), ah.tolist()))):
+                sel = (al == pair[0]) & (ah == pair[1])
+                lv = plain_levels if pair == (0.0, 0.0) else levels
+                part, n = quad.ray_sums(
+                    u, x, dirs, idx[sel], a[sel], b[sel],
+                    quad.unit_power_rule(*pair, n_rad, lv), kernel)
+                total += part
+                evals += n
+            return total
+
+        near = sums(0.0, 1.0, lambda t, v: (u_x - v) / t, levels)
         # Per-direction far spans end one doubling past the last crossing
         # so the dyadic continuation never starts on a singular layer.
         if dom is not None:
@@ -264,35 +258,26 @@ def log_laplacian(u, x, cfg: QuadConfig | None = None) -> IntegralResult:
             far_hi = 2.0 * np.maximum(1.0, np.where(hit_c, t_hi_c, 1.0))
         else:
             far_hi = np.full(len(dirs), 2.0)
-        for i, segs in enumerate(_ray_segments(dom, x, dirs, 1.0, far_hi,
-                                               ext_p)):
-            acc = 0.0
-            for a, b, al, ah in segs:
-                lv = levels if (al != 0.0 or ah != 0.0) else min(levels, 12)
-                nodes, wts = seg_rule(a, b, al, ah, n_rad, lv)
-                uv = np.asarray(
-                    u(x[None, :] + nodes[:, None] * dirs[i][None, :]),
-                    dtype=float)
-                evals += len(nodes)
-                acc += float(wts @ (uv / nodes))
-            if not compact:
-                lo = float(far_hi[i])
-                calm = 0
-                for _ in range(60):
-                    nodes, wts = quad.map_rule(quad._gauss_unit(n_rad), lo,
-                                               2.0 * lo)
-                    uv = np.asarray(
-                        u(x[None, :] + nodes[:, None] * dirs[i][None, :]),
-                        dtype=float)
-                    evals += len(nodes)
-                    block = float(wts @ (uv / nodes))
-                    acc += block
-                    calm = calm + 1 if abs(block) < 0.25 * cfg.abs_tol else 0
-                    if calm >= 2:
-                        break
-                    lo *= 2.0
-            far += w_dir[i] * acc
-        return near - far, evals
+        far = sums(1.0, far_hi, lambda t, v: v / t, min(levels, 12))
+        if not compact:
+            # Dyadic blocks per direction until two in a row are calm.
+            lo = far_hi
+            calm = np.zeros(len(dirs), dtype=int)
+            for _ in range(60):
+                live = np.nonzero(calm < 2)[0]
+                if not live.size:
+                    break
+                block, n = quad.ray_sums(u, x, dirs, live, lo[live],
+                                         2.0 * lo[live],
+                                         quad._gauss_unit(n_rad),
+                                         lambda t, v: v / t)
+                evals += n
+                far += block
+                calm[live] = np.where(
+                    np.abs(block[live]) < 0.25 * cfg.abs_tol,
+                    calm[live] + 1, 0)
+                lo = 2.0 * lo
+        return float(w_dir @ near) - float(w_dir @ far), evals
 
     levels = min(cfg.max_subdiv, 24)
     fine, n_f = one_pass(cfg.angular_order, cfg.radial_order, levels)
@@ -331,16 +316,11 @@ def log_laplacian_compact(u, x, cfg: QuadConfig | None = None
     def one_pass(m_ang, n_rad, levels):
         dirs, w_dir = quad.polar_directions(N, m_ang)
         _, t_hi, _ = geometry.ray_spans(dom, x, dirs)
-        evals = 0
-        total = 0.0
-        for i, th in enumerate(dirs):
-            nodes, wts = quad._breakpoint_rule(0.0, float(t_hi[i]),
-                                               np.empty(0), n_rad, levels)
-            pts = x[None, :] + nodes[:, None] * th[None, :]
-            uv = np.asarray(u(pts), dtype=float)
-            evals += len(nodes)
-            total += w_dir[i] * float(wts @ ((u_x - uv) / nodes))
-        return total, evals
+        sums, evals = quad.ray_sums(
+            u, x, dirs, np.arange(len(dirs)), np.zeros(len(dirs)), t_hi,
+            quad.unit_power_rule(0.0, 0.0, n_rad, levels),
+            lambda t, v: (u_x - v) / t)
+        return float(w_dir @ sums), evals
 
     levels = min(cfg.max_subdiv, 24)
     fine, n_f = one_pass(cfg.angular_order, cfg.radial_order, levels)
@@ -585,22 +565,13 @@ def nonlocal_normal_derivative(u, s, z, cfg: QuadConfig | None = None
             dirs, w_dir = quad.layered_directions(cz, "cone", n_mu, levels,
                                                   n_phi, mu_lo=mu_lo)
         t_lo, t_hi, hit = geometry.ray_spans(dom, z, dirs)
-        evals = 0
-        total = 0.0
-        for i in range(len(dirs)):
-            if not hit[i] or t_hi[i] <= 0.0:
-                continue
-            a, b = max(float(t_lo[i]), 0.0), float(t_hi[i])
-            if b <= a:
-                continue
-            nodes, wts = quad._breakpoint_rule(a, b, np.empty(0), n_rad,
-                                               levels)
-            pts = z[None, :] + nodes[:, None] * dirs[i][None, :]
-            uv = np.asarray(u(pts), dtype=float)
-            evals += len(nodes)
-            total += w_dir[i] * float(
-                wts @ ((u_z - uv) * nodes ** (-1.0 - 2.0 * s)))
-        return total, evals
+        a = np.maximum(t_lo, 0.0)
+        idx = np.nonzero(hit & (t_hi > a))[0]
+        sums, evals = quad.ray_sums(
+            u, z, dirs, idx, a[idx], t_hi[idx],
+            quad.unit_power_rule(0.0, 0.0, n_rad, levels),
+            lambda t, v: (u_z - v) * t ** (-1.0 - 2.0 * s))
+        return float(w_dir @ sums), evals
 
     levels = min(cfg.max_subdiv, 24)
     fine, n_f = one_pass(max(10, cfg.angular_order // 6), cfg.radial_order,

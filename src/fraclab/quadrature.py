@@ -20,6 +20,14 @@ accurate for the analytic angular dependence that arises here) or a
 Gauss x azimuth sphere rule (dimension 3); the exact ray/boundary
 intersections from :mod:`fraclab.geometry` delimit the radial intervals.
 
+Integrals along rays from a point (the logarithmic Laplacians, the
+nonlocal normal derivative, the principal-value outer region and tails)
+go through :func:`ray_sums`.  An operator lays out its ray segments as
+flat arrays (direction index, start, end), one unit-interval rule is
+mapped onto all of them, the field is called once per chunk of nodes
+rather than once per segment, and the weighted integrand is reduced per
+direction with ``np.bincount``.
+
 Every integration returns an :class:`IntegralResult` with a coarse/fine
 error estimate and the evaluation count.  Monte Carlo variants (plain and
 boundary-importance sampling) exist for the interior and exterior
@@ -51,7 +59,6 @@ __all__ = [
     "direction_chunks",
     "unit_power_rule",
     "map_rule",
-    "adaptive_simpson",
 ]
 
 
@@ -305,6 +312,56 @@ def _breakpoint_rule(lo: float, hi: float, breaks, n: int, levels: int
         ts.append(t)
         ws.append(w)
     return np.concatenate(ts), np.concatenate(ws)
+
+
+# ---------------------------------------------------------------------------
+# Ray integrals.
+# ---------------------------------------------------------------------------
+
+def _split_rays(lo, hi, cuts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat segments ``(idx, a, b)`` of the per-direction intervals
+    ``[lo, hi]`` cut at the finite entries of ``cuts`` (one row per
+    direction, entries outside ``(lo, hi)`` already NaN).  Repeated cuts
+    leave no empty segment; segments come direction by direction in
+    increasing order."""
+    cuts = np.asarray(cuts, dtype=float)
+    n = len(cuts)
+    marks = np.sort(np.column_stack([np.broadcast_to(lo, (n,)), cuts,
+                                     np.broadcast_to(hi, (n,))]), axis=1)
+    a, b = marks[:, :-1], marks[:, 1:]
+    keep = b > a                      # NaN marks (sorted last) fail too
+    return np.nonzero(keep)[0], a[keep], b[keep]
+
+
+def ray_sums(u, x, dirs, idx, a, b, rule, kernel) -> tuple[np.ndarray, int]:
+    """Per-direction sums of ``int_a^b kernel(t, u(x + t theta)) dt``.
+
+    Segment ``k`` runs over ``[a[k], b[k]]`` along ``dirs[idx[k]]`` and
+    gets the unit-interval ``rule`` mapped onto it.  The field is called
+    once per chunk of segments (the :func:`direction_chunks` budget) on
+    all their nodes; ``kernel`` maps the ``(segments, nodes)`` arrays of
+    radii and field values to integrand values.  Returns the sums (one
+    per row of ``dirs``) and the evaluation count.
+    """
+    x = np.asarray(x, dtype=float)
+    xu, wu = rule
+    idx = np.asarray(idx, dtype=np.intp)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    sums = np.zeros(len(dirs))
+    for sl in direction_chunks(len(idx), len(xu)):
+        h = (b[sl] - a[sl])[:, None]
+        t = a[sl, None] + h * xu[None, :]
+        pts = x + t[:, :, None] * dirs[idx[sl]][:, None, :]
+        vals = np.asarray(u(pts.reshape(-1, x.size)),
+                          dtype=float).reshape(t.shape)
+        if not np.isfinite(vals).all():
+            bad = np.argwhere(~np.isfinite(vals))[0]
+            raise EvaluationError("field returned a non-finite value",
+                                  point=pts[bad[0], bad[1]])
+        seg = np.einsum("kj,kj->k", kernel(t, vals), h * wu[None, :])
+        sums += np.bincount(idx[sl], weights=seg, minlength=len(dirs))
+    return sums, idx.size * len(xu)
 
 
 # ---------------------------------------------------------------------------
@@ -580,112 +637,57 @@ def _mc_exterior(domain, f, cfg, boundary_power) -> IntegralResult:
     return IntegralResult(value, err, n, _tol_ok(value, err, cfg))
 
 
-# ---------------------------------------------------------------------------
-# Scalar adaptive Simpson (used by the bound constants as a second opinion).
-# ---------------------------------------------------------------------------
-
-def adaptive_simpson(fn, a: float, b: float, *, tol: float = 1e-10,
-                     max_depth: int = 50) -> tuple[float, float]:
-    """Classic adaptive Simpson on [a, b]; returns (value, error estimate)."""
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        x1 = 0.5 * (x0 + x2)
-        lm, rm = 0.5 * (x0 + x1), 0.5 * (x1 + x2)
-        flm, frm = fn(lm), fn(rm)
-        left = simpson(x0, x1, f0, flm, f1)
-        right = simpson(x1, x2, f1, frm, f2)
-        diff = left + right - whole
-        if depth >= max_depth or abs(diff) <= 15.0 * eps:
-            return left + right + diff / 15.0, abs(diff) / 15.0
-        lv, le = recurse(x0, x1, f0, flm, f1, left, eps / 2.0, depth + 1)
-        rv, re = recurse(x1, x2, f1, frm, f2, right, eps / 2.0, depth + 1)
-        return lv + rv, le + re
-
-    fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
-
-
 def _pv_pass(u, x, s, N, domain, inner_scale, compact_support, cfg,
              m_ang, n_rad, levels):
     dirs, w_dir = polar_directions(N, m_ang)
+    M = len(dirs)
+    every = np.arange(M)
+    both = np.concatenate([dirs, -dirs])
     r_in = cfg.pv_inner_radius * inner_scale
     u_x = float(np.asarray(u(x[None, :]), dtype=float)[0])
     evals = 0
 
-    def second_diff(t):
-        # t: (M, K) radial parameters; returns (2u(x) - u(x+t th) - u(x-t th)) / 2.
+    def sym_sums(idx, a, b, rule, kernel):
+        # Rays along theta and -theta share their segments; half the sum of
+        # the two integrates the symmetrized second difference.
         nonlocal evals
-        pts_p = x[None, None, :] + t[:, :, None] * dirs[:, None, :]
-        pts_m = x[None, None, :] - t[:, :, None] * dirs[:, None, :]
-        both = np.concatenate([pts_p.reshape(-1, N), pts_m.reshape(-1, N)])
-        vals = np.asarray(u(both), dtype=float)
-        evals += both.shape[0]
-        if not np.isfinite(vals).all():
-            raise EvaluationError("field returned a non-finite value")
-        v_p, v_m = vals[: t.size].reshape(t.shape), vals[t.size:].reshape(t.shape)
-        return u_x - 0.5 * (v_p + v_m)
+        sums, n = ray_sums(u, x, both, np.concatenate([idx, idx + M]),
+                           np.tile(a, 2), np.tile(b, 2), rule, kernel)
+        evals += n
+        return 0.5 * float(w_dir @ (sums[:M] + sums[M:]))
 
-    # Inner ball: weight t^(1-2s) exact, smooth part D(t)/t^2 is even & C^2.
-    tj, wj = _jacobi_unit(24, 1.0 - 2.0 * s)
-    t_in = (r_in * tj)[None, :] * np.ones((len(dirs), 1))
-    d_in = second_diff(t_in)
-    inner_radial = (d_in / (t_in / r_in) ** 2) @ wj / r_in ** 2
-    inner = float(w_dir @ inner_radial) * r_in ** (2.0 - 2.0 * s)
+    # Inner ball: the Jacobi rule carries the weight (t/r_in)^(1-2s); the
+    # smooth part D(t)/t^2 is even and C^2.
+    inner = sym_sums(every, np.zeros(M), np.full(M, r_in),
+                     _jacobi_unit(24, 1.0 - 2.0 * s),
+                     lambda t, v: (u_x - v) / t ** 2) * r_in ** (1.0 - 2.0 * s)
 
-    # Outer region: per-direction breakpoints at boundary crossings.
+    # Outer region: breakpoints at the boundary crossings of both rays,
+    # ending at the farthest one.
+    t_end = np.full(M, max(2.0 * r_in, 1.0))
+    cuts = np.empty((M, 0))
     if domain is not None:
-        lo_p, hi_p, hit_p = geometry.ray_spans(domain, x, dirs)
-        lo_m, hi_m, hit_m = geometry.ray_spans(domain, x, -dirs)
-    # The breakpoint pattern differs per direction, so the outer region is
-    # integrated direction by direction.
-    outer = 0.0
-    t_ends = np.empty(len(dirs))
-    for i, theta in enumerate(dirs):
-        breaks = []
-        if domain is not None:
-            if hit_p[i]:
-                breaks += [lo_p[i], hi_p[i]]
-            if hit_m[i]:
-                breaks += [lo_m[i], hi_m[i]]
-        breaks = [b for b in breaks if b > r_in]
-        t_end = max(breaks) if breaks else max(2.0 * r_in, 1.0)
-        t_ends[i] = t_end
-        t_seg, w_seg = _breakpoint_rule(r_in, t_end, breaks, n_rad, levels)
-        pts_p = x[None, :] + t_seg[:, None] * theta[None, :]
-        pts_m = x[None, :] - t_seg[:, None] * theta[None, :]
-        vals = np.asarray(u(np.concatenate([pts_p, pts_m])), dtype=float)
-        evals += 2 * len(t_seg)
-        if not np.isfinite(vals).all():
-            raise EvaluationError("field returned a non-finite value")
-        dd = u_x - 0.5 * (vals[: len(t_seg)] + vals[len(t_seg):])
-        outer += w_dir[i] * float((dd * t_seg ** (-1.0 - 2.0 * s)) @ w_seg)
+        t_lo, t_hi, _ = geometry.ray_spans(domain, x, both)
+        cuts = np.column_stack([t_lo[:M], t_hi[:M], t_lo[M:], t_hi[M:]])
+        cuts[~(cuts > r_in)] = np.nan
+        last = np.fmax.reduce(cuts, axis=1)
+        t_end = np.where(np.isnan(last), t_end, last)
+        cuts[~(cuts < t_end[:, None])] = np.nan
+    idx, a, b = _split_rays(r_in, t_end, cuts)
+    outer = sym_sums(idx, a, b, unit_power_rule(0.0, 0.0, n_rad, levels),
+                     lambda t, v: (u_x - v) * t ** (-1.0 - 2.0 * s))
 
-    # Far tail.
-    if compact_support:
-        tail = u_x * float(w_dir @ t_ends ** (-2.0 * s)) / (2.0 * s)
-    else:
-        tail = u_x * float(w_dir @ t_ends ** (-2.0 * s)) / (2.0 * s)
-        # Subtract the decaying field part over dyadic blocks.
-        xg, wg = _gauss_unit(n_rad)
-        lo = t_ends.copy()
+    # Far tail: the 2u(x) part is an exact power integral; a field that is
+    # not compactly supported also has its decaying part subtracted over
+    # dyadic blocks.
+    tail = u_x * float(w_dir @ t_end ** (-2.0 * s)) / (2.0 * s)
+    if not compact_support:
+        lo = t_end
         for _ in range(60):
-            hi = 2.0 * lo
-            t = lo[:, None] + (hi - lo)[:, None] * xg[None, :]
-            pts_p = x[None, None, :] + t[:, :, None] * dirs[:, None, :]
-            pts_m = x[None, None, :] - t[:, :, None] * dirs[:, None, :]
-            both = np.concatenate([pts_p.reshape(-1, N), pts_m.reshape(-1, N)])
-            vals = np.asarray(u(both), dtype=float)
-            evals += both.shape[0]
-            v_p = vals[: t.size].reshape(t.shape)
-            v_m = vals[t.size:].reshape(t.shape)
-            radial = ((-0.5) * (v_p + v_m) * t ** (-1.0 - 2.0 * s)) @ wg
-            c_j = float(w_dir @ (radial * (hi - lo)))
+            c_j = sym_sums(every, lo, 2.0 * lo, _gauss_unit(n_rad),
+                           lambda t, v: -v * t ** (-1.0 - 2.0 * s))
             tail += c_j
-            lo = hi
+            lo = 2.0 * lo
             if abs(c_j) < 1e-17 * (abs(inner) + abs(outer) + abs(tail)) + 1e-300:
                 break
     value = inner + outer + tail

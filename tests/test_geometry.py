@@ -114,12 +114,14 @@ def test_boundary_quadrature_ellipsoid_area_converges():
 
 def test_ray_spans_ball():
     ball = geo.unit_ball(2)
-    t0, t1 = geo.ray_span(ball, np.zeros(2), np.array([1.0, 0.0]))
-    assert (t0, t1) == pytest.approx((-1.0, 1.0))
+    t0, t1, hit = geo.ray_spans(ball, np.zeros(2), np.array([[1.0, 0.0]]))
+    assert hit[0] and (t0[0], t1[0]) == pytest.approx((-1.0, 1.0))
     # From outside, along a ray that misses.
-    assert geo.ray_span(ball, np.array([2.0, 0.0]), np.array([0.0, 1.0])) is None
+    _, _, hit = geo.ray_spans(ball, np.array([2.0, 0.0]), np.array([[0.0, 1.0]]))
+    assert not hit[0]
     # Tangency counts as a miss (open domain).
-    assert geo.ray_span(ball, np.array([2.0, 1.0]), np.array([-1.0, 0.0])) is None
+    _, _, hit = geo.ray_spans(ball, np.array([2.0, 1.0]), np.array([[-1.0, 0.0]]))
+    assert not hit[0]
 
 
 def test_ray_spans_consistency_with_membership():

@@ -209,12 +209,6 @@ def test_mc_seed_sensitivity():
     assert r1.value != r2.value
 
 
-def test_adaptive_simpson():
-    value, err = quad.adaptive_simpson(math.sin, 0.0, math.pi, tol=1e-12)
-    assert value == pytest.approx(2.0, rel=1e-11)
-    assert err < 1e-9
-
-
 # ---------------------------------------------------------------------------
 # Layered direction rules on the 2-sphere.
 # ---------------------------------------------------------------------------
