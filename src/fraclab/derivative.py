@@ -231,9 +231,7 @@ _V1_CACHE: dict = {}
 
 def _v1_cached(f, ball: Ball, pts: np.ndarray,
                cfg: QuadConfig) -> np.ndarray:
-    key = (kernels._field_cache_token(f), ball, pts.tobytes(),
-           cfg.rel_tol, cfg.abs_tol, cfg.angular_order, cfg.radial_order,
-           cfg.max_subdiv)
+    key = (kernels._field_cache_token(f), ball, pts.tobytes(), cfg)
     if key not in _V1_CACHE:
         _V1_CACHE[key] = solve_vs(f, ball, 1.0, pts, cfg).values
     return _V1_CACHE[key]

@@ -6,8 +6,8 @@ Stability conventions
 * The Green function of the ball is evaluated through the auxiliary
   integral ``B(r0) = int_0^r0 t^(s-1) (1+t)^(-N/2) dt`` with
   ``r0 = (R^2-|x|^2)(R^2-|y|^2) / (R^2 |x-y|^2)``.  For ``r0 < 1`` the
-  integral is computed directly (substitution ``t = r0 * tau^(1/s)``
-  renders it analytic); for ``r0 >= 1`` the *complement*
+  integral is computed directly (a Gauss-Jacobi rule after ``t = r0 u``
+  leaves an analytic factor); for ``r0 >= 1`` the *complement*
   ``J(r0) = int_r0^inf`` is computed by a Gauss-Jacobi rule after
   ``t = r0 / v``, which avoids the cancellation ``B(inf) - B(r0)`` that
   would otherwise eat the significant digits exactly where the Green
@@ -85,16 +85,47 @@ def _green_prefactor(N: int, s: float) -> float:
     return gamma(0.5 * N) / (4.0 ** s * math.pi ** (0.5 * N) * gamma(s) ** 2)
 
 
+# Gauss-Jacobi nodes of the B/J factor rules, and the rows evaluated at a
+# time: an (8192 x 12) block of the analytic factor stays under 1 MB.
+_GREEN_NODES = 12
+_GREEN_BLOCK = 8192
+
+
+def _neg_half_power(w: np.ndarray, N: int) -> np.ndarray:
+    """``w^(-N/2)``, without the general power in the plane and in space."""
+    if N == 2:
+        return 1.0 / w
+    if N == 3:
+        return 1.0 / (w * np.sqrt(w))
+    return w ** (-0.5 * N)
+
+
+def _jacobi_factor_sum(N: int, beta: float, z: np.ndarray) -> np.ndarray:
+    """``int_0^1 u^beta (1 + z u)^(-N/2) du`` for ``0 <= z <= 1``, row by row.
+
+    The rule runs over :data:`_GREEN_BLOCK` rows at a time, so the
+    ``(rows x nodes)`` work array stays in cache however many rows come.
+    """
+    u, w = quad._jacobi_unit(_GREEN_NODES, beta)
+    out = np.empty(len(z))
+    for lo in range(0, len(z), _GREEN_BLOCK):
+        blk = slice(lo, lo + _GREEN_BLOCK)
+        out[blk] = _neg_half_power(1.0 + z[blk, None] * u[None, :], N) @ w
+    return out
+
+
 def _green_factor_small(N: int, s: float, r0: np.ndarray) -> np.ndarray:
     """``B(r0) = int_0^r0 t^(s-1)(1+t)^(-N/2) dt`` for ``r0 <= 1``.
 
     After ``t = r0 u`` the fractional power ``u^(s-1)`` is a Gauss-Jacobi
-    weight and ``(1 + r0 u)^(-N/2)`` is analytic with convergence radius
-    at least ``1/r0 >= 1``; 32 nodes reach rounding level.
+    weight and ``(1 + r0 u)^(-N/2)`` is analytic; its only singularity,
+    ``u = -1/r0``, lies at distance ``1/r0 >= 1`` from ``[0, 1]``.  The
+    Gauss-Jacobi error then falls geometrically with the node count, and
+    12 nodes (:data:`_GREEN_NODES`) reach rounding level for every
+    ``0 < s < 1`` and ``N in {2, 3}`` (within 1e-13 relative of the
+    incomplete beta function); more nodes only add rounding.
     """
-    u, w = quad._jacobi_unit(32, s - 1.0)
-    inner = (1.0 + r0[:, None] * u[None, :]) ** (-0.5 * N)
-    return r0 ** s * (inner @ w)
+    return r0 ** s * _jacobi_factor_sum(N, s - 1.0, r0)
 
 
 def _green_tail(N: int, s: float, r0: np.ndarray) -> np.ndarray:
@@ -102,11 +133,27 @@ def _green_tail(N: int, s: float, r0: np.ndarray) -> np.ndarray:
 
     After ``t = r0 / v``:  ``J = r0^(s - N/2) int_0^1 v^(N/2-s-1)
     (1 + v/r0)^(-N/2) dv``; the fractional power goes into a Gauss-Jacobi
-    weight and the remaining factor is analytic.
+    weight and the remaining factor is analytic with its singularity,
+    ``v = -r0``, at distance ``r0 >= 1`` from ``[0, 1]``, so the same 12
+    nodes as :func:`_green_factor_small` reach rounding level.
     """
-    v, w = quad._jacobi_unit(32, 0.5 * N - s - 1.0)
-    inner = (1.0 + v[None, :] / r0[:, None]) ** (-0.5 * N)
-    return r0 ** (s - 0.5 * N) * (inner @ w)
+    return r0 ** (s - 0.5 * N) * _jacobi_factor_sum(N, 0.5 * N - s - 1.0,
+                                                    1.0 / r0)
+
+
+def _green_factor(N: int, s: float, r0: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``B(r0)`` where ``r0 < 1`` and ``J(r0)`` elsewhere, with the mask.
+
+    Each side is integrated directly, never as ``B(inf)`` minus the
+    other, so neither loses digits to cancellation; callers that need
+    the other side subtract from ``B(inf)`` (:func:`_beta_total`).
+    """
+    small = r0 < 1.0
+    out = np.empty_like(r0)
+    out[small] = _green_factor_small(N, s, r0[small])
+    out[~small] = _green_tail(N, s, r0[~small])
+    return small, out
 
 
 def _beta_total(N: int, s: float) -> float:
@@ -135,12 +182,8 @@ def _green_values(R: float, N: int, s: float, x: np.ndarray,
         return out
     pref = _green_prefactor(N, s)
     kappa = riesz_constant(N, s)
-    vals = np.empty_like(di)
-    small = r0 < 1.0
-    if small.any():
-        vals[small] = pref * _green_factor_small(N, s, r0[small])
-    if (~small).any():
-        vals[~small] = kappa - pref * _green_tail(N, s, r0[~small])
+    small, factor = _green_factor(N, s, r0)
+    vals = np.where(small, pref * factor, kappa - pref * factor)
     out[inside] = di ** (2.0 * s - N) * vals
     return out
 
@@ -218,6 +261,7 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
         else:
             kappa = riesz_constant(N, s)
             pref = _green_prefactor(N, s)
+            beta_total = _beta_total(N, s)
             rules = ((quad.unit_power_rule(2.0 * s - 1.0, bp, n_rad, levels),
                       "rie"),
                      (quad.unit_power_rule(float(N - 1), bp, n_rad, levels),
@@ -247,15 +291,10 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
                 elif part == "rie":
                     vals = kappa * tf ** (2.0 * s - N) * fv
                 else:
-                    r0 = lx * ly / (R * R * tf * tf)
-                    corr = np.empty_like(r0)
-                    small = r0 < 1.0
-                    if small.any():
-                        corr[small] = pref * (
-                            _beta_total(N, s)
-                            - _green_factor_small(N, s, r0[small]))
-                    if (~small).any():
-                        corr[~small] = pref * _green_tail(N, s, r0[~small])
+                    small, factor = _green_factor(
+                        N, s, lx * ly / (R * R * tf * tf))
+                    corr = pref * np.where(small, beta_total - factor,
+                                           factor)
                     vals = -(tf ** (2.0 * s - N)) * corr * fv
                 rad = (vals.reshape(t.shape) * t ** (N - 1)) @ wu
                 total += float(w_dir[sl] @ (rad * t_hi[sl]))
@@ -557,9 +596,10 @@ def _field_cache_token(f):
 _MF_CACHE: dict = {}
 
 
-def _mf_on_grid(ball: Ball, f, s: float, E: np.ndarray, n_eta: int = 12
-                ) -> np.ndarray:
-    """``M_f(q) = int_Omega (R^2-|z|^2)^s |z-y|^{-N} f(z) dz`` on the master grid.
+def _mf_on_grid(ball: Ball, f, s: float, n: int, levels: int,
+                n_eta: int = 12) -> np.ndarray:
+    """``M_f(q) = int_Omega (R^2-|z|^2)^s |z-y|^{-N} f(z) dz`` on the master
+    grid ``_exterior_radial_grid(R, s, n, levels)``.
 
     Radial ``f`` only.  The angular integral collapses to the closed
     single-pole form, and with ``eta = R^2 - rho^2`` the radial part is
@@ -569,11 +609,12 @@ def _mf_on_grid(ball: Ball, f, s: float, E: np.ndarray, n_eta: int = 12
     upper half is integrated back in the ``rho`` variable where nothing
     kinks.
     """
-    key = (ball, s, _field_cache_token(f), len(E), n_eta)
+    key = (ball, s, _field_cache_token(f), n, levels, n_eta)
     hit = _MF_CACHE.get(key)
     if hit is not None:
         return hit
     N, R = ball.dim, ball.radius
+    E = _exterior_radial_grid(R, s, n, levels)[0]
     A = R * R
     eps = E * (2.0 * R + E)
     tj, wj = quad._jacobi_unit(n_eta, s)
@@ -663,19 +704,18 @@ def comp_poisson_apply(domain: Domain, f, s, x,
         return IntegralResult(value, 1e-14 * abs(value), len(rho), True)
 
     if s < 1.0 and radial:
-        E, wE, _ = _exterior_radial_grid(R, s, cfg.radial_order,
-                                         min(cfg.max_subdiv, 26))
-        M = _mf_on_grid(ball, f, s, E)
+        n, levels = cfg.radial_order, min(cfg.max_subdiv, 26)
+        E, wE, _ = _exterior_radial_grid(R, s, n, levels)
+        M = _mf_on_grid(ball, f, s, n, levels)
         q = R + E
         tau = ball_poisson_constant(N, s)
         ang = np.array([_single_pole_angle(N, qi, rx) for qi in q])
         integrand = E ** (-s) * (2.0 * R + E) ** (-s) * M * ang * q ** (N - 1)
         value = c_N * tau * float(wE @ integrand)
         # Second opinion on a thinner grid for the error estimate.
-        E2, wE2, _ = _exterior_radial_grid(R, s,
-                                           max(8, cfg.radial_order - 4),
-                                           min(cfg.max_subdiv, 26) - 6)
-        M2 = _mf_on_grid(ball, f, s, E2, n_eta=8)
+        n2, levels2 = max(8, n - 4), levels - 6
+        E2, wE2, _ = _exterior_radial_grid(R, s, n2, levels2)
+        M2 = _mf_on_grid(ball, f, s, n2, levels2, n_eta=8)
         q2g = R + E2
         ang2 = np.array([_single_pole_angle(N, qi, rx) for qi in q2g])
         coarse = c_N * tau * float(

@@ -224,7 +224,7 @@ def log_laplacian(u, x, cfg: QuadConfig | None = None) -> IntegralResult:
     N = _field_dim(u)
     c_N, rho_N = log_constants(N)
     x = np.asarray(x, dtype=float)
-    u_x = float(u(x[None, :])[0])
+    u_x = quad._centre_value(u, x)
     dom = getattr(u, "domain", None)
     compact = bool(getattr(u, "is_compact", False))
     ext_p = getattr(u, "exterior_power", None)
@@ -311,7 +311,7 @@ def log_laplacian_compact(u, x, cfg: QuadConfig | None = None
     x = np.asarray(x, dtype=float)
     if geometry.delta(dom, x) <= 0.0:
         raise DomainError("the domain form is evaluated inside the domain")
-    u_x = float(u(x[None, :])[0])
+    u_x = quad._centre_value(u, x)
 
     def one_pass(m_ang, n_rad, levels):
         dirs, w_dir = quad.polar_directions(N, m_ang)
@@ -535,7 +535,7 @@ def nonlocal_normal_derivative(u, s, z, cfg: QuadConfig | None = None
         raise DomainError("the nonlocal normal derivative is evaluated "
                           "outside the closure of the domain")
     c = frac_normalization(N, s)
-    u_z = float(u(z[None, :])[0])
+    u_z = quad._centre_value(u, z)
 
     # The domain is seen from z under a finite cone; integrate directions
     # over that cone only, graded toward its rim, where the chord length

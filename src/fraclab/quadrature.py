@@ -333,6 +333,15 @@ def _split_rays(lo, hi, cuts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.nonzero(keep)[0], a[keep], b[keep]
 
 
+def _centre_value(u, x) -> float:
+    """``u(x)``, the value the ray operators difference against; a
+    non-finite value raises :class:`EvaluationError` at ``x``."""
+    value = float(np.asarray(u(x[None, :]), dtype=float)[0])
+    if not math.isfinite(value):
+        raise EvaluationError("field returned a non-finite value", point=x)
+    return value
+
+
 def ray_sums(u, x, dirs, idx, a, b, rule, kernel) -> tuple[np.ndarray, int]:
     """Per-direction sums of ``int_a^b kernel(t, u(x + t theta)) dt``.
 
@@ -644,7 +653,7 @@ def _pv_pass(u, x, s, N, domain, inner_scale, compact_support, cfg,
     every = np.arange(M)
     both = np.concatenate([dirs, -dirs])
     r_in = cfg.pv_inner_radius * inner_scale
-    u_x = float(np.asarray(u(x[None, :]), dtype=float)[0])
+    u_x = _centre_value(u, x)
     evals = 0
 
     def sym_sums(idx, a, b, rule, kernel):

@@ -3,6 +3,7 @@ complementary Poisson kernel, against frozen high-precision oracles and
 closed-form identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,22 @@ def test_green_factor_matches_incomplete_beta():
                                                   r0 / (1.0 + r0))
         got = kernels._green_factor_small(N, s, np.array([r0]))[0]
         assert got == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("s", [0.01, 0.25, 0.5, 0.75, 0.98, 0.999999])
+def test_green_factor_matches_incomplete_beta_to_rounding(N, s):
+    # Each side against the incomplete beta function on the side whose
+    # argument stays at most 1/2: B(r0) through I(s, N/2-s; r0/(1+r0)),
+    # J(r0) through the complement I(N/2-s, s; 1/(1+r0)) (DLMF 8.17).
+    r0 = np.logspace(-6.0, 8.0, 57)
+    small, got = kernels._green_factor(N, s, r0)
+    a, b = s, 0.5 * N - s
+    expected = np.where(small,
+                        sp_beta(a, b) * sp_betainc(a, b, r0 / (1.0 + r0)),
+                        sp_beta(a, b) * sp_betainc(b, a, 1.0 / (1.0 + r0)))
+    assert np.array_equal(small, r0 < 1.0)
+    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +252,43 @@ def test_green_apply_near_boundary():
     d, _ = ball_torsion_constant(2, s)
     expected = d * (1.0 - float(x @ x)) ** s
     assert res.value == pytest.approx(expected, rel=1e-5)
+
+
+@pytest.mark.parametrize("N,s,x,evaluations,value", [
+    # Non-constant data near the boundary of the disc.
+    (2, 0.9, (0.6, -0.75), 164416, 0.036392392966503095),
+    # Radial-flagged data in the 3-ball (the axisymmetric directions).
+    (3, 0.25, (0.3, -0.2, 0.4), 521152, 0.6905233796369996),
+])
+def test_green_apply_frozen(N, s, x, evaluations, value):
+    # Frozen from the 32-node Green factor this 12-node one replaced: the
+    # rules are unchanged, so the counts agree exactly and the values to
+    # rounding (the 2D case cancels about two digits between the Riesz
+    # part and the correction).
+    ball = Ball(center=(0.0,) * N, radius=1.0)
+    if N == 2:
+        def f(y):
+            y = np.atleast_2d(y)
+            return 1.0 + y[:, 0] - 0.5 * y[:, 1] ** 2
+    else:
+        f = radial_field(lambda y: np.ones(len(np.atleast_2d(y))))
+    res = green_apply(ball, f, s, x, CFG)
+    assert res.evaluations == evaluations
+    assert res.value == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+def test_green_apply_memory_stays_small():
+    # The Green factor runs in cache-sized row blocks; a dense
+    # (nodes x rule) matrix per chunk peaked at 17.7 MB here.
+    ball = Ball(center=(0.0, 0.0), radius=1.0)
+    tracemalloc.start()
+    try:
+        green_apply(ball, lambda y: np.ones(len(np.atleast_2d(y))), 0.5,
+                    (0.3, 0.2), CFG)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 # ---------------------------------------------------------------------------
@@ -410,3 +464,22 @@ def test_comp_apply_radial_nonconstant_profile():
     fast = comp_poisson_apply(ball, radial_field(prof), s, x, CFG)
     generic = comp_poisson_apply(ball, prof, s, x, CFG)
     assert generic.value == pytest.approx(fast.value, rel=1e-5)
+
+
+def test_comp_apply_master_grid_cache_tells_equal_length_grids_apart():
+    # Both configurations give a master grid of 788 nodes at s = 0.6; a
+    # cache keyed by grid length handed the second one the first's values
+    # (1.748 instead of 0.762).
+    ball = Ball(center=(0.0, 0.0), radius=1.0)
+    f = radial_field(lambda y: np.ones(len(np.atleast_2d(y))))
+    x = np.array([0.3, 0.0])
+    first = QuadConfig(radial_order=12, max_subdiv=21)
+    second = QuadConfig(radial_order=16, max_subdiv=5)
+    assert (len(kernels._exterior_radial_grid(1.0, 0.6, 12, 21)[0])
+            == len(kernels._exterior_radial_grid(1.0, 0.6, 16, 5)[0]))
+    kernels._MF_CACHE.clear()
+    cold = comp_poisson_apply(ball, f, 0.6, x, second)
+    kernels._MF_CACHE.clear()
+    comp_poisson_apply(ball, f, 0.6, x, first)
+    after = comp_poisson_apply(ball, f, 0.6, x, second)
+    assert after.value == cold.value

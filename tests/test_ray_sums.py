@@ -110,15 +110,37 @@ def nan_right_half(p):
     return np.where(p[:, 0] > 0.5, np.nan, 1.0 - np.sum(p * p, axis=1))
 
 
-@pytest.mark.parametrize("run", [
-    lambda u: log_laplacian(u, np.array([-0.2, 0.1])),
-    lambda u: log_laplacian_compact(u, np.array([-0.2, 0.1])),
-    lambda u: nonlocal_normal_derivative(u, 0.5, np.array([1.3, 0.0])),
-    lambda u: frac_laplacian(u, 0.5, np.array([-0.2, 0.1])),
-], ids=["log_laplacian", "log_laplacian_compact",
-        "nonlocal_normal_derivative", "frac_laplacian"])
-def test_non_finite_field_values_raise(run):
+def nan_only_at(x):
+    def fn(p):
+        p = np.atleast_2d(p)
+        return np.where((p == x).all(axis=1), np.nan,
+                        1.0 - np.sum(p * p, axis=1))
+    return fn
+
+
+RAY_OPERATORS = {
+    "log_laplacian": (log_laplacian, (-0.2, 0.1)),
+    "log_laplacian_compact": (log_laplacian_compact, (-0.2, 0.1)),
+    "nonlocal_normal_derivative": (
+        lambda u, z: nonlocal_normal_derivative(u, 0.5, z), (1.3, 0.0)),
+    "frac_laplacian": (lambda u, x: frac_laplacian(u, 0.5, x), (-0.2, 0.1)),
+}
+
+
+@pytest.mark.parametrize("name", list(RAY_OPERATORS))
+def test_non_finite_field_values_raise(name):
+    run, x = RAY_OPERATORS[name]
+    x = np.array(x)
     u = CompactField(nan_right_half, DISC, smooth_scale=1.0)
     with pytest.raises(EvaluationError) as info:
-        run(u)
+        run(u, x)
     assert info.value.point[0] > 0.5
+    # NaN at the evaluation point alone: the value every ray differences
+    # against.  Outside the disc the field is not compact, so the point
+    # of the normal derivative sees it too.
+    inside = float(x @ x) < 1.0
+    u = ScalarField(fn=nan_only_at(x), dim=2, domain=DISC,
+                    is_compact=inside, smooth_scale=1.0)
+    with pytest.raises(EvaluationError) as info:
+        run(u, x)
+    np.testing.assert_array_equal(info.value.point, x)
