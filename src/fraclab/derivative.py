@@ -166,9 +166,8 @@ def ell_field(f, domain: Domain, s, cfg: QuadConfig | None = None, *,
     return ScalarField(fn=fn, dim=N, domain=ball, radial=True,
                        is_compact=True, smooth_scale=0.5 * R,
                        boundary_power=-fp,
-                       cache_token=("ell", ball, s, complementary_sign,
-                                    n_nodes,
-                                    kernels._field_cache_token(f)))
+                       cache_token=kernels._derived_token(
+                           f, "ell", ball, s, complementary_sign, n_nodes))
 
 
 def solve_vs(f, domain: Domain, s, grid, cfg: QuadConfig | None = None, *,
@@ -231,10 +230,14 @@ _V1_CACHE: dict = {}
 
 def _v1_cached(f, ball: Ball, pts: np.ndarray,
                cfg: QuadConfig) -> np.ndarray:
-    key = (kernels._field_cache_token(f), ball, pts.tobytes(), cfg)
-    if key not in _V1_CACHE:
-        _V1_CACHE[key] = solve_vs(f, ball, 1.0, pts, cfg).values
-    return _V1_CACHE[key]
+    token = kernels._field_cache_token(f)
+    key = None if token is None else (token, ball, pts.tobytes(), cfg)
+    hit = _V1_CACHE.get(key)
+    if hit is None:
+        hit = solve_vs(f, ball, 1.0, pts, cfg).values
+        if key is not None:
+            _V1_CACHE[key] = hit
+    return hit
 
 
 def expansion_residual(f, domain: Domain, s, grid,

@@ -270,9 +270,11 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
         for (xu, wu), part in rules:
             for sl in quad.direction_chunks(len(dirs), len(xu)):
                 t = t_hi[sl, None] * xu[None, :]
-                pts = xc[None, None, :] + t[:, :, None] * dirs[sl, None, :]
+                pts = np.empty(t.shape + (N,))
+                for d in range(N):
+                    pts[..., d] = xc[d] + t * dirs[sl, d, None]
                 flat = pts.reshape(-1, N)
-                fv = np.asarray(f(flat + domain.center_array), dtype=float)
+                fv = quad._finite_values(f, flat + domain.center_array)
                 evals += t.size
                 # Distances come from the radial variable directly;
                 # coordinates collapse onto x at the innermost nodes.
@@ -589,11 +591,59 @@ def comp_poisson_kernel(domain: Domain, s, x, z,
 
 
 def _field_cache_token(f):
-    token = getattr(f, "cache_token", None)
-    return token if token is not None else id(f)
+    """``f.cache_token``, or None: data without a token is never cached,
+    since an ``id`` is reused once its object is gone."""
+    return getattr(f, "cache_token", None)
+
+
+def _derived_token(f, *tag):
+    """Token of data derived from ``f``: ``(*tag, token)``, or None (a
+    fresh token for a :class:`~fraclab.operators.ScalarField`) when ``f``
+    has none."""
+    token = _field_cache_token(f)
+    return None if token is None else (*tag, token)
 
 
 _MF_CACHE: dict = {}
+
+# Master-grid rows whose inner integrals share one data call: at the
+# default QuadConfig a block of 64 rows holds about 20k eta nodes, so the
+# work arrays stay near 1 MB however long the grid is.
+_MF_BLOCK = 64
+
+
+def _eta_segments(eps: np.ndarray, half: float, s: float, jac, gauss
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat ``eta`` rule on ``[0, half]`` for every ``eps``: ``(row, eta,
+    weight)``.
+
+    Row ``i`` gets an ``eps``-scaled Jacobi block on ``[0, first]``,
+    ``first = min(eps_i, half)``, whose weight already divides out the
+    ``eta^s`` the integrand carries, then Gauss panels ``k = 1, 2, ...`` on
+    ``[first 2^(k-1), min(first 2^k, half)]`` until ``half`` is reached.
+    The Jacobi nodes of all rows come first, then the panels row by row,
+    so per row the nodes run from ``eta = 0`` upwards.
+    """
+    tj, wj = jac
+    xg, wg = gauss
+    first = np.minimum(eps, half)
+    # Panel count: the least K with first 2^K >= half (the products are
+    # exact, so the log2 guess is only corrected by one either way).
+    n_pan = np.maximum(np.ceil(np.log2(half / first)), 0.0).astype(np.intp)
+    n_pan += np.ldexp(first, n_pan) < half
+    n_pan -= (n_pan > 0) & (np.ldexp(first, n_pan - 1) >= half)
+    rows = np.arange(len(eps))
+    prow = np.repeat(rows, n_pan)
+    k = np.arange(len(prow)) - np.repeat(np.cumsum(n_pan) - n_pan, n_pan)
+    lo = np.ldexp(first[prow], k)
+    h = np.minimum(2.0 * lo, half) - lo
+    jac_eta = first[:, None] * tj
+    jac_w = wj * first[:, None] ** (s + 1.0) / jac_eta ** s
+    row = np.repeat(np.concatenate([rows, prow]), len(tj))
+    eta = np.concatenate([jac_eta.ravel(),
+                          (lo[:, None] + h[:, None] * xg).ravel()])
+    wts = np.concatenate([jac_w.ravel(), (h[:, None] * wg).ravel()])
+    return row, eta, wts
 
 
 def _mf_on_grid(ball: Ball, f, s: float, n: int, levels: int,
@@ -604,67 +654,59 @@ def _mf_on_grid(ball: Ball, f, s: float, n: int, levels: int,
     Radial ``f`` only.  The angular integral collapses to the closed
     single-pole form, and with ``eta = R^2 - rho^2`` the radial part is
     ``int_0^{R^2} W(eta) f(sqrt(R^2-eta)) eta^s / (eps + eta) deta`` with
-    ``eps = q^2 - R^2``.  Near ``eta = 0`` the rule uses an eps-scaled
-    Jacobi block plus dyadic panels, exact through the boundary layer; the
-    upper half is integrated back in the ``rho`` variable where nothing
-    kinks.
+    ``eps = q^2 - R^2``.  On ``eta in [0, R^2/2]`` the rule uses an
+    eps-scaled Jacobi block plus dyadic panels, exact through the boundary
+    layer (:func:`_eta_segments`); the upper half is integrated back in the
+    ``rho`` variable, where nothing kinks, as one (grid x 24) product.
+
+    The lower half runs over :data:`_MF_BLOCK` grid rows at a time: the
+    segments of a block are laid out flat, ``f`` is called once on all
+    their nodes and the sums per row come from ``np.bincount``.  Each node
+    is evaluated once; results are cached only for data with a
+    ``cache_token``.
     """
-    key = (ball, s, _field_cache_token(f), n, levels, n_eta)
+    token = _field_cache_token(f)
+    key = None if token is None else (ball, s, token, n, levels, n_eta)
     hit = _MF_CACHE.get(key)
     if hit is not None:
         return hit
     N, R = ball.dim, ball.radius
     E = _exterior_radial_grid(R, s, n, levels)[0]
     A = R * R
+    half = 0.5 * A
     eps = E * (2.0 * R + E)
-    tj, wj = quad._jacobi_unit(n_eta, s)
-    xg, wg = quad._gauss_unit(n_eta)
+    jac = quad._jacobi_unit(n_eta, s)
+    gauss = quad._gauss_unit(n_eta)
 
     def f_of_rho(rho):
         pts = np.zeros((len(rho), N))
         pts[:, 0] = rho
-        return np.asarray(f(pts + ball.center_array), dtype=float)
+        return quad._finite_values(f, pts + ball.center_array)
 
-    def w_eta(eta):
-        if N == 2:
-            return np.ones_like(eta)
-        return np.sqrt(np.maximum(A - eta, 0.0))
-
-    out = np.empty(len(E))
-    half = 0.5 * A
     # Upper half in the rho variable (rho in [0, sqrt(A/2)]), smooth.
-    rho_hi = math.sqrt(half)
-    rho_nodes, rho_w = quad.map_rule(quad._gauss_unit(24), 0.0, rho_hi)
-    f_hi = f_of_rho(rho_nodes)
-    for i, e in enumerate(eps):
-        # eta in [0, A/2]: eps-scaled first block + dyadic panels.
-        first = min(e, half)
-        eta_n = [tj * first]
-        eta_w = [wj * first ** (s + 1.0) / (tj * first) ** s]
-        lo = first
-        while lo < half:
-            hi = min(2.0 * lo, half)
-            eta_n.append(lo + (hi - lo) * xg)
-            eta_w.append((hi - lo) * wg)
-            lo = hi
-        eta = np.concatenate(eta_n)
-        wts = np.concatenate(eta_w)
-        vals = w_eta(eta) * f_of_rho(np.sqrt(A - eta)) * eta ** s / (e + eta)
-        low_part = float(wts @ vals)
-        if N == 2:
-            ang = 2.0 * math.pi / (e + (A - rho_nodes ** 2))
-            hi_part = float(rho_w @ (f_hi * (A - rho_nodes ** 2) ** s
-                                     * ang * rho_nodes))
-            # low part was the eta-integral with the 2D angular constant
-            # pi folded in below.
-            out[i] = math.pi * low_part + hi_part
-        else:
-            q = math.sqrt(e + A)
-            ang = 4.0 * math.pi / (q * (e + (A - rho_nodes ** 2)))
-            hi_part = float(rho_w @ (f_hi * (A - rho_nodes ** 2) ** s
-                                     * ang * rho_nodes ** 2))
-            out[i] = (2.0 * math.pi / q) * low_part + hi_part
-    _MF_CACHE[key] = out
+    rho_nodes, rho_w = quad.map_rule(quad._gauss_unit(24), 0.0,
+                                     math.sqrt(half))
+    c = A - rho_nodes ** 2
+    fc_hi = f_of_rho(rho_nodes) * c ** s
+    low = np.empty(len(E))
+    for lo in range(0, len(E), _MF_BLOCK):
+        e = eps[lo:lo + _MF_BLOCK]
+        row, eta, wts = _eta_segments(e, half, s, jac, gauss)
+        w_eta = 1.0 if N == 2 else np.sqrt(np.maximum(A - eta, 0.0))
+        vals = w_eta * f_of_rho(np.sqrt(A - eta)) * eta ** s / (e[row] + eta)
+        low[lo:lo + _MF_BLOCK] = np.bincount(row, weights=wts * vals,
+                                             minlength=len(e))
+    if N == 2:
+        ang = 2.0 * math.pi / (eps[:, None] + c)
+        # The eta integral carries the 2D angular constant pi.
+        out = math.pi * low + (fc_hi * ang * rho_nodes) @ rho_w
+    else:
+        q = np.sqrt(eps + A)
+        ang = 4.0 * math.pi / (q[:, None] * (eps[:, None] + c))
+        out = (2.0 * math.pi / q) * low \
+            + (fc_hi * ang * rho_nodes ** 2) @ rho_w
+    if key is not None:
+        _MF_CACHE[key] = out
     return out
 
 
@@ -698,7 +740,7 @@ def comp_poisson_apply(domain: Domain, f, s, x,
         rho, w = quad.map_rule(quad._gauss_unit(48), 0.0, R)
         pts = np.zeros((len(rho), N))
         pts[:, 0] = rho
-        fv = np.asarray(f(pts + ball.center_array), dtype=float)
+        fv = quad._finite_values(f, pts + ball.center_array)
         beta_f = float(w @ (fv * rho ** (N - 1))) / R ** (N - 1)
         value = c_N * beta_f * R ** (N - 1) * _single_pole_angle(N, R, rx)
         return IntegralResult(value, 1e-14 * abs(value), len(rho), True)
@@ -709,7 +751,7 @@ def comp_poisson_apply(domain: Domain, f, s, x,
         M = _mf_on_grid(ball, f, s, n, levels)
         q = R + E
         tau = ball_poisson_constant(N, s)
-        ang = np.array([_single_pole_angle(N, qi, rx) for qi in q])
+        ang = _single_pole_angle(N, q, rx)
         integrand = E ** (-s) * (2.0 * R + E) ** (-s) * M * ang * q ** (N - 1)
         value = c_N * tau * float(wE @ integrand)
         # Second opinion on a thinner grid for the error estimate.
@@ -717,7 +759,7 @@ def comp_poisson_apply(domain: Domain, f, s, x,
         E2, wE2, _ = _exterior_radial_grid(R, s, n2, levels2)
         M2 = _mf_on_grid(ball, f, s, n2, levels2, n_eta=8)
         q2g = R + E2
-        ang2 = np.array([_single_pole_angle(N, qi, rx) for qi in q2g])
+        ang2 = _single_pole_angle(N, q2g, rx)
         coarse = c_N * tau * float(
             wE2 @ (E2 ** (-s) * (2.0 * R + E2) ** (-s) * M2 * ang2
                    * q2g ** (N - 1)))

@@ -649,8 +649,7 @@ def restriction_ws(domain: Domain, f, s, cfg: QuadConfig | None = None,
     return ScalarField(fn=fn, dim=N, domain=ball, radial=True,
                        is_compact=True, smooth_scale=R,
                        boundary_power=s,
-                       cache_token=("ws", ball, s,
-                                    kernels._field_cache_token(f)))
+                       cache_token=kernels._derived_token(f, "ws", ball, s))
 
 
 # ---------------------------------------------------------------------------

@@ -333,13 +333,21 @@ def _split_rays(lo, hi, cuts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.nonzero(keep)[0], a[keep], b[keep]
 
 
+def _finite_values(f, pts) -> np.ndarray:
+    """``f(pts)`` as floats, one value per row of ``pts``; a non-finite
+    value raises :class:`EvaluationError` at its point."""
+    vals = np.asarray(f(pts), dtype=float)
+    if not np.isfinite(vals).all():
+        bad = np.flatnonzero(~np.isfinite(vals))[0]
+        raise EvaluationError("field returned a non-finite value",
+                              point=pts[bad])
+    return vals
+
+
 def _centre_value(u, x) -> float:
     """``u(x)``, the value the ray operators difference against; a
     non-finite value raises :class:`EvaluationError` at ``x``."""
-    value = float(np.asarray(u(x[None, :]), dtype=float)[0])
-    if not math.isfinite(value):
-        raise EvaluationError("field returned a non-finite value", point=x)
-    return value
+    return float(_finite_values(u, x[None, :])[0])
 
 
 def ray_sums(u, x, dirs, idx, a, b, rule, kernel) -> tuple[np.ndarray, int]:
@@ -362,12 +370,7 @@ def ray_sums(u, x, dirs, idx, a, b, rule, kernel) -> tuple[np.ndarray, int]:
         h = (b[sl] - a[sl])[:, None]
         t = a[sl, None] + h * xu[None, :]
         pts = x + t[:, :, None] * dirs[idx[sl]][:, None, :]
-        vals = np.asarray(u(pts.reshape(-1, x.size)),
-                          dtype=float).reshape(t.shape)
-        if not np.isfinite(vals).all():
-            bad = np.argwhere(~np.isfinite(vals))[0]
-            raise EvaluationError("field returned a non-finite value",
-                                  point=pts[bad[0], bad[1]])
+        vals = _finite_values(u, pts.reshape(-1, x.size)).reshape(t.shape)
         seg = np.einsum("kj,kj->k", kernel(t, vals), h * wu[None, :])
         sums += np.bincount(idx[sl], weights=seg, minlength=len(dirs))
     return sums, idx.size * len(xu)
@@ -390,11 +393,7 @@ def _polar_interior_pass(domain, f, center, radial_power, boundary_power,
     xu, wu = rule
     t = t_hi[:, None] * xu[None, :]                      # (M, K)
     pts = center[None, None, :] + t[:, :, None] * dirs[:, None, :]
-    vals = np.asarray(f(pts.reshape(-1, N)), dtype=float).reshape(t.shape)
-    if not np.isfinite(vals).all():
-        bad = np.argwhere(~np.isfinite(vals))[0]
-        raise EvaluationError("integrand returned a non-finite value",
-                              point=pts[bad[0], bad[1]])
+    vals = _finite_values(f, pts.reshape(-1, N)).reshape(t.shape)
     radial = (vals * t ** (N - 1)) @ wu
     value = float(w_dir @ (radial * t_hi))
     return value, t.size
@@ -453,12 +452,8 @@ def _exterior_pass(domain, f, boundary_power, m_ang, n_rad, levels, cfg):
         xu, wu = rule
         t = lo_vec[:, None] + (hi_vec - lo_vec)[:, None] * xu[None, :]
         pts = center[None, None, :] + t[:, :, None] * dirs[:, None, :]
-        vals = np.asarray(f(pts.reshape(-1, N)), dtype=float).reshape(t.shape)
+        vals = _finite_values(f, pts.reshape(-1, N)).reshape(t.shape)
         evals += t.size
-        if not np.isfinite(vals).all():
-            bad = np.argwhere(~np.isfinite(vals))[0]
-            raise EvaluationError("integrand returned a non-finite value",
-                                  point=pts[bad[0], bad[1]])
         radial = (vals * t ** (N - 1)) @ wu
         return float(w_dir @ (radial * (hi_vec - lo_vec)))
 
@@ -610,9 +605,7 @@ def _mc_interior(domain, f, cfg, boundary_power) -> IntegralResult:
     p_r = (1.0 - lam) * N * r ** (N - 1) + lam * 0.5 / np.sqrt(1.0 - r)
     p_pt = p_r / (sphere_area * r ** (N - 1)) / jac
     pts = to_domain(r[:, None] * dirs)
-    vals = np.asarray(f(pts), dtype=float)
-    if not np.isfinite(vals).all():
-        raise EvaluationError("integrand returned a non-finite value")
+    vals = _finite_values(f, pts)
     ratio = vals / p_pt
     value = float(ratio.mean())
     err = float(ratio.std(ddof=1) / math.sqrt(n))
@@ -637,9 +630,7 @@ def _mc_exterior(domain, f, cfg, boundary_power) -> IntegralResult:
         + 0.5 * N * q ** (-N - 1.0)
     p_pt = p_q / (sphere_area * q ** (N - 1)) / jac
     pts = to_domain(q[:, None] * dirs)
-    vals = np.asarray(f(pts), dtype=float)
-    if not np.isfinite(vals).all():
-        raise EvaluationError("integrand returned a non-finite value")
+    vals = _finite_values(f, pts)
     ratio = vals / p_pt
     value = float(ratio.mean())
     err = float(ratio.std(ddof=1) / math.sqrt(n))

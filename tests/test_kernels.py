@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from scipy.special import beta as sp_beta, betainc as sp_betainc
 
-from fraclab.core import (DivergenceError, DomainError, SingularityError)
+from fraclab.core import (DivergenceError, DomainError, EvaluationError,
+                          SingularityError)
 from fraclab.geometry import Ball, Ellipsoid
 from fraclab.quadrature import QuadConfig, unit_power_rule, map_rule
 from fraclab.specfun import ball_torsion_constant, log_constants, riesz_constant
-from fraclab import kernels
+from fraclab import derivative, kernels, operators
 from fraclab.kernels import (comp_poisson_apply, comp_poisson_kernel,
                              fundamental_solution, green_apply, green_ball,
                              poisson_ball, poisson_ball_classical,
@@ -483,3 +484,166 @@ def test_comp_apply_master_grid_cache_tells_equal_length_grids_apart():
     comp_poisson_apply(ball, f, 0.6, x, first)
     after = comp_poisson_apply(ball, f, 0.6, x, second)
     assert after.value == cold.value
+
+
+class CountingProfile:
+    """Radial data ``1 - |y|^2 / 2`` that counts its calls and points."""
+
+    radial = True
+
+    def __init__(self):
+        self.cache_token = object()
+        self.calls = 0
+        self.points = 0
+
+    def __call__(self, y):
+        y = np.atleast_2d(y)
+        self.calls += 1
+        self.points += len(y)
+        return 1.0 - 0.5 * np.einsum("ij,ij->i", y, y)
+
+
+MASTER_GRID_TABLE = [  # N, s, R, point, evaluations, data points, value
+    (2, 0.02, 0.8, 'centre', 1900, 110164, 0.026151844641130486),
+    (2, 0.02, 0.8, 'edge', 1900, 110164, 0.5898777106541756),
+    (2, 0.02, 1.23, 'centre', 1900, 110164, 0.017594001504068774),
+    (2, 0.02, 1.23, 'edge', 1900, 110164, 0.33931312213116616),
+    (2, 0.25, 0.8, 'centre', 1900, 110184, 0.28576213152205027),
+    (2, 0.25, 0.8, 'edge', 1900, 110184, 15.57134447362634),
+    (2, 0.25, 1.23, 'centre', 1900, 110184, 0.19847213152411503),
+    (2, 0.25, 1.23, 'edge', 1900, 110184, 10.342441574890076),
+    (2, 0.75, 0.8, 'centre', 1900, 110244, 0.6875452613004335),
+    (2, 0.75, 0.8, 'edge', 1900, 110244, 543.9147735353707),
+    (2, 0.75, 1.23, 'centre', 1900, 110244, 0.5004952613037087),
+    (2, 0.75, 1.23, 'edge', 1900, 110244, 523.6137234463096),
+    (2, 0.999, 0.8, 'centre', 1900, 110424, 0.8394349038137398),
+    (2, 0.999, 0.8, 'edge', 1900, 110424, 3335.4453627869775),
+    (2, 0.999, 1.23, 'centre', 1900, 110424, 0.6213190708973751),
+    (2, 0.999, 1.23, 'edge', 1900, 110424, 3793.478721516569),
+    (3, 0.02, 0.8, 'centre', 1900, 110164, 0.014321614284884609),
+    (3, 0.02, 0.8, 'edge', 1900, 110164, 0.49411755766087867),
+    (3, 0.02, 1.23, 'centre', 1900, 110164, 0.008578851127183072),
+    (3, 0.02, 1.23, 'edge', 1900, 110164, 0.2617447454037245),
+    (3, 0.25, 0.8, 'centre', 1900, 110184, 0.16526819385078184),
+    (3, 0.25, 0.8, 'edge', 1900, 110184, 12.495010326657436),
+    (3, 0.25, 1.23, 'centre', 1900, 110184, 0.10291819385284663),
+    (3, 0.25, 1.23, 'edge', 1900, 110184, 7.573572665536102),
+    (3, 0.75, 0.8, 'centre', 1900, 110244, 0.42938982597338815),
+    (3, 0.75, 0.8, 'edge', 1900, 110244, 375.41897853948194),
+    (3, 0.75, 1.23, 'centre', 1900, 110244, 0.28390649264333007),
+    (3, 0.75, 1.23, 'edge', 1900, 110244, 328.0862624499425),
+    (3, 0.999, 0.8, 'centre', 1900, 110424, 0.5382530215033515),
+    (3, 0.999, 0.8, 'edge', 1900, 110424, 2139.5130247608827),
+    (3, 0.999, 1.23, 'centre', 1900, 110424, 0.36377781141941057),
+    (3, 0.999, 1.23, 'edge', 1900, 110424, 2221.8656048296475),
+]
+
+
+@pytest.mark.parametrize("N,s,R,where,evaluations,points,value",
+                         MASTER_GRID_TABLE)
+def test_comp_apply_master_grid_pinned(N, s, R, where, evaluations, points,
+                                       value):
+    # Frozen from the per-node loop the block layout replaced: the same
+    # eta nodes are evaluated once each, only the summation order moved.
+    # That loop made 1,902 data calls per cold application.
+    x = np.zeros(N)
+    if where == "edge":
+        x[0] = R - 1e-4
+    f = CountingProfile()
+    res = comp_poisson_apply(Ball(center=(0.0,) * N, radius=R), f, s, x, CFG)
+    assert res.evaluations == evaluations
+    assert f.points == points
+    assert f.calls <= 40
+    assert res.value == pytest.approx(value, rel=1e-13, abs=0.0)
+
+
+def test_eta_segments_match_the_panel_loop():
+    # The per-row loop the flat layout replaced, on eps at, just above and
+    # just below the panel ends first 2^k = half: nodes must be the same
+    # numbers, weights may differ by the rounding of the power.
+    half, s = 0.5 * 1.23 ** 2, 0.37
+    ends = half * 2.0 ** -np.arange(60)
+    eps = np.concatenate([ends, np.nextafter(ends, 0.0),
+                          np.nextafter(ends, np.inf),
+                          np.geomspace(1e-14, 1e3, 200), [1e300]])
+    tj, wj = kernels.quad._jacobi_unit(12, s)
+    xg, wg = kernels.quad._gauss_unit(12)
+    row, eta, wts = kernels._eta_segments(eps, half, s, (tj, wj), (xg, wg))
+    for i, e in enumerate(eps):
+        first = min(e, half)
+        nodes, weights = [tj * first], [wj * first ** (s + 1.0)
+                                         / (tj * first) ** s]
+        lo = first
+        while lo < half:
+            hi = min(2.0 * lo, half)
+            nodes.append(lo + (hi - lo) * xg)
+            weights.append((hi - lo) * wg)
+            lo = hi
+        mine = row == i
+        np.testing.assert_array_equal(eta[mine], np.concatenate(nodes))
+        np.testing.assert_allclose(wts[mine], np.concatenate(weights),
+                                   rtol=1e-15, atol=0.0)
+
+
+class TokenlessProfile:
+    """Radial data ``c`` without a ``cache_token``."""
+
+    radial = True
+
+    def __init__(self, c):
+        self.c = c
+
+    def __call__(self, y):
+        return self.c * np.ones(len(np.atleast_2d(y)))
+
+
+def test_comp_apply_leaves_tokenless_data_uncached():
+    # A cache keyed on id(f) handed 39 of these 40 temporaries another
+    # instance's inner integrals once CPython reused the id.
+    ball = Ball(center=(0.0, 0.0), radius=1.0)
+    x = np.array([0.3, 0.0])
+    size = len(kernels._MF_CACHE)
+    base = comp_poisson_apply(ball, TokenlessProfile(1.0), 0.6, x).value
+    for c in range(1, 41):
+        got = comp_poisson_apply(ball, TokenlessProfile(float(c)), 0.6, x)
+        assert got.value == pytest.approx(c * base, rel=1e-12)
+    assert len(kernels._MF_CACHE) == size
+
+
+def test_tokenless_data_gets_fresh_derived_tokens():
+    # The restriction field and v_1 of token-less data must not share a
+    # cache entry with those of an earlier, freed instance.
+    ball = Ball(center=(0.0, 0.0), radius=1.0)
+    x = np.array([0.3, 0.0])
+    comp = [comp_poisson_apply(
+        ball, operators.restriction_ws(ball, TokenlessProfile(c), 0.5), 0.5,
+        x).value for c in (1.0, 2.0, 3.0)]
+    assert comp[1:] == pytest.approx([2.0 * comp[0], 3.0 * comp[0]],
+                                     rel=1e-12)
+    size = len(derivative._V1_CACHE)
+    grid = np.array([[0.3, 0.0]])
+    v1 = [derivative._v1_cached(TokenlessProfile(c), ball, grid, CFG)[0]
+          for c in (1.0, 2.0, 3.0)]
+    assert v1[1:] == pytest.approx([2.0 * v1[0], 3.0 * v1[0]], rel=1e-12)
+    assert len(derivative._V1_CACHE) == size
+
+
+def nan_beyond_half(y):
+    y = np.atleast_2d(y)
+    return np.where(np.linalg.norm(y, axis=1) > 0.5, np.nan, 1.0)
+
+
+nan_beyond_half.radial = True
+nan_beyond_half.cache_token = "nan-beyond-half"
+
+
+@pytest.mark.parametrize("apply,s", [
+    (green_apply, 0.5),
+    (comp_poisson_apply, 0.5),    # the master-grid inner integrals
+    (comp_poisson_apply, 1.0),    # the closed boundary form
+])
+def test_non_finite_data_raises_at_its_point(apply, s):
+    ball = Ball(center=(0.0, 0.0), radius=1.0)
+    with pytest.raises(EvaluationError) as info:
+        apply(ball, nan_beyond_half, s, (0.2, 0.1), CFG)
+    assert np.linalg.norm(info.value.point) > 0.5
