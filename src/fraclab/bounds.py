@@ -184,13 +184,21 @@ def p_s_numeric(domain: Domain, s, cfg: QuadConfig | None = None, *,
     return _golden_refine(fun, rs, vals)
 
 
-def _m_scan(ball: Ball, s: float, cfg: QuadConfig, n_grid: int) -> float:
-    data = _ones(ball.dim)
+def _h_profile(ball: Ball, cfg: QuadConfig, n_grid: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """``h_Omega`` on the radial scan points; it does not depend on the
+    order, so one profile serves every ``m_tau``."""
     pts = _radial_points(ball, n_grid)
-    vals = np.array([
-        operators.h_omega(ball, p, cfg).value
-        + kernels.comp_poisson_apply(ball, data, s, p, cfg).value
-        for p in pts])
+    return pts, np.array([operators.h_omega(ball, p, cfg).value
+                          for p in pts])
+
+
+def _m_scan(ball: Ball, s: float, cfg: QuadConfig, pts: np.ndarray,
+            h: np.ndarray) -> float:
+    data = _ones(ball.dim)
+    vals = h + np.array([kernels.comp_poisson_apply(ball, data, s, p,
+                                                    cfg).value
+                         for p in pts])
     return float(np.min(vals))
 
 
@@ -205,7 +213,19 @@ def m_s(domain: Domain, s, cfg: QuadConfig | None = None, *,
     cfg = cfg or QuadConfig()
     s = float(as_order(s))
     rho_N = log_constants(ball.dim)[1]
-    return rho_N + _m_scan(ball, s, cfg, n_grid)
+    return rho_N + _m_scan(ball, s, cfg, *_h_profile(ball, cfg, n_grid))
+
+
+def _min_h(ball: Ball, cfg: QuadConfig, pts: np.ndarray,
+           h: np.ndarray) -> float:
+    rs = np.linalg.norm(pts - ball.center_array[None, :], axis=1)
+
+    def fun(r):
+        p = ball.center_array.copy()
+        p[0] += r
+        return operators.h_omega(ball, p, cfg).value
+
+    return _golden_refine(fun, rs, h)
 
 
 def min_h_omega(domain: Domain, cfg: QuadConfig | None = None, *,
@@ -218,16 +238,7 @@ def min_h_omega(domain: Domain, cfg: QuadConfig | None = None, *,
     """
     ball = kernels._require_ball(domain, "the geometry-weight minimum")
     cfg = cfg or QuadConfig()
-    pts = _radial_points(ball, n_grid)
-    rs = np.linalg.norm(pts - ball.center_array[None, :], axis=1)
-    vals = np.array([operators.h_omega(ball, p, cfg).value for p in pts])
-
-    def fun(r):
-        p = ball.center_array.copy()
-        p[0] += r
-        return operators.h_omega(ball, p, cfg).value
-
-    return _golden_refine(fun, rs, vals)
+    return _min_h(ball, cfg, *_h_profile(ball, cfg, n_grid))
 
 
 def green_norm_bound(domain: Domain, s, cfg: QuadConfig | None = None, *,
@@ -249,12 +260,13 @@ def green_norm_bound(domain: Domain, s, cfg: QuadConfig | None = None, *,
 
     norm_numeric = ball_torsion_constant(N, s)[0] * R ** (2.0 * s)
     q = q_constant(N, s, cfg)
-    minh = min_h_omega(ball, cfg, n_grid=n_grid)
+    pts, h = _h_profile(ball, cfg, n_grid)
+    minh = _min_h(ball, cfg, pts, h)
     bound_old = math.exp(-s * (minh + rho_N))
     bound_new = math.exp(-s * (minh + rho_N) - q * geo)
 
     taus = s * np.arange(1, n_tau + 1) / n_tau
-    ms = np.array([rho_N + _m_scan(ball, t, cfg, n_grid) for t in taus])
+    ms = np.array([rho_N + _m_scan(ball, t, cfg, pts, h) for t in taus])
     integral = float(np.trapezoid(ms, taus))
     m0 = ms[0] - (ms[1] - ms[0]) * taus[0] / (taus[1] - taus[0])
     integral += taus[0] * 0.5 * (m0 + ms[0])

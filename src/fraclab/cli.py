@@ -33,11 +33,11 @@ Subcommands
     records ``norm <= integral <= new <= old``.  Exit code 2 when any
     row breaks the chain.
 
-Global flags: ``--rel-tol``, ``--abs-tol``, ``--mc-samples``, ``--seed``
-(quadrature configuration), ``--emit csv|json``, ``--out PATH``.
+Global flags: ``--rel-tol``, ``--abs-tol`` (quadrature tolerances),
+``--emit csv|json``, ``--out PATH``.
 
 Contracts: floats print with 10 significant digits; every output embeds
-the package version, the full run configuration, and the seed; identical
+the package version and the full run configuration; identical
 argv produce byte-identical output (wall time goes to stderr, never into
 the file).  Exit codes: 0 success, 1 domain/usage error, 2 tolerance
 failure (results still emitted).
@@ -71,7 +71,7 @@ from .specfun import (ball_poisson_constant, ball_torsion_constant,
 
 __all__ = ["main", "RunConfig"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class _UsageError(Exception):
@@ -93,8 +93,6 @@ class RunConfig:
     options: dict
     rel_tol: float
     abs_tol: float
-    mc_samples: int
-    seed: int
     emit: str
     out: str | None
 
@@ -104,15 +102,12 @@ class RunConfig:
             "options": {k: self.options[k] for k in sorted(self.options)},
             "rel_tol": self.rel_tol,
             "abs_tol": self.abs_tol,
-            "mc_samples": self.mc_samples,
-            "seed": self.seed,
             "emit": self.emit,
             "out": self.out,
         }
 
     def quad_config(self) -> QuadConfig:
-        return QuadConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol,
-                          mc_samples=self.mc_samples, seed=self.seed)
+        return QuadConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
 
 
 # ----------------------------------------------------------- formatting
@@ -167,8 +162,7 @@ def _emit(config: RunConfig, columns, rows, extra: dict | None = None) -> str:
         else:
             results = [dict(zip(columns, row)) for row in rows]
         doc = {"schema_version": SCHEMA_VERSION, "version": __version__,
-               "run_config": config.to_dict(), "seed": config.seed,
-               "results": results}
+               "run_config": config.to_dict(), "results": results}
         doc.update(extra or {})
         return _json_text(doc) + "\n"
     lines = [f"# fraclab {__version__}",
@@ -454,8 +448,6 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--rel-tol", type=float, default=1e-6)
     common.add_argument("--abs-tol", type=float, default=1e-9)
-    common.add_argument("--mc-samples", type=int, default=200_000)
-    common.add_argument("--seed", type=int, default=1801)
     common.add_argument("--emit", choices=("csv", "json"), default=None)
     common.add_argument("--out", default=None)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -506,7 +498,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_GLOBAL_KEYS = ("rel_tol", "abs_tol", "mc_samples", "seed", "emit", "out")
+_GLOBAL_KEYS = ("rel_tol", "abs_tol", "emit", "out")
 
 
 def _run(argv) -> int:
@@ -518,7 +510,6 @@ def _run(argv) -> int:
     emit = ns.emit or _DEFAULT_EMIT.get(ns.subcommand, "csv")
     config = RunConfig(subcommand=ns.subcommand, options=options,
                        rel_tol=ns.rel_tol, abs_tol=ns.abs_tol,
-                       mc_samples=ns.mc_samples, seed=ns.seed,
                        emit=emit, out=ns.out)
     code, text = _COMMANDS[ns.subcommand](config)
     _write(config, text)

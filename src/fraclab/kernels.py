@@ -303,11 +303,10 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
         return total, evals
 
     levels = min(cfg.max_subdiv, 26)
-    fine, n_f = one_pass(cfg.angular_order, cfg.radial_order, levels)
-    coarse, n_c = one_pass(max(16, cfg.angular_order // 2),
-                           max(8, cfg.radial_order - 6), levels - 6)
-    err = abs(fine - coarse) + 1e-16 * abs(fine)
-    return IntegralResult(fine, err, n_f + n_c, quad._tol_ok(fine, err, cfg))
+    return quad._two_pass(one_pass,
+                          (cfg.angular_order, cfg.radial_order, levels),
+                          (max(16, cfg.angular_order // 2),
+                           max(8, cfg.radial_order - 6), levels - 6), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -433,17 +432,15 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
             dirs, w_dir = quad.layered_directions(xc, "cap", n_mu, lv, n_phi)
             return domain.center_array + R * dirs, R * R * w_dir
 
-        def bd_pass(nodes, wts):
+        def bd_pass(m, n_mu, lv):
+            nodes, wts = bd_rule(m, n_mu, lv)
             pk = poisson_ball_classical(ball, x, nodes)
             gv = np.asarray(g(nodes), dtype=float)
             return float(wts @ (pk * gv)), len(nodes)
 
         m = int(min(8192, max(cfg.angular_order, 12.0 / rel)))
-        value, n_f = bd_pass(*bd_rule(m, 20, lv_cap))
-        coarse, n_c = bd_pass(*bd_rule(max(8, m // 2), 14, lv_cap - 4))
-        err = abs(value - coarse) + 1e-16 * abs(value)
-        return IntegralResult(value, err, n_f + n_c,
-                              quad._tol_ok(value, err, cfg))
+        return quad._two_pass(bd_pass, (m, 20, lv_cap),
+                              (max(8, m // 2), 14, lv_cap - 4), cfg)
 
     tau = ball_poisson_constant(N, s)
     lx = R * R - r * r
@@ -486,11 +483,10 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
         return val, evals
 
     levels = min(cfg.max_subdiv, 26)
-    fine, n_f = one_pass(cfg.angular_order, cfg.radial_order, levels)
-    coarse, n_c = one_pass(max(16, cfg.angular_order // 2),
-                           max(8, cfg.radial_order - 4), levels - 6)
-    err = abs(fine - coarse) + 1e-16 * abs(fine)
-    return IntegralResult(fine, err, n_f + n_c, quad._tol_ok(fine, err, cfg))
+    return quad._two_pass(one_pass,
+                          (cfg.angular_order, cfg.radial_order, levels),
+                          (max(16, cfg.angular_order // 2),
+                           max(8, cfg.radial_order - 4), levels - 6), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -746,26 +742,21 @@ def comp_poisson_apply(domain: Domain, f, s, x,
         return IntegralResult(value, 1e-14 * abs(value), len(rho), True)
 
     if s < 1.0 and radial:
-        n, levels = cfg.radial_order, min(cfg.max_subdiv, 26)
-        E, wE, _ = _exterior_radial_grid(R, s, n, levels)
-        M = _mf_on_grid(ball, f, s, n, levels)
-        q = R + E
         tau = ball_poisson_constant(N, s)
-        ang = _single_pole_angle(N, q, rx)
-        integrand = E ** (-s) * (2.0 * R + E) ** (-s) * M * ang * q ** (N - 1)
-        value = c_N * tau * float(wE @ integrand)
-        # Second opinion on a thinner grid for the error estimate.
-        n2, levels2 = max(8, n - 4), levels - 6
-        E2, wE2, _ = _exterior_radial_grid(R, s, n2, levels2)
-        M2 = _mf_on_grid(ball, f, s, n2, levels2, n_eta=8)
-        q2g = R + E2
-        ang2 = _single_pole_angle(N, q2g, rx)
-        coarse = c_N * tau * float(
-            wE2 @ (E2 ** (-s) * (2.0 * R + E2) ** (-s) * M2 * ang2
-                   * q2g ** (N - 1)))
-        err = abs(value - coarse) + 1e-16 * abs(value)
-        return IntegralResult(value, err, len(E) + len(E2),
-                              quad._tol_ok(value, err, cfg))
+
+        def one_pass(n, levels, n_eta):
+            E, wE, _ = _exterior_radial_grid(R, s, n, levels)
+            M = _mf_on_grid(ball, f, s, n, levels, n_eta)
+            q = R + E
+            ang = _single_pole_angle(N, q, rx)
+            integrand = (E ** (-s) * (2.0 * R + E) ** (-s) * M * ang
+                         * q ** (N - 1))
+            return c_N * tau * float(wE @ integrand), len(E)
+
+        # The coarse pass runs on a thinner master grid.
+        n, levels = cfg.radial_order, min(cfg.max_subdiv, 26)
+        return quad._two_pass(one_pass, (n, levels, 12),
+                              (max(8, n - 4), levels - 6, 8), cfg)
 
     # Generic fallback: z-outermost integration of the pointwise kernel.
     # On the disc the per-batch kernel is closed in angle and cheap; in

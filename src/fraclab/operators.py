@@ -132,6 +132,28 @@ def _domain_center(domain: Domain) -> np.ndarray:
 # Fractional Laplacian.
 # ---------------------------------------------------------------------------
 
+def _stencil_points(x: np.ndarray, h: float) -> np.ndarray:
+    """Nodes of the fourth-order five-point ``-Delta`` stencil: ``x``, then
+    per axis ``x + 2he, x + he, x - he, x - 2he``."""
+    N = len(x)
+    pts = [x]
+    for i in range(N):
+        e = np.zeros(N)
+        e[i] = h
+        pts.extend([x + 2 * e, x + e, x - e, x - 2 * e])
+    return np.array(pts)
+
+
+def _stencil_neg_laplacian(vals, h: float) -> float:
+    """``-Delta`` from values at the nodes of :func:`_stencil_points`."""
+    total = 0.0
+    for i in range((len(vals) - 1) // 4):
+        b = 1 + 4 * i
+        total += (vals[b] - 16.0 * vals[b + 1] + 30.0 * vals[0]
+                  - 16.0 * vals[b + 2] + vals[b + 3]) / (12.0 * h * h)
+    return total
+
+
 def frac_laplacian(u, s, x, cfg: QuadConfig | None = None) -> IntegralResult:
     """``(-Delta)^s u (x)`` for ``0 < s <= 1``.
 
@@ -152,17 +174,9 @@ def frac_laplacian(u, s, x, cfg: QuadConfig | None = None) -> IntegralResult:
                               res.evaluations, res.tolerance_ok)
 
     h = 0.02 * _scale_at(u, x)
-    pts = [x]
-    for i in range(N):
-        e = np.zeros(N)
-        e[i] = h
-        pts.extend([x + 2 * e, x + e, x - e, x - 2 * e])
-    vals = np.asarray(u(np.array(pts)), dtype=float)
-    total = 0.0
-    for i in range(N):
-        b = 1 + 4 * i
-        total += (vals[b] - 16.0 * vals[b + 1] + 30.0 * vals[0]
-                  - 16.0 * vals[b + 2] + vals[b + 3]) / (12.0 * h * h)
+    pts = _stencil_points(x, h)
+    vals = np.asarray(u(pts), dtype=float)
+    total = _stencil_neg_laplacian(vals, h)
     # Fourth-order truncation plus rounding amplified by 1/h^2.
     err = abs(total) * 1e-7 + 64.0 * 1e-16 * abs(vals[0]) / (h * h)
     return IntegralResult(total, err, len(pts),
@@ -280,14 +294,13 @@ def log_laplacian(u, x, cfg: QuadConfig | None = None) -> IntegralResult:
         return float(w_dir @ near) - float(w_dir @ far), evals
 
     levels = min(cfg.max_subdiv, 24)
-    fine, n_f = one_pass(cfg.angular_order, cfg.radial_order, levels)
-    coarse, n_c = one_pass(max(16, cfg.angular_order // 2),
-                           max(8, cfg.radial_order - 6),
-                           max(8, levels - 8))
-    value = c_N * fine + rho_N * u_x
-    err = c_N * abs(fine - coarse) + 1e-15 * abs(value)
-    return IntegralResult(value, err, n_f + n_c,
-                          quad._tol_ok(value, err, cfg))
+    return quad._two_pass(one_pass,
+                          (cfg.angular_order, cfg.radial_order, levels),
+                          (max(16, cfg.angular_order // 2),
+                           max(8, cfg.radial_order - 6), max(8, levels - 8)),
+                          cfg, scale=c_N,
+                          shift=IntegralResult(rho_N * u_x, 0.0, 0),
+                          floor=1e-15)
 
 
 def log_laplacian_compact(u, x, cfg: QuadConfig | None = None
@@ -323,16 +336,14 @@ def log_laplacian_compact(u, x, cfg: QuadConfig | None = None
         return float(w_dir @ sums), evals
 
     levels = min(cfg.max_subdiv, 24)
-    fine, n_f = one_pass(cfg.angular_order, cfg.radial_order, levels)
-    coarse, n_c = one_pass(max(16, cfg.angular_order // 2),
-                           max(8, cfg.radial_order - 6),
-                           max(8, levels - 8))
     h_res = h_omega(dom, x, cfg)
-    value = c_N * fine + (h_res.value + rho_N) * u_x
-    err = (c_N * abs(fine - coarse) + h_res.error_estimate * abs(u_x)
-           + 1e-15 * abs(value))
-    return IntegralResult(value, err, n_f + n_c + h_res.evaluations,
-                          quad._tol_ok(value, err, cfg))
+    shift = IntegralResult((h_res.value + rho_N) * u_x,
+                           h_res.error_estimate * abs(u_x), h_res.evaluations)
+    return quad._two_pass(one_pass,
+                          (cfg.angular_order, cfg.radial_order, levels),
+                          (max(16, cfg.angular_order // 2),
+                           max(8, cfg.radial_order - 6), max(8, levels - 8)),
+                          cfg, scale=c_N, shift=shift, floor=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +513,9 @@ def h_omega(domain: Domain, x, cfg: QuadConfig | None = None
         return near - far, evals
 
     levels = min(cfg.max_subdiv, lv_cap)
-    fine, n_f = one_pass(n_base, levels)
-    coarse, n_c = one_pass(max(6, n_base - 6), max(6, levels - 8))
-    value = c_N * fine
-    err = c_N * abs(fine - coarse) + 1e-15 * abs(value)
-    return IntegralResult(value, err, n_f + n_c,
-                          quad._tol_ok(value, err, cfg))
+    return quad._two_pass(one_pass, (n_base, levels),
+                          (max(6, n_base - 6), max(6, levels - 8)), cfg,
+                          scale=c_N, floor=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -574,15 +582,12 @@ def nonlocal_normal_derivative(u, s, z, cfg: QuadConfig | None = None
         return float(w_dir @ sums), evals
 
     levels = min(cfg.max_subdiv, 24)
-    fine, n_f = one_pass(max(10, cfg.angular_order // 6), cfg.radial_order,
-                         levels)
-    coarse, n_c = one_pass(max(8, cfg.angular_order // 12),
-                           max(8, cfg.radial_order - 6),
-                           max(8, levels - 8))
-    value = c * fine
-    err = c * abs(fine - coarse) + 1e-15 * abs(value)
-    return IntegralResult(value, err, n_f + n_c,
-                          quad._tol_ok(value, err, cfg))
+    return quad._two_pass(one_pass,
+                          (max(10, cfg.angular_order // 6), cfg.radial_order,
+                           levels),
+                          (max(8, cfg.angular_order // 12),
+                           max(8, cfg.radial_order - 6), max(8, levels - 8)),
+                          cfg, scale=c, floor=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -763,17 +768,9 @@ def interchange_residual(domain: Domain, f, s, x,
     if s >= 1.0:
         d = float(geometry.delta(ball, x))
         h = 0.1 * d
-        pts = [x]
-        for i in range(N):
-            e = np.zeros(N)
-            e[i] = h
-            pts.extend([x + 2 * e, x + e, x - e, x - 2 * e])
-        lvals = np.array([log_laplacian(u_s, p, lite).value for p in pts])
-        lhs = 0.0
-        for i in range(N):
-            b = 1 + 4 * i
-            lhs += (lvals[b] - 16.0 * lvals[b + 1] + 30.0 * lvals[0]
-                    - 16.0 * lvals[b + 2] + lvals[b + 3]) / (12.0 * h * h)
+        lvals = np.array([log_laplacian(u_s, p, lite).value
+                          for p in _stencil_points(x, h)])
+        lhs = _stencil_neg_laplacian(lvals, h)
         interior = log_laplacian(f_field, x, lite).value
         boundary = kernels.comp_poisson_apply(ball, f_field, 1.0, x,
                                               lite).value

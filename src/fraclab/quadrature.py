@@ -29,10 +29,8 @@ rather than once per segment, and the weighted integrand is reduced per
 direction with ``np.bincount``.
 
 Every integration returns an :class:`IntegralResult` with a coarse/fine
-error estimate and the evaluation count.  Monte Carlo variants (plain and
-boundary-importance sampling) exist for the interior and exterior
-integrals as stochastic cross-checks; they draw from
-``numpy.random.default_rng((seed, stream))`` so runs are reproducible.
+error estimate and the evaluation count, formed in one place,
+:func:`_two_pass`, for every quadrature in the package.
 """
 
 from __future__ import annotations
@@ -77,8 +75,6 @@ class QuadConfig:
     rel_tol: float = 1e-6
     abs_tol: float = 1e-9
     max_subdiv: int = 48
-    mc_samples: int = 200_000
-    seed: int = 1801
     pv_inner_radius: float = 0.25
     angular_order: int = 64
     radial_order: int = 16
@@ -86,8 +82,6 @@ class QuadConfig:
     def __post_init__(self):
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise DomainError("tolerances must be positive")
-        if self.mc_samples < 1000:
-            raise DomainError("mc_samples must be at least 1000")
         if not 0.0 < self.pv_inner_radius <= 0.5:
             raise DomainError("pv_inner_radius must lie in (0, 1/2]")
         if self.max_subdiv < 4:
@@ -112,6 +106,28 @@ class IntegralResult:
 
 def _tol_ok(value: float, err: float, cfg: QuadConfig) -> bool:
     return err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
+
+
+def _two_pass(one_pass, fine_args, coarse_args, cfg: QuadConfig, *,
+              scale=1.0, shift: IntegralResult | None = None, floor=1e-16
+              ) -> IntegralResult:
+    """The fine/coarse error policy shared by every quadrature.
+
+    ``one_pass(*fine_args)`` and ``one_pass(*coarse_args)`` each return a
+    raw value and an evaluation count.  The result is ``scale * fine``
+    plus the separately computed term ``shift``; its error estimate is
+    ``scale |fine - coarse|`` plus the error of ``shift`` plus
+    ``floor |value|`` for rounding, and its evaluations are those of both
+    passes and of ``shift``.
+    """
+    fine, n_f = one_pass(*fine_args)
+    coarse, n_c = one_pass(*coarse_args)
+    extra = shift or IntegralResult(0.0, 0.0, 0)
+    value = scale * fine + extra.value
+    err = scale * abs(fine - coarse) + extra.error_estimate \
+        + floor * abs(value)
+    return IntegralResult(value, err, n_f + n_c + extra.evaluations,
+                          _tol_ok(value, err, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -400,34 +416,30 @@ def _polar_interior_pass(domain, f, center, radial_power, boundary_power,
 
 
 def integrate_interior(domain: Domain, f, cfg: QuadConfig | None = None, *,
-                       center=None, radial_power=None, boundary_power=None,
-                       method: str = "auto") -> IntegralResult:
-    """Integral of ``f`` over the domain.
+                       center=None, radial_power=None, boundary_power=None
+                       ) -> IntegralResult:
+    """Integral of ``f`` over the domain by a graded polar product rule.
 
     ``radial_power`` declares a point singularity ``|y - center|^p`` at the
     polar center, ``boundary_power`` a boundary concentration
     ``delta(y)^q``; both are optional and only sharpen the rule, they are
-    not required for correctness on smooth integrands.  ``method`` is
-    ``"auto"``/``"deterministic"`` for the graded polar product rule or
-    ``"mc"`` for (importance-sampled) Monte Carlo with the configured seed.
+    not required for correctness on smooth integrands.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if method == "mc":
-        return _mc_interior(domain, f, cfg, boundary_power)
     c = np.asarray(center, dtype=float) if center is not None else (
         domain.center_array if isinstance(domain, Ball)
         else np.zeros(domain.dim))
     levels = min(cfg.max_subdiv, 48)
-    fine, n_f = _polar_interior_pass(domain, f, c, radial_power,
-                                     boundary_power, cfg.angular_order,
-                                     cfg.radial_order, levels)
-    coarse, n_c = _polar_interior_pass(domain, f, c, radial_power,
-                                       boundary_power,
-                                       max(8, cfg.angular_order // 2),
-                                       max(6, cfg.radial_order - 6),
-                                       max(4, levels - 8))
-    err = abs(fine - coarse) + 1e-16 * abs(fine)
-    return IntegralResult(fine, err, n_f + n_c, _tol_ok(fine, err, cfg))
+
+    def one_pass(m_ang, n_rad, lv):
+        return _polar_interior_pass(domain, f, c, radial_power,
+                                    boundary_power, m_ang, n_rad, lv)
+
+    return _two_pass(one_pass,
+                     (cfg.angular_order, cfg.radial_order, levels),
+                     (max(8, cfg.angular_order // 2),
+                      max(6, cfg.radial_order - 6), max(4, levels - 8)),
+                     cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +507,7 @@ def _exterior_pass(domain, f, boundary_power, m_ang, n_rad, levels, cfg):
 
 
 def integrate_exterior(domain: Domain, f, cfg: QuadConfig | None = None, *,
-                       boundary_power=None, method: str = "auto"
-                       ) -> IntegralResult:
+                       boundary_power=None) -> IntegralResult:
     """Integral of ``f`` over the complement of the domain.
 
     ``boundary_power`` declares a ``delta(y)^q`` concentration at the
@@ -507,17 +518,17 @@ def integrate_exterior(domain: Domain, f, cfg: QuadConfig | None = None, *,
     truncated.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if method == "mc":
-        return _mc_exterior(domain, f, cfg, boundary_power)
     levels = min(cfg.max_subdiv, 48)
-    fine, n_f = _exterior_pass(domain, f, boundary_power, cfg.angular_order,
-                               cfg.radial_order, levels, cfg)
-    coarse, n_c = _exterior_pass(domain, f, boundary_power,
-                                 max(8, cfg.angular_order // 2),
-                                 max(6, cfg.radial_order - 6),
-                                 max(4, levels - 8), cfg)
-    err = abs(fine - coarse) + 1e-16 * abs(fine)
-    return IntegralResult(fine, err, n_f + n_c, _tol_ok(fine, err, cfg))
+
+    def one_pass(m_ang, n_rad, lv):
+        return _exterior_pass(domain, f, boundary_power, m_ang, n_rad, lv,
+                              cfg)
+
+    return _two_pass(one_pass,
+                     (cfg.angular_order, cfg.radial_order, levels),
+                     (max(8, cfg.angular_order // 2),
+                      max(6, cfg.radial_order - 6), max(4, levels - 8)),
+                     cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -560,81 +571,14 @@ def integrate_pv_second_difference(u, x, s, cfg: QuadConfig | None = None, *,
     if not inner_scale > 0.0:
         raise DomainError("second-difference rule needs a positive smoothness scale")
 
-    def fine_coarse(m_ang, n_rad, levels):
+    def one_pass(m_ang, n_rad, levels):
         return _pv_pass(u, x, s, N, domain, inner_scale, compact_support,
                         cfg, m_ang, n_rad, levels)
 
     lv = min(cfg.max_subdiv, 30)
-    fine, n_f = fine_coarse(cfg.angular_order, cfg.radial_order, lv)
-    coarse, n_c = fine_coarse(max(8, cfg.angular_order // 2),
-                              max(6, cfg.radial_order - 6), max(4, lv - 6))
-    err = abs(fine - coarse) + 1e-16 * abs(fine)
-    return IntegralResult(fine, err, n_f + n_c, _tol_ok(fine, err, cfg))
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo cross-checks.
-# ---------------------------------------------------------------------------
-
-def _unit_ball_coords(domain):
-    """Map from unit-ball coordinates to the domain and its volume factor."""
-    N = domain.dim
-    if isinstance(domain, Ball):
-        c, R = domain.center_array, domain.radius
-        return (lambda yb: c + R * yb), R ** N
-    _, _, B, _ = geometry._spectral(domain)
-    return (lambda yb: yb @ B.T), float(np.linalg.det(B))
-
-
-def _mc_interior(domain, f, cfg, boundary_power) -> IntegralResult:
-    N = domain.dim
-    rng = np.random.default_rng((cfg.seed, 11))
-    n = int(cfg.mc_samples)
-    sphere_area = 2.0 * math.pi if N == 2 else 4.0 * math.pi
-    to_domain, jac = _unit_ball_coords(domain)
-
-    dirs = rng.standard_normal((n, N))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    lam = 0.5 if boundary_power is not None else 0.0
-    u_mix = rng.random(n)
-    u_r = np.clip(rng.random(n), 1e-12, 1.0 - 1e-12)
-    r_plain = u_r ** (1.0 / N)
-    r_layer = 1.0 - u_r ** 2
-    r = np.where(u_mix < lam, r_layer, r_plain)
-    # Mixture density of the radius, then of the point.
-    p_r = (1.0 - lam) * N * r ** (N - 1) + lam * 0.5 / np.sqrt(1.0 - r)
-    p_pt = p_r / (sphere_area * r ** (N - 1)) / jac
-    pts = to_domain(r[:, None] * dirs)
-    vals = _finite_values(f, pts)
-    ratio = vals / p_pt
-    value = float(ratio.mean())
-    err = float(ratio.std(ddof=1) / math.sqrt(n))
-    return IntegralResult(value, err, n, _tol_ok(value, err, cfg))
-
-
-def _mc_exterior(domain, f, cfg, boundary_power) -> IntegralResult:
-    N = domain.dim
-    rng = np.random.default_rng((cfg.seed, 13))
-    n = int(cfg.mc_samples)
-    sphere_area = 2.0 * math.pi if N == 2 else 4.0 * math.pi
-    to_domain, jac = _unit_ball_coords(domain)
-
-    dirs = rng.standard_normal((n, N))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    u_mix = rng.random(n)
-    u_r = np.clip(rng.random(n), 1e-12, 1.0 - 1e-12)
-    q_layer = 1.0 + u_r ** 2              # density (1/2)(q-1)^(-1/2) on (1, 2)
-    q_tail = (1.0 - u_r) ** (-1.0 / N)    # density N q^(-N-1) on (1, inf)
-    q = np.where(u_mix < 0.5, q_layer, q_tail)
-    p_q = 0.5 * np.where(q < 2.0, 0.5 / np.sqrt(q - 1.0), 0.0) \
-        + 0.5 * N * q ** (-N - 1.0)
-    p_pt = p_q / (sphere_area * q ** (N - 1)) / jac
-    pts = to_domain(q[:, None] * dirs)
-    vals = _finite_values(f, pts)
-    ratio = vals / p_pt
-    value = float(ratio.mean())
-    err = float(ratio.std(ddof=1) / math.sqrt(n))
-    return IntegralResult(value, err, n, _tol_ok(value, err, cfg))
+    return _two_pass(one_pass, (cfg.angular_order, cfg.radial_order, lv),
+                     (max(8, cfg.angular_order // 2),
+                      max(6, cfg.radial_order - 6), max(4, lv - 6)), cfg)
 
 
 def _pv_pass(u, x, s, N, domain, inner_scale, compact_support, cfg,

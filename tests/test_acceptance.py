@@ -331,12 +331,12 @@ def test_ac14_nonlocal_normal_derivative_localizes_to_flux():
 
 
 # ---------------------------------------------------------------------------
-# 15. CLI output is byte-deterministic for identical flags and seed.
+# 15. CLI output is byte-deterministic for identical flags.
 # ---------------------------------------------------------------------------
 
 def test_ac15_cli_output_is_byte_deterministic(capsys):
     for argv in (["bounds", "--dim", "2", "--orders", "0.4:0.2:0.8",
-                  "--domain", "ball:1", "--seed", "7"],
+                  "--domain", "ball:1"],
                  ["torsion", "--dim", "3", "--orders", "0.25:0.25:1.0",
                   "--emit", "json"]):
         outs = []

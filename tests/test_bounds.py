@@ -220,6 +220,22 @@ def test_report_half_order_anchors():
     assert r.bound_old == pytest.approx(math.exp(-0.5 * RHO2), rel=1e-9)
 
 
+def test_report_scans_h_omega_once(monkeypatch):
+    # h_Omega does not depend on the order: one radial profile (25
+    # points, the minimum at the centre needs no polish) serves the
+    # minimum and every m_tau of the integral bound.
+    calls = []
+    h_omega = operators.h_omega
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return h_omega(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "h_omega", counting)
+    green_norm_bound(DISC, 0.5)
+    assert len(calls) == 25
+
+
 def test_report_scales_with_radius():
     r = green_norm_bound(Ball(center=(0.0, 0.0), radius=2.0), 0.5)
     base = green_norm_bound(DISC, 0.5)

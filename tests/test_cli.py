@@ -35,9 +35,8 @@ def test_constants_json_values(capsys):
     code, out = run(capsys, ["constants", "--dim", "2", "--order", "0.5"])
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["version"]
-    assert doc["seed"] == 1801
     assert doc["run_config"]["subcommand"] == "constants"
     assert doc["run_config"]["options"] == {"dim": 2, "order": 0.5}
     res = doc["results"]
@@ -295,14 +294,14 @@ def test_json_round_trip(capsys, tmp_path):
 
 def test_output_embeds_run_config(capsys):
     _, out = run(capsys, ["torsion", "--dim", "2", "--orders",
-                          "0.5:0.5:1.0", "--seed", "7"])
+                          "0.5:0.5:1.0", "--rel-tol", "1e-7"])
     header = [l for l in out.splitlines() if l.startswith("# config ")]
     assert len(header) == 1
     cfg = json.loads(header[0][len("# config "):])
     assert cfg["subcommand"] == "torsion"
-    assert cfg["seed"] == 7
+    assert cfg["rel_tol"] == 1e-7
     assert cfg["options"]["orders"] == "0.5:0.5:1.0"
-    assert "# fraclab " in out and "# schema_version 1" in out
+    assert "# fraclab " in out and "# schema_version 2" in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -316,6 +315,9 @@ def test_output_embeds_run_config(capsys):
      "0.5", "--x", "0.1,oops", "--z", "0.5,0.2"],
     ["bounds", "--dim", "2", "--orders", "0.5:0.5:1.0", "--domain",
      "ellipsoid:1,0,0,4"],
+    ["torsion", "--dim", "2", "--orders", "0.5:0.5:1.0", "--seed", "7"],
+    ["torsion", "--dim", "2", "--orders", "0.5:0.5:1.0", "--mc-samples",
+     "1000"],
 ])
 def test_usage_and_domain_errors_exit_one(capsys, argv):
     assert main(argv) == 1

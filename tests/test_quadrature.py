@@ -1,9 +1,7 @@
 """Quadrature engine against closed-form integrals.
 
 Every expected value here is an exact formula evaluated by hand; the
-deterministic rules must hit them well inside the default tolerances, and
-the Monte Carlo paths must agree within a few standard errors of their own
-estimate.
+rules must hit them well inside the default tolerances.
 """
 
 import math
@@ -23,8 +21,6 @@ CFG = quad.QuadConfig()
 
 
 def test_config_validation():
-    with pytest.raises(DomainError):
-        quad.QuadConfig(mc_samples=10)
     with pytest.raises(DomainError):
         quad.QuadConfig(pv_inner_radius=0.75)
     with pytest.raises(DomainError):
@@ -168,45 +164,6 @@ def test_pv_second_difference_shifted_point():
     value = frac_normalization(2, s) * res.value
     exact = a ** s * 4.0 ** s * gamma(1.0 + s)
     assert value == pytest.approx(exact, rel=2e-8)
-
-
-def test_mc_interior_matches_moment():
-    # Non-constant integrand so the variance (and the error estimate) is
-    # meaningful: int_{B_1^2} (1 + y_1^2) dy = pi + pi/4.
-    f = lambda y: 1.0 + y[:, 0] ** 2
-    res = quad.integrate_interior(DISC, f, quad.QuadConfig(mc_samples=200_000),
-                                  method="mc")
-    assert res.error_estimate > 0.0
-    assert res.value == pytest.approx(math.pi * 1.25,
-                                      abs=5.0 * res.error_estimate)
-    # Determinism: same config, same value.
-    res2 = quad.integrate_interior(DISC, f, quad.QuadConfig(mc_samples=200_000),
-                                   method="mc")
-    assert res.value == res2.value
-
-
-def test_mc_interior_boundary_importance():
-    cfg = quad.QuadConfig(mc_samples=400_000)
-    res = quad.integrate_interior(
-        DISC, lambda y: 1.0 / np.sqrt(np.abs(1.0 - (y ** 2).sum(axis=1))),
-        cfg, boundary_power=-0.5, method="mc")
-    assert res.value == pytest.approx(2.0 * math.pi,
-                                      abs=6.0 * res.error_estimate)
-
-
-def test_mc_exterior():
-    cfg = quad.QuadConfig(mc_samples=400_000, seed=77)
-    res = quad.integrate_exterior(
-        DISC, lambda y: np.linalg.norm(y, axis=1) ** -3.0, cfg, method="mc")
-    assert res.value == pytest.approx(2.0 * math.pi,
-                                      abs=6.0 * res.error_estimate)
-
-
-def test_mc_seed_sensitivity():
-    f = lambda y: 1.0 + y[:, 0] ** 2
-    r1 = quad.integrate_interior(DISC, f, quad.QuadConfig(seed=1), method="mc")
-    r2 = quad.integrate_interior(DISC, f, quad.QuadConfig(seed=2), method="mc")
-    assert r1.value != r2.value
 
 
 # ---------------------------------------------------------------------------
