@@ -366,53 +366,93 @@ def _arc_inside_ball(ball: Ball, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return 2.0 * math.pi * (1.0 + cstar)
 
 
-def _crossing_measure(g: np.ndarray, width: float) -> float:
-    """Measure of ``{g < 0}`` on a periodic grid of spacing ``width``,
-    with linearly interpolated crossings."""
-    g0 = g
-    g1 = np.roll(g, -1)
-    both_in = (g0 < 0.0) & (g1 < 0.0)
-    cross = (g0 < 0.0) != (g1 < 0.0)
-    denom = np.where(g0 == g1, 1.0, g0 - g1)
-    frac = g0 / denom
-    inside_frac = np.where(g0 < 0.0, frac, 1.0 - frac)
-    return float(width * (both_in.sum() + inside_frac[cross].sum()))
+def _circle_quadric_measure(A: np.ndarray, c: np.ndarray, e1: np.ndarray,
+                            e2: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Angular measure of ``{phi : g(c_i + rho_i (cos phi e1 + sin phi e2))
+    < 0}`` for the quadric ``g(y) = y.A y - 1``, one row per circle.
+
+    ``c`` is ``(rows, N)``, ``rho`` ``(rows,)`` and positive, and ``e1,
+    e2`` an orthonormal pair shared by all rows.  On such a circle ``g``
+    is the trigonometric polynomial ``a0 + a1 cos phi + b1 sin phi
+    + a2 cos 2phi + b2 sin 2phi``; times ``z^2``, with ``z = e^{i phi}``,
+    it is a quartic in ``z`` whose unit-modulus roots are the crossings.
+    The roots of all rows come from one batched eigenvalue call on
+    companion matrices (in row chunks of bounded size) and are polished by
+    Newton steps on ``g(phi)``.  Every root angle cuts the circle, and the
+    sign of ``g`` at the mid-angle of each arc between cuts says whether
+    the arc is inside; off-circle roots merely add cuts, so a circle
+    without crossings needs no special case.
+
+    Where ``A`` restricted to the plane is a multiple of the identity
+    (circles, and every plane section of a sphere) ``a2 = b2 = 0`` and the
+    quartic degenerates: ``g = a0 + R cos(phi - psi)``, whose inside arc
+    is ``2 pi - 2 arccos(-a0 / R)``.
+    """
+    p, q, r = e1 @ A @ e1, e2 @ A @ e2, e1 @ A @ e2
+    Ac = c @ A
+    a0 = np.einsum("ij,ij->i", Ac, c) - 1.0 + 0.5 * (p + q) * rho * rho
+    a1, b1 = 2.0 * rho * (Ac @ e1), 2.0 * rho * (Ac @ e2)
+    if math.hypot(p - q, 2.0 * r) <= 1e-13 * (p + q):
+        # A circle whose extreme value of g is zero to within rounding of
+        # g's terms touches the boundary: its arc is exactly 0 or 2 pi,
+        # where arccos would turn one rounding error into sqrt(eps).
+        R = np.hypot(a1, b1)
+        tol = 16.0 * np.finfo(float).eps * (np.abs(a0) + 1.0 + R)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cstar = np.clip(-a0 / R, -1.0, 1.0)
+        cstar = np.where(a0 >= 0.0, np.where(a0 - R >= -tol, -1.0, cstar),
+                         np.where(a0 + R <= tol, 1.0, cstar))
+        return 2.0 * math.pi - 2.0 * np.arccos(cstar)
+    a2, b2 = 0.5 * (p - q) * rho * rho, r * rho * rho
+
+    out = np.empty(len(rho))
+    for sl in quad.direction_chunks(len(rho), 16):
+        k0, k1, l1, k2, l2 = (v[sl, None] for v in (a0, a1, b1, a2, b2))
+
+        def g(ph):
+            return (k0 + k1 * np.cos(ph) + l1 * np.sin(ph)
+                    + k2 * np.cos(2.0 * ph) + l2 * np.sin(2.0 * ph))
+
+        def dg(ph):
+            return (l1 * np.cos(ph) - k1 * np.sin(ph)
+                    + 2.0 * (l2 * np.cos(2.0 * ph) - k2 * np.sin(2.0 * ph)))
+
+        lead = 0.5 * (k2 - 1j * l2)
+        comp = np.zeros((len(lead), 4, 4), dtype=complex)
+        comp[:, 0, :] = -np.concatenate(
+            [0.5 * (k1 - 1j * l1), k0, 0.5 * (k1 + 1j * l1), np.conj(lead)],
+            axis=1) / lead
+        comp[:, 1, 0] = comp[:, 2, 1] = comp[:, 3, 2] = 1.0
+        phi = np.angle(np.linalg.eigvals(comp))
+        for _ in range(2):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = g(phi) / dg(phi)
+            phi = np.where(np.abs(step) < 1e-6, phi - step, phi)
+        phi = np.sort(np.mod(phi, 2.0 * math.pi), axis=1)
+        ends = np.concatenate([phi, phi[:, :1] + 2.0 * math.pi], axis=1)
+        mid = 0.5 * (ends[:, 1:] + ends[:, :-1])
+        out[sl] = np.where(g(mid) < 0.0, np.diff(ends, axis=1), 0.0).sum(1)
+    return out
 
 
-def _arc_inside_ellipsoid(ell: Ellipsoid, x: np.ndarray, t: float) -> float:
-    """Angular measure for an ellipsoid.
+def _arc_inside_ellipsoid(ell: Ellipsoid, x: np.ndarray, t) -> np.ndarray:
+    """Angular measure of directions with ``x + t theta`` inside the
+    ellipsoid, for an array of radii ``t``.
 
-    Dimension 2: root-refined arcs of the quadric along the circle of
-    radius ``t``.  Dimension 3: per-latitude crossing measure integrated
-    by Gauss in the polar cosine (accuracy ~1e-4, adequate for the bound
-    constants this feeds).
+    Dimension 2: the circle ``|y - x| = t`` itself, exact up to rounding.
+    Dimension 3: exact arcs on the latitude circles of a 48-node Gauss
+    rule in the cosine ``mu`` of the angle to ``x`` (to the third axis at
+    the centre), summed with its weights.  The rule does not resolve the
+    kinks of the latitude integrand where a latitude circle touches the
+    boundary.  Both cut all circles in one call of
+    :func:`_circle_quadric_measure`.
     """
     A = ell.matrix
-    N = ell.dim
-    if N == 2:
-        from scipy.optimize import brentq
-
-        phi = np.linspace(0.0, 2.0 * math.pi, 721)
-        th = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-        pts = x[None, :] + t * th
-        g = np.einsum("ij,jk,ik->i", pts, A, pts) - 1.0
-        inside = g < 0.0
-
-        def gphi(p):
-            c = np.array([math.cos(p), math.sin(p)])
-            y = x + t * c
-            return float(y @ A @ y) - 1.0
-
-        measure = 0.0
-        for i in range(len(phi) - 1):
-            if inside[i] and inside[i + 1]:
-                measure += phi[i + 1] - phi[i]
-            elif inside[i] != inside[i + 1]:
-                root = brentq(gphi, phi[i], phi[i + 1], xtol=1e-14)
-                measure += (root - phi[i]) if inside[i] else (phi[i + 1]
-                                                              - root)
-        return measure
-
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if ell.dim == 2:
+        e1, e2 = np.eye(2)
+        return _circle_quadric_measure(A, np.broadcast_to(x, (len(t), 2)),
+                                       e1, e2, t)
     mu, wmu = quad.map_rule(quad._gauss_unit(48), -1.0, 1.0)
     nx = np.linalg.norm(x)
     e3 = x / nx if nx > 0.0 else np.array([0.0, 0.0, 1.0])
@@ -422,18 +462,10 @@ def _arc_inside_ellipsoid(ell: Ellipsoid, x: np.ndarray, t: float) -> float:
     e1 = np.cross(e3, tmp)
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(e3, e1)
-    n_phi = 256
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    cphi, sphi = np.cos(phi), np.sin(phi)
-    total = 0.0
-    for m_i, w_i in zip(mu, wmu):
-        rad = math.sqrt(max(0.0, 1.0 - m_i * m_i))
-        th = (m_i * e3[None, :] + rad * (cphi[:, None] * e1[None, :]
-                                         + sphi[:, None] * e2[None, :]))
-        pts = x[None, :] + t * th
-        g = np.einsum("ij,jk,ik->i", pts, A, pts) - 1.0
-        total += w_i * _crossing_measure(g, 2.0 * math.pi / n_phi)
-    return total
+    tm = np.outer(t, mu).ravel()
+    rho = np.outer(t, np.sqrt(1.0 - mu * mu)).ravel()
+    arcs = _circle_quadric_measure(A, x + tm[:, None] * e3, e1, e2, rho)
+    return arcs.reshape(len(t), len(mu)) @ wmu
 
 
 def h_omega(domain: Domain, x, cfg: QuadConfig | None = None
@@ -450,6 +482,12 @@ def h_omega(domain: Domain, x, cfg: QuadConfig | None = None
     the farthest boundary point, so those stretches integrate to
     logarithms and the quadrature only sees the transition region, whose
     endpoint square-root kinks the graded rule absorbs.
+
+    On a ball ``A(t)`` is a closed form.  On an ellipsoid every radial node
+    of a panel is cut in one batched call: in the plane ``A(t)`` is the
+    exact arc of the circle ``|y - x| = t`` inside the ellipse; in space
+    it sums exact arcs over the latitude circles of a 48-node rule in the
+    polar cosine (see :func:`_arc_inside_ellipsoid`).
     """
     cfg = cfg or QuadConfig()
     x = np.asarray(x, dtype=float)
@@ -471,9 +509,7 @@ def h_omega(domain: Domain, x, cfg: QuadConfig | None = None
         n_base, lv_cap = cfg.radial_order, 22
     else:
         def arc(t):
-            t = np.asarray(t, dtype=float)
-            return np.array([_arc_inside_ellipsoid(domain, x, float(ti))
-                             for ti in np.atleast_1d(t)])
+            return _arc_inside_ellipsoid(domain, x, t)
 
         # The arc measure kinks where the sphere |y - x| = t is tangent to
         # the boundary; for a centered evaluation point these tangency

@@ -552,8 +552,11 @@ def integrate_pv_second_difference(u, x, s, cfg: QuadConfig | None = None, *,
     ``domain`` marks a boundary across which ``u`` loses smoothness
     (fields that vanish outside kink like ``delta^s`` there); ray crossings
     become quadrature breakpoints.  For compactly supported ``u`` the far
-    tail is the exact power integral of ``2 u(x)``; otherwise the decaying
-    part is integrated over dyadic blocks until negligible.
+    tail is the exact power integral of ``2 u(x)``; otherwise the graded
+    span runs one doubling past the last crossing (with panels matching a
+    declared ``exterior_power`` layer outside the boundary) and the
+    decaying part beyond it is integrated over dyadic blocks until
+    negligible.
     """
     cfg = cfg or DEFAULT_CONFIG
     s = float(s)
@@ -606,8 +609,12 @@ def _pv_pass(u, x, s, N, domain, inner_scale, compact_support, cfg,
                      _jacobi_unit(24, 1.0 - 2.0 * s),
                      lambda t, v: (u_x - v) / t ** 2) * r_in ** (1.0 - 2.0 * s)
 
-    # Outer region: breakpoints at the boundary crossings of both rays,
-    # ending at the farthest one.
+    # Outer region: breakpoints at the boundary crossings of both rays.  A
+    # compact field ends at the farthest crossing.  Any other field runs
+    # one doubling past it, so the dyadic tail never starts on a layer
+    # outside the boundary, and its declared ``exterior_power`` grades the
+    # panels on the exterior side of each crossing: above an exit, below
+    # an entry.
     t_end = np.full(M, max(2.0 * r_in, 1.0))
     cuts = np.empty((M, 0))
     if domain is not None:
@@ -615,11 +622,23 @@ def _pv_pass(u, x, s, N, domain, inner_scale, compact_support, cfg,
         cuts = np.column_stack([t_lo[:M], t_hi[:M], t_lo[M:], t_hi[M:]])
         cuts[~(cuts > r_in)] = np.nan
         last = np.fmax.reduce(cuts, axis=1)
+        if not compact_support:
+            last = 2.0 * last
         t_end = np.where(np.isnan(last), t_end, last)
         cuts[~(cuts < t_end[:, None])] = np.nan
     idx, a, b = _split_rays(r_in, t_end, cuts)
-    outer = sym_sums(idx, a, b, unit_power_rule(0.0, 0.0, n_rad, levels),
-                     lambda t, v: (u_x - v) * t ** (-1.0 - 2.0 * s))
+    alpha_lo, alpha_hi = np.zeros(len(idx)), np.zeros(len(idx))
+    ext_p = getattr(u, "exterior_power", None)
+    if ext_p is not None and not compact_support:
+        seg_cuts = cuts[idx]
+        alpha_lo[(a[:, None] == seg_cuts[:, 1::2]).any(axis=1)] = ext_p
+        alpha_hi[(b[:, None] == seg_cuts[:, 0::2]).any(axis=1)] = ext_p
+    outer = 0.0
+    for pair in sorted(set(zip(alpha_lo.tolist(), alpha_hi.tolist()))):
+        sel = (alpha_lo == pair[0]) & (alpha_hi == pair[1])
+        outer += sym_sums(idx[sel], a[sel], b[sel],
+                          unit_power_rule(*pair, n_rad, levels),
+                          lambda t, v: (u_x - v) * t ** (-1.0 - 2.0 * s))
 
     # Far tail: the 2u(x) part is an exact power integral; a field that is
     # not compactly supported also has its decaying part subtracted over

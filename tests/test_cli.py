@@ -83,6 +83,31 @@ def test_eval_homega_stdin(capsys, monkeypatch):
     assert float(rows[0][2]) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_eval_homega_circle_as_ellipsoid(capsys, tmp_path):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.25,0.3\n0.6,-0.5\n")
+    code, out = run(capsys, ["eval", "--op", "homega", "--domain",
+                             "ellipsoid:1,0,0,1", "--points", str(pts)])
+    assert code == 0
+    _, rows = csv_body(out)
+    assert len(rows) == 2
+    for x1, x2, value, _ in rows:
+        r2 = float(x1) ** 2 + float(x2) ** 2
+        assert float(value) == pytest.approx(-math.log(1.0 - r2), abs=1e-9)
+
+
+def test_eval_homega_anisotropic_ellipse_misses_tolerance(capsys, tmp_path):
+    # Off the centre the tangency radii fall between the panel breaks, and
+    # the estimate (1.4e-4) honestly exceeds the tolerance.
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.3,0.2\n")
+    code, out = run(capsys, ["eval", "--op", "homega", "--domain",
+                             "ellipsoid:1,0,0,4", "--points", str(pts)])
+    assert code == 2
+    _, rows = csv_body(out)
+    assert len(rows) == 1 and float(rows[0][3]) > 1e-6
+
+
 def test_eval_ws_solution_values(capsys, tmp_path):
     pts = tmp_path / "pts.csv"
     pts.write_text("0,0\n0.5,0\n")

@@ -88,9 +88,11 @@ CASES = {
     "frac_laplacian_compact_field": (
         compact2, lambda u: frac_laplacian(u, 0.5, Y), 294400,
         2.1561801343652527),
+    # Frozen from the graded outer span of a non-compact field instead:
+    # the per-direction value was 1.1% off (test_decaying_tail_is_graded).
     "frac_laplacian_decaying_tail": (
-        layered2, lambda u: frac_laplacian(u, 0.5, Y), 334720,
-        0.9910850629915267),
+        layered2, lambda u: frac_laplacian(u, 0.5, Y), 476928,
+        0.9798935329470566),
 }
 
 
@@ -103,6 +105,19 @@ def test_batched_rays_keep_counts_and_values(name):
     assert res.value == pytest.approx(value, rel=1e-12, abs=0.0)
     # The per-direction implementation made 97 to 24865 calls here.
     assert u.calls < 40
+
+
+def test_decaying_tail_is_graded():
+    # The layer outside the disc sits on the graded outer span, so the
+    # dyadic tail starts past it: the estimate is honest, and a finer rule
+    # agrees.  Starting the tail at the crossing gave 0.99109 (estimate
+    # 6.5e-3) and 0.98743 (2.4e-3) on the finer rule.
+    res = frac_laplacian(layered2(), 0.5, Y)
+    fine = frac_laplacian(layered2(), 0.5, Y,
+                          QuadConfig(angular_order=128, radial_order=24))
+    assert res.error_estimate <= 1e-5
+    assert res.tolerance_ok
+    assert abs(res.value - fine.value) <= 1e-5
 
 
 def nan_right_half(p):
