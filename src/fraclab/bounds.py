@@ -216,29 +216,14 @@ def m_s(domain: Domain, s, cfg: QuadConfig | None = None, *,
     return rho_N + _m_scan(ball, s, cfg, *_h_profile(ball, cfg, n_grid))
 
 
-def _min_h(ball: Ball, cfg: QuadConfig, pts: np.ndarray,
-           h: np.ndarray) -> float:
-    rs = np.linalg.norm(pts - ball.center_array[None, :], axis=1)
+def min_h_omega(domain: Domain) -> float:
+    """``min_Omega h_Omega``.
 
-    def fun(r):
-        p = ball.center_array.copy()
-        p[0] += r
-        return operators.h_omega(ball, p, cfg).value
-
-    return _golden_refine(fun, rs, h)
-
-
-def min_h_omega(domain: Domain, cfg: QuadConfig | None = None, *,
-                n_grid: int = 25) -> float:
-    """``min_Omega h_Omega`` by radial scan with golden-section polish.
-
-    On a ball of radius ``R`` the minimum sits at the center with value
-    ``-2 ln R``; the scan confirms it numerically rather than assuming
-    it.
+    On a ball of radius ``R``, ``h_Omega(x) = -ln(R^2 - |x - c|^2)`` is
+    smallest at the center, with value ``-2 ln R``.
     """
     ball = kernels._require_ball(domain, "the geometry-weight minimum")
-    cfg = cfg or QuadConfig()
-    return _min_h(ball, cfg, *_h_profile(ball, cfg, n_grid))
+    return -2.0 * math.log(ball.radius)
 
 
 def green_norm_bound(domain: Domain, s, cfg: QuadConfig | None = None, *,
@@ -261,7 +246,7 @@ def green_norm_bound(domain: Domain, s, cfg: QuadConfig | None = None, *,
     norm_numeric = ball_torsion_constant(N, s)[0] * R ** (2.0 * s)
     q = q_constant(N, s, cfg)
     pts, h = _h_profile(ball, cfg, n_grid)
-    minh = _min_h(ball, cfg, pts, h)
+    minh = min_h_omega(ball)
     bound_old = math.exp(-s * (minh + rho_N))
     bound_new = math.exp(-s * (minh + rho_N) - q * geo)
 

@@ -125,17 +125,16 @@ def ell_s(f, domain: Domain, s, x, cfg: QuadConfig | None = None, *,
 
 
 def ell_field(f, domain: Domain, s, cfg: QuadConfig | None = None, *,
-              complementary_sign: float = -1.0,
-              n_nodes: int = 64) -> ScalarField:
+              complementary_sign: float = -1.0) -> ScalarField:
     """Radial tabulation of ``ell_s f`` ready for the Green operator.
 
-    The data blows up like ``delta^{-s}`` (``delta^{-1}`` at ``s = 1``)
-    at the boundary, so the bounded quotient ``ell_s f * delta^p`` is
-    splined against ``ln delta`` on a geometric grid and the field
-    declares ``boundary_power = -p`` for the quadrature to grade against.
+    The data blows up like ``delta^{-s}`` at the boundary, so the bounded
+    quotient ``ell_s f * delta^s`` is a chopped Chebyshev series (see
+    :func:`quadrature._chebyshev_profile`) in a variable affine in
+    ``ln delta`` on ``[ln(1e-6 R), ln R]``, held at its end value closer
+    to the boundary; the field declares ``boundary_power = -s`` for the
+    quadrature to grade against.
     """
-    from scipy.interpolate import CubicSpline
-
     ball = kernels._require_ball(domain, "the order-derivative data")
     cfg = cfg or QuadConfig()
     s = float(as_order(s))
@@ -144,30 +143,31 @@ def ell_field(f, domain: Domain, s, cfg: QuadConfig | None = None, *,
                               "f; evaluate ell_s pointwise instead")
     N, R = ball.dim, ball.radius
     c0 = ball.center_array
-    fp = s if s < 1.0 else 1.0
-    deltas = np.geomspace(1e-6 * R, R, n_nodes)
-    qvals = np.empty(n_nodes)
-    for i, d in enumerate(deltas):
-        pt = c0.copy()
-        pt[0] += R - d
-        val = ell_s(f, ball, s, pt, cfg,
-                    complementary_sign=complementary_sign)
-        qvals[i] = val * d ** fp
-    sp = CubicSpline(np.log(deltas), qvals)
-    d_min, q_min = float(deltas[0]), float(qvals[0])
+    ln_lo, ln_span = math.log(1e-6 * R), -math.log(1e-6)
+
+    def quotient(t):
+        out = np.empty(len(t))
+        for i, d in enumerate(np.exp(ln_lo + 0.5 * ln_span * (t + 1.0))):
+            pt = c0.copy()
+            pt[0] += R - d
+            out[i] = ell_s(f, ball, s, pt, cfg,
+                           complementary_sign=complementary_sign) * d ** s
+        return out
+
+    coef = quad._chebyshev_profile(quotient)
 
     def fn(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         r = np.linalg.norm(pts - c0[None, :], axis=1)
         d = np.clip(R - r, 1e-60 * R, None)
-        q = np.where(d >= d_min, sp(np.log(np.clip(d, d_min, None))), q_min)
-        return q * d ** -fp
+        t = np.clip(2.0 * (np.log(d) - ln_lo) / ln_span - 1.0, -1.0, 1.0)
+        return np.polynomial.chebyshev.chebval(t, coef) * d ** -s
 
     return ScalarField(fn=fn, dim=N, domain=ball, radial=True,
                        is_compact=True, smooth_scale=0.5 * R,
-                       boundary_power=-fp,
+                       boundary_power=-s,
                        cache_token=kernels._derived_token(
-                           f, "ell", ball, s, complementary_sign, n_nodes))
+                           f, "ell", ball, s, complementary_sign))
 
 
 def solve_vs(f, domain: Domain, s, grid, cfg: QuadConfig | None = None, *,

@@ -350,22 +350,6 @@ def log_laplacian_compact(u, x, cfg: QuadConfig | None = None
 # Geometry weight h_Omega.
 # ---------------------------------------------------------------------------
 
-def _arc_inside_ball(ball: Ball, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Angular measure of directions with ``x + t theta`` inside the ball."""
-    N = ball.dim
-    R = ball.radius
-    xc = x - ball.center_array
-    r = float(np.linalg.norm(xc))
-    t = np.asarray(t, dtype=float)
-    full = 2.0 * math.pi if N == 2 else 4.0 * math.pi
-    if r == 0.0:
-        return np.where(t < R, full, 0.0)
-    cstar = np.clip((R * R - r * r - t * t) / (2.0 * r * t), -1.0, 1.0)
-    if N == 2:
-        return 2.0 * math.pi - 2.0 * np.arccos(cstar)
-    return 2.0 * math.pi * (1.0 + cstar)
-
-
 def _circle_quadric_measure(A: np.ndarray, c: np.ndarray, e1: np.ndarray,
                             e2: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Angular measure of ``{phi : g(c_i + rho_i (cos phi e1 + sin phi e2))
@@ -483,11 +467,14 @@ def h_omega(domain: Domain, x, cfg: QuadConfig | None = None
     logarithms and the quadrature only sees the transition region, whose
     endpoint square-root kinks the graded rule absorbs.
 
-    On a ball ``A(t)`` is a closed form.  On an ellipsoid every radial node
-    of a panel is cut in one batched call: in the plane ``A(t)`` is the
-    exact arc of the circle ``|y - x| = t`` inside the ellipse; in space
-    it sums exact arcs over the latitude circles of a 48-node rule in the
-    polar cosine (see :func:`_arc_inside_ellipsoid`).
+    On a ball ``B_R(c)`` the weight is the closed form
+    ``-ln(R^2 - |x - c|^2) = -ln(delta (2R - delta))`` with
+    ``delta = R - |x - c|``, which does not cancel near the boundary; it
+    is returned with error 0 and no evaluations.  On an ellipsoid every
+    radial node of a panel is cut in one batched call: in the plane
+    ``A(t)`` is the exact arc of the circle ``|y - x| = t`` inside the
+    ellipse; in space it sums exact arcs over the latitude circles of a
+    48-node rule in the polar cosine (see :func:`_arc_inside_ellipsoid`).
     """
     cfg = cfg or QuadConfig()
     x = np.asarray(x, dtype=float)
@@ -496,40 +483,33 @@ def h_omega(domain: Domain, x, cfg: QuadConfig | None = None
     d = float(geometry.delta(domain, x))
     if d <= 0.0:
         raise DomainError("h_Omega is evaluated inside the domain")
+    if isinstance(domain, Ball):
+        return IntegralResult(-math.log(d * (2.0 * domain.radius - d)),
+                              0.0, 0)
     sigma = 2.0 * math.pi if N == 2 else 4.0 * math.pi
     _, diam = geometry.measures(domain)
-    center = _domain_center(domain)
-    t_far = float(np.linalg.norm(x - center)) + 0.5 * diam
+    t_far = float(np.linalg.norm(x)) + 0.5 * diam    # centred at 0
 
-    if isinstance(domain, Ball):
-        def arc(t):
-            return _arc_inside_ball(domain, x, np.asarray(t))
+    # The arc measure kinks where the sphere |y - x| = t is tangent to
+    # the boundary; for a centered evaluation point these tangency radii
+    # are the distances to the principal-axis endpoints, which remain good
+    # panel marks nearby.
+    dvals, Q, _, _ = geometry._spectral(domain)
+    axes = dvals ** -0.5
+    inner_breaks = []
+    for i in range(N):
+        for sgn in (1.0, -1.0):
+            inner_breaks.append(
+                float(np.linalg.norm(x - sgn * axes[i] * Q[:, i])))
+    n_base = min(cfg.radial_order, 12)
 
-        inner_breaks: list[float] = []
-        n_base, lv_cap = cfg.radial_order, 22
-    else:
-        def arc(t):
-            return _arc_inside_ellipsoid(domain, x, t)
-
-        # The arc measure kinks where the sphere |y - x| = t is tangent to
-        # the boundary; for a centered evaluation point these tangency
-        # radii are the distances to the principal-axis endpoints, which
-        # remain good panel marks nearby.
-        dvals, Q, _, _ = geometry._spectral(domain)
-        axes = dvals ** -0.5
-        inner_breaks = []
-        for i in range(N):
-            for sgn in (1.0, -1.0):
-                inner_breaks.append(
-                    float(np.linalg.norm(x - sgn * axes[i] * Q[:, i])))
-        n_base, lv_cap = min(cfg.radial_order, 12), 10
-
-    def seg(lo, hi, fn, n, levels):
+    def seg(lo, hi, weight, n, levels):
+        # int_lo^hi weight(A(t)) / t dt
         if hi - lo <= 1e-15 * max(1.0, hi):
             return 0.0, 0
-        br = np.array([b for b in inner_breaks if lo < b < hi])
-        nodes, wts = quad._breakpoint_rule(lo, hi, br, n, levels)
-        return float(wts @ fn(nodes)), len(nodes)
+        t, wts = quad._breakpoint_rule(lo, hi, inner_breaks, n, levels)
+        arc = _arc_inside_ellipsoid(domain, x, t)
+        return float(wts @ (weight(arc) / t)), len(t)
 
     def one_pass(n, levels):
         evals = 0
@@ -538,17 +518,17 @@ def h_omega(domain: Domain, x, cfg: QuadConfig | None = None
             near += sigma * math.log(1.0 / t_far)
         hi_n = min(1.0, t_far)
         if d < hi_n:
-            v, e = seg(d, hi_n, lambda t: (sigma - arc(t)) / t, n, levels)
+            v, e = seg(d, hi_n, lambda a: sigma - a, n, levels)
             near, evals = near + v, evals + e
         if d > 1.0:
             far += sigma * math.log(d)
         lo_f = max(1.0, d)
         if t_far > lo_f:
-            v, e = seg(lo_f, t_far, lambda t: arc(t) / t, n, levels)
+            v, e = seg(lo_f, t_far, lambda a: a, n, levels)
             far, evals = far + v, evals + e
         return near - far, evals
 
-    levels = min(cfg.max_subdiv, lv_cap)
+    levels = min(cfg.max_subdiv, 10)
     return quad._two_pass(one_pass, (n_base, levels),
                           (max(6, n_base - 6), max(6, levels - 8)), cfg,
                           scale=c_N, floor=1e-15)
@@ -630,14 +610,17 @@ def nonlocal_normal_derivative(u, s, z, cfg: QuadConfig | None = None
 # Solution-operator field.
 # ---------------------------------------------------------------------------
 
-def restriction_ws(domain: Domain, f, s, cfg: QuadConfig | None = None,
-                   n_profile: int = 48) -> ScalarField:
+def restriction_ws(domain: Domain, f, s, cfg: QuadConfig | None = None
+                   ) -> ScalarField:
     """The solution ``u_s = G_s f`` as a compactly supported field.
 
     Radial data on a ball: the smooth quotient ``u_s(x) / (R^2-|x|^2)^s``
-    is tabulated at Chebyshev nodes in ``|x|^2`` and evaluated by
-    barycentric interpolation, so downstream operators see the boundary
-    factor ``(R^2-|x|^2)^s`` exactly instead of chasing it numerically.
+    is a chopped Chebyshev series in ``2|x|^2/R^2 - 1`` sampled by
+    ``green_apply`` (see :func:`quadrature._chebyshev_profile`; for
+    polynomial data the quotient is a polynomial in ``|x|^2``, so it chops
+    after a handful of solves).  Clenshaw recurrence evaluates it at all
+    points at once, and downstream operators see the boundary factor
+    ``(R^2-|x|^2)^s`` exactly instead of chasing it numerically.
     """
     ball = kernels._require_ball(domain, "the solution-operator field")
     cfg = cfg or QuadConfig()
@@ -647,20 +630,19 @@ def restriction_ws(domain: Domain, f, s, cfg: QuadConfig | None = None,
                               "data; evaluate green_apply pointwise instead")
     N, R = ball.dim, ball.radius
     c0 = ball.center_array
-    k = np.arange(n_profile)
-    xi = np.cos((2.0 * k + 1.0) * math.pi / (2.0 * n_profile))
-    rho = np.sqrt(0.5 * R * R * (xi + 1.0))
-    vals = np.empty(n_profile)
-    for i, r in enumerate(rho):
-        pt = c0.copy()
-        pt[0] += r
-        res = kernels.green_apply(
-            ball, f, s, pt, cfg,
-            boundary_power=getattr(f, "boundary_power", None))
-        vals[i] = res.value / (R * R - r * r) ** s
-    # Barycentric weights for Chebyshev points of the first kind.
-    w_bar = (-1.0) ** k * np.sin((2.0 * k + 1.0) * math.pi
-                                 / (2.0 * n_profile))
+
+    def quotient(xi):
+        out = np.empty(len(xi))
+        for i, r2 in enumerate(0.5 * R * R * (xi + 1.0)):
+            pt = c0.copy()
+            pt[0] += math.sqrt(r2)
+            out[i] = kernels.green_apply(
+                ball, f, s, pt, cfg,
+                boundary_power=getattr(f, "boundary_power", None)
+            ).value / (R * R - r2) ** s
+        return out
+
+    coef = quad._chebyshev_profile(quotient)
 
     def fn(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -668,23 +650,9 @@ def restriction_ws(domain: Domain, f, s, cfg: QuadConfig | None = None,
         r2 = np.einsum("ij,ij->i", dx, dx)
         out = np.zeros(len(pts))
         inside = r2 < R * R
-        if inside.any():
-            t_in = 2.0 * r2[inside] / (R * R) - 1.0
-            num = np.zeros(len(t_in))
-            den = np.zeros(len(t_in))
-            exact = np.full(len(t_in), -1)
-            for j in range(n_profile):
-                diff = t_in - xi[j]
-                hitj = diff == 0.0
-                exact[hitj] = j
-                diff[hitj] = 1.0
-                num += w_bar[j] * vals[j] / diff
-                den += w_bar[j] / diff
-            smooth = num / den
-            hit_any = exact >= 0
-            if hit_any.any():
-                smooth[hit_any] = vals[exact[hit_any]]
-            out[inside] = smooth * (R * R - r2[inside]) ** s
+        r2 = r2[inside]
+        out[inside] = (np.polynomial.chebyshev.chebval(
+            2.0 * r2 / (R * R) - 1.0, coef) * (R * R - r2) ** s)
         return out
 
     return ScalarField(fn=fn, dim=N, domain=ball, radial=True,

@@ -28,6 +28,9 @@ mapped onto all of them, the field is called once per chunk of nodes
 rather than once per segment, and the weighted integrand is reduced per
 direction with ``np.bincount``.
 
+Tabulated radial fields are chopped Chebyshev series from
+:func:`_chebyshev_profile`, sampled only as densely as the data needs.
+
 Every integration returns an :class:`IntegralResult` with a coarse/fine
 error estimate and the evaluation count, formed in one place,
 :func:`_two_pass`, for every quadrature in the package.
@@ -40,6 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.fft import dct
 from scipy.special import roots_jacobi
 
 from .core import DivergenceError, DomainError, EvaluationError
@@ -328,6 +332,48 @@ def _breakpoint_rule(lo: float, hi: float, breaks, n: int, levels: int
         ts.append(t)
         ws.append(w)
     return np.concatenate(ts), np.concatenate(ws)
+
+
+# ---------------------------------------------------------------------------
+# Chopped Chebyshev profiles.
+# ---------------------------------------------------------------------------
+
+CHEB_CHOP_TOL = 1e-10     # coefficients below this times the largest drop
+CHEB_MAX_POINTS = 81      # 9 -> 27 -> 81 first-kind points; 9 * 3^k
+
+
+def _chebyshev_profile(sample) -> np.ndarray:
+    """Chopped Chebyshev coefficients, for ``chebval``, of the function
+    that ``sample(xi)`` evaluates on an array of points in ``[-1, 1]``.
+
+    It samples first-kind Chebyshev points, never the interval ends, at
+    9, 27 and 81 nested points, so no point is sampled twice; a DCT-II
+    gives the coefficients.  Once the last third of them lies below
+    ``CHEB_CHOP_TOL`` times the largest, the series is cut after its last
+    coefficient above that level (Aurentz and Trefethen, "Chopping a
+    Chebyshev series", ACM TOMS 43, 2017); at ``CHEB_MAX_POINTS`` points
+    all are kept.
+    """
+    m = CHEB_MAX_POINTS
+    xi = np.cos((2.0 * np.arange(m) + 1.0) * math.pi / (2.0 * m))
+    vals, sampled = np.empty(m), np.zeros(m, dtype=bool)
+    n = 9
+    while True:
+        # The n-point level is every (m/n)-th point of the m-point one.
+        idx = np.arange(m // n // 2, m, m // n)
+        new = idx[~sampled[idx]]
+        vals[new] = np.asarray(sample(xi[new]), dtype=float)
+        sampled[new] = True
+        coef = dct(vals[idx], type=2) / n
+        coef[0] *= 0.5
+        level = CHEB_CHOP_TOL * np.max(np.abs(coef))
+        above = np.flatnonzero(np.abs(coef) > level)
+        last = above[-1] if above.size else 0      # zero data: [0.0]
+        if last < n - n // 3:
+            return coef[:last + 1]
+        if n >= m:
+            return coef
+        n *= 3
 
 
 # ---------------------------------------------------------------------------

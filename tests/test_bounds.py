@@ -222,8 +222,8 @@ def test_report_half_order_anchors():
 
 def test_report_scans_h_omega_once(monkeypatch):
     # h_Omega does not depend on the order: one radial profile (25
-    # points, the minimum at the centre needs no polish) serves the
-    # minimum and every m_tau of the integral bound.
+    # points) serves every m_tau of the integral bound; the minimum
+    # -2 ln R is closed.
     calls = []
     h_omega = operators.h_omega
 

@@ -114,7 +114,24 @@ def test_ell_field_matches_pointwise():
     fld = ell_field(ones_field(), DISC, 0.75)
     pts = np.stack([np.array([0.0, 0.3, 0.8, 0.995]), np.zeros(4)], axis=1)
     direct = np.array([ell_s(ones_field(), DISC, 0.75, p) for p in pts])
-    assert fld(pts) == pytest.approx(direct, rel=2e-3)
+    assert fld(pts) == pytest.approx(direct, rel=1e-8)
+
+
+def test_ell_field_samples_distinct_points(monkeypatch):
+    xs = []
+    ell = derivative.ell_s
+
+    def recording(f, ball, s, x, *args, **kwargs):
+        xs.append(float(x[0]))
+        return ell(f, ball, s, x, *args, **kwargs)
+
+    monkeypatch.setattr(derivative, "ell_s", recording)
+    ell_field(ones_field(), DISC, 0.75)
+    # Constant data needs about 50 terms in ln delta, so the profile
+    # takes its 81-point level: each point once, all of them strictly
+    # inside 1e-6 < delta < 1.
+    assert len(xs) == len(set(xs)) == 81
+    assert 0.0 < min(xs) and max(xs) < 1.0 - 1e-6
 
 
 def test_ell_field_metadata_and_gating():
@@ -141,6 +158,15 @@ def test_solve_matches_closed_derivative(s):
     assert (got.values < 0.0).all()
     if s < 1.0:
         assert got.ok.all()
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0])
+def test_solve_center_matches_closed_derivative(s):
+    # v_1(0) = -0.5579657...; a cubic spline of ell_s f in ln delta on
+    # 64 nodes was off by 6.5e-5 here (1.4e-4 at s = 1/2).
+    got = solve_vs(ones_field(), DISC, s, np.zeros((1, 2)))
+    want = torsion_s_derivative(I2, s, np.zeros(2))
+    assert got.values[0] == pytest.approx(want, rel=1e-8)
 
 
 def test_solve_opposite_complementary_sign_misses_oracle():

@@ -4,10 +4,12 @@ The arc measure ``A(t)`` of ``h_omega`` on an ellipsoid comes from the
 crossings of the circle ``|y - x| = t`` (in 3D: of each latitude circle)
 with the boundary quadric.  The references here are closed forms on
 round sections and, on anisotropic ones, the root-refined sign scan that
-the batched roots replaced, kept below as the reference.
+the batched roots replaced, kept below as the reference.  On a ball
+``h_omega`` returns the closed form, checked here next to the boundary.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from scipy.optimize import brentq
 
 from fraclab import quadrature as quad
 from fraclab.geometry import Ball, Ellipsoid
-from fraclab.operators import (_arc_inside_ball, _arc_inside_ellipsoid,
-                               _circle_quadric_measure, h_omega)
+from fraclab.operators import (_arc_inside_ellipsoid, _circle_quadric_measure,
+                               h_omega)
 
 DISC = Ball(center=(0.0, 0.0), radius=1.0)
 CIRCLE = Ellipsoid(a=(1.0, 0.0, 0.0, 1.0))
@@ -45,6 +47,23 @@ def scan_arc(g):
     return measure, float(np.min(gaps))
 
 
+def arc_inside_ball(ball, x, t):
+    """Angular measure of directions with ``x + t theta`` inside the
+    ball, from the cosine rule."""
+    N = ball.dim
+    R = ball.radius
+    xc = x - ball.center_array
+    r = float(np.linalg.norm(xc))
+    t = np.asarray(t, dtype=float)
+    full = 2.0 * math.pi if N == 2 else 4.0 * math.pi
+    if r == 0.0:
+        return np.where(t < R, full, 0.0)
+    cstar = np.clip((R * R - r * r - t * t) / (2.0 * r * t), -1.0, 1.0)
+    if N == 2:
+        return 2.0 * math.pi - 2.0 * np.arccos(cstar)
+    return 2.0 * math.pi * (1.0 + cstar)
+
+
 def quadric_on_circle(A, c, e1, e2, rho):
     def g(p):
         y = c + rho * (math.cos(p) * e1 + math.sin(p) * e2)
@@ -62,7 +81,7 @@ def test_circle_arcs_match_the_ball(x):
     else:
         t = np.linspace(0.01, 2.0, 200)
     got = _arc_inside_ellipsoid(CIRCLE, x, t)
-    want = _arc_inside_ball(DISC, x, t)
+    want = arc_inside_ball(DISC, x, t)
     if r > 0.0:
         # At the tangency radii delta(x) and 1 + |x| the arc is exactly
         # 2 pi and 0.  The ball's arccos turns the last-place rounding of
@@ -76,7 +95,7 @@ def test_circle_arcs_match_the_ball(x):
 def test_centred_circle_is_all_in_or_all_out():
     t = np.array([0.5, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 2.0])
     got = _arc_inside_ellipsoid(CIRCLE, np.zeros(2), t)
-    np.testing.assert_array_equal(got, _arc_inside_ball(DISC, np.zeros(2), t))
+    np.testing.assert_array_equal(got, arc_inside_ball(DISC, np.zeros(2), t))
 
 
 def test_sphere_sections_match_the_ball():
@@ -95,7 +114,7 @@ def test_sphere_sections_match_the_ball():
         want = 0.0
         if r2[i] > 0.0:
             section = Ball(center=tuple(-b[i]), radius=math.sqrt(r2[i]))
-            want = float(_arc_inside_ball(section, np.zeros(2), rho[i]))
+            want = float(arc_inside_ball(section, np.zeros(2), rho[i]))
         assert got[i] == pytest.approx(want, abs=1e-13)
 
 
@@ -171,3 +190,16 @@ def test_h_omega_ellipse_keeps_its_nodes(a, x, value):
     res = h_omega(Ellipsoid(a=a), np.array(x))
     assert res.evaluations == 2352
     assert res.value == pytest.approx(value, abs=1e-8)
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-5, 3.2e-5])
+def test_h_omega_ball_is_closed_near_the_boundary(delta):
+    # -ln(1 - |x|^2) with |x|^2 taken exactly.  The quadrature this
+    # replaced flagged all three points (estimates 2.0e-3, 5.8e-5 and
+    # 1.0e-5 for errors of 4.4e-7, 1.4e-8 and 2.4e-9).
+    x = np.array([1.0 - delta, 0.0])
+    want = -math.log(float(1 - Fraction(x[0]) ** 2))
+    res = h_omega(DISC, x)
+    assert res.tolerance_ok
+    assert (res.error_estimate, res.evaluations) == (0.0, 0)
+    assert res.value == pytest.approx(want, rel=0.0, abs=1e-12)

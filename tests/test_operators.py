@@ -222,6 +222,65 @@ def test_restriction_ws_needs_radial_data():
         restriction_ws(DISC, skew, 0.5)
 
 
+def counting_green(monkeypatch):
+    calls = []
+    green = operators.kernels.green_apply
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return green(*args, **kwargs)
+
+    monkeypatch.setattr(operators.kernels, "green_apply", counting)
+    return calls
+
+
+def test_restriction_ws_constant_data_takes_nine_solves(monkeypatch):
+    # For f = 1 the quotient u_s / (R^2 - |x|^2)^s is the constant
+    # d(N, s), so the first level of the Chebyshev profile chops.
+    calls = counting_green(monkeypatch)
+    restriction_ws(DISC, ones_field(2), 0.5)
+    assert len(calls) == 9
+
+
+def test_restriction_ws_polynomial_data_chops(monkeypatch):
+    # For 1 + 2|x|^4 the quotient is a quadratic in |x|^2.
+    lengths = []
+    profile = operators.quad._chebyshev_profile
+
+    def recording(sample):
+        coef = profile(sample)
+        lengths.append(len(coef))
+        return coef
+
+    monkeypatch.setattr(operators.quad, "_chebyshev_profile", recording)
+    calls = counting_green(monkeypatch)
+    quartic = ScalarField(fn=lambda p: 1.0 + 2.0 * np.sum(p * p, axis=1) ** 2,
+                          dim=2, radial=True, smooth_scale=1.0)
+    restriction_ws(DISC, quartic, 0.5)
+    assert lengths == [3]
+    assert len(calls) == 9
+
+
+def test_restriction_ws_gaussian_data_takes_at_most_27_solves(monkeypatch):
+    calls = counting_green(monkeypatch)
+    gauss3 = ScalarField(fn=lambda p: np.exp(-3.0 * np.sum(p * p, axis=1)),
+                         dim=2, radial=True, smooth_scale=1.0)
+    restriction_ws(DISC, gauss3, 0.5)
+    assert len(calls) <= 27
+    # First-kind points: the profile never samples the centre or the
+    # boundary.
+    r = np.linalg.norm(np.array(calls), axis=1)
+    assert ((r > 0.0) & (r < 1.0)).all()
+
+
+def test_restriction_ws_zero_data_is_zero():
+    zero = ScalarField(fn=lambda p: np.zeros(len(np.atleast_2d(p))), dim=2,
+                       radial=True, smooth_scale=1.0)
+    u = restriction_ws(DISC, zero, 0.5)
+    pts = np.array([[0.0, 0.0], [0.3, 0.4], [0.9, -0.1]])
+    np.testing.assert_array_equal(u(pts), np.zeros(3))
+
+
 @pytest.mark.parametrize("N,s,r", [(2, 0.75, 0.0), (2, 0.75, 0.5),
                                    (3, 0.6, 0.0), (3, 0.6, 0.5),
                                    (2, 1.0, 0.5)])

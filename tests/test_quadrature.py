@@ -226,3 +226,30 @@ def test_direction_chunks_budget():
     for sl in quad.direction_chunks(4000, 100, budget=budget):
         n = len(range(*sl.indices(4000)))
         assert n * 100 <= budget or n == 8
+
+
+def test_chebyshev_profile_chops_nests_and_caps():
+    seen = []
+
+    def sampled(g):
+        def fn(xi):
+            seen.extend(xi)
+            return g(xi)
+        return fn
+
+    # 1 + 2 x^4 = 1.75 T_0 + T_2 + 0.25 T_4: nine samples chop to five.
+    coef = quad._chebyshev_profile(sampled(lambda x: 1.0 + 2.0 * x ** 4))
+    np.testing.assert_allclose(coef, [1.75, 0.0, 1.0, 0.0, 0.25],
+                               rtol=0.0, atol=1e-15)
+    assert len(seen) == 9
+    # The Runge function needs more than 81 points: the cap keeps every
+    # coefficient, and the nested levels sample each point once.
+    seen.clear()
+    runge = quad._chebyshev_profile(
+        sampled(lambda x: 1.0 / (1.0 + 25.0 * x * x)))
+    assert len(runge) == len(seen) == len(set(seen)) == quad.CHEB_MAX_POINTS
+    x = np.linspace(-1.0, 1.0, 201)
+    err = np.polynomial.chebyshev.chebval(x, runge) - 1.0 / (1.0 + 25.0 * x * x)
+    assert np.max(np.abs(err)) < 1e-6
+    np.testing.assert_array_equal(quad._chebyshev_profile(np.zeros_like),
+                                  [0.0])

@@ -74,8 +74,9 @@ CASES = {
         compact2, lambda u: log_laplacian(u, X), 150688, 1.1627727776170784),
     "log_laplacian_exterior_layer": (
         layered2, lambda u: log_laplacian(u, X), 177344, -0.4683180280955783),
+    # The disc's h_Omega is closed now: its 2128 evaluations are gone.
     "log_laplacian_domain_form": (
-        compact2, lambda u: log_laplacian_compact(u, X), 65360,
+        compact2, lambda u: log_laplacian_compact(u, X), 63232,
         1.1627727776170782),
     "normal_derivative_ws_2d": (
         ws2, lambda u: nonlocal_normal_derivative(u, 0.5, np.array([1.2, 0.1])),

@@ -13,7 +13,7 @@ import pytest
 
 from fraclab import kernels, operators
 from fraclab import quadrature as quad
-from fraclab.geometry import Ball
+from fraclab.geometry import Ball, Ellipsoid
 from fraclab.operators import CompactField, ScalarField
 
 DISC = Ball(center=(0.0, 0.0), radius=1.0)
@@ -59,7 +59,9 @@ CASES = {
     "log_laplacian": lambda: operators.log_laplacian(compact2(), (0.3, 0.1)),
     "log_laplacian_compact": lambda: operators.log_laplacian_compact(
         compact2(), (0.3, 0.1)),
-    "h_omega": lambda: operators.h_omega(DISC, (0.3, 0.2)),
+    # The two passes run on ellipsoids only; a ball's h_Omega is closed.
+    "h_omega": lambda: operators.h_omega(Ellipsoid(a=(1.0, 0.0, 0.0, 4.0)),
+                                         (0.1, 0.1)),
     "nonlocal_normal_derivative":
         lambda: operators.nonlocal_normal_derivative(
             compact2(), 0.5, (1.3, 0.2)),
@@ -72,7 +74,7 @@ FROZEN = {
     "green_apply":
         (0.017212412234932195, 1.1119442658486498e-15, 164416, True),
     "h_omega":
-        (0.13926206733350777, 8.680066161493447e-13, 2128, True),
+        (0.8622232860402097, 3.896685180258897e-08, 2352, True),
     "integrate_exterior":
         (6.283185307057675, 4.858995319451253e-14, 94080, True),
     "integrate_interior":
@@ -81,8 +83,10 @@ FROZEN = {
         (13.547679339876249, 3.9037691576264246e-13, 294400, True),
     "log_laplacian":
         (1.2472462757365927, 2.0953941907935305e-15, 150224, True),
+    # Re-frozen with the closed ball h_Omega, which takes no evaluations
+    # and adds no error (was 65360 evaluations, value 1 ulp higher).
     "log_laplacian_compact":
-        (1.247246275736593, 6.138868577048619e-13, 65360, True),
+        (1.2472462757365927, 2.0953941907935305e-15, 63232, True),
     "nonlocal_normal_derivative":
         (-0.22258865580013346, 2.9326764872154496e-16, 526720, True),
     "poisson_extend":
