@@ -1,4 +1,5 @@
-"""Closed-form solution family for constant right-hand side on ellipsoids.
+"""Closed-form solution families: constant data on ellipsoids, Jacobi
+polynomial data on the unit ball.
 
 For the ellipsoid ``E = {x : Ax . x < 1}`` with isotropic ``A = a I`` (a
 ball of radius ``a**-0.5``) the solution of ``(-Delta)^s u = 1`` with zero
@@ -10,6 +11,17 @@ with ``d(N, s)`` the unit-ball center coefficient.  Because the family is
 explicit in ``s``, its s-derivative is explicit too; these two functions
 are the ground truth against which the numerically assembled derivative
 machinery is judged.
+
+On the unit ball, with a solid harmonic ``V_l`` of degree ``l``, ``n >= 0``
+and ``b = N/2 - 1 + l``, Dyda, Kuznetsov and Kwasnicki (J. London Math.
+Soc. 95, 2017) give
+
+    ``(-Delta)^s [(1-|x|^2)_+^s V_l P_n^(s,b)(2|x|^2-1)]
+        = lambda_{n,l}(s) V_l P_n^(s,b)(2|x|^2-1)``,
+
+so ``jacobi_data`` and ``jacobi_solution`` are an exact data/solution pair
+for every ``0 < s <= 1``; ``V_l = Re (x_1 + i x_2)^l`` makes the data
+non-radial once ``l >= 1``, and ``n = l = 0`` is the torsion family.
 """
 
 from __future__ import annotations
@@ -17,14 +29,18 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import eval_jacobi
 
-from .core import CapabilityError, DomainError
+from .core import CapabilityError, DomainError, as_order
 from .specfun import ball_torsion_constant
 
 __all__ = [
     "isotropic_scale",
     "torsion_value",
     "torsion_s_derivative",
+    "jacobi_eigenvalue",
+    "jacobi_data",
+    "jacobi_solution",
 ]
 
 
@@ -93,3 +109,45 @@ def torsion_s_derivative(A, s, x) -> float:
     s = float(s)
     return a ** -s * ((dp - d * math.log(a)) * v ** s
                       + d * v ** s * math.log(v))
+
+
+def jacobi_eigenvalue(N: int, s, n: int, l: int) -> float:
+    """``lambda_{n,l}(s) = 4^s Gamma(1+s+n) Gamma(N/2+s+n+l)
+    / (n! Gamma(N/2+n+l))``."""
+    s = float(as_order(s))
+    h = 0.5 * N + n + l
+    return math.exp(s * math.log(4.0) + math.lgamma(1.0 + s + n)
+                    + math.lgamma(h + s) - math.lgamma(n + 1.0)
+                    - math.lgamma(h))
+
+
+def _jacobi_parts(s, n: int, l: int, x):
+    s = float(as_order(s))
+    if min(n, l) < 0 or int(n) != n or int(l) != l:
+        raise DomainError(f"degrees n={n}, l={l} must be integers >= 0")
+    x = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(x)
+    N = pts.shape[1]
+    if N not in (2, 3):
+        raise DomainError(f"points must be 2D or 3D, got dimension {N}")
+    r2 = np.einsum("ij,ij->i", pts, pts)
+    harmonic = ((pts[:, 0] + 1j * pts[:, 1]) ** int(l)).real
+    data = harmonic * eval_jacobi(int(n), s, 0.5 * N - 1.0 + l,
+                                  2.0 * r2 - 1.0)
+    return s, N, r2, data, x.ndim == 1
+
+
+def jacobi_data(s, n: int, l: int, x) -> float | np.ndarray:
+    """``V_l(x) P_n^(s, N/2-1+l)(2|x|^2 - 1)`` with ``V_l = Re (x_1 +
+    i x_2)^l``, at a point or a batch of points."""
+    _, _, _, data, single = _jacobi_parts(s, n, l, x)
+    return float(data[0]) if single else data
+
+
+def jacobi_solution(s, n: int, l: int, x) -> float | np.ndarray:
+    """Solution on the unit ball for :func:`jacobi_data`:
+    ``(1 - |x|^2)_+^s V_l P_n / lambda_{n,l}(s)``, zero outside."""
+    s, N, r2, data, single = _jacobi_parts(s, n, l, x)
+    lam = jacobi_eigenvalue(N, s, n, l)
+    out = np.maximum(1.0 - r2, 0.0) ** s * data / lam
+    return float(out[0]) if single else out

@@ -11,7 +11,10 @@ Stability conventions
   ``J(r0) = int_r0^inf`` is computed by a Gauss-Jacobi rule after
   ``t = r0 / v``, which avoids the cancellation ``B(inf) - B(r0)`` that
   would otherwise eat the significant digits exactly where the Green
-  function matters most (near the diagonal).
+  function matters most (near the diagonal).  One helper forms the whole
+  kernel ``d^(2s-N) (kappa - pref J)`` or ``d^(2s-N) pref B``, and
+  ``green_apply`` integrates it on a single radial rule graded with the
+  Riesz exponent, so no Riesz sum and tail correction cancel each other.
 * Every integral across the boundary layer of the exterior uses the
   *distance* ``E = q - R`` as integration variable.  The singular factor
   ``(q - R)^(-s)`` is then evaluated from an exactly-represented ``E``
@@ -146,8 +149,7 @@ def _green_factor(N: int, s: float, r0: np.ndarray
     """``B(r0)`` where ``r0 < 1`` and ``J(r0)`` elsewhere, with the mask.
 
     Each side is integrated directly, never as ``B(inf)`` minus the
-    other, so neither loses digits to cancellation; callers that need
-    the other side subtract from ``B(inf)`` (:func:`_beta_total`).
+    other, so neither loses digits to cancellation.
     """
     small = r0 < 1.0
     out = np.empty_like(r0)
@@ -156,8 +158,25 @@ def _green_factor(N: int, s: float, r0: np.ndarray
     return small, out
 
 
-def _beta_total(N: int, s: float) -> float:
-    return gamma(s) * gamma(0.5 * N - s) / gamma(0.5 * N)
+def _green_kernel(N: int, s: float, R: float, lx: float, ly: np.ndarray,
+                  d: np.ndarray) -> np.ndarray:
+    """Centered-ball Green function from ``lx = R^2 - |x|^2``, ``ly = R^2 -
+    |y|^2 >= 0`` and ``d = |x - y| > 0``.
+
+    With ``r0 = lx ly / (R^2 d^2)`` it is ``d^(2s-N) pref B(r0)`` where
+    ``r0 < 1`` and ``d^(2s-N) (kappa - pref J(r0))`` elsewhere; ``s = 1``
+    takes the classical logarithmic (plane) or image (space) formula.
+    """
+    r0 = lx * ly / (R * R * d * d)
+    if s >= 1.0:
+        if N == 2:
+            return np.log1p(r0) / (4.0 * math.pi)
+        return (1.0 / d - 1.0 / np.sqrt(d * d + lx * ly / (R * R))) \
+            / (4.0 * math.pi)
+    pref = _green_prefactor(N, s)
+    small, factor = _green_factor(N, s, r0)
+    return d ** (2.0 * s - N) * np.where(
+        small, pref * factor, riesz_constant(N, s) - pref * factor)
 
 
 def _green_values(R: float, N: int, s: float, x: np.ndarray,
@@ -165,26 +184,11 @@ def _green_values(R: float, N: int, s: float, x: np.ndarray,
     """Vectorized centered-ball Green function; zero outside, no checks."""
     d = np.linalg.norm(y - x[None, :], axis=1)
     ly = R * R - np.einsum("ij,ij->i", y, y)
-    lx = R * R - float(x @ x)
     out = np.zeros(len(y))
     inside = ly > 0.0
-    if not inside.any():
-        return out
-    di = d[inside]
-    r0 = lx * ly[inside] / (R * R * di * di)
-    if s >= 1.0:
-        if N == 2:
-            out[inside] = np.log1p(r0) / (4.0 * math.pi)
-        else:
-            L = lx * ly[inside] / (R * R)
-            out[inside] = (1.0 / di - 1.0 / np.sqrt(di * di + L)) \
-                / (4.0 * math.pi)
-        return out
-    pref = _green_prefactor(N, s)
-    kappa = riesz_constant(N, s)
-    small, factor = _green_factor(N, s, r0)
-    vals = np.where(small, pref * factor, kappa - pref * factor)
-    out[inside] = di ** (2.0 * s - N) * vals
+    if inside.any():
+        out[inside] = _green_kernel(N, s, R, R * R - float(x @ x),
+                                    ly[inside], d[inside])
     return out
 
 
@@ -213,13 +217,15 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
                 boundary_power=None) -> IntegralResult:
     """Solution value ``int_Omega G_s(x, y) f(y) dy`` at an interior point.
 
-    For ``s < 1`` the kernel is split as ``kappa |x-y|^(2s-N)`` minus the
-    tail correction ``pref |x-y|^(2s-N) J(r0)``; along each ray from ``x``
-    the first part has the exact radial power ``t^(2s-1)`` and the second
-    is smooth at ``t = 0``, so the two radial quadratures converge at
-    rounding level instead of fighting the mixed powers of the combined
-    kernel.  ``boundary_power`` declares how ``f`` behaves at the boundary
-    (``delta^p``; logarithmic factors are absorbed by the dyadic panels).
+    Polar around ``x``: along each ray the full kernel (:func:`_green_kernel`)
+    is ``t^(2s-N)`` times ``kappa - pref J(r0)``, whose correction vanishes
+    like ``t^(N-2s)`` at ``t = 0``; one radial rule graded toward ``t = 0``
+    with the Riesz exponent ``2s - 1`` (``N - 1`` for the classical
+    ``s = 1`` kernel) therefore reaches rounding level, and each node reads
+    ``f`` once.  ``boundary_power`` declares how ``f`` behaves at the
+    boundary (``delta^p``; logarithmic factors are absorbed by the dyadic
+    panels).  Rays run in chunks of ``16 * _GREEN_BLOCK`` nodes, so the work
+    arrays stay a few MB however many directions a pass takes.
     """
     ball = _require_ball(domain, "the Green solution operator")
     cfg = cfg or QuadConfig()
@@ -238,6 +244,9 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
     width = min(1.0, max(1e-12, math.sqrt(max(lx, 0.0)) / max(r, 1e-300)))
     radial_f = bool(getattr(f, "radial", False)) \
         and float(np.linalg.norm(ball.center_array)) == 0.0
+    bp = 0.0 if boundary_power is None else float(boundary_power)
+    alpha = float(N - 1) if s >= 1.0 else 2.0 * s - 1.0
+    hi = 1.0 + bp if s >= 1.0 else bp
 
     def one_pass(m_ang, n_rad, levels):
         if N == 2:
@@ -253,60 +262,30 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
                                                   max(10, n_rad - 4), lv,
                                                   n_phi)
         _, t_hi, _ = geometry.ray_spans(ball, ball.center_array + xc, dirs)
-        evals = 0
-        bp = 0.0 if boundary_power is None else float(boundary_power)
-        if s >= 1.0:
-            rules = ((quad.unit_power_rule(float(N - 1), 1.0 + bp, n_rad,
-                                           levels), "cls"),)
-        else:
-            kappa = riesz_constant(N, s)
-            pref = _green_prefactor(N, s)
-            beta_total = _beta_total(N, s)
-            rules = ((quad.unit_power_rule(2.0 * s - 1.0, bp, n_rad, levels),
-                      "rie"),
-                     (quad.unit_power_rule(float(N - 1), bp, n_rad, levels),
-                      "cor"))
+        xu, wu = quad.unit_power_rule(alpha, hi, n_rad, levels)
         total = 0.0
-        for (xu, wu), part in rules:
-            for sl in quad.direction_chunks(len(dirs), len(xu)):
-                t = t_hi[sl, None] * xu[None, :]
-                pts = np.empty(t.shape + (N,))
-                for d in range(N):
-                    pts[..., d] = xc[d] + t * dirs[sl, d, None]
-                flat = pts.reshape(-1, N)
-                fv = quad._finite_values(f, flat + domain.center_array)
-                evals += t.size
-                # Distances come from the radial variable directly;
-                # coordinates collapse onto x at the innermost nodes.
-                tf = t.reshape(-1)
-                ly = np.maximum(R * R - np.einsum("ij,ij->i", flat, flat),
-                                0.0)
-                if part == "cls":
-                    if N == 2:
-                        gv = np.log1p(lx * ly / (R * R * tf * tf)) \
-                            / (4.0 * math.pi)
-                    else:
-                        L = lx * ly / (R * R)
-                        gv = (1.0 / tf - 1.0 / np.sqrt(tf * tf + L)) \
-                            / (4.0 * math.pi)
-                    vals = gv * fv
-                elif part == "rie":
-                    vals = kappa * tf ** (2.0 * s - N) * fv
-                else:
-                    small, factor = _green_factor(
-                        N, s, lx * ly / (R * R * tf * tf))
-                    corr = pref * np.where(small, beta_total - factor,
-                                           factor)
-                    vals = -(tf ** (2.0 * s - N)) * corr * fv
-                rad = (vals.reshape(t.shape) * t ** (N - 1)) @ wu
-                total += float(w_dir[sl] @ (rad * t_hi[sl]))
-        return total, evals
+        for sl in quad.direction_chunks(len(dirs), len(xu),
+                                        16 * _GREEN_BLOCK):
+            t = t_hi[sl, None] * xu[None, :]
+            pts = np.empty(t.shape + (N,))
+            for d in range(N):
+                pts[..., d] = xc[d] + t * dirs[sl, d, None]
+            flat = pts.reshape(-1, N)
+            fv = quad._finite_values(f, flat + domain.center_array)
+            # Distances come from the radial variable directly;
+            # coordinates collapse onto x at the innermost nodes.
+            ly = np.maximum(R * R - np.einsum("ij,ij->i", flat, flat), 0.0)
+            vals = _green_kernel(N, s, R, lx, ly, t.reshape(-1)) * fv
+            rad = (vals.reshape(t.shape) * t ** (N - 1)) @ wu
+            total += float(w_dir[sl] @ (rad * t_hi[sl]))
+        return total, len(dirs) * len(xu)
 
     levels = min(cfg.max_subdiv, 26)
     return quad._two_pass(one_pass,
                           (cfg.angular_order, cfg.radial_order, levels),
                           (max(16, cfg.angular_order // 2),
-                           max(8, cfg.radial_order - 6), levels - 6), cfg)
+                           max(8, cfg.radial_order - 6),
+                           quad._coarse_depth(levels)), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +465,8 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
     return quad._two_pass(one_pass,
                           (cfg.angular_order, cfg.radial_order, levels),
                           (max(16, cfg.angular_order // 2),
-                           max(8, cfg.radial_order - 4), levels - 6), cfg)
+                           max(8, cfg.radial_order - 4),
+                           quad._coarse_depth(levels)), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +736,8 @@ def comp_poisson_apply(domain: Domain, f, s, x,
         # The coarse pass runs on a thinner master grid.
         n, levels = cfg.radial_order, min(cfg.max_subdiv, 26)
         return quad._two_pass(one_pass, (n, levels, 12),
-                              (max(8, n - 4), levels - 6, 8), cfg)
+                              (max(8, n - 4), quad._coarse_depth(levels), 8),
+                              cfg)
 
     # Generic fallback: z-outermost integration of the pointwise kernel.
     # On the disc the per-batch kernel is closed in angle and cheap; in

@@ -134,6 +134,13 @@ def _two_pass(one_pass, fine_args, coarse_args, cfg: QuadConfig, *,
                           _tol_ok(value, err, cfg))
 
 
+def _coarse_depth(levels: int) -> int:
+    """Grading depth of a coarse pass whose fine pass grades ``levels``
+    deep: six levels shallower, but never below half the fine depth, so
+    the rule stays valid and the estimate still sees the truncation."""
+    return max(levels // 2, levels - 6)
+
+
 # ---------------------------------------------------------------------------
 # Cached one-dimensional rules.
 # ---------------------------------------------------------------------------
@@ -253,7 +260,11 @@ def unit_power_rule(alpha_lo, alpha_hi, n: int, levels: int
     Gauss-Jacobi rule of matching exponent so no mass is truncated).  The
     returned weights apply directly to integrand *values*: the Jacobi
     weight has been divided back out at the micro-segment nodes.
+    ``levels`` must be at least 0: a negative depth would stretch the
+    micro-segment past the half interval.
     """
+    if int(levels) < 0:
+        raise DomainError(f"refinement depth {levels} is negative")
     pieces_t, pieces_w = [], []
     # Deeper refinement than ~26 dyadic levels would place nodes closer to
     # the endpoint than floating point can represent once the rule is

@@ -1,6 +1,6 @@
 """Closed-form torsion family: values, s-derivatives, scaling, gating,
 and the qualitative behavior (monotonicity, two-sided quotients at s = 1,
-boundary band of the derivative)."""
+boundary band of the derivative); the Jacobi polynomial family."""
 
 import math
 
@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from fraclab.core import CapabilityError, DomainError
-from fraclab.closedform import (isotropic_scale, torsion_s_derivative,
-                                torsion_value)
+from fraclab.closedform import (isotropic_scale, jacobi_data,
+                                jacobi_eigenvalue, jacobi_solution,
+                                torsion_s_derivative, torsion_value)
 from fraclab.specfun import ball_torsion_constant
 
 I2 = np.eye(2)
@@ -133,3 +134,41 @@ def test_boundary_band_of_derivative():
         v1 = torsion_s_derivative(I2, 1.0, x)
         ratio = -v1 / (delta * (1.0 + abs(math.log(delta))))
         assert 0.53 < ratio < 0.57
+
+
+@pytest.mark.parametrize("N,s", [(2, 0.3), (3, 0.75), (2, 1.0)])
+def test_jacobi_family_contains_torsion(N, s):
+    x = np.array((0.4, -0.3, 0.2)[:N])
+    A = I2 if N == 2 else I3
+    assert jacobi_data(s, 0, 0, x) == 1.0
+    assert jacobi_solution(s, 0, 0, x) == pytest.approx(
+        torsion_value(A, s, x), rel=1e-14)
+
+
+@pytest.mark.parametrize("N,n,l", [(2, 1, 0), (2, 2, 1), (3, 1, 1),
+                                   (3, 2, 2)])
+def test_jacobi_family_solves_poisson_at_s_one(N, n, l):
+    # -Delta u = f by a second-order central difference, where u carries
+    # 1 / lambda_{n,l}(1) and lambda_{n,l}(1) = 4 (n + 1) (N/2 + n + l).
+    x = np.array((0.35, -0.25, 0.3)[:N])
+    h = 1e-3
+    steps = h * np.eye(N)
+    lap = sum(jacobi_solution(1.0, n, l, x + e) + jacobi_solution(
+        1.0, n, l, x - e) for e in steps) - 2 * N * jacobi_solution(
+        1.0, n, l, x)
+    lam = jacobi_eigenvalue(N, 1.0, n, l)
+    assert lam == pytest.approx(4.0 * (n + 1) * (0.5 * N + n + l), rel=1e-14)
+    assert -lap / h ** 2 == pytest.approx(jacobi_data(1.0, n, l, x),
+                                          rel=1e-5)
+
+
+def test_jacobi_family_batches_and_vanishes_outside():
+    pts = np.array([[0.3, 0.1], [0.9, -0.2], [1.0, 0.0], [0.8, 0.9]])
+    sol = jacobi_solution(0.5, 2, 1, pts)
+    assert sol.shape == (4,)
+    assert sol[2] == 0.0 and sol[3] == 0.0
+    assert sol[0] == jacobi_solution(0.5, 2, 1, pts[0])
+    with pytest.raises(DomainError):
+        jacobi_data(0.5, -1, 0, pts)
+    with pytest.raises(DomainError):
+        jacobi_data(1.5, 0, 0, pts)

@@ -47,6 +47,15 @@ def test_unit_power_rule_exactness():
         assert float(w @ f) == pytest.approx(exact, rel=rel), (a, b)
 
 
+def test_unit_power_rule_rejects_negative_depth():
+    # Depth -1 would make the micro-segment [0, 1]: weights summing to 2.
+    with pytest.raises(DomainError):
+        quad.unit_power_rule(0.0, 0.0, 8, -1)
+    x, w = quad.unit_power_rule(0.0, 0.0, 8, 0)
+    assert float(w.sum()) == pytest.approx(1.0, rel=1e-14)
+    assert quad._coarse_depth(26) == 20 and quad._coarse_depth(4) == 2
+
+
 def test_interior_area_and_moments():
     res = quad.integrate_interior(DISC, lambda y: np.ones(len(y)), CFG)
     assert res.value == pytest.approx(math.pi, rel=1e-12)

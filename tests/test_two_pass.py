@@ -71,8 +71,11 @@ CASES = {
 FROZEN = {
     "comp_poisson_apply":
         (0.5139603083393468, 2.8036422771541175e-10, 1900, True),
+    # Re-frozen with the one-rule Green kernel (was 164416 evaluations on
+    # two rules); an angular_order=256, radial_order=30 run gives
+    # 0.017212412234932212, 2.7e-16 above, inside the estimate.
     "green_apply":
-        (0.017212412234932195, 1.1119442658486498e-15, 164416, True),
+        (0.01721241223493194, 1.7190974824405322e-15, 82208, True),
     "h_omega":
         (0.8622232860402097, 3.896685180258897e-08, 2352, True),
     "integrate_exterior":
