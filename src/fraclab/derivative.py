@@ -90,7 +90,7 @@ def _interior_grid(domain: Domain, grid) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError(
             f"grid of dimension {pts.shape[1]} on a domain of dimension "
             f"{domain.dim}")
-    deltas = np.array([float(geometry.delta(domain, p)) for p in pts])
+    deltas = geometry.delta(domain, pts)
     if not (deltas > 0.0).all():
         raise DomainError("grid points must be strictly interior")
     return pts, deltas
@@ -133,7 +133,9 @@ def ell_field(f, domain: Domain, s, cfg: QuadConfig | None = None, *,
     :func:`quadrature._chebyshev_profile`) in a variable affine in
     ``ln delta`` on ``[ln(1e-6 R), ln R]``, held at its end value closer
     to the boundary; the field declares ``boundary_power = -s`` for the
-    quadrature to grade against.
+    quadrature to grade against.  The coefficients are built once per data
+    ``cache_token``, ball, order, sign and ``QuadConfig``; every call
+    returns a fresh field.
     """
     ball = kernels._require_ball(domain, "the order-derivative data")
     cfg = cfg or QuadConfig()
@@ -154,7 +156,8 @@ def ell_field(f, domain: Domain, s, cfg: QuadConfig | None = None, *,
                            complementary_sign=complementary_sign) * d ** s
         return out
 
-    coef = quad._chebyshev_profile(quotient)
+    token = kernels._derived_token(f, "ell", ball, s, complementary_sign)
+    coef = quad._cached_profile(token, cfg, quotient)
 
     def fn(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -165,9 +168,7 @@ def ell_field(f, domain: Domain, s, cfg: QuadConfig | None = None, *,
 
     return ScalarField(fn=fn, dim=N, domain=ball, radial=True,
                        is_compact=True, smooth_scale=0.5 * R,
-                       boundary_power=-s,
-                       cache_token=kernels._derived_token(
-                           f, "ell", ball, s, complementary_sign))
+                       boundary_power=-s, cache_token=token)
 
 
 def solve_vs(f, domain: Domain, s, grid, cfg: QuadConfig | None = None, *,
@@ -225,19 +226,15 @@ def finite_diff_ds(f, domain: Domain, s, h: float, grid,
     return GridField(points=pts, delta=deltas, values=vals)
 
 
-_V1_CACHE: dict = {}
+_V1_CACHE = quad._Memo(64)
 
 
 def _v1_cached(f, ball: Ball, pts: np.ndarray,
                cfg: QuadConfig) -> np.ndarray:
     token = kernels._field_cache_token(f)
     key = None if token is None else (token, ball, pts.tobytes(), cfg)
-    hit = _V1_CACHE.get(key)
-    if hit is None:
-        hit = solve_vs(f, ball, 1.0, pts, cfg).values
-        if key is not None:
-            _V1_CACHE[key] = hit
-    return hit
+    return _V1_CACHE.fetch(
+        key, lambda: solve_vs(f, ball, 1.0, pts, cfg).values)
 
 
 def expansion_residual(f, domain: Domain, s, grid,

@@ -213,6 +213,18 @@ def green_ball(domain: Domain, s, x, y) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
+def _angular_orders(cfg: QuadConfig, N: int, floor: float
+                    ) -> tuple[int, int]:
+    """Angular orders ``(fine, coarse)`` of a polar pass.  In 2D the fine
+    count is raised to ``floor`` (capped at 4096) where the integrand
+    narrows near the boundary; the coarse pass keeps half the fine count
+    either way, so the estimate still sees the angular error."""
+    fine = cfg.angular_order
+    if N == 2:
+        fine = int(min(4096, max(fine, floor)))
+    return fine, max(16, fine // 2)
+
+
 def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
                 boundary_power=None) -> IntegralResult:
     """Solution value ``int_Omega G_s(x, y) f(y) dy`` at an interior point.
@@ -250,9 +262,6 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
 
     def one_pass(m_ang, n_rad, levels):
         if N == 2:
-            # The radial integral varies with the direction on the scale of
-            # the tangency width sqrt(delta); resolve it.
-            m_ang = int(min(4096, max(m_ang, 12.0 / math.sqrt(rel))))
             dirs, w_dir = quad.polar_directions(N, m_ang)
         else:
             lv = int(min(levels, 24,
@@ -280,11 +289,12 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
             total += float(w_dir[sl] @ (rad * t_hi[sl]))
         return total, len(dirs) * len(xu)
 
+    # In 2D the radial integral varies with the direction on the scale of
+    # the tangency width sqrt(delta); resolve it.
+    m_fine, m_coarse = _angular_orders(cfg, N, 12.0 / math.sqrt(rel))
     levels = min(cfg.max_subdiv, 26)
-    return quad._two_pass(one_pass,
-                          (cfg.angular_order, cfg.radial_order, levels),
-                          (max(16, cfg.angular_order // 2),
-                           max(8, cfg.radial_order - 6),
+    return quad._two_pass(one_pass, (m_fine, cfg.radial_order, levels),
+                          (m_coarse, max(8, cfg.radial_order - 6),
                            quad._coarse_depth(levels)), cfg)
 
 
@@ -429,7 +439,6 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
         # Polar around the center: the kernel concentrates at angular scale
         # delta(x) near the closest boundary point.
         if N == 2:
-            m_ang = int(min(4096, max(m_ang, 10.0 / rel)))
             dirs, w_dir = quad.polar_directions(N, m_ang)
         else:
             lv = int(min(levels, max(8, 2.0 * math.log2(1.0 / rel) + 6.0)))
@@ -461,11 +470,10 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
         val = tau * lx ** s * float(blocks.sum())
         return val, evals
 
+    m_fine, m_coarse = _angular_orders(cfg, N, 10.0 / rel)
     levels = min(cfg.max_subdiv, 26)
-    return quad._two_pass(one_pass,
-                          (cfg.angular_order, cfg.radial_order, levels),
-                          (max(16, cfg.angular_order // 2),
-                           max(8, cfg.radial_order - 4),
+    return quad._two_pass(one_pass, (m_fine, cfg.radial_order, levels),
+                          (m_coarse, max(8, cfg.radial_order - 4),
                            quad._coarse_depth(levels)), cfg)
 
 
@@ -580,7 +588,8 @@ def _derived_token(f, *tag):
     return None if token is None else (*tag, token)
 
 
-_MF_CACHE: dict = {}
+# Master-grid inner integrals; a bound_chain pass holds 90 of them.
+_MF_CACHE = quad._Memo(256)
 
 # Master-grid rows whose inner integrals share one data call: at the
 # default QuadConfig a block of 64 rows holds about 20k eta nodes, so the
@@ -624,6 +633,16 @@ def _eta_segments(eps: np.ndarray, half: float, s: float, jac, gauss
 
 def _mf_on_grid(ball: Ball, f, s: float, n: int, levels: int,
                 n_eta: int = 12) -> np.ndarray:
+    """:func:`_mf_integrals`, kept in :data:`_MF_CACHE` for data with a
+    ``cache_token``."""
+    token = _field_cache_token(f)
+    key = None if token is None else (ball, s, token, n, levels, n_eta)
+    return _MF_CACHE.fetch(
+        key, lambda: _mf_integrals(ball, f, s, n, levels, n_eta))
+
+
+def _mf_integrals(ball: Ball, f, s: float, n: int, levels: int,
+                  n_eta: int) -> np.ndarray:
     """``M_f(q) = int_Omega (R^2-|z|^2)^s |z-y|^{-N} f(z) dz`` on the master
     grid ``_exterior_radial_grid(R, s, n, levels)``.
 
@@ -638,14 +657,8 @@ def _mf_on_grid(ball: Ball, f, s: float, n: int, levels: int,
     The lower half runs over :data:`_MF_BLOCK` grid rows at a time: the
     segments of a block are laid out flat, ``f`` is called once on all
     their nodes and the sums per row come from ``np.bincount``.  Each node
-    is evaluated once; results are cached only for data with a
-    ``cache_token``.
+    is evaluated once.
     """
-    token = _field_cache_token(f)
-    key = None if token is None else (ball, s, token, n, levels, n_eta)
-    hit = _MF_CACHE.get(key)
-    if hit is not None:
-        return hit
     N, R = ball.dim, ball.radius
     E = _exterior_radial_grid(R, s, n, levels)[0]
     A = R * R
@@ -681,8 +694,6 @@ def _mf_on_grid(ball: Ball, f, s: float, n: int, levels: int,
         ang = 4.0 * math.pi / (q[:, None] * (eps[:, None] + c))
         out = (2.0 * math.pi / q) * low \
             + (fc_hi * ang * rho_nodes ** 2) @ rho_w
-    if key is not None:
-        _MF_CACHE[key] = out
     return out
 
 

@@ -92,8 +92,14 @@ class ScalarField:
                 f"field expects dimension {self.dim}, got {pts.shape[1]}")
         if not self.is_compact:
             return np.asarray(self.fn(pts), dtype=float)
-        out = np.zeros(len(pts))
         inside = np.atleast_1d(geometry.contains(self.domain, pts))
+        if inside.size and inside.all():
+            # Ray nodes usually all lie inside: no gather or scatter.
+            vals = np.asarray(self.fn(pts), dtype=float)
+            if vals.shape == inside.shape:
+                return vals
+            return np.broadcast_to(vals, inside.shape).copy()
+        out = np.zeros(len(pts))
         if inside.any():
             out[inside] = np.asarray(self.fn(pts[inside]), dtype=float)
         return out
@@ -620,7 +626,9 @@ def restriction_ws(domain: Domain, f, s, cfg: QuadConfig | None = None
     polynomial data the quotient is a polynomial in ``|x|^2``, so it chops
     after a handful of solves).  Clenshaw recurrence evaluates it at all
     points at once, and downstream operators see the boundary factor
-    ``(R^2-|x|^2)^s`` exactly instead of chasing it numerically.
+    ``(R^2-|x|^2)^s`` exactly instead of chasing it numerically.  The
+    coefficients are built once per data ``cache_token``, ball, order and
+    ``QuadConfig``; every call returns a fresh field.
     """
     ball = kernels._require_ball(domain, "the solution-operator field")
     cfg = cfg or QuadConfig()
@@ -642,7 +650,8 @@ def restriction_ws(domain: Domain, f, s, cfg: QuadConfig | None = None
             ).value / (R * R - r2) ** s
         return out
 
-    coef = quad._chebyshev_profile(quotient)
+    token = kernels._derived_token(f, "ws", ball, s)
+    coef = quad._cached_profile(token, cfg, quotient)
 
     def fn(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -657,8 +666,7 @@ def restriction_ws(domain: Domain, f, s, cfg: QuadConfig | None = None
 
     return ScalarField(fn=fn, dim=N, domain=ball, radial=True,
                        is_compact=True, smooth_scale=R,
-                       boundary_power=s,
-                       cache_token=kernels._derived_token(f, "ws", ball, s))
+                       boundary_power=s, cache_token=token)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ rather than once per segment, and the weighted integrand is reduced per
 direction with ``np.bincount``.
 
 Tabulated radial fields are chopped Chebyshev series from
-:func:`_chebyshev_profile`, sampled only as densely as the data needs.
+:func:`_chebyshev_profile`, sampled only as densely as the data needs and
+only once per data token and configuration (:func:`_cached_profile`).
 
 Every integration returns an :class:`IntegralResult` with a coarse/fine
 error estimate and the evaluation count, formed in one place,
@@ -139,6 +140,36 @@ def _coarse_depth(levels: int) -> int:
     deep: six levels shallower, but never below half the fine depth, so
     the rule stays valid and the estimate still sees the truncation."""
     return max(levels // 2, levels - 6)
+
+
+# ---------------------------------------------------------------------------
+# Bounded memo stores.
+# ---------------------------------------------------------------------------
+
+_MEMO_STORES: list = []
+
+
+class _Memo(dict):
+    """Insertion-ordered store of at most ``bound`` built values; once it
+    is full the oldest entry makes room for the next."""
+
+    def __init__(self, bound: int):
+        super().__init__()
+        self.bound = bound
+        _MEMO_STORES.append(self)
+
+    def fetch(self, key, build):
+        """``self[key]``, from ``build()`` on a miss.  Key None (data
+        without a ``cache_token``) builds without storing."""
+        if key is None:
+            return build()
+        if key in self:
+            return self[key]
+        value = build()
+        if len(self) >= self.bound:
+            del self[next(iter(self))]
+        self[key] = value
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +418,18 @@ def _chebyshev_profile(sample) -> np.ndarray:
         n *= 3
 
 
+# Coefficients of the tabulated fields (``restriction_ws``, ``ell_field``).
+_PROFILE_CACHE = _Memo(256)
+
+
+def _cached_profile(token, cfg: QuadConfig, sample) -> np.ndarray:
+    """:func:`_chebyshev_profile` of ``sample``, kept in
+    :data:`_PROFILE_CACHE` under the field's derived ``token`` and ``cfg``;
+    a token of None (data without a ``cache_token``) is never stored."""
+    return _PROFILE_CACHE.fetch(None if token is None else (token, cfg),
+                                lambda: _chebyshev_profile(sample))
+
+
 # ---------------------------------------------------------------------------
 # Ray integrals.
 # ---------------------------------------------------------------------------
@@ -442,7 +485,10 @@ def ray_sums(u, x, dirs, idx, a, b, rule, kernel) -> tuple[np.ndarray, int]:
     for sl in direction_chunks(len(idx), len(xu)):
         h = (b[sl] - a[sl])[:, None]
         t = a[sl, None] + h * xu[None, :]
-        pts = x + t[:, :, None] * dirs[idx[sl]][:, None, :]
+        d_sl = dirs[idx[sl]]
+        pts = np.empty(t.shape + (x.size,))
+        for d in range(x.size):
+            pts[..., d] = x[d] + t * d_sl[:, d, None]
         vals = _finite_values(u, pts.reshape(-1, x.size)).reshape(t.shape)
         seg = np.einsum("kj,kj->k", kernel(t, vals), h * wu[None, :])
         sums += np.bincount(idx[sl], weights=seg, minlength=len(dirs))

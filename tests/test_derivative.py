@@ -179,6 +179,15 @@ def test_solve_opposite_complementary_sign_misses_oracle():
     assert np.max(np.abs(got.values - ref)) / scale > 0.5
 
 
+def test_interior_grid_deltas_match_pointwise():
+    pts = np.array([[0.0, 0.0], [0.3, -0.4], [0.61, 0.79], [-0.2, 0.9]])
+    ball = Ball(center=(0.1, -0.2), radius=1.3)
+    got, deltas = derivative._interior_grid(ball, pts)
+    assert np.array_equal(got, pts) and deltas.shape == (4,)
+    for p, d in zip(pts, deltas):
+        assert d == derivative.geometry.delta(ball, p)
+
+
 def test_solve_grid_validation():
     with pytest.raises(DomainError):
         solve_vs(ones_field(), DISC, 0.5, np.array([[1.2, 0.0]]))

@@ -276,8 +276,9 @@ def test_green_apply_near_boundary():
     # Non-constant data near the boundary of the disc.  An
     # angular_order=256, radial_order=30 run (converged: 512 and 1024
     # directions agree to 1e-17) gives 0.03639239296650002, 1.9e-14 below,
-    # inside this pin's error estimate of 1.0e-13.
-    (2, 0.9, (0.6, -0.75), 82208, 0.03639239296651939),
+    # inside this pin's error estimate of 1.1e-9 (the coarse pass takes
+    # half the fine pass's 64 directions, not 60).
+    (2, 0.9, (0.6, -0.75), 69888, 0.03639239296651939),
     # Radial-flagged data in the 3-ball (the axisymmetric directions); the
     # torsion closed form d(3, 1/4) (1 - |x|^2)^(1/4) is 0.6905233796370002.
     (3, 0.25, (0.3, -0.2, 0.4), 260576, 0.6905233796370018),
@@ -354,6 +355,31 @@ def test_shallow_grading_keeps_a_valid_coarse_pass(make, max_subdiv):
     assert err <= max(res.error_estimate, 1e-14)
     assert res.error_estimate < 1e-6
     assert res.tolerance_ok
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_green_apply_estimate_covers_near_boundary_error(s):
+    # At |x| = 0.99 the 2D direction count is raised to 12/sqrt(delta);
+    # when the coarse pass was raised to the same count, the estimate
+    # read 1.3e-12 (s = 0.1) and 2.6e-18 (s = 0.9) against actual errors
+    # of 8.8e-12 and 9.2e-15.
+    ball = Ball(center=(0.0, 0.0), radius=1.0)
+    x = np.array([0.594, 0.792])
+    res = green_apply(ball, lambda y: np.ones(len(y)), s, x, CFG)
+    exact = ball_torsion_constant(2, s)[0] * (1.0 - float(x @ x)) ** s
+    assert abs(res.value - exact) <= res.error_estimate
+    assert res.tolerance_ok
+
+
+def test_poisson_extend_estimate_covers_near_boundary_error():
+    # The extension of g = 1 is 1.  At |x| = 0.9 the fine pass takes
+    # 10/delta = 101 directions and is 4.0e-5 off; with the coarse pass
+    # at the same count the estimate read 3e-16 and tolerance_ok True.
+    ball = Ball(center=(0.0, 0.0), radius=1.0)
+    res = poisson_extend(ball, lambda y: np.ones(len(y)), 0.9, (0.85, 0.3),
+                         CFG)
+    assert 1e-6 < abs(res.value - 1.0) <= res.error_estimate
+    assert not res.tolerance_ok
 
 
 def test_shallow_comp_apply_flags_its_truncation():

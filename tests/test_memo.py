@@ -1,0 +1,171 @@
+"""The bounded memo stores: what is built once, what is built again, and
+what is never stored."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fraclab import derivative, kernels, operators
+from fraclab import quadrature as quad
+from fraclab.geometry import Ball
+from fraclab.quadrature import QuadConfig
+
+DISC = Ball(center=(0.0, 0.0), radius=1.0)
+CFG = QuadConfig()
+
+
+def ones_field(token=("memo-ones", 2)):
+    return operators.ScalarField(
+        fn=lambda p: np.ones(len(np.atleast_2d(p))), dim=2, radial=True,
+        smooth_scale=1.0, cache_token=token)
+
+
+class TokenlessOnes:
+    """Radial constant data with no ``cache_token``."""
+
+    radial = True
+
+    def __call__(self, y):
+        return np.ones(len(np.atleast_2d(y)))
+
+
+@pytest.fixture
+def profile_builds(monkeypatch):
+    """Replace the Chebyshev profile by a stub that records each build,
+    so a test counts builds without running the solves behind them."""
+    builds = []
+
+    def stub(sample):
+        builds.append(sample)
+        return np.array([1.0, 0.5])
+
+    monkeypatch.setattr(quad, "_chebyshev_profile", stub)
+    return builds
+
+
+def test_memo_builds_once_per_key():
+    store = quad._Memo(4)
+    built = []
+
+    def build():
+        built.append(1)
+        return np.arange(3.0)
+
+    first = store.fetch(("a", 1), build)
+    again = store.fetch(("a", 1), build)
+    assert again is first and len(built) == 1 and len(store) == 1
+
+
+def test_memo_never_stores_key_none():
+    store = quad._Memo(4)
+    values = [store.fetch(None, lambda: object()) for _ in range(3)]
+    assert len(store) == 0
+    assert len({id(v) for v in values}) == 3
+
+
+def test_memo_evicts_the_oldest_entry():
+    store = quad._Memo(3)
+    for k in range(5):
+        store.fetch(k, lambda k=k: k * 10)
+    assert list(store) == [2, 3, 4]
+    # A hit does not refresh an entry: eviction goes by build order.
+    store.fetch(2, lambda: -1)
+    store.fetch(5, lambda: 50)
+    assert list(store) == [3, 4, 5]
+
+
+def test_every_store_is_registered():
+    for store in (kernels._MF_CACHE, derivative._V1_CACHE,
+                  quad._PROFILE_CACHE):
+        assert store in quad._MEMO_STORES
+
+
+@pytest.mark.parametrize("build", [
+    lambda f, cfg: operators.restriction_ws(DISC, f, 0.5, cfg),
+    lambda f, cfg: derivative.ell_field(f, DISC, 0.5, cfg),
+], ids=["restriction_ws", "ell_field"])
+def test_equal_token_and_config_build_once(profile_builds, build):
+    first = build(ones_field(), CFG)
+    second = build(ones_field(), QuadConfig())
+    assert len(profile_builds) == 1
+    # A fresh field each call, with the same derived token and values.
+    assert second is not first and second.fn is not first.fn
+    assert second.cache_token == first.cache_token
+    pts = np.array([[0.1, 0.2], [0.5, -0.6]])
+    assert np.array_equal(first(pts), second(pts))
+
+
+def test_restriction_ws_rebuilds_for_other_inputs(profile_builds):
+    f = ones_field()
+    operators.restriction_ws(DISC, f, 0.5, CFG)
+    operators.restriction_ws(DISC, f, 0.6, CFG)
+    operators.restriction_ws(DISC, f, 0.5, QuadConfig(angular_order=32))
+    operators.restriction_ws(Ball(center=(0.0, 0.0), radius=2.0), f, 0.5,
+                             CFG)
+    operators.restriction_ws(DISC, ones_field(("other-ones", 2)), 0.5, CFG)
+    assert len(profile_builds) == 5
+    operators.restriction_ws(DISC, f, 0.6, CFG)
+    assert len(profile_builds) == 5
+
+
+def test_ell_field_rebuilds_for_other_inputs(profile_builds):
+    f = ones_field()
+    derivative.ell_field(f, DISC, 0.5, CFG)
+    derivative.ell_field(f, DISC, 0.6, CFG)
+    derivative.ell_field(f, DISC, 0.5, QuadConfig(radial_order=12))
+    derivative.ell_field(f, Ball(center=(0.5, 0.0), radius=1.0), 0.5, CFG)
+    derivative.ell_field(f, DISC, 0.5, CFG, complementary_sign=1.0)
+    # The restriction field of the same data is a different entry.
+    operators.restriction_ws(DISC, f, 0.5, CFG)
+    assert len(profile_builds) == 6
+    derivative.ell_field(f, DISC, 0.5, CFG, complementary_sign=1.0)
+    assert len(profile_builds) == 6
+
+
+def test_tokenless_data_is_never_cached(profile_builds):
+    for _ in range(2):
+        operators.restriction_ws(DISC, TokenlessOnes(), 0.5, CFG)
+        derivative.ell_field(TokenlessOnes(), DISC, 0.5, CFG)
+    assert len(profile_builds) == 4
+    assert len(quad._PROFILE_CACHE) == 0
+
+
+def test_solve_then_expansion_residual_builds_ell_field_once(monkeypatch):
+    # v_1 of the expansion residual is the s = 1 solve just made: its
+    # ell_field comes from the store, so the 81 ell_s samples of one
+    # build are all there is.
+    samples = []
+    ell = derivative.ell_s
+
+    def counting(*args, **kwargs):
+        samples.append(args[3])
+        return ell(*args, **kwargs)
+
+    monkeypatch.setattr(derivative, "ell_s", counting)
+    grid = np.array([[0.3, 0.0]])
+    f = ones_field()
+    v1 = derivative.solve_vs(f, DISC, 1.0, grid).values
+    derivative.expansion_residual(f, DISC, 0.95, grid)
+    assert len(samples) == 81
+    assert np.array_equal(derivative._v1_cached(f, DISC, grid, CFG), v1)
+
+
+def test_benchmark_cache_probes_resolve():
+    # The benchmark's tracer reads the stores' sizes and the rule cache's
+    # statistics by these names; a store must hold a whole pass (90 master
+    # grids in the bound chain) for its growth to count the misses.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    sizes = tracing._dict_cache_sizes()
+    assert set(sizes) == {"kernels.mf_cache", "derivative.v1_cache"}
+    assert all(isinstance(v, int) for v in sizes.values())
+    info = tracing._rule_cache_info()
+    assert info.hits >= 0 and info.misses >= 0
+    assert kernels._MF_CACHE.bound > 90
+    kernels.comp_poisson_apply(DISC, ones_field(), 0.5, np.array([0.3, 0.0]))
+    # One master grid each for the fine and the coarse pass.
+    assert tracing._dict_cache_sizes()["kernels.mf_cache"] == 2

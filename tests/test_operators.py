@@ -58,6 +58,51 @@ def test_compact_field_vanishes_outside():
     assert vals[0] == 1.0 and vals[1] == 0.0
 
 
+def _masked(u, pts):
+    """A compact field's values by the general path: zero, then the
+    field's ``fn`` on the inside points only."""
+    out = np.zeros(len(pts))
+    inside = operators.geometry.contains(u.domain, pts)
+    if inside.any():
+        out[inside] = u.fn(pts[inside])
+    return out
+
+
+@pytest.mark.parametrize("domain", [DISC,
+                                    Ellipsoid(a=(1.0, 0.3, 0.3, 4.0))],
+                         ids=["disc", "ellipse"])
+@pytest.mark.parametrize("batch", ["inside", "mixed", "outside"])
+def test_compact_field_fast_path_matches_masked_path(domain, batch):
+    rng = np.random.default_rng(7)
+    scale = {"inside": 0.3, "mixed": 1.5, "outside": 0.1}[batch]
+    pts = rng.uniform(-scale, scale, size=(400, 2))
+    if batch == "outside":
+        pts += 3.0
+    inside = operators.geometry.contains(domain, pts)
+    assert {"inside": inside.all(), "mixed": 0 < inside.sum() < len(pts),
+            "outside": not inside.any()}[batch]
+    u = CompactField(lambda p: np.exp(-np.einsum("ij,ij->i", p, p))
+                     * (1.0 + p[:, 0]) - np.linalg.norm(p, axis=1), domain)
+    vals = u(pts)
+    assert vals.dtype == float and vals.shape == (len(pts),)
+    assert np.array_equal(vals, _masked(u, pts))
+
+
+def test_compact_field_broadcasts_a_scalar_inside():
+    u = CompactField(lambda p: 2.0, DISC)
+    vals = u(np.array([[0.1, 0.2], [0.3, 0.0]]))
+    assert vals.tolist() == [2.0, 2.0]
+    vals[0] = 5.0                      # a writable array of its own
+    assert u(np.array([[0.1, 0.2]])).tolist() == [2.0]
+
+
+def test_compact_field_skips_fn_on_an_empty_batch():
+    def never(p):
+        raise AssertionError("fn called on no points")
+
+    assert CompactField(never, DISC)(np.zeros((0, 2))).shape == (0,)
+
+
 def test_compact_field_needs_domain():
     with pytest.raises(DomainError):
         ScalarField(fn=lambda p: np.ones(len(p)), dim=2, is_compact=True)

@@ -160,3 +160,27 @@ def test_non_finite_field_values_raise(name):
     with pytest.raises(EvaluationError) as info:
         run(u, x)
     np.testing.assert_array_equal(info.value.point, x)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_ray_nodes_equal_the_broadcast_layout(N):
+    # The nodes are built one coordinate at a time; they must be the
+    # broadcast x + t theta bit for bit.
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-0.3, 0.3, N)
+    dirs = rng.standard_normal((5, N))
+    idx = np.array([0, 0, 2, 3, 4, 4, 4])
+    a = rng.uniform(0.0, 0.2, len(idx))
+    b = a + rng.uniform(0.1, 0.5, len(idx))
+    rule = operators.quad._gauss_unit(7)
+    seen = []
+
+    def field(p):
+        seen.append(p.copy())
+        return np.ones(len(p))
+
+    operators.quad.ray_sums(field, x, dirs, idx, a, b, rule,
+                            lambda t, v: v)
+    t = a[:, None] + (b - a)[:, None] * rule[0][None, :]
+    want = x + t[:, :, None] * dirs[idx][:, None, :]
+    assert np.array_equal(np.concatenate(seen), want.reshape(-1, N))
