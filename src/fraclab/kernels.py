@@ -236,8 +236,11 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
     ``s = 1`` kernel) therefore reaches rounding level, and each node reads
     ``f`` once.  ``boundary_power`` declares how ``f`` behaves at the
     boundary (``delta^p``; logarithmic factors are absorbed by the dyadic
-    panels).  Rays run in chunks of ``16 * _GREEN_BLOCK`` nodes, so the work
-    arrays stay a few MB however many directions a pass takes.
+    panels).  In 3D each ring of directions around ``x`` takes as many
+    azimuths as the data needs (:func:`~fraclab.quadrature.azimuth_rings`,
+    capped through ``angular_order``).  Rays run in chunks of
+    ``16 * _GREEN_BLOCK`` nodes, so the work arrays stay a few MB however
+    many directions a pass takes.
     """
     ball = _require_ball(domain, "the Green solution operator")
     cfg = cfg or QuadConfig()
@@ -261,33 +264,36 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
     hi = 1.0 + bp if s >= 1.0 else bp
 
     def one_pass(m_ang, n_rad, levels):
-        if N == 2:
-            dirs, w_dir = quad.polar_directions(N, m_ang)
-        else:
-            lv = int(min(levels, 24,
-                         max(6, math.ceil(math.log2(1.0 / width)) + 6)))
-            n_phi = None if radial_f else int(min(256, max(16, m_ang)))
-            dirs, w_dir = quad.layered_directions(xc, "equator",
-                                                  max(10, n_rad - 4), lv,
-                                                  n_phi)
-        _, t_hi, _ = geometry.ray_spans(ball, ball.center_array + xc, dirs)
         xu, wu = quad.unit_power_rule(alpha, hi, n_rad, levels)
-        total = 0.0
-        for sl in quad.direction_chunks(len(dirs), len(xu),
-                                        16 * _GREEN_BLOCK):
-            t = t_hi[sl, None] * xu[None, :]
-            pts = np.empty(t.shape + (N,))
-            for d in range(N):
-                pts[..., d] = xc[d] + t * dirs[sl, d, None]
-            flat = pts.reshape(-1, N)
-            fv = quad._finite_values(f, flat + domain.center_array)
-            # Distances come from the radial variable directly;
-            # coordinates collapse onto x at the innermost nodes.
-            ly = np.maximum(R * R - np.einsum("ij,ij->i", flat, flat), 0.0)
-            vals = _green_kernel(N, s, R, lx, ly, t.reshape(-1)) * fv
-            rad = (vals.reshape(t.shape) * t ** (N - 1)) @ wu
-            total += float(w_dir[sl] @ (rad * t_hi[sl]))
-        return total, len(dirs) * len(xu)
+
+        def ring_pass(dirs, w_dir):
+            _, t_hi, _ = geometry.ray_spans(ball, ball.center_array + xc,
+                                            dirs)
+            total = 0.0
+            for sl in quad.direction_chunks(len(dirs), len(xu),
+                                            16 * _GREEN_BLOCK):
+                t = t_hi[sl, None] * xu[None, :]
+                pts = np.empty(t.shape + (N,))
+                for d in range(N):
+                    pts[..., d] = xc[d] + t * dirs[sl, d, None]
+                flat = pts.reshape(-1, N)
+                fv = quad._finite_values(f, flat + domain.center_array)
+                # Distances come from the radial variable directly;
+                # coordinates collapse onto x at the innermost nodes.
+                ly = np.maximum(R * R - np.einsum("ij,ij->i", flat, flat),
+                                0.0)
+                vals = _green_kernel(N, s, R, lx, ly, t.reshape(-1)) * fv
+                rad = (vals.reshape(t.shape) * t ** (N - 1)) @ wu
+                total += float(w_dir[sl] @ (rad * t_hi[sl]))
+            return total, len(dirs) * len(xu)
+
+        if N == 2:
+            return ring_pass(*quad.polar_directions(N, m_ang))
+        lv = int(min(levels, 24,
+                     max(6, math.ceil(math.log2(1.0 / width)) + 6)))
+        return quad.azimuth_rings(
+            ring_pass, xc, "equator", max(10, n_rad - 4), lv,
+            None if radial_f else min(256, max(16, m_ang)), cfg)
 
     # In 2D the radial integral varies with the direction on the scale of
     # the tangency width sqrt(delta); resolve it.
@@ -413,19 +419,20 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
         # boundary point.
         lv_cap = int(min(26, max(8, 2.0 * math.log2(1.0 / rel) + 6.0)))
 
-        def bd_rule(m, n_mu, lv):
-            if N == 2:
-                rule = geometry.boundary_quadrature(ball, m)
-                return rule.nodes, rule.weights
-            n_phi = None if radial_g else int(min(256, max(16, m)))
-            dirs, w_dir = quad.layered_directions(xc, "cap", n_mu, lv, n_phi)
-            return domain.center_array + R * dirs, R * R * w_dir
+        def bd_sum(nodes, wts):
+            pk = poisson_ball_classical(ball, x, nodes)
+            gv = quad._finite_values(g, nodes)
+            return float(wts @ (pk * gv)), len(nodes)
 
         def bd_pass(m, n_mu, lv):
-            nodes, wts = bd_rule(m, n_mu, lv)
-            pk = poisson_ball_classical(ball, x, nodes)
-            gv = np.asarray(g(nodes), dtype=float)
-            return float(wts @ (pk * gv)), len(nodes)
+            if N == 2:
+                rule = geometry.boundary_quadrature(ball, m)
+                return bd_sum(rule.nodes, rule.weights)
+            return quad.azimuth_rings(
+                lambda dirs, w_dir: bd_sum(domain.center_array + R * dirs,
+                                           R * R * w_dir),
+                xc, "cap", n_mu, lv,
+                None if radial_g else min(256, max(16, m)), cfg)
 
         m = int(min(8192, max(cfg.angular_order, 12.0 / rel)))
         return quad._two_pass(bd_pass, (m, 20, lv_cap),
@@ -436,41 +443,55 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
     rel = max(2.5e-4, 1.0 - r / R)
 
     def one_pass(m_ang, n_rad, levels):
+        E, wE, offs = _exterior_radial_grid(R, s, n_rad, levels)
+        q = R + E
+        radial = E ** (-s) * (2.0 * R + E) ** (-s) * q ** (N - 1)
+
+        def ring_pass(dirs, w_dir):
+            # The angular integral at every radius of the master grid.
+            proj = np.zeros(len(E))
+            evals = 0
+            for sl in quad.direction_chunks(len(dirs), len(E)):
+                pts = q[None, :, None] * dirs[sl, None, :]
+                flat = pts.reshape(-1, N) + domain.center_array
+                gv = quad._finite_values(g, flat).reshape(-1, len(E))
+                d = np.linalg.norm(pts - xc[None, None, :], axis=2)
+                proj += w_dir[sl] @ (d ** (-float(N)) * gv)
+                evals += flat.shape[0]
+            return proj, evals
+
+        def blocks(proj):
+            return np.add.reduceat(radial * proj * wE, offs)
+
+        def value(proj):
+            return tau * lx ** s * float(blocks(proj).sum())
+
         # Polar around the center: the kernel concentrates at angular scale
         # delta(x) near the closest boundary point.
         if N == 2:
-            dirs, w_dir = quad.polar_directions(N, m_ang)
+            proj, evals = ring_pass(*quad.polar_directions(N, m_ang))
+            known = 0.0
         else:
             lv = int(min(levels, max(8, 2.0 * math.log2(1.0 / rel) + 6.0)))
-            n_phi = None if radial_g else int(min(256, max(16, m_ang)))
-            dirs, w_dir = quad.layered_directions(xc, "cap", max(10, n_rad),
-                                                  lv, n_phi)
-        E, wE, offs = _exterior_radial_grid(R, s, n_rad, levels)
-        q = R + E
-        proj = np.zeros(len(E))
-        evals = 0
-        for sl in quad.direction_chunks(len(dirs), len(E)):
-            pts = q[None, :, None] * dirs[sl, None, :]
-            flat = pts.reshape(-1, N) + domain.center_array
-            gv = np.asarray(g(flat), dtype=float).reshape(-1, len(E))
-            d = np.linalg.norm(pts - xc[None, None, :], axis=2)
-            proj += w_dir[sl] @ (d ** (-float(N)) * gv)
-            evals += flat.shape[0]
-        contrib = (E ** (-s) * (2.0 * R + E) ** (-s) * q ** (N - 1)) \
-            * proj * wE
-        blocks = np.add.reduceat(contrib, offs)
+            proj, evals, known = quad.azimuth_rings(
+                ring_pass, xc, "cap", max(10, n_rad), lv,
+                None if radial_g else min(256, max(16, m_ang)), cfg,
+                value=value)
+        final = blocks(proj)
         # Probe the dyadic blocks only; the final inversion block is
         # legitimately larger than the late dyadic ones.
-        scale = float(np.abs(blocks[:-1]).max()) + 1e-300
-        tail = np.abs(blocks[-4:-1])
+        scale = float(np.abs(final[:-1]).max()) + 1e-300
+        tail = np.abs(final[-4:-1])
         if tail.min() > 1e-13 * scale and tail[-1] >= tail[0]:
             raise DivergenceError(
                 "Poisson extension diverges: the boundary datum grows at "
                 "least like |y|^(2s) at infinity")
-        val = tau * lx ** s * float(blocks.sum())
-        return val, evals
+        return value(proj), evals, known
 
-    m_fine, m_coarse = _angular_orders(cfg, N, 10.0 / rel)
+    # The kernel's angular peak has width delta near the boundary and the
+    # 2D trapezoid error falls like exp(-m delta): 30/delta directions
+    # reach rounding level, 10/delta stay about 4e-5 off.
+    m_fine, m_coarse = _angular_orders(cfg, N, 30.0 / rel)
     levels = min(cfg.max_subdiv, 26)
     return quad._two_pass(one_pass, (m_fine, cfg.radial_order, levels),
                           (m_coarse, max(8, cfg.radial_order - 4),

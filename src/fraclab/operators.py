@@ -581,6 +581,16 @@ def nonlocal_normal_derivative(u, s, z, cfg: QuadConfig | None = None
         and float(np.linalg.norm(dom.center_array)) == 0.0
 
     def one_pass(n_mu, n_rad, levels):
+        def ring_pass(dirs, w_dir):
+            t_lo, t_hi, hit = geometry.ray_spans(dom, z, dirs)
+            a = np.maximum(t_lo, 0.0)
+            idx = np.nonzero(hit & (t_hi > a))[0]
+            sums, evals = quad.ray_sums(
+                u, z, dirs, idx, a[idx], t_hi[idx],
+                quad.unit_power_rule(0.0, 0.0, n_rad, levels),
+                lambda t, v: (u_z - v) * t ** (-1.0 - 2.0 * s))
+            return float(w_dir @ sums), evals
+
         if N == 2:
             alpha = math.asin(sin_a) if sin_a < 1.0 else math.pi
             a_hat = cz / max(q0, 1e-300)
@@ -589,19 +599,14 @@ def nonlocal_normal_derivative(u, s, z, cfg: QuadConfig | None = None
                                               levels)
             dirs = np.cos(th)[:, None] * a_hat[None, :] \
                 + np.sin(th)[:, None] * e1[None, :]
-        else:
-            mu_lo = -1.0 if sin_a >= 1.0 else math.sqrt(1.0 - sin_a * sin_a)
-            n_phi = None if axisym else int(min(128, max(16, 6 * n_mu)))
-            dirs, w_dir = quad.layered_directions(cz, "cone", n_mu, levels,
-                                                  n_phi, mu_lo=mu_lo)
-        t_lo, t_hi, hit = geometry.ray_spans(dom, z, dirs)
-        a = np.maximum(t_lo, 0.0)
-        idx = np.nonzero(hit & (t_hi > a))[0]
-        sums, evals = quad.ray_sums(
-            u, z, dirs, idx, a[idx], t_hi[idx],
-            quad.unit_power_rule(0.0, 0.0, n_rad, levels),
-            lambda t, v: (u_z - v) * t ** (-1.0 - 2.0 * s))
-        return float(w_dir @ sums), evals
+            return ring_pass(dirs, w_dir)
+        # The doubling is judged on the normalized value, the units of the
+        # result and of the difference it returns.
+        mu_lo = -1.0 if sin_a >= 1.0 else math.sqrt(1.0 - sin_a * sin_a)
+        return quad.azimuth_rings(
+            ring_pass, cz, "cone", n_mu, levels,
+            None if axisym else min(128, max(16, 6 * n_mu)), cfg,
+            mu_lo=mu_lo, value=lambda v: c * v)
 
     levels = min(cfg.max_subdiv, 24)
     return quad._two_pass(one_pass,

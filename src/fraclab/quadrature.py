@@ -19,6 +19,10 @@ directions come from an equispaced circle rule (dimension 2, spectrally
 accurate for the analytic angular dependence that arises here) or a
 Gauss x azimuth sphere rule (dimension 3); the exact ray/boundary
 intersections from :mod:`fraclab.geometry` delimit the radial intervals.
+Polar passes in dimension 3 that follow a boundary layer use
+:func:`layered_directions` instead, whose azimuth count per ring
+:func:`azimuth_rings` doubles until the data is resolved, reading each
+node once.
 
 Integrals along rays from a point (the logarithmic Laplacians, the
 nonlocal normal derivative, the principal-value outer region and tails)
@@ -59,6 +63,7 @@ __all__ = [
     "integrate_pv_second_difference",
     "polar_directions",
     "layered_directions",
+    "azimuth_rings",
     "direction_chunks",
     "unit_power_rule",
     "map_rule",
@@ -119,18 +124,21 @@ def _two_pass(one_pass, fine_args, coarse_args, cfg: QuadConfig, *,
     """The fine/coarse error policy shared by every quadrature.
 
     ``one_pass(*fine_args)`` and ``one_pass(*coarse_args)`` each return a
-    raw value and an evaluation count.  The result is ``scale * fine``
-    plus the separately computed term ``shift``; its error estimate is
-    ``scale |fine - coarse|`` plus the error of ``shift`` plus
-    ``floor |value|`` for rounding, and its evaluations are those of both
-    passes and of ``shift``.
+    raw value and an evaluation count, and may add a third entry: an
+    error of that pass the pass itself measured (the last azimuth
+    doubling of :func:`azimuth_rings`), in the units of the result.  The
+    result is ``scale * fine`` plus the separately computed term
+    ``shift``; its error estimate is ``scale |fine - coarse|`` plus the
+    fine pass's own error, the error of ``shift`` and ``floor |value|``
+    for rounding, and its evaluations are those of both passes and of
+    ``shift``.
     """
-    fine, n_f = one_pass(*fine_args)
-    coarse, n_c = one_pass(*coarse_args)
+    fine, n_f, *fine_err = one_pass(*fine_args)
+    coarse, n_c, *_ = one_pass(*coarse_args)
     extra = shift or IntegralResult(0.0, 0.0, 0)
     value = scale * fine + extra.value
-    err = scale * abs(fine - coarse) + extra.error_estimate \
-        + floor * abs(value)
+    err = scale * abs(fine - coarse) + sum(fine_err) \
+        + extra.error_estimate + floor * abs(value)
     return IntegralResult(value, err, n_f + n_c + extra.evaluations,
                           _tol_ok(value, err, cfg))
 
@@ -221,7 +229,8 @@ def _axis_frame(axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def layered_directions(axis, layout: str, n_mu: int, levels: int,
-                       n_phi: int | None = None, mu_lo: float = -1.0
+                       n_phi: int | None = None, mu_lo: float = -1.0,
+                       offset: bool = False
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Direction rule on the 2-sphere for integrands with an angular layer.
 
@@ -242,7 +251,10 @@ def layered_directions(axis, layout: str, n_mu: int, levels: int,
     a single representative azimuth is used and the exact factor
     ``2 pi`` is folded into the weights.  Otherwise the azimuth gets an
     ``n_phi``-point trapezoid rule (spectral in smooth angular
-    dependence).  Weights carry the surface measure of the covered zone.
+    dependence) at ``phi_j = 2 pi j / n_phi``, or, with ``offset``, at
+    the midpoints ``2 pi (j + 1/2) / n_phi`` that double it; callers pick
+    ``n_phi`` through :func:`azimuth_rings`.  Weights carry the surface
+    measure of the covered zone.
     """
     a, e1, e2 = _axis_frame(axis)
     if layout == "cap":
@@ -261,7 +273,7 @@ def layered_directions(axis, layout: str, n_mu: int, levels: int,
     if n_phi is None:
         dirs = mu[:, None] * a[None, :] + sig[:, None] * e1[None, :]
         return dirs, 2.0 * math.pi * np.asarray(w_mu, dtype=float)
-    phi = 2.0 * math.pi * np.arange(int(n_phi)) / int(n_phi)
+    phi = 2.0 * math.pi * (np.arange(int(n_phi)) + 0.5 * offset) / int(n_phi)
     ring = np.cos(phi)[:, None] * e1[None, :] \
         + np.sin(phi)[:, None] * e2[None, :]
     dirs = (mu[:, None, None] * a[None, None, :]
@@ -269,6 +281,56 @@ def layered_directions(axis, layout: str, n_mu: int, levels: int,
     w = np.repeat(np.asarray(w_mu, dtype=float), int(n_phi)) \
         * (2.0 * math.pi / int(n_phi))
     return dirs, w
+
+
+AZIMUTH_START = 8     # azimuths per ring before the first doubling
+
+
+def azimuth_rings(ring_pass, axis, layout: str, n_mu: int, levels: int,
+                  max_azimuths: int | None, cfg: QuadConfig, *,
+                  mu_lo: float = -1.0, value=float):
+    """A :func:`layered_directions` pass whose azimuth count doubles until
+    the data is resolved.
+
+    ``ring_pass(dirs, w_dir)`` integrates over one direction set and
+    returns its weighted sum (a float, or an array that ``value`` maps to
+    the pass's scalar result) and its evaluation count.  Every ring first
+    takes ``AZIMUTH_START`` azimuths ``2 pi j / n``.  A doubling reads only
+    the ``n`` new azimuths ``2 pi (j + 1/2) / n``, whose trapezoid sum
+    ``T_n`` gives ``S_2n = (S_n + T_n) / 2``, so no node is read twice.  It
+    stops once ``|S_2n - S_n| <= max(abs_tol, rel_tol |S_2n|)``, or at the
+    largest ``AZIMUTH_START * 2^k`` not above ``max_azimuths``.  The
+    periodic trapezoid rule converges geometrically in smooth azimuthal
+    dependence (Trefethen and Weideman, SIAM Review 56, 2014): the last
+    difference measures the error of ``S_n``, well above what is left in
+    ``S_2n``.
+
+    Returns ``(sum, evaluations, |S_2n - S_n|)``, the difference in the
+    units of ``value``.  ``max_azimuths = None`` declares the integrand
+    axisymmetric around ``axis``: one pass on the single-azimuth rule,
+    with difference 0.
+    """
+    def rings(n, offset=False):
+        return ring_pass(*layered_directions(axis, layout, n_mu, levels, n,
+                                             mu_lo, offset))
+
+    if max_azimuths is None:
+        acc, evals = rings(None)
+        return acc, evals, 0.0
+    n = AZIMUTH_START
+    acc, evals = rings(n)
+    diff = 0.0
+    while 2 * n <= max_azimuths:
+        mid, more = rings(n, offset=True)
+        evals += more
+        prev = value(acc)
+        acc = 0.5 * (acc + mid)
+        n *= 2
+        now = value(acc)
+        diff = abs(now - prev)
+        if diff <= max(cfg.abs_tol, cfg.rel_tol * abs(now)):
+            break
+    return acc, evals, diff
 
 
 def direction_chunks(n_dirs: int, row_len: int, budget: int = 1_200_000):

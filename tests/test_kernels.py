@@ -16,6 +16,7 @@ from fraclab.geometry import Ball, Ellipsoid
 from fraclab.quadrature import QuadConfig, unit_power_rule, map_rule
 from fraclab.specfun import ball_torsion_constant, log_constants, riesz_constant
 from fraclab import derivative, kernels, operators
+from fraclab import quadrature as quad
 from fraclab.kernels import (comp_poisson_apply, comp_poisson_kernel,
                              fundamental_solution, green_apply, green_ball,
                              poisson_ball, poisson_ball_classical,
@@ -272,29 +273,42 @@ def test_green_apply_near_boundary():
     assert res.value == pytest.approx(expected, rel=1e-5)
 
 
-@pytest.mark.parametrize("N,s,x,evaluations,value", [
+def poly2(y):
+    y = np.atleast_2d(y)
+    return 1.0 + y[:, 0] - 0.5 * y[:, 1] ** 2
+
+
+def ones(y):
+    return np.ones(len(np.atleast_2d(y)))
+
+
+@pytest.mark.parametrize("N,s,x,data,evaluations,value", [
     # Non-constant data near the boundary of the disc.  An
     # angular_order=256, radial_order=30 run (converged: 512 and 1024
     # directions agree to 1e-17) gives 0.03639239296650002, 1.9e-14 below,
     # inside this pin's error estimate of 1.1e-9 (the coarse pass takes
     # half the fine pass's 64 directions, not 60).
-    (2, 0.9, (0.6, -0.75), 69888, 0.03639239296651939),
+    pytest.param(2, 0.9, (0.6, -0.75), poly2, 69888, 0.03639239296651939,
+                 id="2-0.9-x0-69888-0.03639239296651939"),
     # Radial-flagged data in the 3-ball (the axisymmetric directions); the
     # torsion closed form d(3, 1/4) (1 - |x|^2)^(1/4) is 0.6905233796370002.
-    (3, 0.25, (0.3, -0.2, 0.4), 260576, 0.6905233796370018),
+    pytest.param(3, 0.25, (0.3, -0.2, 0.4),
+                 radial_field(lambda y: np.ones(len(np.atleast_2d(y)))),
+                 260576, 0.6905233796370018,
+                 id="3-0.25-x1-260576-0.6905233796370018"),
+    # Plain-callable f = 1 in the 3-ball: no azimuth dependence, so both
+    # passes stop at 8 + 8 azimuths per ring (a fixed 64 and 32 took
+    # 14,142,464 evaluations).  The torsion closed form
+    # d(3, 1/2) (1 - |x|^2)^(1/2) is 0.4213074886588179.
+    pytest.param(3, 0.5, (0.3, -0.2, 0.4), ones, 4169216,
+                 0.4213074886588175, id="3-0.5-x2-4169216-0.4213074886588175"),
 ])
-def test_green_apply_frozen(N, s, x, evaluations, value):
+def test_green_apply_frozen(N, s, x, data, evaluations, value):
     # Frozen from the one-rule kernel: the Green function integrated whole
     # on the Riesz-graded rule, half the evaluations of the split into a
     # Riesz part and a tail correction on two rules.
     ball = Ball(center=(0.0,) * N, radius=1.0)
-    if N == 2:
-        def f(y):
-            y = np.atleast_2d(y)
-            return 1.0 + y[:, 0] - 0.5 * y[:, 1] ** 2
-    else:
-        f = radial_field(lambda y: np.ones(len(np.atleast_2d(y))))
-    res = green_apply(ball, f, s, x, CFG)
+    res = green_apply(ball, data, s, x, CFG)
     assert res.evaluations == evaluations
     assert res.value == pytest.approx(value, rel=1e-12, abs=0.0)
 
@@ -318,21 +332,71 @@ def test_green_apply_memory_stays_small():
 
 def test_green_apply_reads_each_node_once():
     # One rule per pass: no point reaches f twice (the fine and coarse
-    # rules share no node either), and an s < 1 call takes exactly the
-    # nodes of the s = 1 call.
-    ball = Ball(center=(0.0, 0.0), radius=1.0)
-    seen = []
+    # rules share no node, and in 3D an azimuth doubling reads only the
+    # new azimuths), and an s < 1 call takes exactly the nodes of the
+    # s = 1 call.
+    for x in ((0.3, 0.2), (0.3, -0.2, 0.4)):
+        ball = Ball(center=(0.0,) * len(x), radius=1.0)
+        seen = []
 
-    def f(y):
-        seen.append(np.array(y, copy=True))
-        return np.ones(len(y))
+        def f(y):
+            seen.append(np.array(y, copy=True))
+            return np.ones(len(y))
 
-    res = green_apply(ball, f, 0.5, (0.3, 0.2), CFG)
-    pts = np.concatenate(seen)
-    assert len(np.unique(pts, axis=0)) == len(pts) == res.evaluations
-    classical = green_apply(ball, lambda y: np.ones(len(y)), 1.0, (0.3, 0.2),
-                            CFG)
-    assert classical.evaluations == res.evaluations
+        res = green_apply(ball, f, 0.5, x, CFG)
+        pts = np.ascontiguousarray(np.concatenate(seen))
+        rows = pts.view(np.dtype((np.void, pts.dtype.itemsize * len(x))))
+        assert len(np.unique(rows)) == len(pts) == res.evaluations
+        classical = green_apply(ball, lambda y: np.ones(len(y)), 1.0, x,
+                                CFG)
+        assert classical.evaluations == res.evaluations
+
+
+def azimuth_counts(monkeypatch):
+    """Azimuths per ring at which each later azimuth_rings pass stops."""
+    counts = []
+    inner = quad.layered_directions
+
+    def spy(axis, layout, n_mu, levels, n_phi=None, mu_lo=-1.0,
+            offset=False):
+        if offset:
+            counts[-1] += n_phi
+        else:
+            counts.append(n_phi)
+        return inner(axis, layout, n_mu, levels, n_phi, mu_lo, offset)
+
+    monkeypatch.setattr(quad, "layered_directions", spy)
+    return counts
+
+
+def exp_data(y):
+    # Smooth, and not axisymmetric about x: e is not parallel to X3.
+    return np.exp(3.0 * np.atleast_2d(y) @ np.array([0.0, 0.6, 0.8]))
+
+
+X3 = np.array([0.3, -0.2, 0.4])
+
+
+@pytest.mark.parametrize("s,reference", [
+    # References from a fixed 128-azimuth rule in both passes (what
+    # angular_order=128 ran before the doubling); 256 azimuths give
+    # 0.8897973025679078 and 0.24465434784855614.
+    (0.5, 0.8897973025679072),
+    (1.0, 0.24465434784855605),
+])
+def test_green_apply_doubles_azimuths_as_the_data_needs(monkeypatch, s,
+                                                        reference):
+    ball = Ball(center=(0.0, 0.0, 0.0), radius=1.0)
+    counts = azimuth_counts(monkeypatch)
+    flat = green_apply(ball, ones, s, X3, CFG)
+    assert counts == [16, 16]
+    del counts[:]
+    res = green_apply(ball, exp_data, s, X3, CFG)
+    assert min(counts) > 16 and max(counts) <= 64
+    assert res.evaluations > flat.evaluations
+    assert res.value == pytest.approx(reference, rel=1e-13, abs=0.0)
+    assert abs(res.value - reference) <= res.error_estimate
+    assert res.tolerance_ok
 
 
 @pytest.mark.parametrize("make", [
@@ -372,14 +436,16 @@ def test_green_apply_estimate_covers_near_boundary_error(s):
 
 
 def test_poisson_extend_estimate_covers_near_boundary_error():
-    # The extension of g = 1 is 1.  At |x| = 0.9 the fine pass takes
-    # 10/delta = 101 directions and is 4.0e-5 off; with the coarse pass
-    # at the same count the estimate read 3e-16 and tolerance_ok True.
+    # The extension of g = 1 is 1.  At |x| = 0.9 the angular peak has
+    # width delta = 0.099: 30/delta = 304 directions are 2.3e-14 off
+    # (estimate 5.2e-8), where 10/delta = 101 were 4.0e-5 off (estimate
+    # 2.6e-3, tolerance_ok False).  The coarse pass takes half the
+    # directions: at the fine count the estimate read 3e-16.
     ball = Ball(center=(0.0, 0.0), radius=1.0)
     res = poisson_extend(ball, lambda y: np.ones(len(y)), 0.9, (0.85, 0.3),
                          CFG)
-    assert 1e-6 < abs(res.value - 1.0) <= res.error_estimate
-    assert not res.tolerance_ok
+    assert abs(res.value - 1.0) <= min(res.error_estimate, 1e-10)
+    assert res.tolerance_ok
 
 
 def test_shallow_comp_apply_flags_its_truncation():
@@ -422,30 +488,50 @@ def test_poisson_extension_of_one_is_one(N, s, x):
 
 
 def test_poisson_extension_reproduces_linear_s_harmonic():
-    # y -> y_1 is s-harmonic and below the growth bound once 2s > 1.
-    ball = Ball(center=(0.0, 0.0), radius=1.0)
-    x = np.array([0.35, -0.2])
-    res = poisson_extend(ball, lambda y: np.atleast_2d(y)[:, 0], 0.75, x, CFG)
-    assert res.value == pytest.approx(x[0], abs=1e-7)
+    # y -> y_1 is s-harmonic and below the growth bound once 2s > 1; in
+    # 3D it varies along every azimuth ring around x.
+    for x in (np.array([0.35, -0.2]), np.array([0.35, -0.2, 0.3])):
+        ball = Ball(center=(0.0,) * len(x), radius=1.0)
+        res = poisson_extend(ball, lambda y: np.atleast_2d(y)[:, 0], 0.75, x,
+                             CFG)
+        assert res.value == pytest.approx(x[0], abs=1e-7)
 
 
 def test_poisson_extension_growth_guard():
-    ball = Ball(center=(0.0, 0.0), radius=1.0)
-    with pytest.raises(DivergenceError):
-        poisson_extend(ball,
-                       lambda y: np.einsum("ij,ij->i", np.atleast_2d(y),
-                                           np.atleast_2d(y)),
-                       0.5, np.zeros(2), CFG)
+    for N in (2, 3):
+        ball = Ball(center=(0.0,) * N, radius=1.0)
+        with pytest.raises(DivergenceError):
+            poisson_extend(ball,
+                           lambda y: np.einsum("ij,ij->i", np.atleast_2d(y),
+                                               np.atleast_2d(y)),
+                           0.5, np.zeros(N), CFG)
 
 
 def test_poisson_classical_extension():
-    ball = Ball(center=(0.0, 0.0), radius=1.0)
-    x = np.array([0.3, 0.4])
-    one = poisson_extend(ball, lambda y: np.ones(len(np.atleast_2d(y))), 1.0,
-                         x, CFG)
-    lin = poisson_extend(ball, lambda y: np.atleast_2d(y)[:, 0], 1.0, x, CFG)
-    assert one.value == pytest.approx(1.0, rel=1e-12)
-    assert lin.value == pytest.approx(x[0], rel=1e-10)
+    for x in (np.array([0.3, 0.4]), np.array([0.3, 0.4, -0.2])):
+        ball = Ball(center=(0.0,) * len(x), radius=1.0)
+        one = poisson_extend(ball, lambda y: np.ones(len(np.atleast_2d(y))),
+                             1.0, x, CFG)
+        lin = poisson_extend(ball, lambda y: np.atleast_2d(y)[:, 0], 1.0, x,
+                             CFG)
+        assert one.value == pytest.approx(1.0, rel=1e-12)
+        assert lin.value == pytest.approx(x[0], rel=1e-10)
+
+
+def nan_right_of_half(y):
+    y = np.atleast_2d(y)
+    return np.where(y[:, 0] > 0.5, np.nan, 1.0)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("s", [0.5, 1.0])
+def test_poisson_extension_non_finite_data_raises_at_its_point(N, s):
+    # Each branch (the exterior rule, the 2D boundary rule, the 3D cap
+    # rule) returned nan with no error.
+    ball = Ball(center=(0.0,) * N, radius=1.0)
+    with pytest.raises(EvaluationError) as info:
+        poisson_extend(ball, nan_right_of_half, s, np.full(N, 0.1), CFG)
+    assert info.value.point[0] > 0.5
 
 
 @pytest.mark.parametrize("N", [2, 3])

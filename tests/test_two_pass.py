@@ -93,11 +93,13 @@ FROZEN = {
         (1.2472462757365927, 2.0953941907935305e-15, 63232, True),
     "nonlocal_normal_derivative":
         (-0.22258865580013346, 2.9326764872154496e-16, 526720, True),
-    # The fine pass takes 10/delta = 101 directions and is 2.0e-5 off
-    # (1024 directions give 0.4861856928329459); the coarse pass now
-    # takes 50 of them instead of the same 101, and the estimate shows it.
+    # Re-frozen with the 30/delta angular floor: the fine pass takes 304
+    # directions and lands 1.1e-14 from its 1024-direction reference
+    # 0.4861856928329459, the coarse pass 152.  At 10/delta (101 and 50
+    # directions) it was 0.48620551179044025, 2.0e-5 off, with estimate
+    # 1.3e-3, 152324 evaluations and tolerance_ok False.
     "poisson_extend":
-        (0.48620551179044025, 0.0013160229935757425, 152324, False),
+        (0.48618569283295726, 2.6046783278878787e-08, 459648, True),
     "poisson_extend_classical":
         (1.54, 5.980892098500627e-16, 96, True),
 }
