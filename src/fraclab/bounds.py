@@ -172,7 +172,7 @@ def p_s_numeric(domain: Domain, s, cfg: QuadConfig | None = None, *,
     s = float(as_order(s))
     data = _ones(ball.dim)
     pts = _radial_points(ball, n_grid)
-    rs = np.linalg.norm(pts - ball.center_array[None, :], axis=1)
+    rs = np.sqrt(geometry.sq_dist(pts, ball.center))
     vals = np.array([kernels.comp_poisson_apply(ball, data, s, p, cfg).value
                      for p in pts])
 

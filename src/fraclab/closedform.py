@@ -32,6 +32,7 @@ import numpy as np
 from scipy.special import eval_jacobi
 
 from .core import CapabilityError, DomainError, as_order
+from .geometry import sq_dist
 from .specfun import ball_torsion_constant
 
 __all__ = [
@@ -130,7 +131,7 @@ def _jacobi_parts(s, n: int, l: int, x):
     N = pts.shape[1]
     if N not in (2, 3):
         raise DomainError(f"points must be 2D or 3D, got dimension {N}")
-    r2 = np.einsum("ij,ij->i", pts, pts)
+    r2 = sq_dist(pts)
     harmonic = ((pts[:, 0] + 1j * pts[:, 1]) ** int(l)).real
     data = harmonic * eval_jacobi(int(n), s, 0.5 * N - 1.0 + l,
                                   2.0 * r2 - 1.0)

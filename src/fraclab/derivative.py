@@ -161,7 +161,7 @@ def ell_field(f, domain: Domain, s, cfg: QuadConfig | None = None, *,
 
     def fn(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = np.linalg.norm(pts - c0[None, :], axis=1)
+        r = np.sqrt(geometry.sq_dist(pts, c0))
         d = np.clip(R - r, 1e-60 * R, None)
         t = np.clip(2.0 * (np.log(d) - ln_lo) / ln_span - 1.0, -1.0, 1.0)
         return np.polynomial.chebyshev.chebval(t, coef) * d ** -s

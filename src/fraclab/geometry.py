@@ -1,9 +1,11 @@
 """Domains (balls and origin-centered ellipsoids) and their geometry.
 
 Everything downstream -- quadrature segmentation, boundary layers, kernel
-formulas -- is driven by three primitives implemented here: the signed
-distance to the boundary, exact ray/boundary intersections, and boundary
-quadrature rules.
+formulas -- is driven by four primitives implemented here: the signed
+distance to the boundary, exact ray/boundary intersections, boundary
+quadrature rules, and the squared distance ``sq_dist`` of a point batch,
+through which every row norm of points, boundary vectors and ray nodes
+goes.
 
 Both domain types are frozen dataclasses (hence hashable), which lets
 expensive per-domain data such as eigendecompositions and cached quadrature
@@ -27,6 +29,7 @@ __all__ = [
     "Domain",
     "BoundaryQuadrature",
     "unit_ball",
+    "sq_dist",
     "delta",
     "contains",
     "measures",
@@ -121,6 +124,26 @@ def _spectral(domain: Ellipsoid):
     return d, Q, B, Binv
 
 
+def sq_dist(pts, c=None) -> np.ndarray:
+    """Squared distances ``sum_k (pts[..., k] - c[k])^2`` of a point batch.
+
+    ``pts`` has shape ``(..., N)`` and ``c`` is one point ``(N,)``, the
+    origin when omitted.  The columns are summed one at a time in index
+    order: that is bit for bit the sum ``np.linalg.norm(pts - c, axis=-1)``
+    takes over its short last axis, without a row reduction of length 2
+    or 3, which is several times slower than adding whole columns.
+    """
+    pts = np.asarray(pts, dtype=float)
+
+    def column(k):
+        return pts[..., k] if c is None else pts[..., k] - c[k]
+
+    sq = np.square(column(0))
+    for k in range(1, pts.shape[-1]):
+        sq += np.square(column(k))
+    return sq
+
+
 def _ellipsoid_delta_one(domain: Ellipsoid, x: np.ndarray) -> float:
     """Signed distance for one point: positive inside, negative outside.
 
@@ -175,7 +198,7 @@ def delta(domain: Domain, x) -> float | np.ndarray:
         raise DomainError(
             f"point dimension {pts.shape[1]} != domain dimension {domain.dim}")
     if isinstance(domain, Ball):
-        out = domain.radius - np.linalg.norm(pts - domain.center_array, axis=1)
+        out = domain.radius - np.sqrt(sq_dist(pts, domain.center))
     else:
         out = np.array([_ellipsoid_delta_one(domain, p) for p in pts])
     return float(out[0]) if single else out
@@ -186,7 +209,9 @@ def contains(domain: Domain, x) -> bool | np.ndarray:
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     if isinstance(domain, Ball):
-        out = np.linalg.norm(pts - domain.center_array, axis=1) < domain.radius
+        # sqrt(sq) < R, not sq < R^2, which differs within an ulp of the
+        # sphere: membership stays exactly ``delta > 0``.
+        out = np.sqrt(sq_dist(pts, domain.center)) < domain.radius
     else:
         A = domain.matrix
         out = np.einsum("ij,jk,ik->i", pts, A, pts) < 1.0
@@ -247,9 +272,9 @@ def boundary_quadrature(domain: Domain, order: int) -> BoundaryQuadrature:
             _, _, B, Binv = _spectral(domain)
             nodes = omega @ B.T
             tangent = np.stack([-np.sin(t), np.cos(t)], axis=1) @ B.T
-            weights = np.linalg.norm(tangent, axis=1) * (2.0 * math.pi / order)
+            weights = np.sqrt(sq_dist(tangent)) * (2.0 * math.pi / order)
             raw = omega @ Binv.T          # A x is parallel to B^{-1} omega
-            normals = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+            normals = raw / np.sqrt(sq_dist(raw))[:, None]
         return BoundaryQuadrature(nodes, weights, normals)
 
     dirs, w = _sphere_rule(order)
@@ -261,7 +286,7 @@ def boundary_quadrature(domain: Domain, order: int) -> BoundaryQuadrature:
         _, _, B, Binv = _spectral(domain)
         nodes = dirs @ B.T
         raw = dirs @ Binv.T
-        scale = np.linalg.norm(raw, axis=1)
+        scale = np.sqrt(sq_dist(raw))
         weights = w * float(np.linalg.det(B)) * scale
         normals = raw / scale[:, None]
     return BoundaryQuadrature(nodes, weights, normals)

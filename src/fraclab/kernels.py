@@ -73,7 +73,7 @@ def fundamental_solution(N: int, s, z) -> float | np.ndarray:
     kappa = riesz_constant(N, s)
     z = np.asarray(z, dtype=float)
     single = z.ndim == 1
-    r = np.linalg.norm(np.atleast_2d(z), axis=1)
+    r = np.sqrt(geometry.sq_dist(np.atleast_2d(z)))
     if (r == 0.0).any():
         raise SingularityError("fundamental solution evaluated at the origin")
     out = kappa * r ** (2.0 * s - N)
@@ -182,8 +182,8 @@ def _green_kernel(N: int, s: float, R: float, lx: float, ly: np.ndarray,
 def _green_values(R: float, N: int, s: float, x: np.ndarray,
                   y: np.ndarray) -> np.ndarray:
     """Vectorized centered-ball Green function; zero outside, no checks."""
-    d = np.linalg.norm(y - x[None, :], axis=1)
-    ly = R * R - np.einsum("ij,ij->i", y, y)
+    d = np.sqrt(geometry.sq_dist(y, x))
+    ly = R * R - geometry.sq_dist(y)
     out = np.zeros(len(y))
     inside = ly > 0.0
     if inside.any():
@@ -207,7 +207,7 @@ def green_ball(domain: Domain, s, x, y) -> float | np.ndarray:
     y_arr = np.asarray(y, dtype=float)
     single = y_arr.ndim == 1
     yc = _centered(ball, y_arr)
-    if (np.linalg.norm(yc - xc[None, :], axis=1) == 0.0).any():
+    if (geometry.sq_dist(yc, xc) == 0.0).any():
         raise SingularityError("Green function evaluated on its diagonal")
     out = _green_values(ball.radius, ball.dim, s, xc, yc)
     return float(out[0]) if single else out
@@ -280,8 +280,7 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
                 fv = quad._finite_values(f, flat + domain.center_array)
                 # Distances come from the radial variable directly;
                 # coordinates collapse onto x at the innermost nodes.
-                ly = np.maximum(R * R - np.einsum("ij,ij->i", flat, flat),
-                                0.0)
+                ly = np.maximum(R * R - geometry.sq_dist(flat), 0.0)
                 vals = _green_kernel(N, s, R, lx, ly, t.reshape(-1)) * fv
                 rad = (vals.reshape(t.shape) * t ** (N - 1)) @ wu
                 total += float(w_dir[sl] @ (rad * t_hi[sl]))
@@ -324,14 +323,14 @@ def poisson_ball(domain: Domain, s, z, y) -> float | np.ndarray:
     y_arr = np.asarray(y, dtype=float)
     single = y_arr.ndim == 1
     yc = _centered(ball, y_arr)
-    q2 = np.einsum("ij,ij->i", yc, yc)
+    q2 = geometry.sq_dist(yc)
     if (q2 < R * R).any():
         raise DomainError("Poisson kernel field point must be exterior")
     if np.any(q2 == R * R):
         raise SingularityError("Poisson kernel evaluated on the boundary")
     tau = ball_poisson_constant(N, s)
     lz = R * R - float(zc @ zc)
-    d = np.linalg.norm(yc - zc[None, :], axis=1)
+    d = np.sqrt(geometry.sq_dist(yc, zc))
     out = tau * (lz / (q2 - R * R)) ** s * d ** (-float(N))
     return float(out[0]) if single else out
 
@@ -346,12 +345,12 @@ def poisson_ball_classical(domain: Domain, z, y) -> float | np.ndarray:
     y_arr = np.asarray(y, dtype=float)
     single = y_arr.ndim == 1
     yc = _centered(ball, y_arr)
-    onb = np.abs(np.linalg.norm(yc, axis=1) - R) < 1e-10 * R
+    onb = np.abs(np.sqrt(geometry.sq_dist(yc)) - R) < 1e-10 * R
     if not onb.all():
         raise DomainError("classical Poisson kernel needs boundary points")
     sphere = 2.0 * math.pi if N == 2 else 4.0 * math.pi
     lz = R * R - float(zc @ zc)
-    d = np.linalg.norm(yc - zc[None, :], axis=1)
+    d = np.sqrt(geometry.sq_dist(yc, zc))
     out = lz / (sphere * R * d ** float(N))
     return float(out[0]) if single else out
 
@@ -455,7 +454,7 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
                 pts = q[None, :, None] * dirs[sl, None, :]
                 flat = pts.reshape(-1, N) + domain.center_array
                 gv = quad._finite_values(g, flat).reshape(-1, len(E))
-                d = np.linalg.norm(pts - xc[None, None, :], axis=2)
+                d = np.sqrt(geometry.sq_dist(pts, xc))
                 proj += w_dir[sl] @ (d ** (-float(N)) * gv)
                 evals += flat.shape[0]
             return proj, evals
@@ -533,7 +532,7 @@ def _comp_kernel_disc_many(ball: Ball, s: float, xc: np.ndarray,
     c_N, _ = log_constants(2)
     rx = float(np.linalg.norm(xc))
     phix = math.atan2(xc[1], xc[0])
-    rz = np.linalg.norm(zc, axis=1)
+    rz = np.sqrt(geometry.sq_dist(zc))
     phiz = np.arctan2(zc[:, 1], zc[:, 0])
     lz = np.maximum(R * R - rz * rz, 0.0)
     if s >= 1.0:
@@ -579,7 +578,7 @@ def comp_poisson_kernel(domain: Domain, s, x, z,
         order = int(min(96, max(24, 8.0 / rel)))
         rule = geometry.boundary_quadrature(ball, order)
         pk = poisson_ball_classical(ball, ball.center_array + zc, rule.nodes)
-        d = np.linalg.norm(rule.nodes - domain.center_array - xc, axis=1)
+        d = np.sqrt(geometry.sq_dist(rule.nodes - domain.center_array, xc))
         return c_N * float(rule.weights @ (pk * d ** -3.0))
 
     tau = ball_poisson_constant(N, s)
@@ -588,8 +587,8 @@ def comp_poisson_kernel(domain: Domain, s, x, z,
                                      min(cfg.max_subdiv, 26))
     q = R + E
     pts = q[None, :, None] * dirs[:, None, :]
-    dx = np.linalg.norm(pts - xc[None, None, :], axis=2)
-    dz = np.linalg.norm(pts - zc[None, None, :], axis=2)
+    dx = np.sqrt(geometry.sq_dist(pts, xc))
+    dz = np.sqrt(geometry.sq_dist(pts, zc))
     ang = w_dir @ (dx ** -3.0 * dz ** -3.0)
     integrand = E ** (-s) * (2.0 * R + E) ** (-s) * q * q * ang
     return c_N * tau * (R * R - rz * rz) ** s * float(wE @ integrand)

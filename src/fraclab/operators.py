@@ -193,11 +193,11 @@ def frac_laplacian(u, s, x, cfg: QuadConfig | None = None) -> IntegralResult:
 # Logarithmic Laplacian.
 # ---------------------------------------------------------------------------
 
-def _crossing_segments(domain: Domain | None, x: np.ndarray,
-                       dirs: np.ndarray, lo: float, hi, ext_p: float | None
-                       ) -> tuple[np.ndarray, ...]:
+def _crossing_segments(t_lo: np.ndarray, t_hi: np.ndarray, lo: float, hi,
+                       ext_p: float | None) -> tuple[np.ndarray, ...]:
     """Flat segments ``(idx, a, b, alpha_lo, alpha_hi)`` of ``[lo, hi]``
-    along each direction, split at boundary crossings.
+    along each direction, split at the boundary crossings ``t_lo, t_hi``
+    (from :func:`~fraclab.geometry.ray_spans`; NaN where there is none).
 
     The endpoint exponents feed :func:`~fraclab.quadrature.unit_power_rule`:
     ``0.0`` (plain dyadic grading, right for the bounded kinks of fields
@@ -210,13 +210,8 @@ def _crossing_segments(domain: Domain | None, x: np.ndarray,
     boundary) still flags the adjacent segment.  ``hi`` may be an array
     (per-direction upper ends).
     """
-    n_dirs = len(dirs)
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (n_dirs,))
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), (len(t_lo),))
     eps = 1e-9 * np.maximum(1.0, np.abs(hi))
-    if domain is None:
-        t_lo = t_hi = np.full(n_dirs, np.nan)
-    else:
-        t_lo, t_hi, _ = geometry.ray_spans(domain, x, dirs)
     cuts = np.column_stack([t_lo, t_hi])
     inside = ((float(lo) + eps)[:, None] < cuts) & (cuts < (hi - eps)[:, None])
     cuts[~inside] = np.nan
@@ -252,13 +247,20 @@ def log_laplacian(u, x, cfg: QuadConfig | None = None) -> IntegralResult:
     def one_pass(m_ang, n_rad, levels):
         dirs, w_dir = quad.polar_directions(N, m_ang)
         evals = 0
+        # Per-direction far spans end one doubling past the last crossing
+        # so the dyadic continuation never starts on a singular layer.
+        if dom is None:
+            t_lo = t_hi = np.full(len(dirs), np.nan)
+            far_hi = np.full(len(dirs), 2.0)
+        else:
+            t_lo, t_hi, hit = geometry.ray_spans(dom, x, dirs)
+            far_hi = 2.0 * np.maximum(1.0, np.where(hit, t_hi, 1.0))
 
         def sums(lo, hi, kernel, plain_levels):
             # One field pass per pair of endpoint exponents; segments with
             # plain grading at both ends take ``plain_levels``.
             nonlocal evals
-            idx, a, b, al, ah = _crossing_segments(dom, x, dirs, lo, hi,
-                                                   ext_p)
+            idx, a, b, al, ah = _crossing_segments(t_lo, t_hi, lo, hi, ext_p)
             total = np.zeros(len(dirs))
             for pair in sorted(set(zip(al.tolist(), ah.tolist()))):
                 sel = (al == pair[0]) & (ah == pair[1])
@@ -271,13 +273,6 @@ def log_laplacian(u, x, cfg: QuadConfig | None = None) -> IntegralResult:
             return total
 
         near = sums(0.0, 1.0, lambda t, v: (u_x - v) / t, levels)
-        # Per-direction far spans end one doubling past the last crossing
-        # so the dyadic continuation never starts on a singular layer.
-        if dom is not None:
-            _, t_hi_c, hit_c = geometry.ray_spans(dom, x, dirs)
-            far_hi = 2.0 * np.maximum(1.0, np.where(hit_c, t_hi_c, 1.0))
-        else:
-            far_hi = np.full(len(dirs), 2.0)
         far = sums(1.0, far_hi, lambda t, v: v / t, min(levels, 12))
         if not compact:
             # Dyadic blocks per direction until two in a row are calm.
@@ -660,8 +655,7 @@ def restriction_ws(domain: Domain, f, s, cfg: QuadConfig | None = None
 
     def fn(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        dx = pts - c0[None, :]
-        r2 = np.einsum("ij,ij->i", dx, dx)
+        r2 = geometry.sq_dist(pts, c0)
         out = np.zeros(len(pts))
         inside = r2 < R * R
         r2 = r2[inside]
@@ -727,7 +721,7 @@ def _radial_interp_field(ball: Ball, inner_fn, outer_fn, decay: float,
 
     def fn(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = np.linalg.norm(pts - c0[None, :], axis=1)
+        r = np.sqrt(geometry.sq_dist(pts, c0))
         out = np.empty(len(r))
         ins = r < R
         out[ins] = sp_in(r[ins] ** 2)

@@ -142,6 +142,53 @@ def test_ray_spans_consistency_with_membership():
         np.testing.assert_allclose(geo.delta(dom, on_boundary), 0.0, atol=1e-9)
 
 
+# ---------------------------------------------------------------------------
+# Squared distances of point batches: the column-wise sums reproduce the
+# row norms they replace bit for bit.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(257, 2), (257, 3), (5, 41, 2), (5, 41, 3)])
+def test_sq_dist_matches_row_norm_bitwise(shape):
+    rng = np.random.default_rng(11)
+    pts = rng.standard_normal(shape) * rng.uniform(1e-3, 1e3, size=shape)
+    c = rng.standard_normal(shape[-1])
+    np.testing.assert_array_equal(np.sqrt(geo.sq_dist(pts, c)),
+                                  np.linalg.norm(pts - c, axis=-1))
+    np.testing.assert_array_equal(np.sqrt(geo.sq_dist(pts)),
+                                  np.linalg.norm(pts, axis=-1))
+
+
+def _sphere_points(ball, n, rng):
+    """Points on rays from the centre at radii within 4 ulps of the sphere,
+    plus deep interior and exterior points."""
+    N = ball.dim
+    dirs = rng.standard_normal((n, N))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    R = ball.radius
+    radii = [R * rng.uniform(0.0, 0.99, n), R * rng.uniform(1.01, 2.0, n)]
+    for k in range(-4, 5):
+        radii.append(np.full(n, R + k * math.ulp(R)))
+    r = np.concatenate(radii)
+    return ball.center_array + np.tile(dirs, (len(radii), 1)) * r[:, None]
+
+
+@pytest.mark.parametrize("ball", [
+    geo.Ball(center=(0.0, 0.0), radius=1.0),
+    geo.Ball(center=(0.3, -1.7), radius=0.55),
+    geo.Ball(center=(0.0, 0.0, 0.0), radius=1.0),
+    geo.Ball(center=(-2.1, 0.4, 0.9), radius=1.3),
+])
+def test_ball_contains_and_delta_match_row_norm_bitwise(ball):
+    pts = _sphere_points(ball, 200, np.random.default_rng(5))
+    norm = np.linalg.norm(pts - ball.center_array, axis=1)
+    near = np.abs(norm - ball.radius) <= 8.0 * math.ulp(ball.radius)
+    # The points straddle the sphere at rounding level on both sides.
+    assert (norm[near] < ball.radius).any() and \
+        (norm[near] >= ball.radius).any()
+    np.testing.assert_array_equal(geo.contains(ball, pts), norm < ball.radius)
+    np.testing.assert_array_equal(geo.delta(ball, pts), ball.radius - norm)
+
+
 def test_parse_domain():
     dom = geo.parse_domain("ball:1.5", 3)
     assert isinstance(dom, geo.Ball) and dom.radius == 1.5 and dom.dim == 3

@@ -182,6 +182,22 @@ def test_log_laplacian_matches_domain_form(N, s, r):
     assert comp.value == pytest.approx(full.value, rel=1e-10, abs=1e-12)
 
 
+def test_log_laplacian_spans_rays_once_per_pass(monkeypatch):
+    calls = []
+    real = operators.geometry.ray_spans
+
+    def counting(domain, x, thetas):
+        calls.append(len(thetas))
+        return real(domain, x, thetas)
+
+    monkeypatch.setattr(operators.geometry, "ray_spans", counting)
+    u = CompactField(lambda p: 1.0 - np.sum(p * p, axis=1), DISC,
+                     smooth_scale=1.0)
+    log_laplacian(u, np.array([0.3, 0.1]))
+    # One fine and one coarse pass, each over its own direction set.
+    assert len(calls) == 2 and calls[0] != calls[1]
+
+
 def test_log_laplacian_compact_contract():
     with pytest.raises(DomainError):
         log_laplacian_compact(gauss_field(2), np.zeros(2))
