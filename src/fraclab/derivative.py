@@ -177,12 +177,23 @@ def solve_vs(f, domain: Domain, s, grid, cfg: QuadConfig | None = None, *,
 
     The boundary blow-up of the data is declared through the field's
     ``boundary_power``, so the Green quadrature grades its panels with
-    the matching exponent.
+    the matching exponent.  ``v_1`` with the default sign is kept for
+    :func:`expansion_residual` (see :func:`_v1_cached`).
     """
     ball = kernels._require_ball(domain, "the order-derivative solve")
     cfg = cfg or QuadConfig()
     s = float(as_order(s))
     pts, deltas = _interior_grid(ball, grid)
+    if s == 1.0 and complementary_sign == -1.0:
+        return _v1_cached(f, ball, pts, cfg)
+    values, flags = _green_solve(f, ball, s, pts, cfg, complementary_sign)
+    return GridField(points=pts, delta=deltas, values=values, ok=flags)
+
+
+def _green_solve(f, ball: Ball, s: float, pts: np.ndarray, cfg: QuadConfig,
+                 complementary_sign: float = -1.0
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Values and tolerance flags of ``v_s`` at the interior points."""
     data = ell_field(f, ball, s, cfg,
                      complementary_sign=complementary_sign)
     values = np.empty(len(pts))
@@ -192,7 +203,7 @@ def solve_vs(f, domain: Domain, s, grid, cfg: QuadConfig | None = None, *,
                                   boundary_power=data.boundary_power)
         values[i] = res.value
         flags[i] = res.tolerance_ok
-    return GridField(points=pts, delta=deltas, values=values, ok=flags)
+    return values, flags
 
 
 def finite_diff_ds(f, domain: Domain, s, h: float, grid,
@@ -230,11 +241,16 @@ _V1_CACHE = quad._Memo(64)
 
 
 def _v1_cached(f, ball: Ball, pts: np.ndarray,
-               cfg: QuadConfig) -> np.ndarray:
+               cfg: QuadConfig) -> GridField:
+    """``v_1`` on the interior points, solved once per data
+    ``cache_token``, ball, grid and ``QuadConfig``; every call returns a
+    fresh :class:`GridField`."""
     token = kernels._field_cache_token(f)
     key = None if token is None else (token, ball, pts.tobytes(), cfg)
-    return _V1_CACHE.fetch(
-        key, lambda: solve_vs(f, ball, 1.0, pts, cfg).values)
+    values, flags = _V1_CACHE.fetch(
+        key, lambda: _green_solve(f, ball, 1.0, pts, cfg))
+    return GridField(points=pts, delta=geometry.delta(ball, pts),
+                     values=values.copy(), ok=flags.copy())
 
 
 def expansion_residual(f, domain: Domain, s, grid,
@@ -246,7 +262,7 @@ def expansion_residual(f, domain: Domain, s, grid,
     cfg = cfg or QuadConfig()
     s = float(as_order(s, include_high=False))
     pts, _ = _interior_grid(ball, grid)
-    v1 = _v1_cached(f, ball, pts, cfg)
+    v1 = _v1_cached(f, ball, pts, cfg).values
     u_s = operators.restriction_ws(ball, f, s, cfg)(pts)
     u_1 = operators.restriction_ws(ball, f, 1.0, cfg)(pts)
     return float(np.max(np.abs(u_s - u_1 - (1.0 - s) * v1)))

@@ -257,8 +257,7 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
     # Ray spans kink across the tangency circle on the angular scale
     # width = sqrt(R^2 - r^2) / r (seen in mu = cos(angle to x)).
     width = min(1.0, max(1e-12, math.sqrt(max(lx, 0.0)) / max(r, 1e-300)))
-    radial_f = bool(getattr(f, "radial", False)) \
-        and float(np.linalg.norm(ball.center_array)) == 0.0
+    symmetric = quad.centred_radial(f, ball)
     bp = 0.0 if boundary_power is None else float(boundary_power)
     alpha = float(N - 1) if s >= 1.0 else 2.0 * s - 1.0
     hi = 1.0 + bp if s >= 1.0 else bp
@@ -287,12 +286,13 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
             return total, len(dirs) * len(xu)
 
         if N == 2:
-            return ring_pass(*quad.polar_directions(N, m_ang))
+            return ring_pass(*quad.polar_directions(
+                N, m_ang, xc if symmetric else None))
         lv = int(min(levels, 24,
                      max(6, math.ceil(math.log2(1.0 / width)) + 6)))
         return quad.azimuth_rings(
             ring_pass, xc, "equator", max(10, n_rad - 4), lv,
-            None if radial_f else min(256, max(16, m_ang)), cfg)
+            None if symmetric else min(256, max(16, m_ang)), cfg)
 
     # In 2D the radial integral varies with the direction on the scale of
     # the tangency width sqrt(delta); resolve it.
@@ -408,8 +408,7 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
     if r >= R:
         raise DomainError("Poisson extension is evaluated inside the domain")
 
-    radial_g = bool(getattr(g, "radial", False)) \
-        and float(np.linalg.norm(ball.center_array)) == 0.0
+    symmetric = quad.centred_radial(g, ball)
 
     if s >= 1.0:
         # Spectral boundary rule; resolution follows the kernel scale d(x).
@@ -431,7 +430,7 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
                 lambda dirs, w_dir: bd_sum(domain.center_array + R * dirs,
                                            R * R * w_dir),
                 xc, "cap", n_mu, lv,
-                None if radial_g else min(256, max(16, m)), cfg)
+                None if symmetric else min(256, max(16, m)), cfg)
 
         m = int(min(8192, max(cfg.angular_order, 12.0 / rel)))
         return quad._two_pass(bd_pass, (m, 20, lv_cap),
@@ -474,7 +473,7 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
             lv = int(min(levels, max(8, 2.0 * math.log2(1.0 / rel) + 6.0)))
             proj, evals, known = quad.azimuth_rings(
                 ring_pass, xc, "cap", max(10, n_rad), lv,
-                None if radial_g else min(256, max(16, m_ang)), cfg,
+                None if symmetric else min(256, max(16, m_ang)), cfg,
                 value=value)
         final = blocks(proj)
         # Probe the dyadic blocks only; the final inversion block is

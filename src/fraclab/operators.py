@@ -54,6 +54,20 @@ class ScalarField:
     declares an algebraic layer ``dist^p`` on the *outside* of the
     boundary (``p > -1`` may be negative: integrable blow-up); operators
     then integrate across the boundary with panels of matching exponent.
+
+    ``radial`` declares that ``fn`` depends only on the distance to the
+    centre of the field's ball (to the origin when there is no domain).
+    The tabulated fields (``restriction_ws``, ``ell_field``), the
+    interchange residual and the radial shortcut of
+    ``comp_poisson_apply`` require it.  On a ball centred at the origin
+    it also lets every polar pass around a point ``x`` use the mirror
+    symmetry across the line through the centre and ``x``
+    (:func:`~fraclab.quadrature.centred_radial`): the 2D passes of
+    ``green_apply``, both logarithmic Laplacians, the principal value
+    of ``frac_laplacian`` and the nonlocal normal derivative read half
+    their directions, and the 3D passes of ``green_apply``,
+    ``poisson_extend`` and the normal derivative read one azimuth per
+    ring.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -243,9 +257,10 @@ def log_laplacian(u, x, cfg: QuadConfig | None = None) -> IntegralResult:
     dom = getattr(u, "domain", None)
     compact = bool(getattr(u, "is_compact", False))
     ext_p = getattr(u, "exterior_power", None)
+    axis = x if quad.centred_radial(u, dom) else None
 
     def one_pass(m_ang, n_rad, levels):
-        dirs, w_dir = quad.polar_directions(N, m_ang)
+        dirs, w_dir = quad.polar_directions(N, m_ang, axis)
         evals = 0
         # Per-direction far spans end one doubling past the last crossing
         # so the dyadic continuation never starts on a singular layer.
@@ -326,9 +341,10 @@ def log_laplacian_compact(u, x, cfg: QuadConfig | None = None
     if geometry.delta(dom, x) <= 0.0:
         raise DomainError("the domain form is evaluated inside the domain")
     u_x = quad._centre_value(u, x)
+    axis = x if quad.centred_radial(u, dom) else None
 
     def one_pass(m_ang, n_rad, levels):
-        dirs, w_dir = quad.polar_directions(N, m_ang)
+        dirs, w_dir = quad.polar_directions(N, m_ang, axis)
         _, t_hi, _ = geometry.ray_spans(dom, x, dirs)
         sums, evals = quad.ray_sums(
             u, x, dirs, np.arange(len(dirs)), np.zeros(len(dirs)), t_hi,
@@ -571,9 +587,7 @@ def nonlocal_normal_derivative(u, s, z, cfg: QuadConfig | None = None
     cz = center - z
     q0 = float(np.linalg.norm(cz))
     sin_a = min(1.0, 0.5 * diam / max(q0, 1e-300))
-    axisym = bool(getattr(u, "radial", False)) \
-        and isinstance(dom, geometry.Ball) \
-        and float(np.linalg.norm(dom.center_array)) == 0.0
+    symmetric = quad.centred_radial(u, dom)
 
     def one_pass(n_mu, n_rad, levels):
         def ring_pass(dirs, w_dir):
@@ -592,6 +606,11 @@ def nonlocal_normal_derivative(u, s, z, cfg: QuadConfig | None = None
             e1 = np.array([-a_hat[1], a_hat[0]])
             th, w_dir = quad._breakpoint_rule(-alpha, alpha, (), n_mu,
                                               levels)
+            if symmetric:
+                # The cone is symmetric about its axis, the line through
+                # the centre and z: one side at double weight.
+                keep = th > 0.0
+                th, w_dir = th[keep], 2.0 * w_dir[keep]
             dirs = np.cos(th)[:, None] * a_hat[None, :] \
                 + np.sin(th)[:, None] * e1[None, :]
             return ring_pass(dirs, w_dir)
@@ -600,7 +619,7 @@ def nonlocal_normal_derivative(u, s, z, cfg: QuadConfig | None = None
         mu_lo = -1.0 if sin_a >= 1.0 else math.sqrt(1.0 - sin_a * sin_a)
         return quad.azimuth_rings(
             ring_pass, cz, "cone", n_mu, levels,
-            None if axisym else min(128, max(16, 6 * n_mu)), cfg,
+            None if symmetric else min(128, max(16, 6 * n_mu)), cfg,
             mu_lo=mu_lo, value=lambda v: c * v)
 
     levels = min(cfg.max_subdiv, 24)
@@ -654,14 +673,11 @@ def restriction_ws(domain: Domain, f, s, cfg: QuadConfig | None = None
     coef = quad._cached_profile(token, cfg, quotient)
 
     def fn(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        # The compact field passes inside points only.
         r2 = geometry.sq_dist(pts, c0)
-        out = np.zeros(len(pts))
-        inside = r2 < R * R
-        r2 = r2[inside]
-        out[inside] = (np.polynomial.chebyshev.chebval(
-            2.0 * r2 / (R * R) - 1.0, coef) * (R * R - r2) ** s)
-        return out
+        return (np.polynomial.chebyshev.chebval(2.0 * r2 / (R * R) - 1.0,
+                                                coef)
+                * np.maximum(R * R - r2, 0.0) ** s)
 
     return ScalarField(fn=fn, dim=N, domain=ball, radial=True,
                        is_compact=True, smooth_scale=R,

@@ -61,6 +61,7 @@ __all__ = [
     "integrate_interior",
     "integrate_exterior",
     "integrate_pv_second_difference",
+    "centred_radial",
     "polar_directions",
     "layered_directions",
     "azimuth_rings",
@@ -205,13 +206,73 @@ def _jacobi_unit(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return t, w * 2.0 ** (-beta - 1.0)
 
 
-def polar_directions(N: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Directions and weights with ``sum(w) = |S^(N-1)|``."""
-    if N == 2:
-        t = 2.0 * math.pi * (np.arange(m) + 0.5) / m
-        dirs = np.stack([np.cos(t), np.sin(t)], axis=1)
-        return dirs, np.full(m, 2.0 * math.pi / m)
-    dirs, w = geometry._sphere_rule(max(6, m // 4))
+def centred_radial(f, domain) -> bool:
+    """Whether ``f`` declares radial data (``f.radial``) and ``domain``,
+    like the field's own domain if it has one, is a ball centred at the
+    origin.
+
+    Then ``f``, the ball and every field derived from them depend on
+    ``|y|`` alone, so a polar integrand around a point ``x`` is symmetric
+    under each reflection that fixes the line through the centre and
+    ``x``: the 2D passes fold their direction rules by that mirror
+    (:func:`polar_directions`), and the 3D passes take one azimuth per
+    ring (:func:`azimuth_rings`).
+    """
+    def centred(d):
+        return isinstance(d, Ball) and not d.center_array.any()
+
+    own = getattr(f, "domain", None)
+    return bool(getattr(f, "radial", False)) and centred(domain) \
+        and (own is None or centred(own))
+
+
+def polar_directions(N: int, m: int, axis=None, antipodal: bool = False
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Directions and weights with ``sum(w) = |S^(N-1)|``.
+
+    In 2D the rule is the ``m``-point midpoint rule on the circle, in 3D
+    a Gauss x azimuth product rule.  Two symmetries of the integrand fold
+    it, each direction then standing for its whole orbit with the
+    orbit's weight:
+
+    * ``axis`` (2D): the integrand is symmetric under the reflection
+      across the line along ``axis``.  The circle rule is rotated so that
+      the axis bisects two nodes, and the nodes on one side of it are
+      kept at double weight; for odd ``m`` the node opposite the axis is
+      its own mirror image and keeps a single weight.  The 3D product
+      rule is not aligned with an axis and ignores it.
+    * ``antipodal``: the integrand takes equal values at ``theta`` and
+      ``-theta``.  The 2D rule with even ``m`` and the 3D rule are closed
+      under negation; the directions with azimuth in ``(0, pi)``
+      (relative to the axis, if one is given) are kept at double weight.
+      A 2D rule with odd ``m`` is not closed under it and is left alone.
+
+    Without a fold the rule is the plain one, bit for bit.  Mirror-
+    symmetric trapezoid rules keep the spectral accuracy of the plain one
+    on periodic analytic integrands (Trefethen and Weideman, SIAM Review
+    56, 2014).
+    """
+    if N != 2:
+        dirs, w = geometry._sphere_rule(max(6, m // 4))
+        if not antipodal:
+            return dirs, w
+        # Azimuths (k + 1/2) 2 pi / n_phi pair off across pi, mu with -mu.
+        keep = dirs[:, 1] > 0.0
+        return dirs[keep], 2.0 * w[keep]
+    # Node j lies at phi + 2 pi k / m with k = j + 1/2, and the folds keep
+    # the nodes with k <= span, whose orbits have m / span nodes except
+    # at k == span, the one node on the fold line.
+    span = 0.5 * m if antipodal and m % 2 == 0 else float(m)
+    if axis is not None:
+        span *= 0.5
+    k = np.arange(m) + 0.5
+    k = k[k <= span]
+    t = 2.0 * math.pi * k / m
+    if axis is not None:
+        t = math.atan2(float(axis[1]), float(axis[0])) + t
+    dirs = np.stack([np.cos(t), np.sin(t)], axis=1)
+    w = np.full(len(k), 2.0 * math.pi / span)
+    w[k == span] *= 0.5
     return dirs, w
 
 
@@ -739,9 +800,11 @@ def integrate_pv_second_difference(u, x, s, cfg: QuadConfig | None = None, *,
     if not inner_scale > 0.0:
         raise DomainError("second-difference rule needs a positive smoothness scale")
 
+    u_x = _centre_value(u, x)
+
     def one_pass(m_ang, n_rad, levels):
-        return _pv_pass(u, x, s, N, domain, inner_scale, compact_support,
-                        cfg, m_ang, n_rad, levels)
+        return _pv_pass(u, x, u_x, s, N, domain, inner_scale,
+                        compact_support, cfg, m_ang, n_rad, levels)
 
     lv = min(cfg.max_subdiv, 30)
     return _two_pass(one_pass, (cfg.angular_order, cfg.radial_order, lv),
@@ -749,14 +812,16 @@ def integrate_pv_second_difference(u, x, s, cfg: QuadConfig | None = None, *,
                       max(6, cfg.radial_order - 6), max(4, lv - 6)), cfg)
 
 
-def _pv_pass(u, x, s, N, domain, inner_scale, compact_support, cfg,
+def _pv_pass(u, x, u_x, s, N, domain, inner_scale, compact_support, cfg,
              m_ang, n_rad, levels):
-    dirs, w_dir = polar_directions(N, m_ang)
+    # The symmetrized integrand is even in theta, so one direction of each
+    # +- pair carries the pair; radial data folds by the mirror too.
+    axis = x if centred_radial(u, domain) else None
+    dirs, w_dir = polar_directions(N, m_ang, axis, antipodal=True)
     M = len(dirs)
     every = np.arange(M)
     both = np.concatenate([dirs, -dirs])
     r_in = cfg.pv_inner_radius * inner_scale
-    u_x = _centre_value(u, x)
     evals = 0
 
     def sym_sums(idx, a, b, rule, kernel):

@@ -251,6 +251,24 @@ def test_green_apply_matches_jacobi_family(N, s, n, l):
     assert res.tolerance_ok
 
 
+@pytest.mark.parametrize("s,n", [(0.3, 1), (0.75, 2), (1.0, 1)])
+def test_green_apply_folds_radial_data(s, n):
+    # Declared radial data on the centred disc folds the direction rule by
+    # the mirror across the line through 0 and x: half the evaluations of
+    # the plain callable, the same closed solution.
+    disc = Ball(center=(0.0, 0.0), radius=1.0)
+    for x in ((0.3, -0.4), (-0.55, 0.2)):
+        plain = green_apply(disc, lambda y: jacobi_data(s, n, 0, y), s, x,
+                            CFG)
+        radial = green_apply(
+            disc, operators.ScalarField(fn=lambda y: jacobi_data(s, n, 0, y),
+                                        dim=2, radial=True), s, x, CFG)
+        assert 2 * radial.evaluations == plain.evaluations
+        assert radial.value == pytest.approx(jacobi_solution(s, n, 0, x),
+                                             rel=1e-12)
+        assert radial.tolerance_ok
+
+
 @pytest.mark.parametrize("N", [2, 3])
 def test_green_apply_classical_torsion(N):
     # s = 1: u(x) = (R^2 - |x|^2) / (2N).
@@ -330,23 +348,16 @@ def test_green_apply_memory_stays_small():
         assert peak < limit, x
 
 
-def test_green_apply_reads_each_node_once():
+def test_green_apply_reads_each_node_once(node_log):
     # One rule per pass: no point reaches f twice (the fine and coarse
     # rules share no node, and in 3D an azimuth doubling reads only the
     # new azimuths), and an s < 1 call takes exactly the nodes of the
     # s = 1 call.
     for x in ((0.3, 0.2), (0.3, -0.2, 0.4)):
         ball = Ball(center=(0.0,) * len(x), radius=1.0)
-        seen = []
-
-        def f(y):
-            seen.append(np.array(y, copy=True))
-            return np.ones(len(y))
-
+        f = node_log(lambda y: np.ones(len(y)))
         res = green_apply(ball, f, 0.5, x, CFG)
-        pts = np.ascontiguousarray(np.concatenate(seen))
-        rows = pts.view(np.dtype((np.void, pts.dtype.itemsize * len(x))))
-        assert len(np.unique(rows)) == len(pts) == res.evaluations
+        f.assert_each_node_once(res.evaluations)
         classical = green_apply(ball, lambda y: np.ones(len(y)), 1.0, x,
                                 CFG)
         assert classical.evaluations == res.evaluations
@@ -810,7 +821,8 @@ def test_tokenless_data_gets_fresh_derived_tokens():
                                      rel=1e-12)
     size = len(derivative._V1_CACHE)
     grid = np.array([[0.3, 0.0]])
-    v1 = [derivative._v1_cached(TokenlessProfile(c), ball, grid, CFG)[0]
+    v1 = [derivative._v1_cached(TokenlessProfile(c), ball, grid,
+                                CFG).values[0]
           for c in (1.0, 2.0, 3.0)]
     assert v1[1:] == pytest.approx([2.0 * v1[0], 3.0 * v1[0]], rel=1e-12)
     assert len(derivative._V1_CACHE) == size

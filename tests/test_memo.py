@@ -133,23 +133,30 @@ def test_tokenless_data_is_never_cached(profile_builds):
 
 
 def test_solve_then_expansion_residual_builds_ell_field_once(monkeypatch):
-    # v_1 of the expansion residual is the s = 1 solve just made: its
-    # ell_field comes from the store, so the 81 ell_s samples of one
-    # build are all there is.
-    samples = []
-    ell = derivative.ell_s
+    # v_1 of the expansion residual is the s = 1 solve just made: it comes
+    # from the store with its ell_field, so the 81 ell_s samples and the
+    # Green solves of one build are all there is.
+    samples, solves = [], []
+    ell, solve = derivative.ell_s, derivative._green_solve
 
     def counting(*args, **kwargs):
         samples.append(args[3])
         return ell(*args, **kwargs)
 
+    def counting_solve(*args, **kwargs):
+        solves.append(args[2])
+        return solve(*args, **kwargs)
+
     monkeypatch.setattr(derivative, "ell_s", counting)
+    monkeypatch.setattr(derivative, "_green_solve", counting_solve)
     grid = np.array([[0.3, 0.0]])
     f = ones_field()
     v1 = derivative.solve_vs(f, DISC, 1.0, grid).values
     derivative.expansion_residual(f, DISC, 0.95, grid)
     assert len(samples) == 81
-    assert np.array_equal(derivative._v1_cached(f, DISC, grid, CFG), v1)
+    assert solves == [1.0]
+    assert np.array_equal(derivative._v1_cached(f, DISC, grid, CFG).values,
+                          v1)
 
 
 def test_benchmark_cache_probes_resolve():

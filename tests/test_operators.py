@@ -9,6 +9,7 @@ import pytest
 
 from fraclab.core import CapabilityError, DomainError
 from fraclab.geometry import Ball, Ellipsoid
+from fraclab.kernels import green_apply
 from fraclab.quadrature import QuadConfig
 from fraclab.specfun import ball_torsion_constant, log_constants
 from fraclab import operators
@@ -450,3 +451,82 @@ def test_interchange_needs_radial_data():
     skew = ScalarField(fn=lambda p: 1.0 + p[:, 0], dim=2, smooth_scale=1.0)
     with pytest.raises(CapabilityError):
         interchange_residual(DISC, skew, 0.75, np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# Symmetry folds of the ray operators.
+# Declared radial data on a ball centred at the origin folds the 2D
+# direction rules by the mirror across the line through the centre and the
+# point, and the principal value always pairs theta with -theta.
+# ---------------------------------------------------------------------------
+
+OFF_DISC = Ball(center=(0.2, -0.1), radius=1.0)
+ELLIPSE = Ellipsoid(a=(1.0, 0.0, 0.0, 4.0))
+
+FOLD_OPS = {
+    "green_apply": lambda u, c: green_apply(u.domain, u, 0.5, c + (0.3, 0.2)),
+    "log_laplacian": lambda u, c: log_laplacian(u, c + (0.3, 0.2)),
+    "log_laplacian_compact": lambda u, c: log_laplacian_compact(
+        u, c + (0.3, 0.2)),
+    "frac_laplacian": lambda u, c: frac_laplacian(u, 0.5, c + (0.3, 0.2)),
+    "nonlocal_normal_derivative": lambda u, c: nonlocal_normal_derivative(
+        u, 0.5, c + (1.2, 0.3)),
+}
+
+
+def bump(domain, radial):
+    # A function of the distance to the centre of the domain.
+    c = operators._domain_center(domain)
+
+    def fn(p):
+        r2 = np.sum((p - c) ** 2, axis=1)
+        return (1.0 - r2) * (1.0 + 0.5 * r2)
+
+    return CompactField(fn, domain, radial=radial, smooth_scale=1.0)
+
+
+@pytest.mark.parametrize("name", list(FOLD_OPS))
+def test_radial_data_on_the_centred_disc_reads_half(name):
+    run = FOLD_OPS[name]
+    c = np.zeros(2)
+    folded, plain = run(bump(DISC, True), c), run(bump(DISC, False), c)
+    assert 2 * folded.evaluations == plain.evaluations
+    assert abs(folded.value - plain.value) <= (folded.error_estimate
+                                               + plain.error_estimate)
+    assert folded.tolerance_ok
+
+
+@pytest.mark.parametrize("name,domain", [
+    *[(name, OFF_DISC) for name in FOLD_OPS],
+    # The Green operator is closed for balls only.
+    *[(name, ELLIPSE) for name in FOLD_OPS if name != "green_apply"]])
+def test_no_fold_off_the_centred_ball(name, domain):
+    run = FOLD_OPS[name]
+    c = operators._domain_center(domain)
+    declared, plain = run(bump(domain, True), c), run(bump(domain, False), c)
+    assert declared == plain
+
+
+@pytest.mark.parametrize("radial", [False, True])
+@pytest.mark.parametrize("name", ["log_laplacian_compact", "frac_laplacian",
+                                  "nonlocal_normal_derivative"])
+def test_ray_operators_read_each_node_once(name, radial, node_log):
+    # Rays along theta and -theta of the principal value are one line, and
+    # a folded rule keeps one node per orbit; the centre value is one more
+    # read.
+    u = node_log(bump(DISC, radial))
+    res = FOLD_OPS[name](u, np.zeros(2))
+    u.assert_each_node_once(res.evaluations + 1)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.75])
+def test_frac_laplacian_of_3d_torsion_is_one(s, node_log):
+    # The 3D principal value on the closed torsion u_s = d (1 - |x|^2)_+^s
+    # at a point off the axes; each +-theta pair is one ray.
+    d, _ = ball_torsion_constant(3, s)
+    u = node_log(CompactField(
+        lambda p: d * np.maximum(1.0 - np.sum(p * p, axis=1), 0.0) ** s,
+        BALL3, boundary_power=s, smooth_scale=1.0))
+    res = frac_laplacian(u, s, np.array([0.3, -0.2, 0.4]))
+    assert res.value == pytest.approx(1.0, rel=1e-10)
+    u.assert_each_node_once(res.evaluations + 1)

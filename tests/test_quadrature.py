@@ -176,6 +176,95 @@ def test_pv_second_difference_shifted_point():
 
 
 # ---------------------------------------------------------------------------
+# Symmetry folds of the polar direction rules.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", [7, 8, 10, 12, 33, 64])
+@pytest.mark.parametrize("antipodal", [False, True])
+def test_polar_fold_keeps_one_node_per_orbit(m, antipodal):
+    # Every node of the midpoint rule rotated onto the axis lies in the
+    # orbit of exactly one kept node, which carries the orbit's weight.
+    # The antipodal map is a symmetry of the rule for even m only.
+    axis = np.array([-1.5, 2.0])
+    phi = math.atan2(axis[1], axis[0])
+    dirs, w = quad.polar_directions(2, m, axis, antipodal)
+    assert w.sum() == pytest.approx(2.0 * math.pi, rel=1e-14)
+    assert np.allclose(np.hypot(dirs[:, 0], dirs[:, 1]), 1.0, atol=1e-15)
+    # Node j of the rotated rule lies at phi + 2 pi (j + 1/2) / m.
+    pos = (np.arctan2(dirs[:, 1], dirs[:, 0]) - phi) * m / (2.0 * math.pi)
+    j = np.round(pos - 0.5).astype(int) % m
+    assert np.allclose((pos - 0.5 - j + m / 2.0) % m - m / 2.0, 0.0,
+                       atol=1e-12)
+    hits = np.zeros(m, dtype=int)
+    for jk, wk in zip(j, w):
+        orbit = {jk, m - 1 - jk}
+        if antipodal and m % 2 == 0:
+            orbit |= {(i + m // 2) % m for i in orbit}
+        hits[list(orbit)] += 1
+        assert wk == pytest.approx(len(orbit) * 2.0 * math.pi / m,
+                                   rel=1e-14)
+    assert (hits == 1).all()
+
+
+@pytest.mark.parametrize("m", [7, 64])
+def test_polar_fold_absent_or_impossible_leaves_the_rule(m):
+    t = 2.0 * math.pi * (np.arange(m) + 0.5) / m
+    plain = np.stack([np.cos(t), np.sin(t)], axis=1)
+    dirs, w = quad.polar_directions(2, m)
+    assert np.array_equal(dirs, plain)
+    assert np.array_equal(w, np.full(m, 2.0 * math.pi / m))
+    if m % 2:
+        odd = quad.polar_directions(2, m, antipodal=True)
+        assert np.array_equal(odd[0], plain) and np.array_equal(odd[1], w)
+    else:
+        # Without an axis the antipodal fold keeps the first half as is.
+        half, w_half = quad.polar_directions(2, m, antipodal=True)
+        assert np.array_equal(half, plain[:m // 2])
+        assert np.array_equal(w_half, 2.0 * w[:m // 2])
+
+
+def test_polar_fold_3d_pairs_each_direction_with_its_negation():
+    dirs, w = quad.polar_directions(3, 64)
+    half, w_half = quad.polar_directions(3, 64, antipodal=True)
+    assert 2 * len(half) == len(dirs)
+    assert w_half.sum() == pytest.approx(4.0 * math.pi, rel=1e-14)
+    both = np.concatenate([half, -half])
+    match = np.abs(dirs[:, None, :] - both[None, :, :]).max(axis=2) < 1e-15
+    assert (match.sum(axis=1) == 1).all() and (match.sum(axis=0) == 1).all()
+    w_both = np.concatenate([w_half, w_half])
+    np.testing.assert_allclose(w, 0.5 * w_both[match.argmax(axis=1)],
+                               rtol=1e-15)
+
+
+def test_polar_fold_integrates_symmetric_data():
+    # A trigonometric polynomial even about the axis and in theta: each
+    # fold integrates it exactly, like the plain rule.
+    axis = np.array([0.4, 0.7])
+    a = axis / np.linalg.norm(axis)
+    exact = 2.0 * math.pi * (1.0 + 0.5 * 0.3)
+    for antipodal in (False, True):
+        dirs, w = quad.polar_directions(2, 16, axis, antipodal)
+        c = dirs @ a
+        assert float(w @ (1.0 + 0.3 * c * c)) == pytest.approx(exact,
+                                                               rel=1e-14)
+
+
+def test_centred_radial_needs_radial_data_on_a_centred_ball():
+    def radial(p):
+        return p
+
+    radial.radial = True
+    off = geo.Ball(center=(0.2, 0.0), radius=1.0)
+    assert quad.centred_radial(radial, DISC)
+    assert not quad.centred_radial(lambda p: p, DISC)
+    assert not quad.centred_radial(radial, off)
+    assert not quad.centred_radial(radial, geo.Ellipsoid(a=(1.0, 0.0, 0.0,
+                                                           4.0)))
+    radial.domain = off
+    assert not quad.centred_radial(radial, DISC)
+
+
+# ---------------------------------------------------------------------------
 # Layered direction rules on the 2-sphere.
 # ---------------------------------------------------------------------------
 

@@ -4,6 +4,9 @@ The frozen values and evaluation counts come from the per-direction
 implementation this integrator replaced: the rules and segments are the
 same, so the counts must agree exactly and the values to rounding, while
 the field is called once per batch instead of once per ray segment.
+The principal value has since read one ray per +-theta pair, and radial
+data on the centred disc folds the direction rules by its mirror
+symmetry; the cases these folds reach were re-frozen at their new counts.
 """
 
 import numpy as np
@@ -72,15 +75,23 @@ CFG3 = QuadConfig(angular_order=48, radial_order=10, max_subdiv=12)
 CASES = {
     "log_laplacian_compact_field": (
         compact2, lambda u: log_laplacian(u, X), 150688, 1.1627727776170784),
+    # Radial data on the unit disc: the direction rules fold by the mirror
+    # across the line through 0 and the point, so the radial passes read
+    # half their directions (quarter in the principal value, which also
+    # folds +-theta).  Re-frozen then (was 177344 evaluations, value
+    # -0.4683180280955783): 5.5e-10 from -0.4683180286065821, the unfolded
+    # rule at angular order 256, radial order 30 and max_subdiv 40 (the
+    # unfolded value was 5.1e-10 off), inside the estimate 1.3e-8.
     "log_laplacian_exterior_layer": (
-        layered2, lambda u: log_laplacian(u, X), 177344, -0.4683180280955783),
+        layered2, lambda u: log_laplacian(u, X), 88672, -0.4683180280567908),
     # The disc's h_Omega is closed now: its 2128 evaluations are gone.
     "log_laplacian_domain_form": (
         compact2, lambda u: log_laplacian_compact(u, X), 63232,
         1.1627727776170782),
+    # The cone of radial data keeps one side of its axis (was 526720).
     "normal_derivative_ws_2d": (
         ws2, lambda u: nonlocal_normal_derivative(u, 0.5, np.array([1.2, 0.1])),
-        526720, -0.3251780002520529),
+        263360, -0.3251780002520529),
     # The cone rings double their azimuths from 8: this polynomial stops
     # at 16 in both passes (6058752 evaluations at a fixed 60 and 48,
     # value 1.6e-16 lower).
@@ -89,14 +100,19 @@ CASES = {
         lambda u: nonlocal_normal_derivative(
             u, 0.5, np.array([0.2, -0.1, 1.25]), CFG3),
         1705984, -0.14067497674297313),
+    # One ray per +-theta pair (was 294400 evaluations, each ray read twice).
     "frac_laplacian_compact_field": (
-        compact2, lambda u: frac_laplacian(u, 0.5, Y), 294400,
+        compact2, lambda u: frac_laplacian(u, 0.5, Y), 147200,
         2.1561801343652527),
     # Frozen from the graded outer span of a non-compact field instead:
     # the per-direction value was 1.1% off (test_decaying_tail_is_graded).
+    # Re-frozen with both folds (was 476928 evaluations, value
+    # 0.9798935329470566): 4.1e-11 from 0.9798935329220773, the unfolded
+    # rule at angular order 256, radial order 30 and max_subdiv 40 (the
+    # unfolded value was 2.5e-11 off), inside the estimate 1.5e-9.
     "frac_laplacian_decaying_tail": (
-        layered2, lambda u: frac_laplacian(u, 0.5, Y), 476928,
-        0.9798935329470566),
+        layered2, lambda u: frac_laplacian(u, 0.5, Y), 119232,
+        0.9798935329627722),
 }
 
 
