@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import DomainError, as_order
 from . import geometry
@@ -80,8 +79,8 @@ def _q_integrand(tau: float, N: int) -> float:
     # dies there too (guarded: the clamp below avoids exp underflow).
     if tau <= 0.0 or 2.0 * tau >= N:
         return 0.0
-    ln_base = (tau * math.log(3.0) + gammaln(0.5 * N) - N * math.log(2.0)
-               - gammaln(tau) - gammaln(0.5 * N + 1.0 - tau))
+    ln_base = (tau * math.log(3.0) + math.lgamma(0.5 * N) - N * math.log(2.0)
+               - math.lgamma(tau) - math.lgamma(0.5 * N + 1.0 - tau))
     val = N / (N - 2.0 * tau) * ln_base
     return math.exp(val) if val > -700.0 else 0.0
 

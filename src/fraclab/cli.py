@@ -223,14 +223,13 @@ def _read_points(source: str, dim: int) -> np.ndarray:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append([float(t) for t in line.split(",")])
-    if not rows:
-        return np.empty((0, dim))
-    pts = np.array(rows, dtype=float)
-    if pts.shape[1] != dim:
-        raise DomainError(
-            f"points have {pts.shape[1]} columns, domain dimension {dim}")
-    return pts
+        row = _parse_point(line)
+        if len(row) != dim:
+            raise DomainError(
+                f"point {line!r} has {len(row)} columns, domain dimension "
+                f"{dim}")
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(len(rows), dim)
 
 
 def _ones(N: int) -> ScalarField:

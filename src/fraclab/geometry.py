@@ -96,6 +96,10 @@ class Ellipsoid:
         n = self.dim
         return np.asarray(self.a, dtype=float).reshape(n, n)
 
+    @property
+    def center_array(self) -> np.ndarray:
+        return np.zeros(self.dim)
+
 
 Domain = Ball | Ellipsoid
 

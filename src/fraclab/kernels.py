@@ -40,7 +40,7 @@ from . import geometry
 from .geometry import Ball, Domain
 from . import quadrature as quad
 from .quadrature import QuadConfig, IntegralResult
-from .specfun import (ball_poisson_constant, frac_normalization, gamma,
+from .specfun import (ball_poisson_constant, frac_normalization,
                       log_constants, riesz_constant)
 
 __all__ = [
@@ -85,7 +85,8 @@ def fundamental_solution(N: int, s, z) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _green_prefactor(N: int, s: float) -> float:
-    return gamma(0.5 * N) / (4.0 ** s * math.pi ** (0.5 * N) * gamma(s) ** 2)
+    return math.gamma(0.5 * N) / (4.0 ** s * math.pi ** (0.5 * N)
+                                  * math.gamma(s) ** 2)
 
 
 # Gauss-Jacobi nodes of the B/J factor rules, and the rows evaluated at a

@@ -133,21 +133,6 @@ def _field_dim(u) -> int:
     return int(dim)
 
 
-def _scale_at(u, x) -> float:
-    scale = getattr(u, "smooth_scale", None)
-    if scale is None:
-        return 1.0
-    if callable(scale):
-        return float(scale(x))
-    return float(scale)
-
-
-def _domain_center(domain: Domain) -> np.ndarray:
-    if isinstance(domain, Ball):
-        return domain.center_array
-    return np.zeros(domain.dim)
-
-
 # ---------------------------------------------------------------------------
 # Fractional Laplacian.
 # ---------------------------------------------------------------------------
@@ -193,7 +178,7 @@ def frac_laplacian(u, s, x, cfg: QuadConfig | None = None) -> IntegralResult:
         return IntegralResult(c * res.value, c * res.error_estimate,
                               res.evaluations, res.tolerance_ok)
 
-    h = 0.02 * _scale_at(u, x)
+    h = 0.02 * quad._scale_at(u, x)
     pts = _stencil_points(x, h)
     vals = np.asarray(u(pts), dtype=float)
     total = _stencil_neg_laplacian(vals, h)
@@ -206,37 +191,6 @@ def frac_laplacian(u, s, x, cfg: QuadConfig | None = None) -> IntegralResult:
 # ---------------------------------------------------------------------------
 # Logarithmic Laplacian.
 # ---------------------------------------------------------------------------
-
-def _crossing_segments(t_lo: np.ndarray, t_hi: np.ndarray, lo: float, hi,
-                       ext_p: float | None) -> tuple[np.ndarray, ...]:
-    """Flat segments ``(idx, a, b, alpha_lo, alpha_hi)`` of ``[lo, hi]``
-    along each direction, split at the boundary crossings ``t_lo, t_hi``
-    (from :func:`~fraclab.geometry.ray_spans`; NaN where there is none).
-
-    The endpoint exponents feed :func:`~fraclab.quadrature.unit_power_rule`:
-    ``0.0`` (plain dyadic grading, right for the bounded kinks of fields
-    vanishing at the boundary) everywhere except on the *exterior* side of
-    a crossing of a field with a declared ``exterior_power`` -- below an
-    entry point and above an exit point -- where the layer ``dist^p`` gets
-    Jacobi panels of matching exponent.  Crossings are matched to within a
-    relative tolerance so a crossing sitting exactly on ``lo``/``hi``
-    (e.g. the unit-split radius of the logarithmic Laplacian hitting the
-    boundary) still flags the adjacent segment.  ``hi`` may be an array
-    (per-direction upper ends).
-    """
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (len(t_lo),))
-    eps = 1e-9 * np.maximum(1.0, np.abs(hi))
-    cuts = np.column_stack([t_lo, t_hi])
-    inside = ((float(lo) + eps)[:, None] < cuts) & (cuts < (hi - eps)[:, None])
-    cuts[~inside] = np.nan
-    idx, a, b = quad._split_rays(float(lo), hi, cuts)
-    alpha_lo = np.zeros(len(idx))
-    alpha_hi = np.zeros(len(idx))
-    if ext_p is not None:
-        alpha_lo[np.abs(a - t_hi[idx]) <= eps[idx]] = float(ext_p)
-        alpha_hi[np.abs(b - t_lo[idx]) <= eps[idx]] = float(ext_p)
-    return idx, a, b, alpha_lo, alpha_hi
-
 
 def log_laplacian(u, x, cfg: QuadConfig | None = None) -> IntegralResult:
     """Full-space logarithmic Laplacian
@@ -275,7 +229,8 @@ def log_laplacian(u, x, cfg: QuadConfig | None = None) -> IntegralResult:
             # One field pass per pair of endpoint exponents; segments with
             # plain grading at both ends take ``plain_levels``.
             nonlocal evals
-            idx, a, b, al, ah = _crossing_segments(t_lo, t_hi, lo, hi, ext_p)
+            idx, a, b, al, ah = quad.crossing_segments(t_lo, t_hi, lo, hi,
+                                                       ext_p)
             total = np.zeros(len(dirs))
             for pair in sorted(set(zip(al.tolist(), ah.tolist()))):
                 sel = (al == pair[0]) & (ah == pair[1])
@@ -582,7 +537,7 @@ def nonlocal_normal_derivative(u, s, z, cfg: QuadConfig | None = None
     # over that cone only, graded toward its rim, where the chord length
     # collapses with a square-root kink.  (For an ellipsoid the cone of
     # its circumscribed sphere is used; misses inside it are skipped.)
-    center = _domain_center(dom)
+    center = dom.center_array
     _, diam = geometry.measures(dom)
     cz = center - z
     q0 = float(np.linalg.norm(cz))

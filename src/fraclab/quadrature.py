@@ -24,13 +24,16 @@ Polar passes in dimension 3 that follow a boundary layer use
 :func:`azimuth_rings` doubles until the data is resolved, reading each
 node once.
 
-Integrals along rays from a point (the logarithmic Laplacians, the
-nonlocal normal derivative, the principal-value outer region and tails)
-go through :func:`ray_sums`.  An operator lays out its ray segments as
-flat arrays (direction index, start, end), one unit-interval rule is
-mapped onto all of them, the field is called once per chunk of nodes
-rather than once per segment, and the weighted integrand is reduced per
-direction with ``np.bincount``.
+Integrals along rays from a point (the interior and exterior polar
+passes, the logarithmic Laplacians, the nonlocal normal derivative, the
+principal value) go through :func:`ray_sums`.  An operator lays out its
+ray segments as flat arrays (direction index, start, end), one
+unit-interval rule is mapped onto all of them, the field is called once
+per chunk of nodes rather than once per segment, and the weighted
+integrand is reduced per direction with ``np.bincount``.  Where a field
+kinks at the boundary, :func:`crossing_segments` cuts the segments at
+the crossings of one or more rays per direction and names the endpoint
+exponents of a declared exterior layer.
 
 Tabulated radial fields are chopped Chebyshev series from
 :func:`_chebyshev_profile`, sampled only as densely as the data needs and
@@ -78,28 +81,27 @@ class QuadConfig:
     ``rel_tol`` / ``abs_tol`` are targets the error estimate is compared
     against (results flag, not raise, when they miss).  ``max_subdiv``
     bounds the dyadic refinement depth toward singular endpoints.
-    ``pv_inner_radius`` is the fraction of the local smoothness scale used
-    as the inner radius of the principal-value split; values above 1/2
-    would let the inner ball leak past the nearest boundary crossing.
     """
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-9
     max_subdiv: int = 48
-    pv_inner_radius: float = 0.25
     angular_order: int = 64
     radial_order: int = 16
 
     def __post_init__(self):
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise DomainError("tolerances must be positive")
-        if not 0.0 < self.pv_inner_radius <= 0.5:
-            raise DomainError("pv_inner_radius must lie in (0, 1/2]")
         if self.max_subdiv < 4:
             raise DomainError("max_subdiv must be at least 4")
 
 
 DEFAULT_CONFIG = QuadConfig()
+
+# Radius of the principal-value inner ball, as a fraction of the local
+# smoothness scale; above 1/2 the ball could leak past the nearest
+# boundary crossing.
+PV_INNER_RADIUS = 0.25
 
 
 @dataclass(frozen=True)
@@ -557,19 +559,57 @@ def _cached_profile(token, cfg: QuadConfig, sample) -> np.ndarray:
 # Ray integrals.
 # ---------------------------------------------------------------------------
 
-def _split_rays(lo, hi, cuts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat segments ``(idx, a, b)`` of the per-direction intervals
-    ``[lo, hi]`` cut at the finite entries of ``cuts`` (one row per
-    direction, entries outside ``(lo, hi)`` already NaN).  Repeated cuts
-    leave no empty segment; segments come direction by direction in
-    increasing order."""
-    cuts = np.asarray(cuts, dtype=float)
-    n = len(cuts)
-    marks = np.sort(np.column_stack([np.broadcast_to(lo, (n,)), cuts,
-                                     np.broadcast_to(hi, (n,))]), axis=1)
+def crossing_segments(t_lo, t_hi, lo: float, hi, ext_p: float | None
+                      ) -> tuple[np.ndarray, ...]:
+    """Flat segments ``(idx, a, b, alpha_lo, alpha_hi)`` of ``[lo, hi]``
+    along each direction, split at its boundary crossings.
+
+    ``t_lo`` and ``t_hi`` hold the entries and exits (from
+    :func:`~fraclab.geometry.ray_spans`, NaN where there is none): one per
+    direction, or one column per ray when several rays share the
+    direction's segments.  ``hi`` may be an array (per-direction upper
+    ends).  Crossings within a relative 1e-9 of ``lo`` or ``hi`` cut
+    nothing, and repeated ones leave no empty segment; segments come
+    direction by direction in increasing order.
+
+    The endpoint exponents feed :func:`unit_power_rule`: ``0.0`` (plain
+    dyadic grading, right for the bounded kinks of fields vanishing at the
+    boundary) everywhere except on the *exterior* side of a crossing of a
+    field with a declared ``exterior_power`` ``ext_p`` -- below an entry
+    and above an exit -- where the layer ``dist^p`` gets Jacobi panels of
+    matching exponent.  Crossings are matched to the same tolerance, so
+    one sitting exactly on ``lo`` or ``hi`` (e.g. the unit-split radius of
+    the logarithmic Laplacian hitting the boundary) still flags the
+    adjacent segment.
+    """
+    n = len(t_lo)
+    t_lo = np.asarray(t_lo, dtype=float).reshape(n, -1)
+    t_hi = np.asarray(t_hi, dtype=float).reshape(n, -1)
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,))
+    eps = 1e-9 * np.maximum(1.0, np.abs(hi))
+    cuts = np.column_stack([t_lo, t_hi])
+    inside = ((float(lo) + eps)[:, None] < cuts) & (cuts < (hi - eps)[:, None])
+    cuts[~inside] = np.nan
+    marks = np.sort(np.column_stack([np.full(n, float(lo)), cuts, hi]),
+                    axis=1)
     a, b = marks[:, :-1], marks[:, 1:]
     keep = b > a                      # NaN marks (sorted last) fail too
-    return np.nonzero(keep)[0], a[keep], b[keep]
+    idx, a, b = np.nonzero(keep)[0], a[keep], b[keep]
+    alpha_lo, alpha_hi = np.zeros(len(idx)), np.zeros(len(idx))
+    if ext_p is not None:
+        near = eps[idx, None]
+        alpha_lo[(np.abs(a[:, None] - t_hi[idx]) <= near).any(axis=1)] = ext_p
+        alpha_hi[(np.abs(b[:, None] - t_lo[idx]) <= near).any(axis=1)] = ext_p
+    return idx, a, b, alpha_lo, alpha_hi
+
+
+def _scale_at(u, x) -> float:
+    """Local smoothness scale of ``u`` at ``x``: its ``smooth_scale``, a
+    number or a callable of the point, else 1."""
+    scale = getattr(u, "smooth_scale", None)
+    if scale is None:
+        return 1.0
+    return float(scale(x) if callable(scale) else scale)
 
 
 def _finite_values(f, pts) -> np.ndarray:
@@ -631,14 +671,11 @@ def _polar_interior_pass(domain, f, center, radial_power, boundary_power,
         raise DomainError("polar center must be an interior point")
     alpha_lo = (0.0 if radial_power is None else float(radial_power)) + (N - 1)
     alpha_hi = None if boundary_power is None else float(boundary_power)
-    rule = unit_power_rule(alpha_lo, alpha_hi, n_rad, levels)
-    xu, wu = rule
-    t = t_hi[:, None] * xu[None, :]                      # (M, K)
-    pts = center[None, None, :] + t[:, :, None] * dirs[:, None, :]
-    vals = _finite_values(f, pts.reshape(-1, N)).reshape(t.shape)
-    radial = (vals * t ** (N - 1)) @ wu
-    value = float(w_dir @ (radial * t_hi))
-    return value, t.size
+    sums, evals = ray_sums(f, center, dirs, np.arange(len(dirs)),
+                           np.zeros(len(dirs)), t_hi,
+                           unit_power_rule(alpha_lo, alpha_hi, n_rad, levels),
+                           lambda t, v: v * t ** (N - 1))
+    return float(w_dir @ sums), evals
 
 
 def integrate_interior(domain: Domain, f, cfg: QuadConfig | None = None, *,
@@ -652,9 +689,8 @@ def integrate_interior(domain: Domain, f, cfg: QuadConfig | None = None, *,
     not required for correctness on smooth integrands.
     """
     cfg = cfg or DEFAULT_CONFIG
-    c = np.asarray(center, dtype=float) if center is not None else (
-        domain.center_array if isinstance(domain, Ball)
-        else np.zeros(domain.dim))
+    c = domain.center_array if center is None else np.asarray(center,
+                                                               dtype=float)
     levels = min(cfg.max_subdiv, 48)
 
     def one_pass(m_ang, n_rad, lv):
@@ -675,9 +711,9 @@ def integrate_interior(domain: Domain, f, cfg: QuadConfig | None = None, *,
 def _exterior_pass(domain, f, boundary_power, m_ang, n_rad, levels, cfg):
     """Polar exterior integral with a doubling tail and divergence probe."""
     N = domain.dim
-    center = (domain.center_array if isinstance(domain, Ball)
-              else np.zeros(N))
+    center = domain.center_array
     dirs, w_dir = polar_directions(N, m_ang)
+    every = np.arange(len(dirs))
     _, t_hi, hit = geometry.ray_spans(domain, center, dirs)
     if not hit.all():
         raise DomainError("polar center must be an interior point")
@@ -687,13 +723,10 @@ def _exterior_pass(domain, f, boundary_power, m_ang, n_rad, levels, cfg):
 
     def block(lo_vec, hi_vec, rule):
         nonlocal evals
-        xu, wu = rule
-        t = lo_vec[:, None] + (hi_vec - lo_vec)[:, None] * xu[None, :]
-        pts = center[None, None, :] + t[:, :, None] * dirs[:, None, :]
-        vals = _finite_values(f, pts.reshape(-1, N)).reshape(t.shape)
-        evals += t.size
-        radial = (vals * t ** (N - 1)) @ wu
-        return float(w_dir @ (radial * (hi_vec - lo_vec)))
+        sums, n = ray_sums(f, center, dirs, every, lo_vec, hi_vec, rule,
+                           lambda t, v: v * t ** (N - 1))
+        evals += n
+        return float(w_dir @ sums)
 
     alpha = None if boundary_power is None else float(boundary_power)
     near_rule = unit_power_rule(alpha, None, n_rad, levels)
@@ -761,23 +794,21 @@ def integrate_exterior(domain: Domain, f, cfg: QuadConfig | None = None, *,
 # Symmetrized principal value.
 # ---------------------------------------------------------------------------
 
-def integrate_pv_second_difference(u, x, s, cfg: QuadConfig | None = None, *,
-                                   domain: Domain | None = None,
-                                   inner_scale: float | None = None,
-                                   compact_support: bool | None = None
+def integrate_pv_second_difference(u, x, s, cfg: QuadConfig | None = None
                                    ) -> IntegralResult:
     """Symmetrized principal value ``int (2u(x) - u(x+z) - u(x-z)) / (2 |z|^(N+2s)) dz``.
 
     Returns the *unnormalized* integral; callers apply the fractional
     normalization themselves.  ``u`` must be twice differentiable near
-    ``x`` on the scale ``inner_scale`` (defaulting to metadata on ``u``
-    when present, else 1): inside ``pv_inner_radius * inner_scale`` the
-    second difference is integrated against the exact ``t^(1-2s)`` radial
-    weight, so the split radius never needs to chase the singularity.
+    ``x`` on its smoothness scale (:func:`_scale_at`): inside
+    ``PV_INNER_RADIUS`` times that scale the second difference is
+    integrated against the exact ``t^(1-2s)`` radial weight, so the split
+    radius never needs to chase the singularity.
 
-    ``domain`` marks a boundary across which ``u`` loses smoothness
-    (fields that vanish outside kink like ``delta^s`` there); ray crossings
-    become quadrature breakpoints.  For compactly supported ``u`` the far
+    ``u.domain``, when present, marks a boundary across which ``u`` loses
+    smoothness (fields that vanish outside kink like ``delta^s`` there);
+    ray crossings become quadrature breakpoints.  For compactly supported
+    ``u`` (``u.is_compact``, by default whether it has a domain) the far
     tail is the exact power integral of ``2 u(x)``; otherwise the graded
     span runs one doubling past the last crossing (with panels matching a
     declared ``exterior_power`` layer outside the boundary) and the
@@ -790,13 +821,9 @@ def integrate_pv_second_difference(u, x, s, cfg: QuadConfig | None = None, *,
         raise DomainError(f"principal value rule requires 0 < s < 1, got {s}")
     x = np.asarray(x, dtype=float)
     N = x.shape[0]
-    if domain is None:
-        domain = getattr(u, "domain", None)
-    if inner_scale is None:
-        scale_fn = getattr(u, "smooth_scale", None)
-        inner_scale = float(scale_fn(x)) if scale_fn is not None else 1.0
-    if compact_support is None:
-        compact_support = bool(getattr(u, "is_compact", domain is not None))
+    domain = getattr(u, "domain", None)
+    compact_support = bool(getattr(u, "is_compact", domain is not None))
+    inner_scale = _scale_at(u, x)
     if not inner_scale > 0.0:
         raise DomainError("second-difference rule needs a positive smoothness scale")
 
@@ -804,7 +831,7 @@ def integrate_pv_second_difference(u, x, s, cfg: QuadConfig | None = None, *,
 
     def one_pass(m_ang, n_rad, levels):
         return _pv_pass(u, x, u_x, s, N, domain, inner_scale,
-                        compact_support, cfg, m_ang, n_rad, levels)
+                        compact_support, m_ang, n_rad, levels)
 
     lv = min(cfg.max_subdiv, 30)
     return _two_pass(one_pass, (cfg.angular_order, cfg.radial_order, lv),
@@ -812,7 +839,7 @@ def integrate_pv_second_difference(u, x, s, cfg: QuadConfig | None = None, *,
                       max(6, cfg.radial_order - 6), max(4, lv - 6)), cfg)
 
 
-def _pv_pass(u, x, u_x, s, N, domain, inner_scale, compact_support, cfg,
+def _pv_pass(u, x, u_x, s, N, domain, inner_scale, compact_support,
              m_ang, n_rad, levels):
     # The symmetrized integrand is even in theta, so one direction of each
     # +- pair carries the pair; radial data folds by the mirror too.
@@ -821,7 +848,7 @@ def _pv_pass(u, x, u_x, s, N, domain, inner_scale, compact_support, cfg,
     M = len(dirs)
     every = np.arange(M)
     both = np.concatenate([dirs, -dirs])
-    r_in = cfg.pv_inner_radius * inner_scale
+    r_in = PV_INNER_RADIUS * inner_scale
     evals = 0
 
     def sym_sums(idx, a, b, rule, kernel):
@@ -843,26 +870,20 @@ def _pv_pass(u, x, u_x, s, N, domain, inner_scale, compact_support, cfg,
     # compact field ends at the farthest crossing.  Any other field runs
     # one doubling past it, so the dyadic tail never starts on a layer
     # outside the boundary, and its declared ``exterior_power`` grades the
-    # panels on the exterior side of each crossing: above an exit, below
-    # an entry.
+    # panels on the exterior side of each crossing.
     t_end = np.full(M, max(2.0 * r_in, 1.0))
-    cuts = np.empty((M, 0))
+    t_lo = t_hi = np.empty((M, 0))
     if domain is not None:
-        t_lo, t_hi, _ = geometry.ray_spans(domain, x, both)
-        cuts = np.column_stack([t_lo[:M], t_hi[:M], t_lo[M:], t_hi[M:]])
-        cuts[~(cuts > r_in)] = np.nan
-        last = np.fmax.reduce(cuts, axis=1)
+        lo2, hi2, _ = geometry.ray_spans(domain, x, both)
+        t_lo, t_hi = lo2.reshape(2, M).T, hi2.reshape(2, M).T
+        cross = np.column_stack([t_lo, t_hi])
+        last = np.fmax.reduce(np.where(cross > r_in, cross, np.nan), axis=1)
         if not compact_support:
             last = 2.0 * last
         t_end = np.where(np.isnan(last), t_end, last)
-        cuts[~(cuts < t_end[:, None])] = np.nan
-    idx, a, b = _split_rays(r_in, t_end, cuts)
-    alpha_lo, alpha_hi = np.zeros(len(idx)), np.zeros(len(idx))
-    ext_p = getattr(u, "exterior_power", None)
-    if ext_p is not None and not compact_support:
-        seg_cuts = cuts[idx]
-        alpha_lo[(a[:, None] == seg_cuts[:, 1::2]).any(axis=1)] = ext_p
-        alpha_hi[(b[:, None] == seg_cuts[:, 0::2]).any(axis=1)] = ext_p
+    ext_p = None if compact_support else getattr(u, "exterior_power", None)
+    idx, a, b, alpha_lo, alpha_hi = crossing_segments(t_lo, t_hi, r_in,
+                                                      t_end, ext_p)
     outer = 0.0
     for pair in sorted(set(zip(alpha_lo.tolist(), alpha_hi.tolist()))):
         sel = (alpha_lo == pair[0]) & (alpha_hi == pair[1])

@@ -1,10 +1,8 @@
 """Gamma-family special functions and the named constants of the model.
 
-The gamma and digamma evaluations are self-contained (Lanczos approximation
-and Bernoulli asymptotics) rather than imported, so that the constant
-formulas below are reproducible to their stated accuracy without trusting a
-third-party implementation; the test suite pins both functions against a
-frozen high-precision table.
+Gamma is ``math.gamma`` and digamma ``scipy.special.digamma``; the test
+suite pins both against a frozen high-precision table, and every constant
+below against its closed value.
 
 Conventions
 -----------
@@ -26,102 +24,17 @@ from __future__ import annotations
 
 import math
 
+from scipy import special
+
 from .core import DomainError
 
 __all__ = [
-    "gamma",
-    "ln_gamma",
-    "digamma",
     "frac_normalization",
     "log_constants",
     "riesz_constant",
     "ball_poisson_constant",
     "ball_torsion_constant",
 ]
-
-# Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
-# Relative accuracy is ~1e-15 over the right half plane, which is more
-# headroom than the 1e-12 the constant formulas are tested to.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for ``x > 0``."""
-    x = float(x)
-    if not x > 0.0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # Reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x).  For 0 < x < 0.5
-        # both factors are positive, so no sign bookkeeping is needed.
-        return math.log(math.pi / math.sin(math.pi * x)) - ln_gamma(1.0 - x)
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (x - 1.0 + k)
-    t = x + _LANCZOS_G - 0.5
-    return _HALF_LOG_TWO_PI + (x - 0.5) * math.log(t) - t + math.log(acc)
-
-
-def gamma(x: float) -> float:
-    """Gamma function for ``x > 0``."""
-    return math.exp(ln_gamma(x))
-
-
-# Bernoulli numbers B_2 .. B_14 divided by 2k, for the asymptotic series
-# psi(x) ~ ln x - 1/(2x) - sum B_2k / (2k x^{2k}).
-_DIGAMMA_ASYMPTOTIC = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
-
-_DIGAMMA_SHIFT = 10.0
-
-
-def digamma(x: float) -> float:
-    """Digamma function ``psi(x)`` for ``x > 0``.
-
-    Uses the recurrence ``psi(x+1) = psi(x) + 1/x`` to push the argument
-    past 10, then the Bernoulli asymptotic series, which at that point is
-    accurate to well below 1e-14.
-    """
-    x = float(x)
-    if not x > 0.0:
-        raise DomainError(f"digamma requires x > 0, got {x}")
-    acc = 0.0
-    while x < _DIGAMMA_SHIFT:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    series = 0.0
-    power = inv2
-    for coeff in _DIGAMMA_ASYMPTOTIC:
-        series += coeff * power
-        power *= inv2
-    return acc + math.log(x) - 0.5 / x - series
-
 
 _EULER_GAMMA = 0.57721566490153286061
 
@@ -140,8 +53,8 @@ def frac_normalization(N: int, s) -> float:
     s = float(s)
     if not 0.0 < s < 1.0:
         raise DomainError(f"frac_normalization requires 0 < s < 1, got s={s}")
-    return (4.0 ** s * gamma(0.5 * N + s) * s * (1.0 - s)
-            / (gamma(2.0 - s) * math.pi ** (0.5 * N)))
+    return (4.0 ** s * math.gamma(0.5 * N + s) * s * (1.0 - s)
+            / (math.gamma(2.0 - s) * math.pi ** (0.5 * N)))
 
 
 def log_constants(N: int) -> tuple[float, float]:
@@ -152,8 +65,9 @@ def log_constants(N: int) -> tuple[float, float]:
     numerator structure; concretely ``rho_2 = 2 ln 2 - 2 gamma_E``.
     """
     _check_dim(N)
-    c_N = gamma(0.5 * N) / math.pi ** (0.5 * N)
-    rho_N = 2.0 * math.log(2.0) + digamma(0.5 * N) - _EULER_GAMMA
+    c_N = math.gamma(0.5 * N) / math.pi ** (0.5 * N)
+    rho_N = (2.0 * math.log(2.0) + float(special.digamma(0.5 * N))
+             - _EULER_GAMMA)
     return c_N, rho_N
 
 
@@ -170,7 +84,8 @@ def riesz_constant(N: int, s) -> float:
     if not 0.0 < s < 0.5 * N:
         raise DomainError(
             f"riesz_constant requires 0 < s < N/2 = {0.5 * N}, got s={s}")
-    return gamma(0.5 * N - s) / (4.0 ** s * math.pi ** (0.5 * N) * gamma(s))
+    return math.gamma(0.5 * N - s) / (4.0 ** s * math.pi ** (0.5 * N)
+                                      * math.gamma(s))
 
 
 def ball_poisson_constant(N: int, s) -> float:
@@ -184,7 +99,8 @@ def ball_poisson_constant(N: int, s) -> float:
     s = float(s)
     if not 0.0 < s < 1.0:
         raise DomainError(f"ball_poisson_constant requires 0 < s < 1, got s={s}")
-    return gamma(0.5 * N) * math.sin(math.pi * s) / math.pi ** (0.5 * N + 1.0)
+    return (math.gamma(0.5 * N) * math.sin(math.pi * s)
+            / math.pi ** (0.5 * N + 1.0))
 
 
 def ball_torsion_constant(N: int, s) -> tuple[float, float]:
@@ -206,8 +122,10 @@ def ball_torsion_constant(N: int, s) -> tuple[float, float]:
     if not 0.0 < s < 2.0:
         raise DomainError(
             f"ball_torsion_constant requires 0 < s < 2, got s={s}")
-    value = gamma(0.5 * N) / (4.0 ** s * gamma(0.5 * N + s) * gamma(1.0 + s))
-    slope = value * (-math.log(4.0) - digamma(0.5 * N + s) - digamma(1.0 + s))
+    value = math.gamma(0.5 * N) / (4.0 ** s * math.gamma(0.5 * N + s)
+                                   * math.gamma(1.0 + s))
+    slope = value * float(-math.log(4.0) - special.digamma(0.5 * N + s)
+                          - special.digamma(1.0 + s))
     return value, slope
 
 

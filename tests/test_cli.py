@@ -349,6 +349,17 @@ def test_usage_and_domain_errors_exit_one(capsys, argv):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", ["0.1,abc\n", "0.1,0.2\n0.3\n"],
+                         ids=["non_number", "short_row"])
+def test_bad_point_files_exit_one(capsys, tmp_path, text):
+    # A non-number and a short row are domain errors, not tracebacks.
+    pts = tmp_path / "pts.csv"
+    pts.write_text(text)
+    assert main(["eval", "--op", "homega", "--domain", "ball:1",
+                 "--points", str(pts)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fraclab import derivative, kernels, operators
+from fraclab import bounds, derivative, kernels, operators
 from fraclab import quadrature as quad
 from fraclab.geometry import Ball
 from fraclab.quadrature import QuadConfig
@@ -159,14 +159,35 @@ def test_solve_then_expansion_residual_builds_ell_field_once(monkeypatch):
                           v1)
 
 
-def test_benchmark_cache_probes_resolve():
-    # The benchmark's tracer reads the stores' sizes and the rule cache's
-    # statistics by these names; a store must hold a whole pass (90 master
-    # grids in the bound chain) for its growth to count the misses.
+def load_tracing():
+    """The benchmark's tracer module, loaded by path."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_hooks_exist():
+    # The benchmark wraps these functions and rebinds these hooks by name
+    # (perfbench/tracing.py, perfbench/child.py); deleting one breaks it.
+    for mod_name, fns in load_tracing().WRAPPED.items():
+        mod = importlib.import_module(f"fraclab.{mod_name}")
+        for fn in fns:
+            assert callable(getattr(mod, fn, None)), f"{mod_name}.{fn}"
+    assert callable(bounds._ones(2).fn)
+    assert callable(kernels._mf_on_grid)
+    assert callable(derivative._v1_cached)
+    assert isinstance(kernels._MF_CACHE, dict)
+    assert isinstance(derivative._V1_CACHE, dict)
+    assert quad.unit_power_rule.cache_info().maxsize > 0
+
+
+def test_benchmark_cache_probes_resolve():
+    # The benchmark's tracer reads the stores' sizes and the rule cache's
+    # statistics by these names; a store must hold a whole pass (90 master
+    # grids in the bound chain) for its growth to count the misses.
+    tracing = load_tracing()
     sizes = tracing._dict_cache_sizes()
     assert set(sizes) == {"kernels.mf_cache", "derivative.v1_cache"}
     assert all(isinstance(v, int) for v in sizes.values())

@@ -12,7 +12,8 @@ import pytest
 from fraclab.core import DivergenceError, DomainError
 from fraclab import geometry as geo
 from fraclab import quadrature as quad
-from fraclab.specfun import frac_normalization, gamma
+from fraclab.operators import ScalarField
+from fraclab.specfun import frac_normalization
 
 
 DISC = geo.unit_ball(2)
@@ -21,8 +22,6 @@ CFG = quad.QuadConfig()
 
 
 def test_config_validation():
-    with pytest.raises(DomainError):
-        quad.QuadConfig(pv_inner_radius=0.75)
     with pytest.raises(DomainError):
         quad.QuadConfig(rel_tol=0.0)
 
@@ -36,7 +35,8 @@ def test_unit_power_rule_exactness():
         (-0.5, None, 2.0, 1e-13),                # int x^(-1/2) = 2
         (-0.9, None, 10.0, 1e-13),               # int x^(-9/10) = 10
         (None, -0.5, 2.0, 5e-9),
-        (-0.9, 0.7, gamma(0.1) * gamma(1.7) / gamma(1.8), 5e-9),
+        (-0.9, 0.7, math.gamma(0.1) * math.gamma(1.7) / math.gamma(1.8),
+         5e-9),
     ]:
         x, w = quad.unit_power_rule(a, b, 16, 40)
         f = np.ones_like(x)
@@ -150,12 +150,12 @@ def test_exterior_divergence_probe():
 
 def test_pv_second_difference_gaussian():
     # (-Delta)^s exp(-|x|^2) at x = 0 in the plane equals 4^s Gamma(1+s).
-    u = lambda y: np.exp(-(np.asarray(y) ** 2).sum(axis=-1))
+    u = ScalarField(fn=lambda y: np.exp(-(np.asarray(y) ** 2).sum(axis=-1)),
+                    dim=2, smooth_scale=1.0)
     for s in (0.25, 0.5, 0.75):
-        res = quad.integrate_pv_second_difference(
-            u, np.zeros(2), s, CFG, inner_scale=1.0, compact_support=False)
+        res = quad.integrate_pv_second_difference(u, np.zeros(2), s, CFG)
         value = frac_normalization(2, s) * res.value
-        exact = 4.0 ** s * gamma(1.0 + s)
+        exact = 4.0 ** s * math.gamma(1.0 + s)
         assert value == pytest.approx(exact, rel=2e-8), s
 
 
@@ -165,13 +165,12 @@ def test_pv_second_difference_shifted_point():
     # use instead the exact scaling u_a(x) = exp(-a|x|^2):
     # (-Delta)^s u_a (0) = a^s 4^s Gamma(1+s)  (dilation covariance).
     a = 2.3
-    u = lambda y: np.exp(-a * (np.asarray(y) ** 2).sum(axis=-1))
+    u = ScalarField(fn=lambda y: np.exp(-a * (np.asarray(y) ** 2).sum(axis=-1)),
+                    dim=2, smooth_scale=1.0 / math.sqrt(a))
     s = 0.6
-    res = quad.integrate_pv_second_difference(
-        u, np.zeros(2), s, CFG, inner_scale=1.0 / math.sqrt(a),
-        compact_support=False)
+    res = quad.integrate_pv_second_difference(u, np.zeros(2), s, CFG)
     value = frac_normalization(2, s) * res.value
-    exact = a ** s * 4.0 ** s * gamma(1.0 + s)
+    exact = a ** s * 4.0 ** s * math.gamma(1.0 + s)
     assert value == pytest.approx(exact, rel=2e-8)
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from fraclab.core import EvaluationError
 from fraclab.geometry import Ball
+from fraclab import quadrature as quad
 from fraclab.quadrature import QuadConfig
 from fraclab import operators
 from fraclab.operators import (CompactField, ScalarField, frac_laplacian,
@@ -203,3 +204,65 @@ def test_ray_nodes_equal_the_broadcast_layout(N):
     t = a[:, None] + (b - a)[:, None] * rule[0][None, :]
     want = x + t[:, :, None] * dirs[idx][:, None, :]
     assert np.array_equal(np.concatenate(seen), want.reshape(-1, N))
+
+
+# ---------------------------------------------------------------------------
+# The crossing splitter.
+# ---------------------------------------------------------------------------
+
+def reference_segments(t_lo, t_hi, lo, hi, ext_p):
+    """One direction's ``(a, b, alpha_lo, alpha_hi)`` segments, in a loop."""
+    eps = 1e-9 * max(1.0, abs(hi))
+    cuts = sorted({c for c in (*t_lo, *t_hi) if lo + eps < c < hi - eps})
+    marks = [lo, *cuts, hi]
+    segs = []
+    for a, b in zip(marks[:-1], marks[1:]):
+        exits = ext_p is not None and any(abs(a - c) <= eps for c in t_hi)
+        entries = ext_p is not None and any(abs(b - c) <= eps for c in t_lo)
+        segs.append((a, b, ext_p if exits else 0.0,
+                     ext_p if entries else 0.0))
+    return segs
+
+
+NAN = np.nan
+# Two crossing columns per direction (the rays along theta and -theta).
+SPLIT_ROWS = [
+    # (entries, exits, hi)
+    ((-0.3, 1.2), (0.5, 1.7), 2.0),     # an exit exactly at lo
+    ((2.0, NAN), (3.0, NAN), 2.0),      # an entry exactly at hi
+    ((0.9, 0.9), (1.4, 1.4), 2.0),      # each crossing twice
+    ((NAN, NAN), (NAN, NAN), 2.0),      # no crossing at all
+    ((1.1, 0.7), (2.5, 1.0), 3.0),      # interleaved, entries both sides
+    ((-1.0, NAN), (0.5 + 1e-12, NAN), 2.0),   # an exit within 1e-9 of lo
+]
+
+
+@pytest.mark.parametrize("ext_p", [None, -0.4])
+def test_crossing_segments_match_a_per_direction_loop(ext_p):
+    t_lo = np.array([row[0] for row in SPLIT_ROWS])
+    t_hi = np.array([row[1] for row in SPLIT_ROWS])
+    hi = np.array([row[2] for row in SPLIT_ROWS])
+    idx, a, b, al, ah = quad.crossing_segments(t_lo, t_hi, 0.5, hi, ext_p)
+    expected = [(k, *seg) for k, row in enumerate(SPLIT_ROWS)
+                for seg in reference_segments(*row[:2], 0.5, row[2], ext_p)]
+    got = list(zip(idx.tolist(), a.tolist(), b.tolist(), al.tolist(),
+                   ah.tolist()))
+    assert got == expected
+    if ext_p is not None:
+        # Flags on the exterior side of crossings of both rays: above the
+        # exit at lo, below the entry at hi, around the interleaved ones.
+        assert got[0][3] == ext_p and got[0][4] == ext_p
+        assert (idx == 1).sum() == 1 and ah[idx == 1][0] == ext_p
+        assert al[idx == 4].tolist() == [0.0, 0.0, ext_p, 0.0, ext_p]
+        assert ah[idx == 4].tolist() == [ext_p, 0.0, ext_p, 0.0, 0.0]
+
+
+def test_crossing_segments_take_one_column_as_one_ray():
+    t_lo = np.array([0.7, NAN, 0.2])
+    t_hi = np.array([1.3, NAN, 0.9])
+    one = quad.crossing_segments(t_lo, t_hi, 0.0, 2.0, -0.5)
+    two = quad.crossing_segments(np.column_stack([t_lo, np.full(3, NAN)]),
+                                 np.column_stack([t_hi, np.full(3, NAN)]),
+                                 0.0, 2.0, -0.5)
+    for x, y in zip(one, two):
+        assert np.array_equal(x, y)

@@ -69,16 +69,20 @@ CASES = {
 
 # value, error_estimate, evaluations, tolerance_ok
 FROZEN = {
+    # Re-frozen with math.gamma and scipy's digamma in the constants (was
+    # 0.5139603083393468, 5 ulps lower).
     "comp_poisson_apply":
-        (0.5139603083393468, 2.8036422771541175e-10, 1900, True),
+        (0.5139603083393474, 2.8036422771541175e-10, 1900, True),
     # Re-frozen with the one-rule Green kernel (was 164416 evaluations on
     # two rules); an angular_order=256, radial_order=30 run gives
     # 0.017212412234932212, 2.7e-16 above, inside the estimate.  The
     # coarse pass takes half the fine pass's 64 directions, not 60.
     "green_apply":
         (0.01721241223493194, 4.032810022076146e-11, 69888, True),
+    # Re-frozen with the library gamma in c_N (was 0.8622232860402097,
+    # 4 ulps lower, estimate 3.896685180258897e-08).
     "h_omega":
-        (0.8622232860402097, 3.896685180258897e-08, 2352, True),
+        (0.8622232860402101, 3.896685180258899e-08, 2352, True),
     "integrate_exterior":
         (6.283185307057675, 4.858995319451253e-14, 94080, True),
     "integrate_interior":
@@ -88,21 +92,26 @@ FROZEN = {
     # the estimate moved from 3.9037691576264246e-13.
     "integrate_pv_second_difference":
         (13.547679339876249, 3.886005589232422e-13, 147200, True),
+    # Re-frozen with the library gamma and digamma in c_N and rho_N (was
+    # 1.2472462757365927, 1 ulp lower, estimate 2.0953941907935305e-15).
     "log_laplacian":
-        (1.2472462757365927, 2.0953941907935305e-15, 150224, True),
+        (1.247246275736593, 2.095394190793531e-15, 150224, True),
     # Re-frozen with the closed ball h_Omega, which takes no evaluations
-    # and adds no error (was 65360 evaluations, value 1 ulp higher).
+    # and adds no error (was 65360 evaluations), and again with the
+    # library gamma and digamma (was 1.2472462757365927, 1 ulp lower,
+    # estimate 2.0953941907935305e-15).
     "log_laplacian_compact":
-        (1.2472462757365927, 2.0953941907935305e-15, 63232, True),
+        (1.247246275736593, 2.095394190793531e-15, 63232, True),
     "nonlocal_normal_derivative":
         (-0.22258865580013346, 2.9326764872154496e-16, 526720, True),
     # Re-frozen with the 30/delta angular floor: the fine pass takes 304
     # directions and lands 1.1e-14 from its 1024-direction reference
     # 0.4861856928329459, the coarse pass 152.  At 10/delta (101 and 50
     # directions) it was 0.48620551179044025, 2.0e-5 off, with estimate
-    # 1.3e-3, 152324 evaluations and tolerance_ok False.
+    # 1.3e-3, 152324 evaluations and tolerance_ok False.  The library
+    # gamma moved it 4 ulps up from 0.48618569283295726.
     "poisson_extend":
-        (0.48618569283295726, 2.6046783278878787e-08, 459648, True),
+        (0.4861856928329575, 2.6046783278878787e-08, 459648, True),
     "poisson_extend_classical":
         (1.54, 5.980892098500627e-16, 96, True),
 }
