@@ -168,12 +168,16 @@ def _green_kernel(N: int, s: float, R: float, lx: float, ly: np.ndarray,
     ``r0 < 1`` and ``d^(2s-N) (kappa - pref J(r0))`` elsewhere; ``s = 1``
     takes the classical logarithmic (plane) or image (space) formula.
     """
+    if s >= 1.0 and N == 3:
+        # 1/d - 1/e with e = sqrt(d^2 + q), written as q / (d e (d + e)):
+        # nothing cancels as y nears the sphere (q -> 0), and nothing
+        # overflows as y nears x.
+        q = lx * ly / (R * R)
+        e = np.sqrt(d * d + q)
+        return q / (d * e * (d + e)) / (4.0 * math.pi)
     r0 = lx * ly / (R * R * d * d)
     if s >= 1.0:
-        if N == 2:
-            return np.log1p(r0) / (4.0 * math.pi)
-        return (1.0 / d - 1.0 / np.sqrt(d * d + lx * ly / (R * R))) \
-            / (4.0 * math.pi)
+        return np.log1p(r0) / (4.0 * math.pi)
     pref = _green_prefactor(N, s)
     small, factor = _green_factor(N, s, r0)
     return d ** (2.0 * s - N) * np.where(
@@ -239,9 +243,14 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
     boundary (``delta^p``; logarithmic factors are absorbed by the dyadic
     panels).  In 3D each ring of directions around ``x`` takes as many
     azimuths as the data needs (:func:`~fraclab.quadrature.azimuth_rings`,
-    capped through ``angular_order``).  Rays run in chunks of
-    ``16 * _GREEN_BLOCK`` nodes, so the work arrays stay a few MB however
-    many directions a pass takes.
+    capped through ``angular_order``).  The directions of a ring make the
+    same angle with ``x``, so on the ball they share the ray span
+    ``t_hi``, ``|y|`` at each radius and hence the kernel: each azimuth
+    round computes ``t_hi``, the kernel and ``t^(N-1)`` once per ring and
+    radial node, on the ring's first azimuth, while ``f`` is read at every
+    node.  The plane runs the same code with one direction per ring.  Rays
+    run in chunks of whole rings under ``16 * _GREEN_BLOCK`` nodes, so the
+    work arrays stay a few MB however many directions a pass takes.
     """
     ball = _require_ball(domain, "the Green solution operator")
     cfg = cfg or QuadConfig()
@@ -266,29 +275,42 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
     def one_pass(m_ang, n_rad, levels):
         xu, wu = quad.unit_power_rule(alpha, hi, n_rad, levels)
 
-        def ring_pass(dirs, w_dir):
+        def ring_pass(dirs, w_dir, n_phi):
+            # The azimuths of a ring share mu = cos(theta, x), so its span,
+            # ly, kernel and t^(N-1) come from its first azimuth; f is read
+            # at every node.
             _, t_hi, _ = geometry.ray_spans(ball, ball.center_array + xc,
-                                            dirs)
+                                            dirs[::n_phi])
             total = 0.0
-            for sl in quad.direction_chunks(len(dirs), len(xu),
+            for sl in quad.direction_chunks(len(t_hi), n_phi * len(xu),
                                             16 * _GREEN_BLOCK):
+                rows = slice(sl.start * n_phi, sl.stop * n_phi)
                 t = t_hi[sl, None] * xu[None, :]
-                pts = np.empty(t.shape + (N,))
+                ring_dirs = dirs[rows].reshape(len(t), n_phi, N)
+                pts = np.empty((len(t), n_phi, len(xu), N))
                 for d in range(N):
-                    pts[..., d] = xc[d] + t * dirs[sl, d, None]
-                flat = pts.reshape(-1, N)
-                fv = quad._finite_values(f, flat + domain.center_array)
+                    # In place, column by column: x + t theta, bit for bit.
+                    col = pts[..., d]
+                    np.multiply(t[:, None, :], ring_dirs[:, :, d, None],
+                                out=col)
+                    col += xc[d]
+                fv = quad._finite_values(
+                    f, pts.reshape(-1, N) + domain.center_array
+                ).reshape(pts.shape[:-1])
                 # Distances come from the radial variable directly;
                 # coordinates collapse onto x at the innermost nodes.
-                ly = np.maximum(R * R - geometry.sq_dist(flat), 0.0)
-                vals = _green_kernel(N, s, R, lx, ly, t.reshape(-1)) * fv
-                rad = (vals.reshape(t.shape) * t ** (N - 1)) @ wu
-                total += float(w_dir[sl] @ (rad * t_hi[sl]))
+                ly = np.maximum(R * R - geometry.sq_dist(pts[:, 0]), 0.0)
+                kern = _green_kernel(N, s, R, lx, ly.reshape(-1),
+                                     t.reshape(-1)).reshape(t.shape)
+                vals = (kern[:, None, :] * fv) * (t ** (N - 1))[:, None, :]
+                rad = vals.reshape(-1, len(xu)) @ wu
+                total += float(w_dir[rows]
+                               @ (rad * np.repeat(t_hi[sl], n_phi)))
             return total, len(dirs) * len(xu)
 
         if N == 2:
             return ring_pass(*quad.polar_directions(
-                N, m_ang, xc if symmetric else None))
+                N, m_ang, xc if symmetric else None), 1)
         lv = int(min(levels, 24,
                      max(6, math.ceil(math.log2(1.0 / width)) + 6)))
         return quad.azimuth_rings(
@@ -428,8 +450,8 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
                 rule = geometry.boundary_quadrature(ball, m)
                 return bd_sum(rule.nodes, rule.weights)
             return quad.azimuth_rings(
-                lambda dirs, w_dir: bd_sum(domain.center_array + R * dirs,
-                                           R * R * w_dir),
+                lambda dirs, w_dir, n_phi: bd_sum(
+                    domain.center_array + R * dirs, R * R * w_dir),
                 xc, "cap", n_mu, lv,
                 None if symmetric else min(256, max(16, m)), cfg)
 
@@ -446,7 +468,7 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
         q = R + E
         radial = E ** (-s) * (2.0 * R + E) ** (-s) * q ** (N - 1)
 
-        def ring_pass(dirs, w_dir):
+        def ring_pass(dirs, w_dir, n_phi=1):
             # The angular integral at every radius of the master grid.
             proj = np.zeros(len(E))
             evals = 0

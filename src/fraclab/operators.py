@@ -545,7 +545,9 @@ def nonlocal_normal_derivative(u, s, z, cfg: QuadConfig | None = None
     symmetric = quad.centred_radial(u, dom)
 
     def one_pass(n_mu, n_rad, levels):
-        def ring_pass(dirs, w_dir):
+        def ring_pass(dirs, w_dir, n_phi=1):
+            # Spans per direction, not per ring: on an ellipsoid they vary
+            # along a ring of the cone.
             t_lo, t_hi, hit = geometry.ray_spans(dom, z, dirs)
             a = np.maximum(t_lo, 0.0)
             idx = np.nonzero(hit & (t_hi > a))[0]

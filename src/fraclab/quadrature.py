@@ -22,7 +22,8 @@ intersections from :mod:`fraclab.geometry` delimit the radial intervals.
 Polar passes in dimension 3 that follow a boundary layer use
 :func:`layered_directions` instead, whose azimuth count per ring
 :func:`azimuth_rings` doubles until the data is resolved, reading each
-node once.
+node once; what depends on a ring's polar angle alone may be computed
+once per ring.
 
 Integrals along rays from a point (the interior and exterior polar
 passes, the logarithmic Laplacians, the nonlocal normal derivative, the
@@ -355,9 +356,15 @@ def azimuth_rings(ring_pass, axis, layout: str, n_mu: int, levels: int,
     """A :func:`layered_directions` pass whose azimuth count doubles until
     the data is resolved.
 
-    ``ring_pass(dirs, w_dir)`` integrates over one direction set and
-    returns its weighted sum (a float, or an array that ``value`` maps to
-    the pass's scalar result) and its evaluation count.  Every ring first
+    ``ring_pass(dirs, w_dir, n_phi)`` integrates over one direction set
+    and returns its weighted sum (a float, or an array that ``value`` maps
+    to the pass's scalar result) and its evaluation count.  The rows come
+    ring by ring: each ring is ``n_phi`` consecutive rows of
+    :func:`layered_directions` that share the polar cosine ``mu`` against
+    ``axis`` and differ only in azimuth (``n_phi = 1`` for the
+    one-azimuth rule), so whatever depends on ``mu`` alone (spans of a
+    centred ball, distances to a point on the axis, a kernel of those) may
+    be computed once per ring, on its first azimuth.  Every ring first
     takes ``AZIMUTH_START`` azimuths ``2 pi j / n``.  A doubling reads only
     the ``n`` new azimuths ``2 pi (j + 1/2) / n``, whose trapezoid sum
     ``T_n`` gives ``S_2n = (S_n + T_n) / 2``, so no node is read twice.  It
@@ -375,7 +382,7 @@ def azimuth_rings(ring_pass, axis, layout: str, n_mu: int, levels: int,
     """
     def rings(n, offset=False):
         return ring_pass(*layered_directions(axis, layout, n_mu, levels, n,
-                                             mu_lo, offset))
+                                             mu_lo, offset), n or 1)
 
     if max_azimuths is None:
         acc, evals = rings(None)
@@ -398,9 +405,10 @@ def azimuth_rings(ring_pass, axis, layout: str, n_mu: int, levels: int,
 
 def direction_chunks(n_dirs: int, row_len: int, budget: int = 1_200_000):
     """Slices over a direction set keeping each ``directions x radial``
-    work array under ``budget`` entries (bounds peak memory of polar
-    quadratures regardless of how adaptive the angular rule grew)."""
-    step = max(8, int(budget // max(int(row_len), 1)))
+    work array under ``budget`` entries, one row at a time where a single
+    row exceeds it (bounds peak memory of polar quadratures regardless of
+    how adaptive the angular rule grew)."""
+    step = max(1, int(budget // max(int(row_len), 1)))
     for lo in range(0, int(n_dirs), step):
         yield slice(lo, min(lo + step, int(n_dirs)))
 

@@ -164,6 +164,29 @@ def test_green_ball_classical_3d_image_formula():
     assert green_ball(ball, 1.0, x, y) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("x,y,expected,rel", [
+    # y = (1 - delta) (0.6, -0.64, 0.48) at delta = 1e-4 and 1e-8, as
+    # doubles; 50-digit mpmath values of the image formula at those
+    # doubles.  Rounding ly = 1 - |y|^2 alone costs 1.5e-13 and 3.3e-10
+    # relative there; the difference 1/d - 1/sqrt(d^2 + lx ly) of the two
+    # poles was 2.2e-12 and 1.0e-8 off.
+    ([0.3, 0.2, 0.1], [0.59994, -0.6399360000000001, 0.479952],
+     7.5100051929457131944e-6, 3e-13),
+    ([0.3, 0.2, 0.1], [0.5999999939999999, -0.6399999935999999, 0.4799999952],
+     7.509254364905776819e-10, 1e-9),
+    # d = 2^-530 (exact; d^2 is subnormal): lx ly / (R^2 d^2) overflows,
+    # and the image term 1 / sqrt(d^2 + lx ly) = 1 is 2^-530 of 1 / d.
+    ([0.0, 0.0, 0.0], [2.0 ** -530, 0.0, 0.0],
+     2.0 ** 530 / (4.0 * math.pi), 1e-15),
+    ([0.0, 2.0 ** -530, 0.0], [0.0, 0.0, 0.0],
+     2.0 ** 530 / (4.0 * math.pi), 1e-15),
+], ids=["delta-1e-4", "delta-1e-8", "next-to-pole", "pole-next-to-centre"])
+def test_green_ball_classical_3d_stable(x, y, expected, rel):
+    ball = Ball(center=(0.0, 0.0, 0.0), radius=1.0)
+    got = green_ball(ball, 1.0, x, y)
+    assert got == pytest.approx(expected, rel=rel, abs=0.0)
+
+
 def test_green_ball_symmetry():
     ball = Ball(center=(0.0, 0.0), radius=1.0)
     for s in (0.3, 0.7, 1.0):
@@ -238,7 +261,7 @@ def test_green_apply_scaled_shifted_ball():
 @pytest.mark.parametrize("N,s,n,l", [
     *[(2, s, n, l) for s in (0.3, 0.75, 1.0)
       for n, l in ((1, 0), (2, 0), (0, 1), (1, 1))],
-    (3, 0.75, 0, 1),
+    *[(3, s, 0, 1) for s in (0.5, 0.75, 1.0)],
     (3, 0.3, 2, 0),
 ])
 def test_green_apply_matches_jacobi_family(N, s, n, l):
@@ -331,20 +354,32 @@ def test_green_apply_frozen(N, s, x, data, evaluations, value):
     assert res.value == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
+def wave(y):
+    # Oscillates along every azimuth ring around (0.3, 0.2, 0.1): both
+    # passes double to their azimuth caps, 64 and 32.
+    return np.cos(10.0 * np.atleast_2d(y) @ np.array([0.0, 0.6, 0.8]))
+
+
 def test_green_apply_memory_stays_small():
-    # Rays run in chunks of 16 * _GREEN_BLOCK nodes and the Green factor
-    # in cache-sized row blocks; a dense (nodes x rule) matrix per chunk
-    # peaked at 17.7 MB on the disc, and 1.2M-node chunks at 146 MB on the
-    # plain-callable 3-ball call.
-    for x, limit in (((0.3, 0.2), 10e6), ((0.3, 0.2, 0.1), 40e6)):
+    # Rays run in chunks of whole rings under 16 * _GREEN_BLOCK nodes and
+    # the Green factor in cache-sized row blocks; a dense (nodes x rule)
+    # matrix per chunk peaked at 17.7 MB on the disc, and 1.2M-node chunks
+    # at 146 MB on the plain-callable 3-ball call.  The last case reaches
+    # the azimuth caps, 64 fine and 32 coarse azimuths per ring: four times
+    # the fine and twice the coarse evaluations of the 16-azimuth f = 1
+    # call.
+    for x, data, evaluations, limit in (((0.3, 0.2), ones, None, 10e6),
+                                        ((0.3, 0.2, 0.1), ones, None, 40e6),
+                                        ((0.3, 0.2, 0.1), wave, 14142464,
+                                         40e6)):
         ball = Ball(center=(0.0,) * len(x), radius=1.0)
         tracemalloc.start()
         try:
-            green_apply(ball, lambda y: np.ones(len(np.atleast_2d(y))), 0.5,
-                        x, CFG)
+            res = green_apply(ball, data, 0.5, x, CFG)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert evaluations in (None, res.evaluations), x
         assert peak < limit, x
 
 
@@ -361,6 +396,57 @@ def test_green_apply_reads_each_node_once(node_log):
         classical = green_apply(ball, lambda y: np.ones(len(y)), 1.0, x,
                                 CFG)
         assert classical.evaluations == res.evaluations
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0])
+def test_green_apply_kernel_once_per_ring(monkeypatch, s):
+    # The azimuths of a ring share their span and kernel: in every azimuth
+    # round the Green kernel sees each ring's radial nodes once, while f is
+    # read at every node of every azimuth.
+    ball = Ball(center=(0.0, 0.0, 0.0), radius=1.0)
+    for data, evaluations in ((ones, 4169216), (wave, 14142464)):
+        monkeypatch.undo()
+        rows, log = [], {"rounds": 0, "per_azimuth": 0, "n_phi": 1}
+        kernel, directions = kernels._green_kernel, quad.layered_directions
+
+        def spy(axis, layout, n_mu, levels, n_phi=None, *rest):
+            log["rounds"] += 1
+            log["n_phi"] = n_phi or 1
+            return directions(axis, layout, n_mu, levels, n_phi, *rest)
+
+        def field(y, data=data):
+            log["per_azimuth"] += len(y) // log["n_phi"]
+            return data(y)
+
+        monkeypatch.setattr(kernels, "_green_kernel",
+                            lambda *a: rows.append(len(a[-1])) or kernel(*a))
+        monkeypatch.setattr(quad, "layered_directions", spy)
+        res = green_apply(ball, field, s, (0.3, 0.2, 0.1), CFG)
+        assert sum(rows) == log["per_azimuth"]
+        assert res.evaluations == evaluations
+        if data is ones:
+            # Two rounds of AZIMUTH_START azimuths in each pass.
+            assert log["rounds"] == 4
+            assert res.evaluations == quad.AZIMUTH_START * sum(rows)
+        else:
+            assert log["rounds"] > 4
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0])
+@pytest.mark.parametrize("center,R,x", [
+    # At the centre the ring axis falls back to e_z.
+    ((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 0.0)),
+    ((0.5, -0.3, 0.2), 1.3, (0.5, -0.3, 0.2)),
+    ((0.5, -0.3, 0.2), 1.3, (0.8, -0.1, 0.7)),
+], ids=["unit-centre", "shifted-centre", "shifted-off-centre"])
+def test_green_apply_shared_rings_on_any_ball(s, center, R, x):
+    # f = 1 as a plain callable: u = d(3, s) (R^2 - |x - c|^2)^s.
+    ball = Ball(center=center, radius=R)
+    res = green_apply(ball, ones, s, x, CFG)
+    d, _ = ball_torsion_constant(3, s)
+    xc = np.subtract(x, center)
+    assert res.value == pytest.approx(d * (R * R - xc @ xc) ** s, rel=1e-12)
+    assert res.tolerance_ok
 
 
 def azimuth_counts(monkeypatch):

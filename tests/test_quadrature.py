@@ -319,10 +319,12 @@ def test_direction_chunks_cover_range():
 
 
 def test_direction_chunks_budget():
+    # Rows under the budget; a row longer than the budget goes alone.
     budget = 10_000
-    for sl in quad.direction_chunks(4000, 100, budget=budget):
-        n = len(range(*sl.indices(4000)))
-        assert n * 100 <= budget or n == 8
+    for row, most in ((100, 100), (3 * budget, 1)):
+        sizes = [len(range(*sl.indices(4000)))
+                 for sl in quad.direction_chunks(4000, row, budget=budget)]
+        assert max(sizes) == most and sum(sizes) == 4000
 
 
 def test_chebyshev_profile_chops_nests_and_caps():
