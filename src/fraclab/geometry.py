@@ -189,18 +189,24 @@ def _ellipsoid_delta_one(domain: Ellipsoid, x: np.ndarray) -> float:
     return dist if inside else -dist
 
 
-def delta(domain: Domain, x) -> float | np.ndarray:
-    """Signed distance to the boundary: positive inside, negative outside.
-
-    Accepts a single point ``(N,)`` or a batch ``(M, N)``; returns a float
-    or an array accordingly.
-    """
+def _points(domain: Domain, x) -> tuple[np.ndarray, bool]:
+    """``x`` as an ``(M, N)`` batch, and whether it was a single point."""
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     if pts.shape[1] != domain.dim:
         raise DomainError(
             f"point dimension {pts.shape[1]} != domain dimension {domain.dim}")
+    return pts, single
+
+
+def delta(domain: Domain, x) -> float | np.ndarray:
+    """Signed distance to the boundary: positive inside, negative outside.
+
+    Accepts a single point ``(N,)`` or a batch ``(M, N)``; returns a float
+    or an array accordingly.
+    """
+    pts, single = _points(domain, x)
     if isinstance(domain, Ball):
         out = domain.radius - np.sqrt(sq_dist(pts, domain.center))
     else:
@@ -209,17 +215,20 @@ def delta(domain: Domain, x) -> float | np.ndarray:
 
 
 def contains(domain: Domain, x) -> bool | np.ndarray:
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
+    """Membership of a single point ``(N,)`` or of a batch ``(M, N)``."""
+    pts, single = _points(domain, x)
     if isinstance(domain, Ball):
         # sqrt(sq) < R, not sq < R^2, which differs within an ulp of the
         # sphere: membership stays exactly ``delta > 0``.
         out = np.sqrt(sq_dist(pts, domain.center)) < domain.radius
     else:
-        A = domain.matrix
-        out = np.einsum("ij,jk,ik->i", pts, A, pts) < 1.0
+        out = _level(domain, pts) < 1.0
     return bool(out[0]) if single else out
+
+
+def _level(domain: Ellipsoid, pts: np.ndarray) -> np.ndarray:
+    """``y . A y`` for each row ``y`` of an ``(M, N)`` batch."""
+    return np.einsum("ij,jk,ik->i", pts, domain.matrix, pts)
 
 
 def measures(domain: Domain) -> tuple[float, float]:

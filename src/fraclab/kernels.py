@@ -1,5 +1,5 @@
-"""Ball kernels: fundamental solution, Green function, Poisson kernels,
-and the complementary Poisson kernel with its Fubini-form application.
+"""Ball kernels: Green function, Poisson kernels, and the complementary
+Poisson kernel with its Fubini-form application.
 
 Stability conventions
 ---------------------
@@ -44,7 +44,6 @@ from .specfun import (ball_poisson_constant, frac_normalization,
                       log_constants, riesz_constant)
 
 __all__ = [
-    "fundamental_solution",
     "green_ball",
     "green_apply",
     "poisson_ball",
@@ -65,19 +64,6 @@ def _require_ball(domain: Domain, what: str) -> Ball:
 
 def _centered(domain: Ball, pts):
     return np.atleast_2d(np.asarray(pts, dtype=float)) - domain.center_array
-
-
-def fundamental_solution(N: int, s, z) -> float | np.ndarray:
-    """Riesz kernel ``kappa(N, s) |z|^(2s - N)`` (requires ``s < N/2``)."""
-    s = float(as_order(s, high=0.5 * N, include_high=False))
-    kappa = riesz_constant(N, s)
-    z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    r = np.sqrt(geometry.sq_dist(np.atleast_2d(z)))
-    if (r == 0.0).any():
-        raise SingularityError("fundamental solution evaluated at the origin")
-    out = kappa * r ** (2.0 * s - N)
-    return float(out[0]) if single else out
 
 
 # ---------------------------------------------------------------------------

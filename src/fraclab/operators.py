@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import CapabilityError, DomainError, as_order
 from . import geometry
-from .geometry import Ball, Domain, Ellipsoid
+from .geometry import Ball, Domain
 from . import quadrature as quad
 from .quadrature import IntegralResult, QuadConfig
 from . import kernels
@@ -293,8 +293,7 @@ def log_laplacian_compact(u, x, cfg: QuadConfig | None = None
                           "field with a domain")
     c_N, rho_N = log_constants(N)
     x = np.asarray(x, dtype=float)
-    if geometry.delta(dom, x) <= 0.0:
-        raise DomainError("the domain form is evaluated inside the domain")
+    h_res = h_omega(dom, x, cfg)       # raises outside the domain
     u_x = quad._centre_value(u, x)
     axis = x if quad.centred_radial(u, dom) else None
 
@@ -308,7 +307,6 @@ def log_laplacian_compact(u, x, cfg: QuadConfig | None = None
         return float(w_dir @ sums), evals
 
     levels = min(cfg.max_subdiv, 24)
-    h_res = h_omega(dom, x, cfg)
     shift = IntegralResult((h_res.value + rho_N) * u_x,
                            h_res.error_estimate * abs(u_x), h_res.evaluations)
     return quad._two_pass(one_pass,
@@ -322,188 +320,64 @@ def log_laplacian_compact(u, x, cfg: QuadConfig | None = None
 # Geometry weight h_Omega.
 # ---------------------------------------------------------------------------
 
-def _circle_quadric_measure(A: np.ndarray, c: np.ndarray, e1: np.ndarray,
-                            e2: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Angular measure of ``{phi : g(c_i + rho_i (cos phi e1 + sin phi e2))
-    < 0}`` for the quadric ``g(y) = y.A y - 1``, one row per circle.
+def _log_mean(lam) -> tuple[float, float]:
+    """``mean_theta ln(theta . A theta)`` on the unit circle or sphere from
+    the ascending eigenvalues ``lam`` of ``A``, and the last change of its
+    rule.  On a circle it is ``2 ln((sqrt a + sqrt b) / 2)``; on the sphere
+    the latitude at height ``mu`` on the axis of ``lam_3`` is such a circle
+    with ``a = lam_1 + (lam_3 - lam_1) mu^2`` and ``b`` likewise, summed by
+    Gauss-Legendre on [0, 1] from 40 nodes, doubled (up to 1280) until two
+    sums agree to the rounding of an ``n``-node rule, ``n ulp(sum |f|)``."""
+    def circle(a, b):
+        return 2.0 * np.log(0.5 * (np.sqrt(a) + np.sqrt(b)))
 
-    ``c`` is ``(rows, N)``, ``rho`` ``(rows,)`` and positive, and ``e1,
-    e2`` an orthonormal pair shared by all rows.  On such a circle ``g``
-    is the trigonometric polynomial ``a0 + a1 cos phi + b1 sin phi
-    + a2 cos 2phi + b2 sin 2phi``; times ``z^2``, with ``z = e^{i phi}``,
-    it is a quartic in ``z`` whose unit-modulus roots are the crossings.
-    The roots of all rows come from one batched eigenvalue call on
-    companion matrices (in row chunks of bounded size) and are polished by
-    Newton steps on ``g(phi)``.  Every root angle cuts the circle, and the
-    sign of ``g`` at the mid-angle of each arc between cuts says whether
-    the arc is inside; off-circle roots merely add cuts, so a circle
-    without crossings needs no special case.
-
-    Where ``A`` restricted to the plane is a multiple of the identity
-    (circles, and every plane section of a sphere) ``a2 = b2 = 0`` and the
-    quartic degenerates: ``g = a0 + R cos(phi - psi)``, whose inside arc
-    is ``2 pi - 2 arccos(-a0 / R)``.
-    """
-    p, q, r = e1 @ A @ e1, e2 @ A @ e2, e1 @ A @ e2
-    Ac = c @ A
-    a0 = np.einsum("ij,ij->i", Ac, c) - 1.0 + 0.5 * (p + q) * rho * rho
-    a1, b1 = 2.0 * rho * (Ac @ e1), 2.0 * rho * (Ac @ e2)
-    if math.hypot(p - q, 2.0 * r) <= 1e-13 * (p + q):
-        # A circle whose extreme value of g is zero to within rounding of
-        # g's terms touches the boundary: its arc is exactly 0 or 2 pi,
-        # where arccos would turn one rounding error into sqrt(eps).
-        R = np.hypot(a1, b1)
-        tol = 16.0 * np.finfo(float).eps * (np.abs(a0) + 1.0 + R)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cstar = np.clip(-a0 / R, -1.0, 1.0)
-        cstar = np.where(a0 >= 0.0, np.where(a0 - R >= -tol, -1.0, cstar),
-                         np.where(a0 + R <= tol, 1.0, cstar))
-        return 2.0 * math.pi - 2.0 * np.arccos(cstar)
-    a2, b2 = 0.5 * (p - q) * rho * rho, r * rho * rho
-
-    out = np.empty(len(rho))
-    for sl in quad.direction_chunks(len(rho), 16):
-        k0, k1, l1, k2, l2 = (v[sl, None] for v in (a0, a1, b1, a2, b2))
-
-        def g(ph):
-            return (k0 + k1 * np.cos(ph) + l1 * np.sin(ph)
-                    + k2 * np.cos(2.0 * ph) + l2 * np.sin(2.0 * ph))
-
-        def dg(ph):
-            return (l1 * np.cos(ph) - k1 * np.sin(ph)
-                    + 2.0 * (l2 * np.cos(2.0 * ph) - k2 * np.sin(2.0 * ph)))
-
-        lead = 0.5 * (k2 - 1j * l2)
-        comp = np.zeros((len(lead), 4, 4), dtype=complex)
-        comp[:, 0, :] = -np.concatenate(
-            [0.5 * (k1 - 1j * l1), k0, 0.5 * (k1 + 1j * l1), np.conj(lead)],
-            axis=1) / lead
-        comp[:, 1, 0] = comp[:, 2, 1] = comp[:, 3, 2] = 1.0
-        phi = np.angle(np.linalg.eigvals(comp))
-        for _ in range(2):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = g(phi) / dg(phi)
-            phi = np.where(np.abs(step) < 1e-6, phi - step, phi)
-        phi = np.sort(np.mod(phi, 2.0 * math.pi), axis=1)
-        ends = np.concatenate([phi, phi[:, :1] + 2.0 * math.pi], axis=1)
-        mid = 0.5 * (ends[:, 1:] + ends[:, :-1])
-        out[sl] = np.where(g(mid) < 0.0, np.diff(ends, axis=1), 0.0).sum(1)
-    return out
-
-
-def _arc_inside_ellipsoid(ell: Ellipsoid, x: np.ndarray, t) -> np.ndarray:
-    """Angular measure of directions with ``x + t theta`` inside the
-    ellipsoid, for an array of radii ``t``.
-
-    Dimension 2: the circle ``|y - x| = t`` itself, exact up to rounding.
-    Dimension 3: exact arcs on the latitude circles of a 48-node Gauss
-    rule in the cosine ``mu`` of the angle to ``x`` (to the third axis at
-    the centre), summed with its weights.  The rule does not resolve the
-    kinks of the latitude integrand where a latitude circle touches the
-    boundary.  Both cut all circles in one call of
-    :func:`_circle_quadric_measure`.
-    """
-    A = ell.matrix
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if ell.dim == 2:
-        e1, e2 = np.eye(2)
-        return _circle_quadric_measure(A, np.broadcast_to(x, (len(t), 2)),
-                                       e1, e2, t)
-    mu, wmu = quad.map_rule(quad._gauss_unit(48), -1.0, 1.0)
-    nx = np.linalg.norm(x)
-    e3 = x / nx if nx > 0.0 else np.array([0.0, 0.0, 1.0])
-    tmp = np.array([1.0, 0.0, 0.0])
-    if abs(e3 @ tmp) > 0.9:
-        tmp = np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(e3, tmp)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(e3, e1)
-    tm = np.outer(t, mu).ravel()
-    rho = np.outer(t, np.sqrt(1.0 - mu * mu)).ravel()
-    arcs = _circle_quadric_measure(A, x + tm[:, None] * e3, e1, e2, rho)
-    return arcs.reshape(len(t), len(mu)) @ wmu
+    if len(lam) == 2:
+        return float(circle(*lam)), 0.0
+    l1, l2, l3 = lam
+    n, prev = 40, None
+    while True:
+        mu, w = quad._gauss_unit(n)
+        f = circle(l1 + (l3 - l1) * mu * mu, l2 + (l3 - l2) * mu * mu)
+        total = float(w @ f)
+        if prev is not None:
+            change = abs(total - prev)
+            if change <= n * math.ulp(float(w @ np.abs(f))) or n >= 1280:
+                return total, change
+        n, prev = 2 * n, total
 
 
 def h_omega(domain: Domain, x, cfg: QuadConfig | None = None
             ) -> IntegralResult:
-    """Geometry weight of the domain form of the logarithmic Laplacian:
-
+    """Geometry weight of the domain form of the logarithmic Laplacian,
     ``h(x) = c_N [ int_{B_1(x) \\ Omega} - int_{Omega \\ B_1(x)} ]
-             |x-y|^{-N} dy``.
+    |x-y|^{-N} dy``.
 
-    Radially, with ``A(t)`` the angular measure of directions staying
-    inside Omega at distance ``t``, the two parts are
-    ``int_0^1 (sigma_N - A)/t dt`` and ``int_1^inf A/t dt``.  ``A`` is
-    exactly ``sigma_N`` below the boundary distance and exactly 0 beyond
-    the farthest boundary point, so those stretches integrate to
-    logarithms and the quadrature only sees the transition region, whose
-    endpoint square-root kinks the graded rule absorbs.
-
-    On a ball ``B_R(c)`` the weight is the closed form
-    ``-ln(R^2 - |x - c|^2) = -ln(delta (2R - delta))`` with
-    ``delta = R - |x - c|``, which does not cancel near the boundary; it
-    is returned with error 0 and no evaluations.  On an ellipsoid every
-    radial node of a panel is cut in one batched call: in the plane
-    ``A(t)`` is the exact arc of the circle ``|y - x| = t`` inside the
-    ellipse; in space it sums exact arcs over the latitude circles of a
-    48-node rule in the polar cosine (see :func:`_arc_inside_ellipsoid`).
+    In polar coordinates, with ``rho(theta)`` the distance from ``x`` to
+    the boundary along ``theta`` and ``c_N |S^{N-1}| = 2``, this is
+    ``-mean_theta ln(rho(theta) rho(-theta))``.  On the ellipsoid
+    ``{y . A y < 1}`` the chord roots multiply to
+    ``(1 - x.Ax) / theta.A theta``, so ``h(x) = -ln(1 - x.Ax)
+    + mean_theta ln(theta . A theta)`` with the mean of :func:`_log_mean`.
+    Its error estimate is the mean's last change plus the rounding of
+    ``x.Ax`` over ``1 - x.Ax``, ``4 eps |x||A||x| / (1 - x.Ax)``, and
+    ``eps |h|``.  On a ball ``B_R(c)``, ``h = -ln(delta (2R - delta))``
+    with ``delta = R - |x - c|``, which does not cancel near the boundary,
+    with error 0.  No field is read: ``evaluations`` is 0.
     """
     cfg = cfg or QuadConfig()
     x = np.asarray(x, dtype=float)
-    N = domain.dim
-    c_N, _ = log_constants(N)
-    d = float(geometry.delta(domain, x))
-    if d <= 0.0:
+    if not geometry.contains(domain, x):
         raise DomainError("h_Omega is evaluated inside the domain")
     if isinstance(domain, Ball):
+        d = float(geometry.delta(domain, x))
         return IntegralResult(-math.log(d * (2.0 * domain.radius - d)),
                               0.0, 0)
-    sigma = 2.0 * math.pi if N == 2 else 4.0 * math.pi
-    _, diam = geometry.measures(domain)
-    t_far = float(np.linalg.norm(x)) + 0.5 * diam    # centred at 0
-
-    # The arc measure kinks where the sphere |y - x| = t is tangent to
-    # the boundary; for a centered evaluation point these tangency radii
-    # are the distances to the principal-axis endpoints, which remain good
-    # panel marks nearby.
-    dvals, Q, _, _ = geometry._spectral(domain)
-    axes = dvals ** -0.5
-    inner_breaks = []
-    for i in range(N):
-        for sgn in (1.0, -1.0):
-            inner_breaks.append(
-                float(np.linalg.norm(x - sgn * axes[i] * Q[:, i])))
-    n_base = min(cfg.radial_order, 12)
-
-    def seg(lo, hi, weight, n, levels):
-        # int_lo^hi weight(A(t)) / t dt
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            return 0.0, 0
-        t, wts = quad._breakpoint_rule(lo, hi, inner_breaks, n, levels)
-        arc = _arc_inside_ellipsoid(domain, x, t)
-        return float(wts @ (weight(arc) / t)), len(t)
-
-    def one_pass(n, levels):
-        evals = 0
-        near = far = 0.0
-        if t_far < 1.0:
-            near += sigma * math.log(1.0 / t_far)
-        hi_n = min(1.0, t_far)
-        if d < hi_n:
-            v, e = seg(d, hi_n, lambda a: sigma - a, n, levels)
-            near, evals = near + v, evals + e
-        if d > 1.0:
-            far += sigma * math.log(d)
-        lo_f = max(1.0, d)
-        if t_far > lo_f:
-            v, e = seg(lo_f, t_far, lambda a: a, n, levels)
-            far, evals = far + v, evals + e
-        return near - far, evals
-
-    levels = min(cfg.max_subdiv, 10)
-    return quad._two_pass(one_pass, (n_base, levels),
-                          (max(6, n_base - 6), max(6, levels - 8)), cfg,
-                          scale=c_N, floor=1e-15)
+    mean, change = _log_mean(geometry._spectral(domain)[0])
+    q = float(geometry._level(domain, x[None])[0])
+    value = mean - math.log1p(-q)
+    spread = float(np.abs(x) @ np.abs(domain.matrix) @ np.abs(x))
+    err = change + math.ulp(1.0) * (4.0 * spread / (1.0 - q) + abs(value))
+    return IntegralResult(value, err, 0, quad._tol_ok(value, err, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +435,8 @@ def nonlocal_normal_derivative(u, s, z, cfg: QuadConfig | None = None
             alpha = math.asin(sin_a) if sin_a < 1.0 else math.pi
             a_hat = cz / max(q0, 1e-300)
             e1 = np.array([-a_hat[1], a_hat[0]])
-            th, w_dir = quad._breakpoint_rule(-alpha, alpha, (), n_mu,
-                                              levels)
+            th, w_dir = quad.map_rule(
+                quad.unit_power_rule(0.0, 0.0, n_mu, levels), -alpha, alpha)
             if symmetric:
                 # The cone is symmetric about its axis, the line through
                 # the centre and z: one side at double weight.

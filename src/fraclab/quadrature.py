@@ -329,7 +329,8 @@ def layered_directions(axis, layout: str, n_mu: int, levels: int,
         mu = np.concatenate([v, -v])
         w_mu = np.concatenate([wv, wv])
     elif layout == "cone":
-        mu, w_mu = _breakpoint_rule(float(mu_lo), 1.0, (), n_mu, levels)
+        mu, w_mu = map_rule(unit_power_rule(0.0, 0.0, n_mu, levels),
+                            float(mu_lo), 1.0)
     else:
         raise DomainError(f"unknown angular layout {layout!r}")
     mu = np.asarray(mu, dtype=float)
@@ -485,28 +486,6 @@ def map_rule(rule: tuple[np.ndarray, np.ndarray], a: float, b: float
     """Affine image of a unit-interval rule on [a, b]."""
     x, w = rule
     return a + (b - a) * x, (b - a) * w
-
-
-def _breakpoint_rule(lo: float, hi: float, breaks, n: int, levels: int
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Composite rule on [lo, hi] refined dyadically toward interior kinks.
-
-    ``breaks`` are points where the integrand has limited smoothness (e.g.
-    a ray crossing the domain boundary, where fields kink like a fractional
-    power).  Between consecutive marks the integrand is analytic, so each
-    stretch gets a both-ends-graded rule; endpoint grading depth ``levels``
-    keeps the kink error at the (gap)^(1+power) scale.
-    """
-    marks = [lo] + sorted(float(b) for b in breaks if lo < b < hi) + [hi]
-    ts, ws = [], []
-    rule = unit_power_rule(0.0, 0.0, n, levels)
-    for a, b in zip(marks[:-1], marks[1:]):
-        if b - a <= 0.0:
-            continue
-        t, w = map_rule(rule, a, b)
-        ts.append(t)
-        ws.append(w)
-    return np.concatenate(ts), np.concatenate(ws)
 
 
 # ---------------------------------------------------------------------------

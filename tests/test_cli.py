@@ -96,16 +96,17 @@ def test_eval_homega_circle_as_ellipsoid(capsys, tmp_path):
         assert float(value) == pytest.approx(-math.log(1.0 - r2), abs=1e-9)
 
 
-def test_eval_homega_anisotropic_ellipse_misses_tolerance(capsys, tmp_path):
-    # Off the centre the tangency radii fall between the panel breaks, and
-    # the estimate (1.4e-4) honestly exceeds the tolerance.
+def test_eval_homega_anisotropic_ellipse_is_closed(capsys, tmp_path):
+    # -ln(1 - x.Ax) + 2 ln((1 + 2) / 2) = -ln(3/4) + 2 ln(3/2) = ln 3.
     pts = tmp_path / "pts.csv"
     pts.write_text("0.3,0.2\n")
     code, out = run(capsys, ["eval", "--op", "homega", "--domain",
                              "ellipsoid:1,0,0,4", "--points", str(pts)])
-    assert code == 2
+    assert code == 0
     _, rows = csv_body(out)
-    assert len(rows) == 1 and float(rows[0][3]) > 1e-6
+    assert len(rows) == 1
+    assert float(rows[0][2]) == pytest.approx(math.log(3.0), rel=1e-9)
+    assert float(rows[0][3]) <= 1e-15
 
 
 def test_eval_ws_solution_values(capsys, tmp_path):

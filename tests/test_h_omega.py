@@ -1,195 +1,193 @@
-"""Exact circle-quadric arcs behind the ellipsoid geometry weight h_Omega.
+"""The geometry weight h_Omega in closed form.
 
-The arc measure ``A(t)`` of ``h_omega`` on an ellipsoid comes from the
-crossings of the circle ``|y - x| = t`` (in 3D: of each latitude circle)
-with the boundary quadric.  The references here are closed forms on
-round sections and, on anisotropic ones, the root-refined sign scan that
-the batched roots replaced, kept below as the reference.  On a ball
-``h_omega`` returns the closed form, checked here next to the boundary.
+On the ellipsoid ``{y . A y < 1}`` the chord through ``x`` along ``theta``
+has roots multiplying to ``(1 - x.Ax) / theta.A theta``, which gives
+``h(x) = -ln(1 - x.Ax) + mean_theta ln(theta . A theta)``.  The oracle
+here never uses that identity: it takes ``rho(theta)`` as the positive
+root of the chord quadratic and integrates ``-c_N int ln rho(theta)
+dtheta`` with ``mpmath.quad`` over the circle or the sphere.  A second
+route, the full-space logarithmic Laplacian, never touches h_Omega at
+all.  On a ball ``h_omega`` returns the closed form, checked here next to
+the boundary.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
-from fraclab import quadrature as quad
 from fraclab.geometry import Ball, Ellipsoid
-from fraclab.operators import (_arc_inside_ellipsoid, _circle_quadric_measure,
-                               h_omega)
+from fraclab.operators import (CompactField, h_omega, log_laplacian,
+                               log_laplacian_compact)
 
 DISC = Ball(center=(0.0, 0.0), radius=1.0)
 CIRCLE = Ellipsoid(a=(1.0, 0.0, 0.0, 1.0))
 ELLIPSE = Ellipsoid(a=(1.0, 0.0, 0.0, 4.0))
-ROTATED = Ellipsoid(a=(2.0, 0.3, 0.3, 1.0))
-ELLIPSOID3 = Ellipsoid(a=(1.0, 0.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.0, 2.25))
-N_GRID = 720
+ROTATED = Ellipsoid(a=(1.0, 0.3, 0.3, 4.0))
+SPHEROID = Ellipsoid(a=(4.0, 0.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.0, 1.0))
 
 
-def scan_arc(g):
-    """Measure of ``{g < 0}`` on ``[0, 2 pi]``: sign changes on a 720-step
-    grid, each refined by ``brentq``.  Also returns the shortest arc
-    between crossings (cyclically), since an arc shorter than two grid
-    steps can slip between grid points unseen."""
-    phi = np.linspace(0.0, 2.0 * math.pi, N_GRID + 1)
-    inside = np.array([g(p) < 0.0 for p in phi])
-    measure, roots = 0.0, []
-    for i in range(N_GRID):
-        if inside[i] and inside[i + 1]:
-            measure += phi[i + 1] - phi[i]
-        elif inside[i] != inside[i + 1]:
-            root = brentq(g, phi[i], phi[i + 1], xtol=1e-14)
-            roots.append(root)
-            measure += (root - phi[i]) if inside[i] else (phi[i + 1] - root)
-    gaps = np.diff(roots + [roots[0] + 2.0 * math.pi]) if roots else [7.0]
-    return measure, float(np.min(gaps))
+def diag3(a, b, c):
+    return Ellipsoid(a=(a, 0.0, 0.0, 0.0, b, 0.0, 0.0, 0.0, c))
 
 
-def arc_inside_ball(ball, x, t):
-    """Angular measure of directions with ``x + t theta`` inside the
-    ball, from the cosine rule."""
-    N = ball.dim
-    R = ball.radius
-    xc = x - ball.center_array
-    r = float(np.linalg.norm(xc))
-    t = np.asarray(t, dtype=float)
-    full = 2.0 * math.pi if N == 2 else 4.0 * math.pi
-    if r == 0.0:
-        return np.where(t < R, full, 0.0)
-    cstar = np.clip((R * R - r * r - t * t) / (2.0 * r * t), -1.0, 1.0)
-    if N == 2:
-        return 2.0 * math.pi - 2.0 * np.arccos(cstar)
-    return 2.0 * math.pi * (1.0 + cstar)
+def chord_oracle(ell, x):
+    """``-c_N int ln rho(theta) dtheta`` with ``rho(theta)`` the positive
+    root of ``(x + t theta) . A (x + t theta) = 1``.
+
+    The circle is integrated with 20 digits on eight panels.  The sphere
+    uses mpmath's double-precision context (the 20-digit one agrees to
+    1e-15 but takes 15 to 40 s a point), in the eigenframe of ``A`` with
+    the polar axis along the largest eigenvalue, on panels split at the
+    equator and at the quarter azimuths: the chord length varies fastest
+    across the thinnest axis, and there the tanh-sinh nodes cluster.
+    """
+    ctx = mpmath.fp if ell.dim == 3 else mpmath.mp
+    N = ell.dim
+    _, Q = np.linalg.eigh(ell.matrix)
+    with mpmath.workdps(20):
+        A = [[ctx.mpf(v) for v in row] for row in ell.matrix]
+        Ax = [sum(A[i][j] * ctx.mpf(x[j]) for j in range(N))
+              for i in range(N)]
+        c = sum(ctx.mpf(x[i]) * Ax[i] for i in range(N)) - 1
+
+        def ln_rho(theta):
+            a = sum(theta[i] * A[i][j] * theta[j]
+                    for i in range(N) for j in range(N))
+            b = sum(Ax[i] * theta[i] for i in range(N))
+            return ctx.log((-b + ctx.sqrt(b * b - a * c)) / a)
+
+        if N == 2:
+            total = ctx.quad(lambda p: ln_rho((ctx.cos(p), ctx.sin(p))),
+                             ctx.linspace(0, 2 * ctx.pi, 9))
+            return float(-total / ctx.pi)
+        frame = [[ctx.mpf(v) for v in row] for row in Q[:, ::-1]]
+
+        def integrand(mu, phi):
+            r = ctx.sqrt(1 - mu * mu)
+            local = (mu, r * ctx.cos(phi), r * ctx.sin(phi))
+            return ln_rho([sum(frame[i][k] * local[k] for k in range(3))
+                           for i in range(3)])
+
+        total = ctx.quad(integrand, [-1, 0, 1],
+                         ctx.linspace(0, 2 * ctx.pi, 5))
+        return float(-total / (2 * ctx.pi))
 
 
-def quadric_on_circle(A, c, e1, e2, rho):
-    def g(p):
-        y = c + rho * (math.cos(p) * e1 + math.sin(p) * e2)
-        return float(y @ A @ y) - 1.0
-    return g
+def random_case(rng, N):
+    # A rotated ellipsoid with eigenvalues in [1, 100], ratio 100 included,
+    # and a point at level x.Ax in (0, 0.8).
+    Q, _ = np.linalg.qr(rng.normal(size=(N, N)))
+    lam = np.array([1.0, *rng.uniform(1.0, 100.0, N - 2), 100.0])
+    A = (Q * lam) @ Q.T
+    d = rng.normal(size=N)
+    x = math.sqrt(rng.uniform(0.0, 0.8)) * d / math.sqrt(d @ A @ d)
+    return Ellipsoid(a=tuple((0.5 * (A + A.T)).ravel())), tuple(x)
 
 
-@pytest.mark.parametrize("x", [(0.0, 0.0), (0.25, 0.3), (0.6, -0.5),
-                               (-0.05, 0.01)])
-def test_circle_arcs_match_the_ball(x):
-    x = np.array(x)
-    r = float(np.linalg.norm(x))
-    if r > 0.0:
-        t = np.linspace(1.0 - r, 1.0 + r, 201)
-    else:
-        t = np.linspace(0.01, 2.0, 200)
-    got = _arc_inside_ellipsoid(CIRCLE, x, t)
-    want = arc_inside_ball(DISC, x, t)
-    if r > 0.0:
-        # At the tangency radii delta(x) and 1 + |x| the arc is exactly
-        # 2 pi and 0.  The ball's arccos turns the last-place rounding of
-        # its cosine into a sqrt(eps) error there, so the exact values
-        # are the reference at the two ends.
-        assert got[0] == 2.0 * math.pi and got[-1] == 0.0
-        got, want = got[1:-1], want[1:-1]
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+RNG = np.random.default_rng(16)
+ORACLE_CASES = {
+    "sphere": (diag3(1.0, 1.0, 1.0), (0.2, -0.1, 0.3)),
+    "spheroid-axis": (SPHEROID, (0.0, 0.0, 0.4)),
+    "spheroid-off-axis": (SPHEROID, (0.001, 0.0, 0.4)),
+    "triaxial-centre": (diag3(1.0, 4.0, 2.25), (0.0, 0.0, 0.0)),
+    "ratio-100": (diag3(100.0, 1.0, 3.0), (0.05, 0.3, -0.2)),
+    "rotated-ellipse": (ROTATED, (0.3, 0.2)),
+    "ellipse": (ELLIPSE, (0.3, 0.2)),
+    "ellipse-near-centre": (ELLIPSE, (0.1, 0.1)),
+    **{f"random-2d-{i}": random_case(RNG, 2) for i in range(3)},
+    **{f"random-3d-{i}": random_case(RNG, 3) for i in range(2)},
+}
 
 
-def test_centred_circle_is_all_in_or_all_out():
-    t = np.array([0.5, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 2.0])
-    got = _arc_inside_ellipsoid(CIRCLE, np.zeros(2), t)
-    np.testing.assert_array_equal(got, arc_inside_ball(DISC, np.zeros(2), t))
-
-
-def test_sphere_sections_match_the_ball():
-    # Each circle lies in the plane of (e1, e2), where the unit sphere cuts
-    # a disc centred at -(c.e1, c.e2) of radius^2 1 - |c|^2 + (c.e1)^2 +
-    # (c.e2)^2; the circle's arc in that disc is the ball arc.
-    rng = np.random.default_rng(5)
-    q, _ = np.linalg.qr(rng.normal(size=(3, 2)))
-    e1, e2 = q.T
-    c = rng.uniform(-0.6, 0.6, (300, 3))
-    rho = rng.uniform(0.02, 1.6, 300)
-    got = _circle_quadric_measure(np.eye(3), c, e1, e2, rho)
-    b = np.column_stack([c @ e1, c @ e2])
-    r2 = 1.0 - np.sum(c * c, axis=1) + np.sum(b * b, axis=1)
-    for i in range(len(rho)):
-        want = 0.0
-        if r2[i] > 0.0:
-            section = Ball(center=tuple(-b[i]), radius=math.sqrt(r2[i]))
-            want = float(arc_inside_ball(section, np.zeros(2), rho[i]))
-        assert got[i] == pytest.approx(want, abs=1e-13)
-
-
-def test_centred_ellipse_closed_form():
-    # x = 0 on semi-axes 1 and 1/2: the circle of radius t in (1/2, 1) is
-    # inside where sin^2 phi < (1/t^2 - 1) / 3.
-    t = np.linspace(0.5, 1.0, 52)[1:-1]
-    want = 4.0 * np.arcsin(np.sqrt((1.0 / t ** 2 - 1.0) / 3.0))
-    got = _arc_inside_ellipsoid(ELLIPSE, np.zeros(2), t)
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
-
-
-@pytest.mark.parametrize("ell, x, t", [
-    (ELLIPSE, (0.3, 0.2), (0.3, 0.45, 0.6, 0.75, 0.95, 1.15)),
-    (ELLIPSE, (-0.5, 0.1), (0.2, 0.4, 0.9, 1.3)),
-    (ROTATED, (0.2, -0.3), (0.25, 0.5, 0.7, 0.9, 1.1)),
-    (ROTATED, (-0.1, 0.6), (0.2, 0.45, 0.8, 1.2)),
-])
-def test_anisotropic_arcs_match_the_scan(ell, x, t):
-    x = np.array(x)
-    got = _arc_inside_ellipsoid(ell, x, np.array(t))
-    e1, e2 = np.eye(2)
-    for ti, gi in zip(t, got):
-        want, shortest = scan_arc(quadric_on_circle(ell.matrix, x, e1, e2,
-                                                    ti))
-        assert shortest > 2.0 * (2.0 * math.pi / N_GRID)
-        assert gi == pytest.approx(want, abs=1e-12)
-
-
-@pytest.mark.parametrize("t", [0.35, 0.8])
-def test_ellipsoid_latitudes_match_the_scan(t):
-    # The same latitude frame and Gauss rule as the arc: the polar axis
-    # along x, cut one latitude circle at a time.
-    x = np.array([0.3, 0.2, 0.1])
-    e3 = x / np.linalg.norm(x)
-    e1 = np.cross(e3, [1.0, 0.0, 0.0])
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(e3, e1)
-    mu, w = quad.map_rule(quad._gauss_unit(48), -1.0, 1.0)
-    want = 0.0
-    for m, wm in zip(mu, w):
-        g = quadric_on_circle(ELLIPSOID3.matrix, x + t * m * e3, e1, e2,
-                              t * math.sqrt(1.0 - m * m))
-        arc, shortest = scan_arc(g)
-        assert shortest > 2.0 * (2.0 * math.pi / N_GRID)
-        want += wm * arc
-    got = _arc_inside_ellipsoid(ELLIPSOID3, x, np.array([t]))[0]
-    assert got == pytest.approx(want, abs=1e-12)
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_h_omega_matches_the_chord_oracle(name):
+    ell, x = ORACLE_CASES[name]
+    res = h_omega(ell, np.array(x))
+    assert res.value == pytest.approx(chord_oracle(ell, x), rel=0.0,
+                                      abs=1e-13)
+    assert res.tolerance_ok
+    assert res.evaluations == 0
 
 
 @pytest.mark.parametrize("x", [(0.25, 0.3), (0.6, -0.5)])
 def test_h_omega_circle_as_ellipsoid_is_accurate(x):
     res = h_omega(CIRCLE, np.array(x))
     error = abs(res.value + math.log(1.0 - float(np.dot(x, x))))
-    assert error <= 1e-9
+    assert error <= 1e-15
     assert res.error_estimate >= error
     assert res.tolerance_ok
 
 
-# Values frozen from the per-radius root scan on benchmark-style ellipse
-# points (x = (r cos th, r sin th / 2) and the ellipse scaled by 1.5).  The
-# node sets are unchanged, so the counts are exact; the values moved only
-# by the scan's missed short arcs.
-PINNED = [
-    ((1.0, 0.0, 0.0, 4.0), (0.3, 0.2), 1.0986430772849427),
-    ((1.0, 0.0, 0.0, 4.0), (0.15, 0.1), 0.8754348416568466),
-    ((1.0 / 2.25, 0.0, 0.0, 4.0 / 2.25), (0.45, 0.3), 0.2876783778188162),
+# Benchmark-style ellipse points, x = (r cos th, r sin th / 2), and the
+# ellipse scaled by 1.5: 1 - x.Ax is 3/4, 15/16 and 3/4, and the circle
+# mean of ln(theta.A theta) is 2 ln(3/2) on diag(1, 4), 2 ln(1) scaled.
+CLOSED = [
+    pytest.param((1.0, 0.0, 0.0, 4.0), (0.3, 0.2), math.log(3.0),
+                 id="ln3"),
+    pytest.param((1.0, 0.0, 0.0, 4.0), (0.15, 0.1), math.log(2.4),
+                 id="ln2.4"),
+    pytest.param((1.0 / 2.25, 0.0, 0.0, 4.0 / 2.25), (0.45, 0.3),
+                 math.log(4.0 / 3.0), id="ln4_over_3"),
 ]
 
 
-@pytest.mark.parametrize("a, x, value", PINNED)
-def test_h_omega_ellipse_keeps_its_nodes(a, x, value):
+@pytest.mark.parametrize("a, x, value", CLOSED)
+def test_h_omega_ellipse_closed_values(a, x, value):
     res = h_omega(Ellipsoid(a=a), np.array(x))
-    assert res.evaluations == 2352
-    assert res.value == pytest.approx(value, abs=1e-8)
+    assert res.evaluations == 0
+    assert res.value == pytest.approx(value, rel=0.0, abs=4e-16)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+@pytest.mark.parametrize("delta", [1e-6, 1e-8])
+def test_h_omega_ellipse_near_the_boundary(delta, theta):
+    # x at level (1 - delta)^2 on diag(1, 4), with x.Ax taken exactly:
+    # the rounding of x.Ax, magnified by 1 / (1 - x.Ax), is the whole
+    # error, and the estimate covers it.
+    x = (1.0 - delta) * np.array([math.cos(theta), 0.5 * math.sin(theta)])
+    level = Fraction(x[0]) ** 2 + 4 * Fraction(x[1]) ** 2
+    want = -math.log(float(1 - level)) + 2.0 * math.log(1.5)
+    res = h_omega(ELLIPSE, x)
+    assert abs(res.value - want) <= res.error_estimate
+    assert res.error_estimate <= 1e-6
+    assert res.tolerance_ok
+
+
+@pytest.mark.parametrize("ell, x", [
+    (ROTATED, (0.3, 0.2)), (ELLIPSE, (-0.5, 0.1)),
+    (SPHEROID, (0.0, 0.0, 0.4)), (diag3(100.0, 1.0, 3.0), (0.05, 0.3, -0.2))])
+@pytest.mark.parametrize("lam", [0.3, 1.4])
+def test_h_omega_scaling(ell, x, lam):
+    # h_{lam E}(lam x) = h_E(x) - 2 ln lam.
+    x = np.array(x)
+    scaled = Ellipsoid(a=tuple(v / lam ** 2 for v in ell.a))
+    gap = (h_omega(scaled, lam * x).value - h_omega(ell, x).value
+           + 2.0 * math.log(lam))
+    assert abs(gap) <= 1e-12
+
+
+def level_squared(ell):
+    A = ell.matrix
+
+    def fn(p):
+        return np.maximum(1.0 - np.einsum("ij,jk,ik->i", p, A, p), 0.0) ** 2
+
+    return CompactField(fn, ell, smooth_scale=1.0)
+
+
+@pytest.mark.parametrize("ell, x", [(SPHEROID, (0.0, 0.0, 0.4)),
+                                    (ROTATED, (0.3, 0.2))])
+def test_domain_form_matches_full_space_form(ell, x):
+    # The full-space form never reads h_Omega, so the two forms agree
+    # only if h_Omega is right, on the axis of revolution too.
+    u = level_squared(ell)
+    full = log_laplacian(u, np.array(x))
+    domain_form = log_laplacian_compact(u, np.array(x))
+    assert abs(domain_form.value - full.value) <= (
+        domain_form.error_estimate + full.error_estimate)
 
 
 @pytest.mark.parametrize("delta", [1e-6, 1e-5, 3.2e-5])

@@ -14,13 +14,12 @@ from fraclab.core import (DivergenceError, DomainError, EvaluationError,
                           SingularityError)
 from fraclab.geometry import Ball, Ellipsoid
 from fraclab.quadrature import QuadConfig, unit_power_rule, map_rule
-from fraclab.specfun import ball_torsion_constant, log_constants, riesz_constant
+from fraclab.specfun import ball_torsion_constant, log_constants
 from fraclab import derivative, kernels, operators
 from fraclab import quadrature as quad
 from fraclab.kernels import (comp_poisson_apply, comp_poisson_kernel,
-                             fundamental_solution, green_apply, green_ball,
-                             poisson_ball, poisson_ball_classical,
-                             poisson_extend)
+                             green_apply, green_ball, poisson_ball,
+                             poisson_ball_classical, poisson_extend)
 
 CFG = QuadConfig()
 
@@ -29,24 +28,6 @@ def radial_field(fn):
     fn.radial = True
     fn.cache_token = getattr(fn, "__name__", "anon")
     return fn
-
-
-# ---------------------------------------------------------------------------
-# Fundamental solution.
-# ---------------------------------------------------------------------------
-
-def test_fundamental_solution_values():
-    z = np.array([0.3, -0.4])
-    got = fundamental_solution(2, 0.4, z)
-    assert got == pytest.approx(riesz_constant(2, 0.4) * 0.5 ** (-1.2),
-                                rel=1e-14)
-    batch = fundamental_solution(3, 0.5, np.array([[1.0, 0, 0], [0, 2.0, 0]]))
-    assert batch[1] == pytest.approx(batch[0] / 4.0, rel=1e-14)
-
-
-def test_fundamental_solution_origin_raises():
-    with pytest.raises(SingularityError):
-        fundamental_solution(2, 0.5, np.zeros(2))
 
 
 # ---------------------------------------------------------------------------

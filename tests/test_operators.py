@@ -263,7 +263,7 @@ def test_h_omega_ellipse_matches_disc():
     x = np.array([0.4, 0.1])
     a = h_omega(ell, x).value
     b = h_omega(DISC, x).value
-    assert a == pytest.approx(b, abs=1e-9)
+    assert a == pytest.approx(b, abs=1e-13)
 
 
 def test_h_omega_sphere_matches_ball():
@@ -271,7 +271,7 @@ def test_h_omega_sphere_matches_ball():
     x = np.array([0.2, -0.1, 0.3])
     a = h_omega(ell, x).value
     b = h_omega(BALL3, x).value
-    assert a == pytest.approx(b, abs=5e-4)
+    assert a == pytest.approx(b, abs=1e-13)
 
 
 def test_h_omega_outside_raises():

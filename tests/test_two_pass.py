@@ -13,7 +13,7 @@ import pytest
 
 from fraclab import kernels, operators
 from fraclab import quadrature as quad
-from fraclab.geometry import Ball, Ellipsoid
+from fraclab.geometry import Ball
 from fraclab.operators import CompactField, ScalarField
 
 DISC = Ball(center=(0.0, 0.0), radius=1.0)
@@ -59,9 +59,6 @@ CASES = {
     "log_laplacian": lambda: operators.log_laplacian(compact2(), (0.3, 0.1)),
     "log_laplacian_compact": lambda: operators.log_laplacian_compact(
         compact2(), (0.3, 0.1)),
-    # The two passes run on ellipsoids only; a ball's h_Omega is closed.
-    "h_omega": lambda: operators.h_omega(Ellipsoid(a=(1.0, 0.0, 0.0, 4.0)),
-                                         (0.1, 0.1)),
     "nonlocal_normal_derivative":
         lambda: operators.nonlocal_normal_derivative(
             compact2(), 0.5, (1.3, 0.2)),
@@ -79,10 +76,6 @@ FROZEN = {
     # coarse pass takes half the fine pass's 64 directions, not 60.
     "green_apply":
         (0.01721241223493194, 4.032810022076146e-11, 69888, True),
-    # Re-frozen with the library gamma in c_N (was 0.8622232860402097,
-    # 4 ulps lower, estimate 3.896685180258897e-08).
-    "h_omega":
-        (0.8622232860402101, 3.896685180258899e-08, 2352, True),
     "integrate_exterior":
         (6.283185307057675, 4.858995319451253e-14, 94080, True),
     "integrate_interior":
