@@ -204,16 +204,13 @@ def green_ball(domain: Domain, s, x, y) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
-def _angular_orders(cfg: QuadConfig, N: int, floor: float
-                    ) -> tuple[int, int]:
-    """Angular orders ``(fine, coarse)`` of a polar pass.  In 2D the fine
-    count is raised to ``floor`` (capped at 4096) where the integrand
-    narrows near the boundary; the coarse pass keeps half the fine count
-    either way, so the estimate still sees the angular error."""
-    fine = cfg.angular_order
+def _angular_order(cfg: QuadConfig, N: int, floor: float) -> int:
+    """Fine angular order of a polar pass.  In 2D it is raised to
+    ``floor`` (capped at 4096) where the integrand narrows near the
+    boundary."""
     if N == 2:
-        fine = int(min(4096, max(fine, floor)))
-    return fine, max(16, fine // 2)
+        return int(min(4096, max(cfg.angular_order, floor)))
+    return cfg.angular_order
 
 
 def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
@@ -305,11 +302,9 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
 
     # In 2D the radial integral varies with the direction on the scale of
     # the tangency width sqrt(delta); resolve it.
-    m_fine, m_coarse = _angular_orders(cfg, N, 12.0 / math.sqrt(rel))
-    levels = min(cfg.max_subdiv, 26)
-    return quad._two_pass(one_pass, (m_fine, cfg.radial_order, levels),
-                          (m_coarse, max(8, cfg.radial_order - 6),
-                           quad._coarse_depth(levels)), cfg)
+    m_ang = _angular_order(cfg, N, 12.0 / math.sqrt(rel))
+    return quad._two_pass(one_pass, (m_ang, cfg.radial_order,
+                                     cfg.max_subdiv), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +419,7 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
         rel = max(1e-3, 1.0 - r / R)
         # The kernel peak occupies 1 - mu ~ delta^2 around the nearest
         # boundary point.
-        lv_cap = int(min(26, max(8, 2.0 * math.log2(1.0 / rel) + 6.0)))
+        depth = int(max(8, 2.0 * math.log2(1.0 / rel) + 6.0))
 
         def bd_sum(nodes, wts):
             pk = poisson_ball_classical(ball, x, nodes)
@@ -442,8 +437,7 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
                 None if symmetric else min(256, max(16, m)), cfg)
 
         m = int(min(8192, max(cfg.angular_order, 12.0 / rel)))
-        return quad._two_pass(bd_pass, (m, 20, lv_cap),
-                              (max(8, m // 2), 14, lv_cap - 4), cfg)
+        return quad._two_pass(bd_pass, (m, 20, depth), cfg)
 
     tau = ball_poisson_constant(N, s)
     lx = R * R - r * r
@@ -498,11 +492,8 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
     # The kernel's angular peak has width delta near the boundary and the
     # 2D trapezoid error falls like exp(-m delta): 30/delta directions
     # reach rounding level, 10/delta stay about 4e-5 off.
-    m_fine, m_coarse = _angular_orders(cfg, N, 30.0 / rel)
-    levels = min(cfg.max_subdiv, 26)
-    return quad._two_pass(one_pass, (m_fine, cfg.radial_order, levels),
-                          (m_coarse, max(8, cfg.radial_order - 4),
-                           quad._coarse_depth(levels)), cfg)
+    return quad._two_pass(one_pass, (_angular_order(cfg, N, 30.0 / rel),
+                                     cfg.radial_order, cfg.max_subdiv), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +539,7 @@ def _comp_kernel_disc_many(ball: Ball, s: float, xc: np.ndarray,
         return c_N * lz / (2.0 * math.pi) * ang
     tau = ball_poisson_constant(2, s)
     E, wE, _ = _exterior_radial_grid(R, s, cfg.radial_order,
-                                     min(cfg.max_subdiv, 26))
+                                     cfg.max_subdiv)
     q = R + E
     q2 = q * q
     ang = _double_pole_angle(q2[None, :], rz[:, None], phiz[:, None],
@@ -592,7 +583,7 @@ def comp_poisson_kernel(domain: Domain, s, x, z,
     tau = ball_poisson_constant(N, s)
     dirs, w_dir = quad.polar_directions(N, cfg.angular_order)
     E, wE, _ = _exterior_radial_grid(R, s, cfg.radial_order,
-                                     min(cfg.max_subdiv, 26))
+                                     cfg.max_subdiv)
     q = R + E
     pts = q[None, :, None] * dirs[:, None, :]
     dx = np.sqrt(geometry.sq_dist(pts, xc))
@@ -763,7 +754,7 @@ def comp_poisson_apply(domain: Domain, f, s, x,
     if s < 1.0 and radial:
         tau = ball_poisson_constant(N, s)
 
-        def one_pass(n, levels, n_eta):
+        def one_pass(n_eta, n, levels):
             E, wE, _ = _exterior_radial_grid(R, s, n, levels)
             M = _mf_on_grid(ball, f, s, n, levels, n_eta)
             q = R + E
@@ -772,11 +763,10 @@ def comp_poisson_apply(domain: Domain, f, s, x,
                          * q ** (N - 1))
             return c_N * tau * float(wE @ integrand), len(E)
 
-        # The coarse pass runs on a thinner master grid.
-        n, levels = cfg.radial_order, min(cfg.max_subdiv, 26)
-        return quad._two_pass(one_pass, (n, levels, 12),
-                              (max(8, n - 4), quad._coarse_depth(levels), 8),
-                              cfg)
+        # The coarse pass runs on a thinner master grid; the inner eta
+        # order takes the angular slot (12 fine, 8 coarse).
+        return quad._two_pass(one_pass, (12, cfg.radial_order,
+                                         cfg.max_subdiv), cfg)
 
     # Generic fallback: z-outermost integration of the pointwise kernel.
     # On the disc the per-batch kernel is closed in angle and cheap; in

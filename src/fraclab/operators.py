@@ -264,11 +264,9 @@ def log_laplacian(u, x, cfg: QuadConfig | None = None) -> IntegralResult:
                 lo = 2.0 * lo
         return float(w_dir @ near) - float(w_dir @ far), evals
 
-    levels = min(cfg.max_subdiv, 24)
     return quad._two_pass(one_pass,
-                          (cfg.angular_order, cfg.radial_order, levels),
-                          (max(16, cfg.angular_order // 2),
-                           max(8, cfg.radial_order - 6), max(8, levels - 8)),
+                          (cfg.angular_order, cfg.radial_order,
+                           min(cfg.max_subdiv, 24)),
                           cfg, scale=c_N,
                           shift=IntegralResult(rho_N * u_x, 0.0, 0),
                           floor=1e-15)
@@ -306,13 +304,11 @@ def log_laplacian_compact(u, x, cfg: QuadConfig | None = None
             lambda t, v: (u_x - v) / t)
         return float(w_dir @ sums), evals
 
-    levels = min(cfg.max_subdiv, 24)
     shift = IntegralResult((h_res.value + rho_N) * u_x,
                            h_res.error_estimate * abs(u_x), h_res.evaluations)
     return quad._two_pass(one_pass,
-                          (cfg.angular_order, cfg.radial_order, levels),
-                          (max(16, cfg.angular_order // 2),
-                           max(8, cfg.radial_order - 6), max(8, levels - 8)),
+                          (cfg.angular_order, cfg.radial_order,
+                           min(cfg.max_subdiv, 24)),
                           cfg, scale=c_N, shift=shift, floor=1e-15)
 
 
@@ -453,12 +449,9 @@ def nonlocal_normal_derivative(u, s, z, cfg: QuadConfig | None = None
             None if symmetric else min(128, max(16, 6 * n_mu)), cfg,
             mu_lo=mu_lo, value=lambda v: c * v)
 
-    levels = min(cfg.max_subdiv, 24)
     return quad._two_pass(one_pass,
                           (max(10, cfg.angular_order // 6), cfg.radial_order,
-                           levels),
-                          (max(8, cfg.angular_order // 12),
-                           max(8, cfg.radial_order - 6), max(8, levels - 8)),
+                           min(cfg.max_subdiv, 24)),
                           cfg, scale=c, floor=1e-15)
 
 

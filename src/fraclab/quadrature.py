@@ -25,8 +25,8 @@ Polar passes in dimension 3 that follow a boundary layer use
 node once; what depends on a ring's polar angle alone may be computed
 once per ring.
 
-Integrals along rays from a point (the interior and exterior polar
-passes, the logarithmic Laplacians, the nonlocal normal derivative, the
+Integrals along rays from a point (the interior polar pass, the
+logarithmic Laplacians, the nonlocal normal derivative, the
 principal value) go through :func:`ray_sums`.  An operator lays out its
 ray segments as flat arrays (direction index, start, end), one
 unit-interval rule is mapped onto all of them, the field is called once
@@ -42,7 +42,12 @@ only once per data token and configuration (:func:`_cached_profile`).
 
 Every integration returns an :class:`IntegralResult` with a coarse/fine
 error estimate and the evaluation count, formed in one place,
-:func:`_two_pass`, for every quadrature in the package.
+:func:`_two_pass`, for every quadrature in the package.  A caller names
+only its fine resolution (angular order, radial order, grading depth);
+the coarse pass always takes half the angular order, six radial nodes
+fewer (each at least 8, never above the fine one) and the depth
+``max(L // 2, L - 8)`` of the fine depth ``L`` capped at
+:data:`MAX_LEVELS` = 26.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ import numpy as np
 from scipy.fft import dct
 from scipy.special import roots_jacobi
 
-from .core import DivergenceError, DomainError, EvaluationError
+from .core import DomainError, EvaluationError
 from . import geometry
 from .geometry import Ball, Domain
 
@@ -63,7 +68,6 @@ __all__ = [
     "QuadConfig",
     "IntegralResult",
     "integrate_interior",
-    "integrate_exterior",
     "integrate_pv_second_difference",
     "centred_radial",
     "polar_directions",
@@ -81,7 +85,9 @@ class QuadConfig:
 
     ``rel_tol`` / ``abs_tol`` are targets the error estimate is compared
     against (results flag, not raise, when they miss).  ``max_subdiv``
-    bounds the dyadic refinement depth toward singular endpoints.
+    bounds the dyadic refinement depth toward singular endpoints; no rule
+    grades deeper than :data:`MAX_LEVELS` = 26, so a value above 26
+    changes nothing.
     """
 
     rel_tol: float = 1e-6
@@ -98,6 +104,10 @@ class QuadConfig:
 
 
 DEFAULT_CONFIG = QuadConfig()
+
+# Deepest dyadic grading of any rule (:func:`unit_power_rule`); a deeper
+# ``max_subdiv`` changes nothing.
+MAX_LEVELS = 26
 
 # Radius of the principal-value inner ball, as a fraction of the local
 # smoothness scale; above 1/2 the ball could leak past the nearest
@@ -122,36 +132,43 @@ def _tol_ok(value: float, err: float, cfg: QuadConfig) -> bool:
     return err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
 
 
-def _two_pass(one_pass, fine_args, coarse_args, cfg: QuadConfig, *,
+def _coarse_depth(levels: int) -> int:
+    """Grading depth of the coarse pass whose fine pass grades ``levels``
+    deep: eight levels shallower, but never below half the fine depth, so
+    the rule stays valid and the estimate still sees the truncation."""
+    return max(levels // 2, levels - 8)
+
+
+def _two_pass(one_pass, fine: tuple[int, int, int], cfg: QuadConfig, *,
               scale=1.0, shift: IntegralResult | None = None, floor=1e-16
               ) -> IntegralResult:
     """The fine/coarse error policy shared by every quadrature.
 
-    ``one_pass(*fine_args)`` and ``one_pass(*coarse_args)`` each return a
-    raw value and an evaluation count, and may add a third entry: an
-    error of that pass the pass itself measured (the last azimuth
-    doubling of :func:`azimuth_rings`), in the units of the result.  The
-    result is ``scale * fine`` plus the separately computed term
-    ``shift``; its error estimate is ``scale |fine - coarse|`` plus the
-    fine pass's own error, the error of ``shift`` and ``floor |value|``
-    for rounding, and its evaluations are those of both passes and of
-    ``shift``.
+    ``one_pass(angular, radial, levels)`` returns a raw value and an
+    evaluation count, and may add a third entry: an error of that pass
+    the pass itself measured (the last azimuth doubling of
+    :func:`azimuth_rings`), in the units of the result.  A pass without
+    directions puts its inner order in the angular slot.  The fine pass
+    runs at ``fine`` with its depth ``L`` capped at :data:`MAX_LEVELS`.
+    The coarse pass, by the one rule of the package, runs at
+    ``(max(8, angular // 2), max(8, radial - 6), _coarse_depth(L))``,
+    neither order above the fine one.  The result is ``scale * fine``
+    plus the separately computed term ``shift``; its error estimate is
+    ``scale |fine - coarse|`` plus the fine pass's own error, the error of
+    ``shift`` and ``floor |value|`` for rounding, and its evaluations are
+    those of both passes and of ``shift``.
     """
-    fine, n_f, *fine_err = one_pass(*fine_args)
-    coarse, n_c, *_ = one_pass(*coarse_args)
+    angular, radial, levels = fine[0], fine[1], min(fine[2], MAX_LEVELS)
+    fine_val, n_f, *fine_err = one_pass(angular, radial, levels)
+    coarse_val, n_c, *_ = one_pass(min(angular, max(8, angular // 2)),
+                                   min(radial, max(8, radial - 6)),
+                                   _coarse_depth(levels))
     extra = shift or IntegralResult(0.0, 0.0, 0)
-    value = scale * fine + extra.value
-    err = scale * abs(fine - coarse) + sum(fine_err) \
+    value = scale * fine_val + extra.value
+    err = scale * abs(fine_val - coarse_val) + sum(fine_err) \
         + extra.error_estimate + floor * abs(value)
     return IntegralResult(value, err, n_f + n_c + extra.evaluations,
                           _tol_ok(value, err, cfg))
-
-
-def _coarse_depth(levels: int) -> int:
-    """Grading depth of a coarse pass whose fine pass grades ``levels``
-    deep: six levels shallower, but never below half the fine depth, so
-    the rule stays valid and the estimate still sees the truncation."""
-    return max(levels // 2, levels - 6)
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +448,11 @@ def unit_power_rule(alpha_lo, alpha_hi, n: int, levels: int
     if int(levels) < 0:
         raise DomainError(f"refinement depth {levels} is negative")
     pieces_t, pieces_w = [], []
-    # Deeper refinement than ~26 dyadic levels would place nodes closer to
-    # the endpoint than floating point can represent once the rule is
-    # mapped to a generic interval; the Jacobi micro-segment already
-    # captures the remaining mass exactly, so nothing is lost by capping.
-    levels = min(int(levels), 26)
+    # Deeper refinement than MAX_LEVELS would place nodes closer to the
+    # endpoint than floating point can represent once the rule is mapped
+    # to a generic interval; the Jacobi micro-segment already captures the
+    # remaining mass exactly, so nothing is lost by capping.
+    levels = min(int(levels), MAX_LEVELS)
 
     def graded_end(alpha, lo_is_zero: bool):
         # Builds the rule on [0, 1/2] graded toward 0; mirrored for the
@@ -678,103 +695,13 @@ def integrate_interior(domain: Domain, f, cfg: QuadConfig | None = None, *,
     cfg = cfg or DEFAULT_CONFIG
     c = domain.center_array if center is None else np.asarray(center,
                                                                dtype=float)
-    levels = min(cfg.max_subdiv, 48)
 
-    def one_pass(m_ang, n_rad, lv):
+    def one_pass(m_ang, n_rad, levels):
         return _polar_interior_pass(domain, f, c, radial_power,
-                                    boundary_power, m_ang, n_rad, lv)
+                                    boundary_power, m_ang, n_rad, levels)
 
-    return _two_pass(one_pass,
-                     (cfg.angular_order, cfg.radial_order, levels),
-                     (max(8, cfg.angular_order // 2),
-                      max(6, cfg.radial_order - 6), max(4, levels - 8)),
-                     cfg)
-
-
-# ---------------------------------------------------------------------------
-# Exterior integrals.
-# ---------------------------------------------------------------------------
-
-def _exterior_pass(domain, f, boundary_power, m_ang, n_rad, levels, cfg):
-    """Polar exterior integral with a doubling tail and divergence probe."""
-    N = domain.dim
-    center = domain.center_array
-    dirs, w_dir = polar_directions(N, m_ang)
-    every = np.arange(len(dirs))
-    _, t_hi, hit = geometry.ray_spans(domain, center, dirs)
-    if not hit.all():
-        raise DomainError("polar center must be an interior point")
-    _, diam = geometry.measures(domain)
-
-    evals = 0
-
-    def block(lo_vec, hi_vec, rule):
-        nonlocal evals
-        sums, n = ray_sums(f, center, dirs, every, lo_vec, hi_vec, rule,
-                           lambda t, v: v * t ** (N - 1))
-        evals += n
-        return float(w_dir @ sums)
-
-    alpha = None if boundary_power is None else float(boundary_power)
-    near_rule = unit_power_rule(alpha, None, n_rad, levels)
-    smooth_rule = unit_power_rule(None, None, n_rad, 0)
-    acc = block(t_hi, t_hi + diam, near_rule)
-
-    lo = t_hi + diam
-    contributions = []
-    calm = 0
-    for _ in range(70):
-        hi = 2.0 * lo
-        c_j = block(lo, hi, smooth_rule)
-        contributions.append(c_j)
-        lo = hi
-        scale = max(abs(acc), cfg.abs_tol)
-        if len(contributions) >= 3:
-            last3 = [abs(v) for v in contributions[-3:]]
-            if (last3[2] >= last3[1] >= last3[0]
-                    and last3[2] > 1e-14 * scale):
-                raise DivergenceError(
-                    "exterior integral: dyadic tail blocks are not decaying "
-                    f"(last contributions {last3})")
-        acc += c_j
-        if abs(c_j) < 0.25 * cfg.abs_tol + 1e-16 * abs(acc):
-            calm += 1
-            if calm >= 2:
-                break
-        else:
-            calm = 0
-    else:
-        # Budget exhausted: sum the geometric tail from the observed ratio.
-        ratio = abs(contributions[-1]) / max(abs(contributions[-2]), 1e-300)
-        if ratio >= 0.95:
-            raise DivergenceError("exterior integral: tail ratio ~ 1")
-        acc += contributions[-1] * ratio / (1.0 - ratio)
-    return acc, evals
-
-
-def integrate_exterior(domain: Domain, f, cfg: QuadConfig | None = None, *,
-                       boundary_power=None) -> IntegralResult:
-    """Integral of ``f`` over the complement of the domain.
-
-    ``boundary_power`` declares a ``delta(y)^q`` concentration at the
-    boundary (e.g. ``-s`` for the exterior Poisson kernel).  The far field
-    is integrated over dyadic radial blocks; if three consecutive blocks
-    fail to decay the integral is declared divergent
-    (:class:`~fraclab.core.DivergenceError`) rather than silently
-    truncated.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    levels = min(cfg.max_subdiv, 48)
-
-    def one_pass(m_ang, n_rad, lv):
-        return _exterior_pass(domain, f, boundary_power, m_ang, n_rad, lv,
-                              cfg)
-
-    return _two_pass(one_pass,
-                     (cfg.angular_order, cfg.radial_order, levels),
-                     (max(8, cfg.angular_order // 2),
-                      max(6, cfg.radial_order - 6), max(4, levels - 8)),
-                     cfg)
+    return _two_pass(one_pass, (cfg.angular_order, cfg.radial_order,
+                                cfg.max_subdiv), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -820,10 +747,8 @@ def integrate_pv_second_difference(u, x, s, cfg: QuadConfig | None = None
         return _pv_pass(u, x, u_x, s, N, domain, inner_scale,
                         compact_support, m_ang, n_rad, levels)
 
-    lv = min(cfg.max_subdiv, 30)
-    return _two_pass(one_pass, (cfg.angular_order, cfg.radial_order, lv),
-                     (max(8, cfg.angular_order // 2),
-                      max(6, cfg.radial_order - 6), max(4, lv - 6)), cfg)
+    return _two_pass(one_pass, (cfg.angular_order, cfg.radial_order,
+                                cfg.max_subdiv), cfg)
 
 
 def _pv_pass(u, x, u_x, s, N, domain, inner_scale, compact_support,

@@ -304,25 +304,28 @@ def ones(y):
     return np.ones(len(np.atleast_2d(y)))
 
 
+# The ids keep the evaluation counts of the first freeze (69888, 260576
+# and 4169216).  The one coarse policy of _two_pass grades the coarse pass
+# 18 levels deep, not 20, which re-froze the counts; the values held.
 @pytest.mark.parametrize("N,s,x,data,evaluations,value", [
     # Non-constant data near the boundary of the disc.  An
     # angular_order=256, radial_order=30 run (converged: 512 and 1024
     # directions agree to 1e-17) gives 0.03639239296650002, 1.9e-14 below,
     # inside this pin's error estimate of 1.1e-9 (the coarse pass takes
     # half the fine pass's 64 directions, not 60).
-    pytest.param(2, 0.9, (0.6, -0.75), poly2, 69888, 0.03639239296651939,
+    pytest.param(2, 0.9, (0.6, -0.75), poly2, 68608, 0.03639239296651939,
                  id="2-0.9-x0-69888-0.03639239296651939"),
     # Radial-flagged data in the 3-ball (the axisymmetric directions); the
     # torsion closed form d(3, 1/4) (1 - |x|^2)^(1/4) is 0.6905233796370002.
     pytest.param(3, 0.25, (0.3, -0.2, 0.4),
                  radial_field(lambda y: np.ones(len(np.atleast_2d(y)))),
-                 260576, 0.6905233796370018,
+                 253376, 0.6905233796370018,
                  id="3-0.25-x1-260576-0.6905233796370018"),
     # Plain-callable f = 1 in the 3-ball: no azimuth dependence, so both
     # passes stop at 8 + 8 azimuths per ring (a fixed 64 and 32 took
     # 14,142,464 evaluations).  The torsion closed form
     # d(3, 1/2) (1 - |x|^2)^(1/2) is 0.4213074886588179.
-    pytest.param(3, 0.5, (0.3, -0.2, 0.4), ones, 4169216,
+    pytest.param(3, 0.5, (0.3, -0.2, 0.4), ones, 4054016,
                  0.4213074886588175, id="3-0.5-x2-4169216-0.4213074886588175"),
 ])
 def test_green_apply_frozen(N, s, x, data, evaluations, value):
@@ -351,7 +354,7 @@ def test_green_apply_memory_stays_small():
     # call.
     for x, data, evaluations, limit in (((0.3, 0.2), ones, None, 10e6),
                                         ((0.3, 0.2, 0.1), ones, None, 40e6),
-                                        ((0.3, 0.2, 0.1), wave, 14142464,
+                                        ((0.3, 0.2, 0.1), wave, 13912064,
                                          40e6)):
         ball = Ball(center=(0.0,) * len(x), radius=1.0)
         tracemalloc.start()
@@ -385,7 +388,7 @@ def test_green_apply_kernel_once_per_ring(monkeypatch, s):
     # round the Green kernel sees each ring's radial nodes once, while f is
     # read at every node of every azimuth.
     ball = Ball(center=(0.0, 0.0, 0.0), radius=1.0)
-    for data, evaluations in ((ones, 4169216), (wave, 14142464)):
+    for data, evaluations in ((ones, 4054016), (wave, 13912064)):
         monkeypatch.undo()
         rows, log = [], {"rounds": 0, "per_azimuth": 0, "n_phi": 1}
         kernel, directions = kernels._green_kernel, quad.layered_directions
@@ -637,21 +640,38 @@ def test_comp_kernel_disc_classical_center():
 
 
 def test_comp_kernel_disc_vs_direct_exterior_quadrature():
-    from fraclab.quadrature import integrate_exterior
+    # Independent reference: P^c_s(x, z) = c_2 int_{|y|>1} |x-y|^-2
+    # P_s(z, y) dy in polar form y = (1 + E) w, with the explicit kernel
+    # P_s(z, y) = tau ((1 - |z|^2) / (|y|^2 - 1))^s |z - y|^-2,
+    # tau = sin(pi s) / pi^2, and |y|^2 - 1 = E (2 + E).  Nested scipy
+    # quad: the E^-s endpoint on [0, 1] through its algebraic weight, the
+    # tail [1, inf) plain, the angle inside.
+    from scipy.integrate import quad as sp_quad
     ball = Ball(center=(0.0, 0.0), radius=1.0)
     s = 0.6
     x = np.array([0.2, 0.1])
     z = np.array([-0.3, 0.25])
     c2, _ = log_constants(2)
+    tau = math.sin(math.pi * s) / math.pi ** 2
 
-    def integrand(y):
-        y = np.atleast_2d(y)
-        d = np.linalg.norm(y - x[None, :], axis=1)
-        return c2 * d ** -2.0 * poisson_ball(ball, s, z, y)
+    def angular(E):
+        q = 1.0 + E
 
-    direct = integrate_exterior(ball, integrand, CFG, boundary_power=-s)
+        def f(phi):
+            y = q * np.array([math.cos(phi), math.sin(phi)])
+            return 1.0 / (float((y - x) @ (y - x)) * float((y - z) @ (y - z)))
+
+        ring = sp_quad(f, 0.0, 2.0 * math.pi, epsabs=0.0, epsrel=1e-13,
+                       limit=200)[0]
+        return q * (2.0 + E) ** -s * ring
+
+    near = sp_quad(angular, 0.0, 1.0, weight="alg", wvar=(-s, 0.0),
+                   epsabs=0.0, epsrel=1e-12)[0]
+    far = sp_quad(lambda E: E ** -s * angular(E), 1.0, np.inf,
+                  epsabs=0.0, epsrel=1e-12)[0]
+    direct = c2 * tau * (1.0 - float(z @ z)) ** s * (near + far)
     fast = comp_poisson_kernel(ball, s, x, z)
-    assert fast == pytest.approx(direct.value, rel=1e-6)
+    assert fast == pytest.approx(direct, rel=1e-12)
 
 
 PC3_TABLE = [  # one argument at the origin; 25-digit radial quadrature
@@ -770,43 +790,53 @@ class CountingProfile:
 
 
 MASTER_GRID_TABLE = [  # N, s, R, point, evaluations, data points, value
-    (2, 0.02, 0.8, 'centre', 1900, 110164, 0.026151844641130486),
-    (2, 0.02, 0.8, 'edge', 1900, 110164, 0.5898777106541756),
-    (2, 0.02, 1.23, 'centre', 1900, 110164, 0.017594001504068774),
-    (2, 0.02, 1.23, 'edge', 1900, 110164, 0.33931312213116616),
-    (2, 0.25, 0.8, 'centre', 1900, 110184, 0.28576213152205027),
-    (2, 0.25, 0.8, 'edge', 1900, 110184, 15.57134447362634),
-    (2, 0.25, 1.23, 'centre', 1900, 110184, 0.19847213152411503),
-    (2, 0.25, 1.23, 'edge', 1900, 110184, 10.342441574890076),
-    (2, 0.75, 0.8, 'centre', 1900, 110244, 0.6875452613004335),
-    (2, 0.75, 0.8, 'edge', 1900, 110244, 543.9147735353707),
-    (2, 0.75, 1.23, 'centre', 1900, 110244, 0.5004952613037087),
-    (2, 0.75, 1.23, 'edge', 1900, 110244, 523.6137234463096),
-    (2, 0.999, 0.8, 'centre', 1900, 110424, 0.8394349038137398),
-    (2, 0.999, 0.8, 'edge', 1900, 110424, 3335.4453627869775),
-    (2, 0.999, 1.23, 'centre', 1900, 110424, 0.6213190708973751),
-    (2, 0.999, 1.23, 'edge', 1900, 110424, 3793.478721516569),
-    (3, 0.02, 0.8, 'centre', 1900, 110164, 0.014321614284884609),
-    (3, 0.02, 0.8, 'edge', 1900, 110164, 0.49411755766087867),
-    (3, 0.02, 1.23, 'centre', 1900, 110164, 0.008578851127183072),
-    (3, 0.02, 1.23, 'edge', 1900, 110164, 0.2617447454037245),
-    (3, 0.25, 0.8, 'centre', 1900, 110184, 0.16526819385078184),
-    (3, 0.25, 0.8, 'edge', 1900, 110184, 12.495010326657436),
-    (3, 0.25, 1.23, 'centre', 1900, 110184, 0.10291819385284663),
-    (3, 0.25, 1.23, 'edge', 1900, 110184, 7.573572665536102),
-    (3, 0.75, 0.8, 'centre', 1900, 110244, 0.42938982597338815),
-    (3, 0.75, 0.8, 'edge', 1900, 110244, 375.41897853948194),
-    (3, 0.75, 1.23, 'centre', 1900, 110244, 0.28390649264333007),
-    (3, 0.75, 1.23, 'edge', 1900, 110244, 328.0862624499425),
-    (3, 0.999, 0.8, 'centre', 1900, 110424, 0.5382530215033515),
-    (3, 0.999, 0.8, 'edge', 1900, 110424, 2139.5130247608827),
-    (3, 0.999, 1.23, 'centre', 1900, 110424, 0.36377781141941057),
-    (3, 0.999, 1.23, 'edge', 1900, 110424, 2221.8656048296475),
+    (2, 0.02, 0.8, 'centre', 1754, 102684, 0.026151844641130486),
+    (2, 0.02, 0.8, 'edge', 1754, 102684, 0.5898777106541756),
+    (2, 0.02, 1.23, 'centre', 1754, 102684, 0.017594001504068774),
+    (2, 0.02, 1.23, 'edge', 1754, 102684, 0.33931312213116616),
+    (2, 0.25, 0.8, 'centre', 1754, 102704, 0.28576213152205027),
+    (2, 0.25, 0.8, 'edge', 1754, 102704, 15.57134447362634),
+    (2, 0.25, 1.23, 'centre', 1754, 102704, 0.19847213152411503),
+    (2, 0.25, 1.23, 'edge', 1754, 102704, 10.342441574890076),
+    (2, 0.75, 0.8, 'centre', 1754, 102764, 0.6875452613004335),
+    (2, 0.75, 0.8, 'edge', 1754, 102764, 543.9147735353707),
+    (2, 0.75, 1.23, 'centre', 1754, 102764, 0.5004952613037087),
+    (2, 0.75, 1.23, 'edge', 1754, 102764, 523.6137234463096),
+    (2, 0.999, 0.8, 'centre', 1754, 102944, 0.8394349038137398),
+    (2, 0.999, 0.8, 'edge', 1754, 102944, 3335.4453627869775),
+    (2, 0.999, 1.23, 'centre', 1754, 102944, 0.6213190708973751),
+    (2, 0.999, 1.23, 'edge', 1754, 102944, 3793.478721516569),
+    (3, 0.02, 0.8, 'centre', 1754, 102684, 0.014321614284884609),
+    (3, 0.02, 0.8, 'edge', 1754, 102684, 0.49411755766087867),
+    (3, 0.02, 1.23, 'centre', 1754, 102684, 0.008578851127183072),
+    (3, 0.02, 1.23, 'edge', 1754, 102684, 0.2617447454037245),
+    (3, 0.25, 0.8, 'centre', 1754, 102704, 0.16526819385078184),
+    (3, 0.25, 0.8, 'edge', 1754, 102704, 12.495010326657436),
+    (3, 0.25, 1.23, 'centre', 1754, 102704, 0.10291819385284663),
+    (3, 0.25, 1.23, 'edge', 1754, 102704, 7.573572665536102),
+    (3, 0.75, 0.8, 'centre', 1754, 102764, 0.42938982597338815),
+    (3, 0.75, 0.8, 'edge', 1754, 102764, 375.41897853948194),
+    (3, 0.75, 1.23, 'centre', 1754, 102764, 0.28390649264333007),
+    (3, 0.75, 1.23, 'edge', 1754, 102764, 328.0862624499425),
+    (3, 0.999, 0.8, 'centre', 1754, 102944, 0.5382530215033515),
+    (3, 0.999, 0.8, 'edge', 1754, 102944, 2139.5130247608827),
+    (3, 0.999, 1.23, 'centre', 1754, 102944, 0.36377781141941057),
+    (3, 0.999, 1.23, 'edge', 1754, 102944, 2221.8656048296475),
 ]
 
 
+def _first_freeze_id(row):
+    # The table was first frozen with a coarse master grid of radial order
+    # 12 and depth 20; the one coarse policy of _two_pass makes it 10 and
+    # 18, which reads 146 grid nodes and 7480 data points fewer.  The test
+    # ids keep the counts of the first freeze, so the names stay stable.
+    N, s, R, where, evaluations, points, value = row
+    return f"{N}-{s}-{R}-{where}-{evaluations + 146}-{points + 7480}-{value}"
+
+
 @pytest.mark.parametrize("N,s,R,where,evaluations,points,value",
-                         MASTER_GRID_TABLE)
+                         MASTER_GRID_TABLE,
+                         ids=[_first_freeze_id(r) for r in MASTER_GRID_TABLE])
 def test_comp_apply_master_grid_pinned(N, s, R, where, evaluations, points,
                                        value):
     # Frozen from the per-node loop the block layout replaced: the same

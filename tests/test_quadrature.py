@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from fraclab.core import DivergenceError, DomainError
+from fraclab.core import DomainError
 from fraclab import geometry as geo
 from fraclab import quadrature as quad
 from fraclab.operators import ScalarField
@@ -53,7 +53,24 @@ def test_unit_power_rule_rejects_negative_depth():
         quad.unit_power_rule(0.0, 0.0, 8, -1)
     x, w = quad.unit_power_rule(0.0, 0.0, 8, 0)
     assert float(w.sum()) == pytest.approx(1.0, rel=1e-14)
-    assert quad._coarse_depth(26) == 20 and quad._coarse_depth(4) == 2
+
+
+def test_coarse_pass_is_coarser_than_the_fine_one():
+    # The one coarse policy of _two_pass: at every fine depth the coarse
+    # pass grades to a valid depth below the capped fine one, and no
+    # coarse order exceeds its fine order.
+    for levels in range(1, 49):
+        capped = min(levels, quad.MAX_LEVELS)
+        for angular, radial in [(1, 1), (6, 6), (8, 8), (9, 14), (10, 16),
+                                (64, 16), (304, 30), (4096, 12)]:
+            passes = []
+            quad._two_pass(lambda *res: passes.append(res) or (0.0, 0),
+                           (angular, radial, levels), CFG)
+            (m, n, lv), (mc, nc, lvc) = passes
+            assert (m, n, lv) == (angular, radial, capped)
+            assert 0 <= lvc < capped, levels
+            assert min(angular, 8) <= mc <= angular
+            assert min(radial, 8) <= nc <= radial
 
 
 def test_interior_area_and_moments():
@@ -114,38 +131,6 @@ def test_interior_ellipsoid():
     dom = geo.Ellipsoid(a=(1.0, 0.0, 0.0, 4.0))
     res = quad.integrate_interior(dom, lambda y: np.ones(len(y)), CFG)
     assert res.value == pytest.approx(math.pi / 2.0, rel=1e-12)
-
-
-def test_exterior_power_decay():
-    # int_{|y|>1, N=2} |y|^{-3} dy = 2 pi.
-    res = quad.integrate_exterior(
-        DISC, lambda y: np.linalg.norm(y, axis=1) ** -3.0, CFG)
-    assert res.value == pytest.approx(2.0 * math.pi, rel=1e-10)
-    # N=3: int_{|y|>1} |y|^{-4} dy = 4 pi.
-    res3 = quad.integrate_exterior(
-        BALL3, lambda y: np.linalg.norm(y, axis=1) ** -4.0, CFG)
-    assert res3.value == pytest.approx(4.0 * math.pi, rel=1e-9)
-
-
-def test_exterior_boundary_layer():
-    # f = (|y|-1)^(-1/2) |y|^(-4) on the plane: radialize to
-    # 2 pi int_1^inf (q-1)^(-1/2) q^{-3} dq; with q = 1/(1-v^2) the value is
-    # 2 pi * (3 pi / 8) ... easier frozen via series: use exact
-    # int_1^inf (q-1)^{-1/2} q^{-3} dq = Beta(1/2, 5/2) = pi * 3/8.
-    exact = 2.0 * math.pi * math.pi * 3.0 / 8.0
-    res = quad.integrate_exterior(
-        DISC,
-        lambda y: (np.linalg.norm(y, axis=1) - 1.0) ** -0.5
-        * np.linalg.norm(y, axis=1) ** -4.0,
-        CFG, boundary_power=-0.5)
-    assert res.value == pytest.approx(exact, rel=1e-9)
-
-
-def test_exterior_divergence_probe():
-    # |y|^{-2} in the plane is not integrable at infinity.
-    with pytest.raises(DivergenceError):
-        quad.integrate_exterior(
-            DISC, lambda y: np.linalg.norm(y, axis=1) ** -2.0, CFG)
 
 
 def test_pv_second_difference_gaussian():

@@ -95,24 +95,27 @@ CASES = {
         263360, -0.3251780002520529),
     # The cone rings double their azimuths from 8: this polynomial stops
     # at 16 in both passes (6058752 evaluations at a fixed 60 and 48,
-    # value 1.6e-16 lower).
+    # value 1.6e-16 lower).  The one coarse policy grades the coarse pass
+    # 6 levels deep, not 8 (was 1705984).
     "normal_derivative_poly_3d": (
         lambda: CompactField(poly3, BALL3, smooth_scale=1.0),
         lambda u: nonlocal_normal_derivative(
             u, 0.5, np.array([0.2, -0.1, 1.25]), CFG3),
-        1705984, -0.14067497674297313),
-    # One ray per +-theta pair (was 294400 evaluations, each ray read twice).
+        1550336, -0.14067497674297313),
+    # One ray per +-theta pair (was 294400 evaluations, each ray read
+    # twice), and a coarse pass graded 18 levels deep, not 24 (was 147200).
     "frac_laplacian_compact_field": (
-        compact2, lambda u: frac_laplacian(u, 0.5, Y), 147200,
+        compact2, lambda u: frac_laplacian(u, 0.5, Y), 139520,
         2.1561801343652527),
     # Frozen from the graded outer span of a non-compact field instead:
     # the per-direction value was 1.1% off (test_decaying_tail_is_graded).
     # Re-frozen with both folds (was 476928 evaluations, value
     # 0.9798935329470566): 4.1e-11 from 0.9798935329220773, the unfolded
     # rule at angular order 256, radial order 30 and max_subdiv 40 (the
-    # unfolded value was 2.5e-11 off), inside the estimate 1.5e-9.
+    # unfolded value was 2.5e-11 off), inside the estimate 1.5e-9.  The
+    # coarse pass grades 18 levels deep, not 24 (was 119232).
     "frac_laplacian_decaying_tail": (
-        layered2, lambda u: frac_laplacian(u, 0.5, Y), 119232,
+        layered2, lambda u: frac_laplacian(u, 0.5, Y), 113472,
         0.9798935329627722),
 }
 

@@ -5,7 +5,13 @@ fine and a coarse pass.  Values, evaluation counts and tolerance flags are
 frozen exactly; error estimates to two units in the last place.  They
 were recorded from the implementation that wrote the estimate out at
 each call site, so any change to the passes, their resolutions or the
-error floor shows here.
+error floor shows here.  Since the coarse resolution is derived in
+_two_pass alone, the entries whose coarse pass moved were re-frozen: the
+same values, other estimates and counts.
+
+At small ``max_subdiv`` the estimates must bound the error of the ray
+operators against a fine reference: the coarse pass is always shallower
+than the fine one.
 """
 
 import numpy as np
@@ -44,8 +50,6 @@ def undeclared_layer(p):
 CASES = {
     "integrate_interior": lambda: quad.integrate_interior(
         DISC, undeclared_layer, quad.QuadConfig(max_subdiv=6)),
-    "integrate_exterior": lambda: quad.integrate_exterior(
-        DISC, lambda y: np.linalg.norm(y, axis=1) ** -3.0),
     "integrate_pv_second_difference":
         lambda: quad.integrate_pv_second_difference(
             compact2(), np.array([0.2, -0.1]), 0.5),
@@ -68,23 +72,27 @@ CASES = {
 FROZEN = {
     # Re-frozen with math.gamma and scipy's digamma in the constants (was
     # 0.5139603083393468, 5 ulps lower).
+    # The coarse master grid has radial order 10 and depth 18 (was 12 and
+    # 20: estimate 2.8036422771541175e-10, 1900 evaluations).
     "comp_poisson_apply":
-        (0.5139603083393474, 2.8036422771541175e-10, 1900, True),
+        (0.5139603083393474, 1.1347608922445452e-09, 1754, True),
     # Re-frozen with the one-rule Green kernel (was 164416 evaluations on
     # two rules); an angular_order=256, radial_order=30 run gives
     # 0.017212412234932212, 2.7e-16 above, inside the estimate.  The
-    # coarse pass takes half the fine pass's 64 directions, not 60.
+    # coarse pass takes half the fine pass's 64 directions, not 60, and is
+    # graded 18 levels deep, not 20 (was 69888 evaluations).
     "green_apply":
-        (0.01721241223493194, 4.032810022076146e-11, 69888, True),
-    "integrate_exterior":
-        (6.283185307057675, 4.858995319451253e-14, 94080, True),
+        (0.01721241223493194, 4.032810022076146e-11, 68608, True),
+    # Coarse depth 3 of the fine 6, not 4 (was 10688 evaluations).
     "integrate_interior":
-        (18.91459956574577, 1.8991644200917561, 10688, False),
+        (18.91459956574577, 1.8991644200917561, 10368, False),
     # Re-frozen with one ray per +-theta pair: the same value at half the
     # evaluations (was 294400); the coarse pass sums in another order, so
-    # the estimate moved from 3.9037691576264246e-13.
+    # the estimate moved from 3.9037691576264246e-13.  Re-frozen with the
+    # coarse pass graded 18 levels deep, not 24 (was 3.886005589232422e-13
+    # and 147200 evaluations).
     "integrate_pv_second_difference":
-        (13.547679339876249, 3.886005589232422e-13, 147200, True),
+        (13.547679339876249, 3.8682420208384195e-13, 139520, True),
     # Re-frozen with the library gamma and digamma in c_N and rho_N (was
     # 1.2472462757365927, 1 ulp lower, estimate 2.0953941907935305e-15).
     "log_laplacian":
@@ -102,9 +110,11 @@ FROZEN = {
     # 0.4861856928329459, the coarse pass 152.  At 10/delta (101 and 50
     # directions) it was 0.48620551179044025, 2.0e-5 off, with estimate
     # 1.3e-3, 152324 evaluations and tolerance_ok False.  The library
-    # gamma moved it 4 ulps up from 0.48618569283295726.
+    # gamma moved it 4 ulps up from 0.48618569283295726.  The coarse pass
+    # has 10 radial nodes, not 12, and depth 18, not 20 (was estimate
+    # 2.6046783278878787e-08, 459648 evaluations).
     "poisson_extend":
-        (0.4861856928329575, 2.6046783278878787e-08, 459648, True),
+        (0.4861856928329575, 2.6046783500923392e-08, 437456, True),
     "poisson_extend_classical":
         (1.54, 5.980892098500627e-16, 96, True),
 }
@@ -118,3 +128,36 @@ def test_two_pass_result_frozen(name):
     assert res.evaluations == evals
     assert res.tolerance_ok is ok
     assert abs(res.error_estimate - err) <= 2.0 * np.spacing(err)
+
+
+def half_dome(p):
+    p = np.atleast_2d(p)
+    return np.sqrt(np.maximum(1.0 - np.sum(p * p, axis=1), 0.0))
+
+
+BOUND_CASES = {
+    "log_laplacian": lambda u, cfg: operators.log_laplacian(
+        u, (0.3, 0.2), cfg),
+    "log_laplacian_compact": lambda u, cfg: operators.log_laplacian_compact(
+        u, (0.3, 0.2), cfg),
+    "nonlocal_normal_derivative":
+        lambda u, cfg: operators.nonlocal_normal_derivative(
+            u, 0.5, (1.3, 0.2), cfg),
+    "frac_laplacian": lambda u, cfg: operators.frac_laplacian(
+        u, 0.5, (0.3, 0.2), cfg),
+}
+
+
+@pytest.mark.parametrize("max_subdiv", [4, 5, 8])
+@pytest.mark.parametrize("name", sorted(BOUND_CASES))
+def test_estimate_bounds_error_at_small_depth(name, max_subdiv):
+    # The compact radial (1 - |y|^2)^(1/2) kinks at the boundary, so the
+    # grading depth sets the error.  With a coarse pass as deep as the
+    # fine one the estimate missed it by up to 1e7 (log_laplacian_compact
+    # at depth 8: 9.2e-16 against an error of 2.8e-9).
+    u = CompactField(half_dome, DISC, smooth_scale=1.0, radial=True)
+    run = BOUND_CASES[name]
+    ref = run(u, quad.QuadConfig(angular_order=128, radial_order=30,
+                                 max_subdiv=40)).value
+    res = run(u, quad.QuadConfig(max_subdiv=max_subdiv))
+    assert res.error_estimate >= abs(res.value - ref)
