@@ -45,6 +45,9 @@ __all__ = [
     "green_norm_bound",
 ]
 
+N_GRID = 25  # radial scan points, from near the boundary to the centre
+N_TAU = 12  # nodes of (0, s] sampling m_tau in the integral bound
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -85,28 +88,17 @@ def _q_integrand(tau: float, N: int) -> float:
     return math.exp(val) if val > -700.0 else 0.0
 
 
-def q_constant(N: int, s, cfg: QuadConfig | None = None, *,
-               rule: str = "gauss") -> float:
+def q_constant(N: int, s) -> float:
     """``q_{N,s} = c_N int_0^s (3^t G(N/2) / (2^N G(t) G(N/2+1-t)))^{N/(N-2t)} dt``.
 
-    ``rule`` selects between the in-house graded Gauss panels
-    (``"gauss"``, default) and adaptive quadrature from scipy
-    (``"quad"``); the two serve as independent cross-checks of the
-    frozen values in the test suite.
+    Graded Gauss panels on ``[0, s]``; the test suite cross-checks them
+    against adaptive quadrature of the same integrand.
     """
     c_N = log_constants(N)[0]
     s = float(as_order(s))
-    if rule == "gauss":
-        nodes, w = quad.map_rule(quad.unit_power_rule(0.0, 0.0, 32, 18),
-                                 0.0, s)
-        vals = np.array([_q_integrand(t, N) for t in nodes])
-        return c_N * float(np.dot(w, vals))
-    if rule == "quad":
-        from scipy.integrate import quad as sp_quad
-        val, _ = sp_quad(_q_integrand, 0.0, s, args=(N,), limit=200,
-                         epsabs=1e-13, epsrel=1e-12)
-        return c_N * val
-    raise DomainError(f"unknown quadrature rule {rule!r}")
+    nodes, w = quad.map_rule(quad.unit_power_rule(0.0, 0.0, 32, 18), 0.0, s)
+    vals = np.array([_q_integrand(t, N) for t in nodes])
+    return c_N * float(np.dot(w, vals))
 
 
 def p_s_lower(N: int, s, domain: Domain) -> float:
@@ -137,82 +129,58 @@ def _ones(N: int) -> ScalarField:
                        cache_token=("bounds-ones", N))
 
 
-def _radial_points(ball: Ball, n: int) -> np.ndarray:
+def _radial_points(ball: Ball) -> np.ndarray:
     # log-spaced boundary distances so the blow-up of h and P^c 1 near
     # the boundary is sampled densely; delta = R reaches the center.
     R = ball.radius
-    deltas = np.geomspace(1e-4 * R, R, n)
-    pts = np.tile(ball.center_array, (n, 1))
+    deltas = np.geomspace(1e-4 * R, R, N_GRID)
+    pts = np.tile(ball.center_array, (N_GRID, 1))
     pts[:, 0] += R - deltas
     return pts
 
 
-def _golden_refine(fun, rs, vals):
-    i = int(np.argmin(vals))
-    if 0 < i < len(rs) - 1:
-        from scipy.optimize import minimize_scalar
-        res = minimize_scalar(fun, bracket=(rs[i - 1], rs[i], rs[i + 1]),
-                              method="golden", options={"xtol": 1e-6})
-        if res.fun < vals[i]:
-            return float(res.fun)
-    return float(vals[i])
+def _mass_profile(ball: Ball, t: float, cfg: QuadConfig, pts) -> np.ndarray:
+    """``P^c_t 1`` at the scan points ``pts``."""
+    data = _ones(ball.dim)
+    return np.array([kernels.comp_poisson_apply(ball, data, t, p, cfg).value
+                     for p in pts])
 
 
-def p_s_numeric(domain: Domain, s, cfg: QuadConfig | None = None, *,
-                n_grid: int = 25) -> float:
-    """``p_s(Omega) = inf_Omega P^c_s 1`` by radial scan on a ball.
+def p_s_numeric(domain: Domain, s, cfg: QuadConfig | None = None) -> float:
+    """``p_s(Omega) = inf_Omega P^c_s 1`` by a radial scan on a ball.
 
-    The infimum of the radial profile is located on a log-spaced grid
-    and refined by golden-section search when it falls strictly inside
-    the grid (on balls it typically sits at the center).
+    Minimum over ``N_GRID`` log-spaced points from near the boundary to
+    the centre.  With ``f = 1`` the computed ``P^c_s 1`` sums, with
+    positive weights, terms that grow with the distance from the centre
+    (``2 pi/(q^2 - r^2)``, ``4 pi/(q (q^2 - r^2))``, the ``s = 1`` form),
+    so the profile falls strictly toward the centre: the minimum is the
+    last point, and no search between grid points can lower it.
     """
     ball = kernels._require_ball(domain, "the complementary-mass infimum")
     cfg = cfg or QuadConfig()
     s = float(as_order(s))
-    data = _ones(ball.dim)
-    pts = _radial_points(ball, n_grid)
-    rs = np.sqrt(geometry.sq_dist(pts, ball.center))
-    vals = np.array([kernels.comp_poisson_apply(ball, data, s, p, cfg).value
-                     for p in pts])
-
-    def fun(r):
-        p = ball.center_array.copy()
-        p[0] += r
-        return kernels.comp_poisson_apply(ball, data, s, p, cfg).value
-
-    return _golden_refine(fun, rs, vals)
+    return float(_mass_profile(ball, s, cfg, _radial_points(ball)).min())
 
 
-def _h_profile(ball: Ball, cfg: QuadConfig, n_grid: int
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """``h_Omega`` on the radial scan points; it does not depend on the
-    order, so one profile serves every ``m_tau``."""
-    pts = _radial_points(ball, n_grid)
+def _h_profile(ball: Ball, cfg: QuadConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``h_Omega`` on the scan points: one profile serves every order."""
+    pts = _radial_points(ball)
     return pts, np.array([operators.h_omega(ball, p, cfg).value
                           for p in pts])
 
 
-def _m_scan(ball: Ball, s: float, cfg: QuadConfig, pts: np.ndarray,
-            h: np.ndarray) -> float:
-    data = _ones(ball.dim)
-    vals = h + np.array([kernels.comp_poisson_apply(ball, data, s, p,
-                                                    cfg).value
-                         for p in pts])
-    return float(np.min(vals))
-
-
-def m_s(domain: Domain, s, cfg: QuadConfig | None = None, *,
-        n_grid: int = 25) -> float:
+def m_s(domain: Domain, s, cfg: QuadConfig | None = None) -> float:
     """``m_s(Omega) = rho_N + inf_Omega (h_Omega + P^c_s 1)``.
 
     Both terms blow up at the boundary, so the infimum is interior; the
-    grid minimum over the radial profile is reported.
+    minimum over the ``N_GRID`` radial scan points is reported.
     """
     ball = kernels._require_ball(domain, "the norm-decay rate")
     cfg = cfg or QuadConfig()
     s = float(as_order(s))
     rho_N = log_constants(ball.dim)[1]
-    return rho_N + _m_scan(ball, s, cfg, *_h_profile(ball, cfg, n_grid))
+    pts, h = _h_profile(ball, cfg)
+    return rho_N + float(np.min(h + _mass_profile(ball, s, cfg, pts)))
 
 
 def min_h_omega(domain: Domain) -> float:
@@ -225,14 +193,16 @@ def min_h_omega(domain: Domain) -> float:
     return -2.0 * math.log(ball.radius)
 
 
-def green_norm_bound(domain: Domain, s, cfg: QuadConfig | None = None, *,
-                     n_tau: int = 12, n_grid: int = 25) -> BoundReport:
+def green_norm_bound(domain: Domain, s,
+                     cfg: QuadConfig | None = None) -> BoundReport:
     """Full report: numeric norm of ``G_s`` on a ball and its bounds.
 
     The numeric norm is exact -- the radial torsion solution peaks at
     the center with value ``d_{N,s} R^{2s}``.  The integral-form bound
-    samples ``m_tau`` on ``n_tau`` nodes of ``(0, s]`` and applies the
+    integrates ``m_tau`` at ``N_TAU`` equispaced nodes of ``(0, s]`` by the
     trapezoid rule, extending the first cell to ``tau = 0`` linearly.
+    One ``N_GRID``-point profile of ``P^c_tau 1`` per node serves
+    ``m_tau`` and, at the last node ``tau = s``, ``p_s_numeric``.
     """
     ball = kernels._require_ball(domain, "the Green-operator norm")
     cfg = cfg or QuadConfig()
@@ -243,14 +213,16 @@ def green_norm_bound(domain: Domain, s, cfg: QuadConfig | None = None, *,
     geo = vol * diam ** -N
 
     norm_numeric = ball_torsion_constant(N, s)[0] * R ** (2.0 * s)
-    q = q_constant(N, s, cfg)
-    pts, h = _h_profile(ball, cfg, n_grid)
+    q = q_constant(N, s)
+    pts, h = _h_profile(ball, cfg)
     minh = min_h_omega(ball)
     bound_old = math.exp(-s * (minh + rho_N))
     bound_new = math.exp(-s * (minh + rho_N) - q * geo)
 
-    taus = s * np.arange(1, n_tau + 1) / n_tau
-    ms = np.array([rho_N + _m_scan(ball, t, cfg, pts, h) for t in taus])
+    taus = s * np.arange(1, N_TAU + 1) / N_TAU
+    taus[-1] = s  # p_s is read at this node; the product may round off s
+    profiles = [_mass_profile(ball, t, cfg, pts) for t in taus]
+    ms = np.array([rho_N + float(np.min(h + p)) for p in profiles])
     integral = float(np.trapezoid(ms, taus))
     m0 = ms[0] - (ms[1] - ms[0]) * taus[0] / (taus[1] - taus[0])
     integral += taus[0] * 0.5 * (m0 + ms[0])
@@ -259,5 +231,5 @@ def green_norm_bound(domain: Domain, s, cfg: QuadConfig | None = None, *,
     return BoundReport(s=s, norm_numeric=norm_numeric,
                        bound_integral=bound_integral, bound_new=bound_new,
                        bound_old=bound_old, m_s=float(ms[-1]),
-                       p_s_numeric=p_s_numeric(ball, s, cfg, n_grid=n_grid),
+                       p_s_numeric=float(profiles[-1].min()),
                        p_s_lower=p_s_lower(N, s, ball), q_Ns=q)

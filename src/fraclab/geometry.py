@@ -152,9 +152,13 @@ def _ellipsoid_delta_one(domain: Ellipsoid, x: np.ndarray) -> float:
     """Signed distance for one point: positive inside, negative outside.
 
     The nearest boundary point is the projection ``y = (I + lam A)^{-1} x``
-    where ``lam`` solves ``sum_i d_i xt_i^2 / (1 + lam d_i)^2 = 1`` in the
-    eigenbasis.  On ``(-1/d_active_max, inf)`` that function is strictly
-    decreasing, so the root is unique and gives the global nearest point.
+    with ``lam >= -1/d_max``, where ``lam`` solves
+    ``sum_i d_i xt_i^2 / (1 + lam d_i)^2 = 1`` in the eigenbasis.  On
+    ``(-1/d_active_max, inf)`` that function is strictly decreasing, so
+    the root is unique.  It can fall below ``-1/d_max`` only when ``x``
+    has no component on the stiffest axis; the nearest point then has
+    ``lam = -1/d_max``.  Inside points whose root lies at or near that
+    pole are solved in ``eps = 1 + lam d_max``.
     """
     d, Q, _, _ = _spectral(domain)
     xt = Q.T @ x
@@ -163,6 +167,31 @@ def _ellipsoid_delta_one(domain: Ellipsoid, x: np.ndarray) -> float:
         # Center of the ellipsoid: nearest boundary point lies along the
         # stiffest axis.
         return float(d.max() ** -0.5)
+    inside = float(np.sum(d * xt ** 2)) < 1.0
+    r = d / d.max()
+    stiff = r == 1.0
+    s2 = float(np.sum(xt[stiff] ** 2))
+    rest = 1.0 - float(np.sum(d[~stiff] * (xt[~stiff] / (1.0 - r[~stiff]))
+                              ** 2))
+    if inside and rest >= 0.0 and s2 * d.max() <= 1e-6 * rest:
+        # The root has eps = 1 + lam d_max <= 1e-3, which a float lam near
+        # the pole resolves only to about 1e-16/eps: solve for eps, since
+        # 1 + lam d_i = (1 - r_i) + eps r_i has no cancellation.  With no
+        # stiff component, eps = 0: the other axes project and the stiff
+        # axis takes what is left of the level.
+        if s2 == 0.0:
+            yo = xt[~stiff] / (1.0 - r[~stiff])
+            return math.sqrt(float(np.sum((xt[~stiff] - yo) ** 2))
+                             + rest / d.max())
+
+        def g_eps(eps: float) -> float:
+            return float(np.sum(d * xt ** 2 / ((1.0 - r) + eps * r) ** 2)
+                         - 1.0)
+
+        b = math.sqrt(s2 * d.max())
+        eps = brentq(g_eps, 0.5 * b, 2.0 * b / math.sqrt(rest),
+                     xtol=1e-300, rtol=8.9e-16, maxiter=200)
+        return float(np.linalg.norm(xt - xt / ((1.0 - r) + eps * r)))
     da = d[active]
     xa = xt[active]
 
@@ -185,7 +214,6 @@ def _ellipsoid_delta_one(domain: Ellipsoid, x: np.ndarray) -> float:
     lam = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
     yt = xt / (1.0 + lam * d)
     dist = float(np.linalg.norm(xt - yt))
-    inside = float(np.sum(d * xt ** 2)) < 1.0
     return dist if inside else -dist
 
 

@@ -45,6 +45,63 @@ def test_ellipsoid_delta_against_dense_boundary_search():
         assert (signed > 0) == inside
 
 
+def _nearest_on_boundary_3d(dom, x):
+    # Dense search over (polar, azimuth) of the unit sphere mapped onto the
+    # boundary, zoomed three times around the best node.
+    _, _, B, _ = geo._spectral(dom)
+    th0, th1, ph0, ph1 = 0.0, math.pi, 0.0, 2.0 * math.pi
+    for _ in range(4):
+        th = np.linspace(th0, th1, 401)
+        ph = np.linspace(ph0, ph1, 801)
+        T, P = np.meshgrid(th, ph, indexing="ij")
+        omega = np.stack([np.sin(T) * np.cos(P), np.sin(T) * np.sin(P),
+                          np.cos(T)], axis=-1).reshape(-1, 3)
+        dist = np.linalg.norm(omega @ B.T - x, axis=1)
+        i, j = np.unravel_index(np.argmin(dist), T.shape)
+        dth, dph = 4.0 * (th[1] - th[0]), 4.0 * (ph[1] - ph[0])
+        th0, th1 = th[i] - dth, th[i] + dth
+        ph0, ph1 = ph[j] - dph, ph[j] + dph
+    return dist.min()
+
+
+_TURN = np.array([[math.cos(0.3), -math.sin(0.3)],
+                  [math.sin(0.3), math.cos(0.3)]])
+
+
+@pytest.mark.parametrize("a,x", [
+    ((1.0, 0.0, 0.0, 4.0), (0.1, 0.0)),
+    ((1.0, 0.0, 0.0, 4.0), (-0.6, 0.0)),
+    ((1.0, 0.0, 0.0, 25.0), (0.2, 0.0)),
+    ((25.0, 0.0, 0.0, 1.0), (0.0, -0.7)),
+    ((1.0, 0.0, 0.0, 4.0), (0.9, 0.0)),       # near the vertex: on the axis
+    # stiff components too small for the secular root to be resolved in
+    # lam, and the long axis of a turned ellipse, where the stiff
+    # component of x in the eigenbasis is rounding, not zero
+    ((1.0, 0.0, 0.0, 25.0), (0.2, 1e-9)),
+    ((1.0, 0.0, 0.0, 25.0), (0.2, -1e-12)),
+    ((1.0, 0.0, 0.0, 25.0), (0.2, 1e-15)),
+    (tuple((_TURN @ np.diag([1.0, 25.0]) @ _TURN.T).ravel()),
+     tuple(0.2 * _TURN[:, 0])),
+])
+def test_ellipsoid_delta_on_the_stiff_axis_plane_2d(a, x):
+    # Inside points with no component on the stiffest axis: the nearest
+    # boundary point leaves the axis unless x is close to the vertex.
+    dom = geo.Ellipsoid(a=a)
+    t = np.linspace(0.0, 2.0 * math.pi, 400001)[:-1]
+    _, _, B, _ = geo._spectral(dom)
+    boundary = np.stack([np.cos(t), np.sin(t)], axis=1) @ B.T
+    brute = np.linalg.norm(boundary - np.array(x), axis=1).min()
+    assert geo.delta(dom, x) == pytest.approx(brute, abs=1e-8)
+
+
+@pytest.mark.parametrize("x", [(0.2, 0.0, 0.0), (0.2, 0.1, 0.0),
+                               (0.0, 0.0, 0.3), (0.7, 0.0, 0.0)])
+def test_ellipsoid_delta_on_the_stiff_axis_plane_3d(x):
+    dom = geo.Ellipsoid(a=(1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 3.0))
+    brute = _nearest_on_boundary_3d(dom, np.array(x))
+    assert geo.delta(dom, x) == pytest.approx(brute, abs=1e-6)
+
+
 def test_ellipsoid_delta_3d_ball_consistency():
     # A = I/R^2 is a ball of radius R; the projection solver must agree
     # with the closed form.

@@ -183,6 +183,29 @@ def test_benchmark_hooks_exist():
     assert quad.unit_power_rule.cache_info().maxsize > 0
 
 
+def test_benchmark_hooks_are_looked_up_at_call_time(monkeypatch):
+    # The benchmark counts work by replacing these module globals; a
+    # caller holding the original object would leave its counts at zero.
+    seen = []
+
+    def spy(mod, name):
+        orig = getattr(mod, name)
+
+        def wrapped(*args, **kwargs):
+            seen.append(name)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, wrapped)
+
+    for mod, name in ((bounds, "_ones"), (kernels, "_mf_on_grid"),
+                      (derivative, "_v1_cached")):
+        spy(mod, name)
+    bounds.green_norm_bound(DISC, 0.5)
+    assert {"_ones", "_mf_on_grid"} <= set(seen)
+    derivative.solve_vs(ones_field(), DISC, 1.0, np.array([[0.3, 0.0]]))
+    assert "_v1_cached" in seen
+
+
 def test_benchmark_cache_probes_resolve():
     # The benchmark's tracer reads the stores' sizes and the rule cache's
     # statistics by these names; a store must hold a whole pass (90 master

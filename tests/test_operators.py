@@ -555,3 +555,18 @@ def test_frac_laplacian_of_3d_torsion_is_one(s, node_log):
     res = frac_laplacian(u, s, np.array([0.3, -0.2, 0.4]))
     assert res.value == pytest.approx(1.0, rel=1e-10)
     u.assert_each_node_once(res.evaluations + 1)
+
+
+def test_frac_laplacian_of_ellipse_torsion_is_flat_on_the_long_axis():
+    # (-Delta)^{1/2} (1 - x.Ax)_+^{1/2} is constant inside the ellipse.
+    # On the long axis the principal-value inner radius is capped by the
+    # distance to the boundary, whose nearest point leaves the axis.
+    A = np.diag([1.0, 25.0])
+    u = CompactField(
+        lambda p: np.maximum(1.0 - np.einsum("ij,jk,ik->i", p, A, p),
+                             0.0) ** 0.5,
+        Ellipsoid(a=A.ravel()), boundary_power=0.5, smooth_scale=1.0)
+    ref = frac_laplacian(u, 0.5, np.array([0.5, 0.05])).value
+    for x in ([0.2, 0.0], [-0.3, 0.0], [0.0, 0.1]):
+        assert frac_laplacian(u, 0.5, np.array(x)).value == pytest.approx(
+            ref, rel=1e-10)
