@@ -105,6 +105,11 @@ def _compact_data(f, ball: Ball) -> ScalarField:
                         cache_token=kernels._field_cache_token(f))
 
 
+# Samples of the order-independent L[E f] term of ell_s; an ell_field
+# build of constant data takes 81, shared by every order and sign.
+_LOG_CACHE = quad._Memo(256)
+
+
 def ell_s(f, domain: Domain, s, x, cfg: QuadConfig | None = None, *,
           complementary_sign: float = -1.0) -> float:
     """``ell_s f(x) = -L[E f](x) + complementary_sign * P^c_s f(x)``.
@@ -112,14 +117,20 @@ def ell_s(f, domain: Domain, s, x, cfg: QuadConfig | None = None, *,
     The default ``complementary_sign = -1`` (both terms negative) is the
     representation this package adopts; the opposite sign is kept
     reachable so the test suite can demonstrate that it fails the
-    closed-form oracle.
+    closed-form oracle.  ``L[E f](x)`` does not depend on ``s`` or the
+    sign: it is computed once per data ``cache_token``, ball,
+    ``QuadConfig`` and point and kept in :data:`_LOG_CACHE` (bound 256);
+    data without a token is never stored.
     """
     ball = kernels._require_ball(domain, "the order-derivative data")
     cfg = cfg or QuadConfig()
     s = float(as_order(s))
     x = np.asarray(x, dtype=float)
     data = _compact_data(f, ball)
-    interior = operators.log_laplacian_compact(data, x, cfg).value
+    token = kernels._field_cache_token(f)
+    interior = _LOG_CACHE.fetch(
+        None if token is None else (token, ball, cfg, x.tobytes()),
+        lambda: operators.log_laplacian_compact(data, x, cfg).value)
     comp = kernels.comp_poisson_apply(ball, data, s, x, cfg).value
     return float(-interior + complementary_sign * comp)
 
@@ -135,7 +146,9 @@ def ell_field(f, domain: Domain, s, cfg: QuadConfig | None = None, *,
     to the boundary; the field declares ``boundary_power = -s`` for the
     quadrature to grade against.  The coefficients are built once per data
     ``cache_token``, ball, order, sign and ``QuadConfig``; every call
-    returns a fresh field.
+    returns a fresh field.  The samples' ``L[E f]`` terms come from
+    :func:`ell_s`'s store, so a build at another order or sign of the same
+    data computes only the complementary Poisson term.
     """
     ball = kernels._require_ball(domain, "the order-derivative data")
     cfg = cfg or QuadConfig()

@@ -66,6 +66,14 @@ def _centered(domain: Ball, pts):
     return np.atleast_2d(np.asarray(pts, dtype=float)) - domain.center_array
 
 
+def _absolute(domain: Ball, pts: np.ndarray) -> np.ndarray:
+    """Centred points in absolute coordinates: ``pts + center``, or ``pts``
+    itself (no copy) on an origin-centred ball, where adding zero could
+    only turn a ``-0.0`` into ``0.0``."""
+    c = domain.center_array
+    return pts + c if c.any() else pts
+
+
 # ---------------------------------------------------------------------------
 # Green function of the ball.
 # ---------------------------------------------------------------------------
@@ -277,12 +285,12 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
                     np.multiply(t[:, None, :], ring_dirs[:, :, d, None],
                                 out=col)
                     col += xc[d]
-                fv = quad._finite_values(
-                    f, pts.reshape(-1, N) + domain.center_array
-                ).reshape(pts.shape[:-1])
                 # Distances come from the radial variable directly;
-                # coordinates collapse onto x at the innermost nodes.
+                # coordinates collapse onto x at the innermost nodes.  ly
+                # is taken first: on a centred ball f reads pts itself.
                 ly = np.maximum(R * R - geometry.sq_dist(pts[:, 0]), 0.0)
+                flat = _absolute(ball, pts.reshape(-1, N))
+                fv = quad._finite_values(f, flat).reshape(pts.shape[:-1])
                 kern = _green_kernel(N, s, R, lx, ly.reshape(-1),
                                      t.reshape(-1)).reshape(t.shape)
                 vals = (kern[:, None, :] * fv) * (t ** (N - 1))[:, None, :]
@@ -454,9 +462,10 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
             evals = 0
             for sl in quad.direction_chunks(len(dirs), len(E)):
                 pts = q[None, :, None] * dirs[sl, None, :]
-                flat = pts.reshape(-1, N) + domain.center_array
-                gv = quad._finite_values(g, flat).reshape(-1, len(E))
+                # d first: on a centred ball g reads pts itself.
                 d = np.sqrt(geometry.sq_dist(pts, xc))
+                flat = _absolute(ball, pts.reshape(-1, N))
+                gv = quad._finite_values(g, flat).reshape(-1, len(E))
                 proj += w_dir[sl] @ (d ** (-float(N)) * gv)
                 evals += flat.shape[0]
             return proj, evals

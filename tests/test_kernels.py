@@ -433,6 +433,56 @@ def test_green_apply_shared_rings_on_any_ball(s, center, R, x):
     assert res.tolerance_ok
 
 
+# The s < 1 passes that hand f whole chunks of nodes: on an origin-centred
+# ball they pass the centred nodes themselves, elsewhere the nodes plus the
+# centre.
+RECENTRING = [
+    lambda ball, f, x: green_apply(ball, f, 0.5, x, CFG),
+    lambda ball, f, x: poisson_extend(ball, f, 0.5, x, CFG),
+]
+
+
+@pytest.mark.parametrize("apply", RECENTRING,
+                         ids=["green_apply", "poisson_extend"])
+@pytest.mark.parametrize("N", [2, 3])
+def test_off_centre_ball_reads_the_centred_nodes_plus_centre(node_log,
+                                                              apply, N):
+    # Dyadic centre and point, so x - c is exact and both balls build the
+    # same centred nodes: the shifted ball must hand f exactly those nodes
+    # plus c, bit for bit.
+    c = np.array([0.5, -0.25, 0.125][:N])
+    xc = np.array([0.25, 0.125, -0.25][:N])
+    read = []
+    for center in (np.zeros(N), c):
+        f = node_log(ones)
+        res = apply(Ball(center=tuple(center), radius=1.0), f, center + xc)
+        read.append(np.concatenate(f.batches))
+        assert len(read[-1]) == res.evaluations
+    assert read[1].tobytes() == (read[0] + c).tobytes()
+
+
+@pytest.mark.parametrize("apply", RECENTRING,
+                         ids=["green_apply", "poisson_extend"])
+@pytest.mark.parametrize("N", [2, 3])
+def test_centred_ball_data_cannot_move_the_nodes(apply, N):
+    # On an origin-centred ball f gets the quadrature's own node array; a
+    # field that writes over its input must not change the nodes the
+    # kernel reads after the data call.
+    ball = Ball(center=(0.0,) * N, radius=1.0)
+    x = np.array([0.25, 0.125, -0.25][:N])
+
+    def scribble(y):
+        out = np.ones(len(y))
+        y[...] = 7.0
+        return out
+
+    clean = apply(ball, ones, x)
+    dirty = apply(ball, scribble, x)
+    assert dirty.value == clean.value
+    assert dirty.error_estimate == clean.error_estimate
+    assert dirty.evaluations == clean.evaluations
+
+
 def azimuth_counts(monkeypatch):
     """Azimuths per ring at which each later azimuth_rings pass stops."""
     counts = []

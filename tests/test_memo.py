@@ -78,7 +78,7 @@ def test_memo_evicts_the_oldest_entry():
 
 def test_every_store_is_registered():
     for store in (kernels._MF_CACHE, derivative._V1_CACHE,
-                  quad._PROFILE_CACHE):
+                  derivative._LOG_CACHE, quad._PROFILE_CACHE):
         assert store in quad._MEMO_STORES
 
 
@@ -157,6 +157,78 @@ def test_solve_then_expansion_residual_builds_ell_field_once(monkeypatch):
     assert solves == [1.0]
     assert np.array_equal(derivative._v1_cached(f, DISC, grid, CFG).values,
                           v1)
+
+
+@pytest.fixture
+def log_calls(monkeypatch):
+    """Count the ``log_laplacian_compact`` calls, which still compute."""
+    calls = []
+    inner = operators.log_laplacian_compact
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "log_laplacian_compact", counting)
+    return calls
+
+
+def ell_coefficients(f, s):
+    """The Chebyshev coefficients of ``ell_field(f)`` at order ``s``."""
+    field = derivative.ell_field(f, DISC, s, CFG)
+    return quad._PROFILE_CACHE[(field.cache_token, CFG)]
+
+
+def clear_stores():
+    for store in quad._MEMO_STORES:
+        store.clear()
+
+
+def test_ell_field_reuses_log_samples_across_orders(log_calls):
+    # L[E f] does not depend on the order: the s = 0.5 build reads all 81
+    # samples of the s = 1 build and computes only P^c_s f, bit for bit
+    # what a cold build gives.
+    f = ones_field()
+    grid = np.array([[0.0, 0.0], [0.3, 0.0], [0.6, -0.5]])
+    ell_coefficients(f, 1.0)
+    warm = ell_coefficients(f, 0.5)
+    assert len(log_calls) == 81
+    warm_vs = derivative.solve_vs(f, DISC, 0.5, grid)
+    clear_stores()
+    cold = ell_coefficients(f, 0.5)
+    cold_vs = derivative.solve_vs(f, DISC, 0.5, grid)
+    assert len(log_calls) == 162
+    assert warm.tobytes() == cold.tobytes()
+    assert warm_vs.values.tobytes() == cold_vs.values.tobytes()
+    assert np.array_equal(warm_vs.ok, cold_vs.ok)
+
+
+def test_tokenless_data_leaves_the_log_store_empty(log_calls):
+    for s in (1.0, 0.5):
+        derivative.ell_field(TokenlessOnes(), DISC, s, CFG)
+    assert len(log_calls) == 162
+    assert len(derivative._LOG_CACHE) == 0
+
+
+def test_log_samples_are_keyed_by_token_ball_config_and_point(log_calls):
+    f = ones_field()
+    x = np.array([0.3, 0.2])
+    first = derivative.ell_s(f, DISC, 0.5, x, CFG)
+    # Another order or sign of the same data reads the stored sample.
+    derivative.ell_s(f, DISC, 1.0, x, CFG)
+    flipped = derivative.ell_s(f, DISC, 0.5, x, CFG, complementary_sign=1.0)
+    assert len(log_calls) == 1
+    # Any other key computes afresh.
+    derivative.ell_s(f, DISC, 0.5, (0.3, -0.2), CFG)
+    derivative.ell_s(f, DISC, 0.5, x, QuadConfig(angular_order=32))
+    derivative.ell_s(f, Ball(center=(0.0, 0.0), radius=1.5), 0.5, x, CFG)
+    derivative.ell_s(ones_field(("other-ones", 2)), DISC, 0.5, x, CFG)
+    assert len(log_calls) == 5
+    assert len(derivative._LOG_CACHE) == 5
+    clear_stores()
+    assert derivative.ell_s(f, DISC, 0.5, x, CFG) == first
+    assert derivative.ell_s(f, DISC, 0.5, x, CFG,
+                            complementary_sign=1.0) == flipped
 
 
 def load_tracing():
