@@ -389,13 +389,10 @@ def _cmd_transition(config: RunConfig) -> tuple[int, str]:
     grid = np.zeros((n, N))
     grid[:, 0] = np.linspace(0.0, 0.95, n)
     data = _ones(N)
-
-    u_1 = operators.restriction_ws(ball, data, 1.0, cfg)(grid)
-    v_1 = derivative_mod.solve_vs(data, ball, 1.0, grid, cfg).values
     rows, point_rows = [], []
     for s in orders:
-        u_s = operators.restriction_ws(ball, data, s, cfg)(grid)
-        point_res = np.abs(u_s - u_1 - (1.0 - s) * v_1)
+        u_s, u_1, v_1, point_res = derivative_mod._expansion(
+            data, ball, s, grid, cfg)
         residual = float(np.max(point_res))
         rows.append([s, residual, residual / (1.0 - s)])
         for k in range(n):

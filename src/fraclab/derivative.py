@@ -27,7 +27,7 @@ from . import quadrature as quad
 from .quadrature import QuadConfig
 from . import kernels
 from . import operators
-from .operators import CompactField, ScalarField
+from .operators import ScalarField
 from .closedform import isotropic_scale, torsion_value
 
 __all__ = [
@@ -96,15 +96,6 @@ def _interior_grid(domain: Domain, grid) -> tuple[np.ndarray, np.ndarray]:
     return pts, deltas
 
 
-def _compact_data(f, ball: Ball) -> ScalarField:
-    if isinstance(f, ScalarField) and f.is_compact and f.domain == ball:
-        return f
-    return CompactField(lambda p: np.asarray(f(p), dtype=float), ball,
-                        radial=bool(getattr(f, "radial", False)),
-                        smooth_scale=getattr(f, "smooth_scale", 1.0),
-                        cache_token=kernels._field_cache_token(f))
-
-
 # Samples of the order-independent L[E f] term of ell_s; an ell_field
 # build of constant data takes 81, shared by every order and sign.
 _LOG_CACHE = quad._Memo(256)
@@ -119,17 +110,17 @@ def ell_s(f, domain: Domain, s, x, cfg: QuadConfig | None = None, *,
     reachable so the test suite can demonstrate that it fails the
     closed-form oracle.  ``L[E f](x)`` does not depend on ``s`` or the
     sign: it is computed once per data ``cache_token``, ball,
-    ``QuadConfig`` and point and kept in :data:`_LOG_CACHE` (bound 256);
-    data without a token is never stored.
+    ``QuadConfig`` and point and kept in :data:`_LOG_CACHE` (bound 256)
+    under ``quad._data_key(f, ball, cfg, x.tobytes())``; data without a
+    token is never stored.
     """
     ball = kernels._require_ball(domain, "the order-derivative data")
     cfg = cfg or QuadConfig()
     s = float(as_order(s))
     x = np.asarray(x, dtype=float)
-    data = _compact_data(f, ball)
-    token = kernels._field_cache_token(f)
+    data = operators._compact_on(f, ball)
     interior = _LOG_CACHE.fetch(
-        None if token is None else (token, ball, cfg, x.tobytes()),
+        quad._data_key(f, ball, cfg, x.tobytes()),
         lambda: operators.log_laplacian_compact(data, x, cfg).value)
     comp = kernels.comp_poisson_apply(ball, data, s, x, cfg).value
     return float(-interior + complementary_sign * comp)
@@ -145,10 +136,12 @@ def ell_field(f, domain: Domain, s, cfg: QuadConfig | None = None, *,
     ``ln delta`` on ``[ln(1e-6 R), ln R]``, held at its end value closer
     to the boundary; the field declares ``boundary_power = -s`` for the
     quadrature to grade against.  The coefficients are built once per data
-    ``cache_token``, ball, order, sign and ``QuadConfig``; every call
-    returns a fresh field.  The samples' ``L[E f]`` terms come from
-    :func:`ell_s`'s store, so a build at another order or sign of the same
-    data computes only the complementary Poisson term.
+    ``cache_token``, ball, order, sign and ``QuadConfig``: that
+    ``quad._data_key`` is both their store key and the field's
+    ``cache_token``, so a field built at another config is other data
+    downstream.  Every call returns a fresh field.  The samples' ``L[E f]``
+    terms come from :func:`ell_s`'s store, so a build at another order or
+    sign of the same data computes only the complementary Poisson term.
     """
     ball = kernels._require_ball(domain, "the order-derivative data")
     cfg = cfg or QuadConfig()
@@ -169,8 +162,9 @@ def ell_field(f, domain: Domain, s, cfg: QuadConfig | None = None, *,
                            complementary_sign=complementary_sign) * d ** s
         return out
 
-    token = kernels._derived_token(f, "ell", ball, s, complementary_sign)
-    coef = quad._cached_profile(token, cfg, quotient)
+    token = quad._data_key(f, "ell", ball, s, complementary_sign, cfg)
+    coef = quad._PROFILE_CACHE.fetch(
+        token, lambda: quad._chebyshev_profile(quotient))
 
     def fn(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -256,12 +250,12 @@ _V1_CACHE = quad._Memo(64)
 def _v1_cached(f, ball: Ball, pts: np.ndarray,
                cfg: QuadConfig) -> GridField:
     """``v_1`` on the interior points, solved once per data
-    ``cache_token``, ball, grid and ``QuadConfig``; every call returns a
-    fresh :class:`GridField`."""
-    token = kernels._field_cache_token(f)
-    key = None if token is None else (token, ball, pts.tobytes(), cfg)
+    ``cache_token``, ball, grid and ``QuadConfig`` and kept in
+    :data:`_V1_CACHE` under their ``quad._data_key``; data without a token
+    is never stored.  Every call returns a fresh :class:`GridField`."""
     values, flags = _V1_CACHE.fetch(
-        key, lambda: _green_solve(f, ball, 1.0, pts, cfg))
+        quad._data_key(f, ball, pts.tobytes(), cfg),
+        lambda: _green_solve(f, ball, 1.0, pts, cfg))
     return GridField(points=pts, delta=geometry.delta(ball, pts),
                      values=values.copy(), ok=flags.copy())
 
@@ -274,11 +268,18 @@ def expansion_residual(f, domain: Domain, s, grid,
     ball = kernels._require_ball(domain, "the expansion residual")
     cfg = cfg or QuadConfig()
     s = float(as_order(s, include_high=False))
+    return float(np.max(_expansion(f, ball, s, grid, cfg)[3]))
+
+
+def _expansion(f, ball: Ball, s: float, grid, cfg: QuadConfig
+               ) -> tuple[np.ndarray, ...]:
+    """``u_s``, ``u_1`` and ``v_1`` on the interior grid and the per-point
+    residual ``|u_s - u_1 - (1 - s) v_1|`` of the first-order expansion."""
     pts, _ = _interior_grid(ball, grid)
     v1 = _v1_cached(f, ball, pts, cfg).values
     u_s = operators.restriction_ws(ball, f, s, cfg)(pts)
     u_1 = operators.restriction_ws(ball, f, 1.0, cfg)(pts)
-    return float(np.max(np.abs(u_s - u_1 - (1.0 - s) * v1)))
+    return u_s, u_1, v1, np.abs(u_s - u_1 - (1.0 - s) * v1)
 
 
 @dataclass(frozen=True)

@@ -602,20 +602,6 @@ def comp_poisson_kernel(domain: Domain, s, x, z,
     return c_N * tau * (R * R - rz * rz) ** s * float(wE @ integrand)
 
 
-def _field_cache_token(f):
-    """``f.cache_token``, or None: data without a token is never cached,
-    since an ``id`` is reused once its object is gone."""
-    return getattr(f, "cache_token", None)
-
-
-def _derived_token(f, *tag):
-    """Token of data derived from ``f``: ``(*tag, token)``, or None (a
-    fresh token for a :class:`~fraclab.operators.ScalarField`) when ``f``
-    has none."""
-    token = _field_cache_token(f)
-    return None if token is None else (*tag, token)
-
-
 # Master-grid inner integrals; a bound_chain pass holds 90 of them.
 _MF_CACHE = quad._Memo(256)
 
@@ -661,12 +647,12 @@ def _eta_segments(eps: np.ndarray, half: float, s: float, jac, gauss
 
 def _mf_on_grid(ball: Ball, f, s: float, n: int, levels: int,
                 n_eta: int = 12) -> np.ndarray:
-    """:func:`_mf_integrals`, kept in :data:`_MF_CACHE` for data with a
-    ``cache_token``."""
-    token = _field_cache_token(f)
-    key = None if token is None else (ball, s, token, n, levels, n_eta)
+    """:func:`_mf_integrals`, kept in :data:`_MF_CACHE` under
+    ``quad._data_key(f, ball, s, n, levels, n_eta)``: data without a
+    ``cache_token`` is never stored."""
     return _MF_CACHE.fetch(
-        key, lambda: _mf_integrals(ball, f, s, n, levels, n_eta))
+        quad._data_key(f, ball, s, n, levels, n_eta),
+        lambda: _mf_integrals(ball, f, s, n, levels, n_eta))
 
 
 def _mf_integrals(ball: Ball, f, s: float, n: int, levels: int,

@@ -125,6 +125,16 @@ def CompactField(fn, domain: Domain, **kw) -> ScalarField:
                        is_compact=True, **kw)
 
 
+def _compact_on(f, ball: Ball) -> ScalarField:
+    """Data ``f`` cut off outside ``ball``, keeping its ``radial`` flag and
+    ``cache_token``; a field already compact on ``ball`` is ``f`` itself."""
+    if isinstance(f, ScalarField) and f.is_compact and f.domain == ball:
+        return f
+    return CompactField(lambda p: np.asarray(f(p), dtype=float), ball,
+                        radial=bool(getattr(f, "radial", False)),
+                        cache_token=getattr(f, "cache_token", None))
+
+
 def _field_dim(u) -> int:
     dim = getattr(u, "dim", None)
     if dim is None:
@@ -471,7 +481,9 @@ def restriction_ws(domain: Domain, f, s, cfg: QuadConfig | None = None
     points at once, and downstream operators see the boundary factor
     ``(R^2-|x|^2)^s`` exactly instead of chasing it numerically.  The
     coefficients are built once per data ``cache_token``, ball, order and
-    ``QuadConfig``; every call returns a fresh field.
+    ``QuadConfig``: that ``quad._data_key`` is both their store key and
+    the field's ``cache_token``, so a field built at another config is
+    other data downstream.  Every call returns a fresh field.
     """
     ball = kernels._require_ball(domain, "the solution-operator field")
     cfg = cfg or QuadConfig()
@@ -493,8 +505,9 @@ def restriction_ws(domain: Domain, f, s, cfg: QuadConfig | None = None
             ).value / (R * R - r2) ** s
         return out
 
-    token = kernels._derived_token(f, "ws", ball, s)
-    coef = quad._cached_profile(token, cfg, quotient)
+    token = quad._data_key(f, "ws", ball, s, cfg)
+    coef = quad._PROFILE_CACHE.fetch(
+        token, lambda: quad._chebyshev_profile(quotient))
 
     def fn(pts):
         # The compact field passes inside points only.
@@ -611,10 +624,7 @@ def interchange_residual(domain: Domain, f, s, x,
                       angular_order=max(32, cfg.angular_order // 2),
                       radial_order=max(12, cfg.radial_order - 4),
                       max_subdiv=min(cfg.max_subdiv, 20))
-
-    f_field = CompactField(lambda p: np.asarray(f(p), dtype=float),
-                           ball, radial=True,
-                           cache_token=kernels._field_cache_token(f))
+    f_field = _compact_on(f, ball)
 
     if s >= 1.0:
         d = float(geometry.delta(ball, x))

@@ -38,7 +38,7 @@ exponents of a declared exterior layer.
 
 Tabulated radial fields are chopped Chebyshev series from
 :func:`_chebyshev_profile`, sampled only as densely as the data needs and
-only once per data token and configuration (:func:`_cached_profile`).
+stored under the field's own token, a :func:`_data_key`.
 
 Every integration returns an :class:`IntegralResult` with a coarse/fine
 error estimate and the evaluation count, formed in one place,
@@ -199,6 +199,14 @@ class _Memo(dict):
             del self[next(iter(self))]
         self[key] = value
         return value
+
+
+def _data_key(f, *inputs):
+    """The one key rule of every store: ``(f.cache_token, *inputs)``, or
+    None -- never stored -- for data without a ``cache_token``, since an
+    ``id`` is reused once its object is gone."""
+    token = getattr(f, "cache_token", None)
+    return (token, *inputs) if token is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -547,16 +555,9 @@ def _chebyshev_profile(sample) -> np.ndarray:
         n *= 3
 
 
-# Coefficients of the tabulated fields (``restriction_ws``, ``ell_field``).
+# Coefficients of the tabulated fields (``restriction_ws``, ``ell_field``),
+# keyed by the field's own token.
 _PROFILE_CACHE = _Memo(256)
-
-
-def _cached_profile(token, cfg: QuadConfig, sample) -> np.ndarray:
-    """:func:`_chebyshev_profile` of ``sample``, kept in
-    :data:`_PROFILE_CACHE` under the field's derived ``token`` and ``cfg``;
-    a token of None (data without a ``cache_token``) is never stored."""
-    return _PROFILE_CACHE.fetch(None if token is None else (token, cfg),
-                                lambda: _chebyshev_profile(sample))
 
 
 # ---------------------------------------------------------------------------

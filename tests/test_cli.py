@@ -5,12 +5,17 @@ byte-determinism of repeated runs."""
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fraclab import kernels
-from fraclab.cli import main
+import fraclab
+from fraclab import derivative, kernels
+from fraclab.cli import _ones, main
 from fraclab.geometry import Ball
 from fraclab.specfun import (ball_poisson_constant, ball_torsion_constant,
                              frac_normalization, log_constants,
@@ -247,6 +252,20 @@ def test_transition_report_and_side_table(capsys, tmp_path):
     assert float(first[4]) == pytest.approx(-0.5579657578, rel=1e-3)
 
 
+def test_transition_residual_is_the_expansion_residual(capsys, tmp_path):
+    code, _ = run(capsys, ["transition", "--orders", "0.9,0.95",
+                           "--grid-n", "4", "--out",
+                           str(tmp_path / "report.json")])
+    assert code == 0
+    rows = json.loads((tmp_path / "report.json").read_text())["results"]
+    disc = Ball(center=(0.0, 0.0), radius=1.0)
+    grid = np.zeros((4, 2))
+    grid[:, 0] = np.linspace(0.0, 0.95, 4)
+    for r in rows:
+        want = derivative.expansion_residual(_ones(2), disc, r["s"], grid)
+        assert format(r["residual"], ".10g") == format(want, ".10g")
+
+
 def test_transition_rejects_endpoint_orders(capsys):
     code, _ = run(capsys, ["transition", "--orders", "0.9,1.0"])
     assert code == 1
@@ -364,3 +383,22 @@ def test_bad_point_files_exit_one(capsys, tmp_path, text):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# ---------------------------------------------------------- import cost
+
+
+def test_importing_fraclab_leaves_heavy_scipy_modules_unloaded():
+    # Every CLI call pays the import; these scipy modules load lazily
+    # where they are used, and a top-level import would add their cost
+    # to every run.
+    src = Path(fraclab.__file__).resolve().parents[1]
+    code = ("import importlib, pkgutil, sys, fraclab\n"
+            "for m in pkgutil.iter_modules(fraclab.__path__):\n"
+            "    importlib.import_module('fraclab.' + m.name)\n"
+            "print(' '.join(sorted(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "fraclab.cli" in out and "fraclab.operators" in out
+    assert not {"scipy.interpolate", "scipy.integrate"} & set(out)

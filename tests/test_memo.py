@@ -176,7 +176,7 @@ def log_calls(monkeypatch):
 def ell_coefficients(f, s):
     """The Chebyshev coefficients of ``ell_field(f)`` at order ``s``."""
     field = derivative.ell_field(f, DISC, s, CFG)
-    return quad._PROFILE_CACHE[(field.cache_token, CFG)]
+    return quad._PROFILE_CACHE[field.cache_token]
 
 
 def clear_stores():
@@ -229,6 +229,41 @@ def test_log_samples_are_keyed_by_token_ball_config_and_point(log_calls):
     assert derivative.ell_s(f, DISC, 0.5, x, CFG) == first
     assert derivative.ell_s(f, DISC, 0.5, x, CFG,
                             complementary_sign=1.0) == flipped
+
+
+def gauss_field():
+    """Radial ``exp(-3|y|^2)``: unlike ``f = 1``, its tables move with the
+    quadrature resolution."""
+    return operators.ScalarField(
+        fn=lambda p: np.exp(-3.0 * np.sum(np.atleast_2d(p) ** 2, axis=1)),
+        dim=2, radial=True, smooth_scale=1.0, cache_token=("memo-gauss", 2))
+
+
+COARSE = QuadConfig(max_subdiv=4, radial_order=8, angular_order=16)
+FINE = QuadConfig(max_subdiv=8, radial_order=10, angular_order=24)
+
+
+@pytest.mark.parametrize("build", [
+    lambda f, cfg: operators.restriction_ws(DISC, f, 0.5, cfg),
+    lambda f, cfg: derivative.ell_field(f, DISC, 0.5, cfg),
+], ids=["restriction_ws", "ell_field"])
+def test_derived_fields_are_keyed_by_their_config(build):
+    # A field tabulated at another QuadConfig is other data: the stores
+    # must not serve the FINE field what was computed for the COARSE one.
+    x = np.array([0.3, 0.2])
+
+    def downstream(field):
+        return (operators.restriction_ws(DISC, field, 0.75, FINE)(x)[0],
+                kernels.comp_poisson_apply(DISC, field, 0.5, x, FINE).value,
+                derivative.ell_s(field, DISC, 0.5, x, FINE))
+
+    coarse = build(gauss_field(), COARSE)
+    downstream(coarse)
+    fine = build(gauss_field(), FINE)
+    assert fine.cache_token != coarse.cache_token
+    after = downstream(fine)
+    clear_stores()
+    assert downstream(build(gauss_field(), FINE)) == after
 
 
 def load_tracing():
