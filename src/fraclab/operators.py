@@ -60,14 +60,15 @@ class ScalarField:
     The tabulated fields (``restriction_ws``, ``ell_field``), the
     interchange residual and the radial shortcut of
     ``comp_poisson_apply`` require it.  On a ball centred at the origin
-    it also lets every polar pass around a point ``x`` use the mirror
-    symmetry across the line through the centre and ``x``
-    (:func:`~fraclab.quadrature.centred_radial`): the 2D passes of
-    ``green_apply``, both logarithmic Laplacians, the principal value
-    of ``frac_laplacian`` and the nonlocal normal derivative read half
-    their directions, and the 3D passes of ``green_apply``,
-    ``poisson_extend`` and the normal derivative read one azimuth per
-    ring.
+    (:func:`~fraclab.quadrature.centred_radial`) ``green_apply`` and
+    ``log_laplacian_compact`` take one integral in ``|y|`` with the
+    sphere integrals of their kernels done without the data, and every
+    other polar pass around a point ``x`` uses the mirror symmetry across
+    the line through the centre and ``x``: the 2D passes of
+    ``log_laplacian``, the principal value of ``frac_laplacian`` and the
+    nonlocal normal derivative read half their directions, and the 3D
+    passes of ``poisson_extend`` and the normal derivative read one
+    azimuth per ring.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -292,6 +293,17 @@ def log_laplacian_compact(u, x, cfg: QuadConfig | None = None
 
     Agrees with :func:`log_laplacian` on compact fields; the unit-ball
     split is traded for the geometry weight ``h_Omega``.
+
+    A radial field on a ball centred at the origin
+    (:func:`~fraclab.quadrature.centred_radial`) takes one integral in
+    ``rho = |y|``: the sphere means of ``|x - y|^(-N)`` are closed,
+    ``2 pi rho / |rho^2 - r^2|`` in the plane and ``4 pi rho min(r, rho) /
+    (r |rho^2 - r^2|)`` in space (``r = |x|``), and ``u(x) - u(rho)``
+    times either stays bounded on each side of ``rho = r``.  The rule
+    (:func:`~fraclab.quadrature.offset_rule`) splits there and grades
+    toward ``r`` from both sides and toward ``R``, so no principal value
+    is needed, and the field is read once per ``rho`` node.  Other fields
+    are integrated along the rays of a polar rule around ``x``.
     """
     cfg = cfg or QuadConfig()
     N = _field_dim(u)
@@ -303,10 +315,20 @@ def log_laplacian_compact(u, x, cfg: QuadConfig | None = None
     x = np.asarray(x, dtype=float)
     h_res = h_omega(dom, x, cfg)       # raises outside the domain
     u_x = quad._centre_value(u, x)
-    axis = x if quad.centred_radial(u, dom) else None
 
-    def one_pass(m_ang, n_rad, levels):
-        dirs, w_dir = quad.polar_directions(N, m_ang, axis)
+    def radial_pass(_, n_rad, levels):
+        r = quad._centre_distance(x, dom.radius)
+        rho, off, _, w = quad.offset_rule(r, dom.radius, n_rad,
+                                          (0.0, levels), (0.0, levels))
+        # |rho^2 - r^2| = |off| (rho + r), with off exact near rho = r.
+        mean = 2.0 * math.pi * rho / (np.abs(off) * (rho + r))
+        if N == 3:
+            mean *= 2.0 * np.where(off < 0.0, rho / max(r, 1e-300), 1.0)
+        vals = (u_x - kernels._radial_data(u, dom, rho)) * mean
+        return float(w @ vals), len(rho)
+
+    def polar_pass(m_ang, n_rad, levels):
+        dirs, w_dir = quad.polar_directions(N, m_ang)
         _, t_hi, _ = geometry.ray_spans(dom, x, dirs)
         sums, evals = quad.ray_sums(
             u, x, dirs, np.arange(len(dirs)), np.zeros(len(dirs)), t_hi,
@@ -316,7 +338,8 @@ def log_laplacian_compact(u, x, cfg: QuadConfig | None = None
 
     shift = IntegralResult((h_res.value + rho_N) * u_x,
                            h_res.error_estimate * abs(u_x), h_res.evaluations)
-    return quad._two_pass(one_pass,
+    return quad._two_pass(radial_pass if quad.centred_radial(u, dom)
+                          else polar_pass,
                           (cfg.angular_order, cfg.radial_order,
                            min(cfg.max_subdiv, 24)),
                           cfg, scale=c_N, shift=shift, floor=1e-15)

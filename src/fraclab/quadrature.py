@@ -75,6 +75,7 @@ __all__ = [
     "azimuth_rings",
     "direction_chunks",
     "unit_power_rule",
+    "offset_rule",
     "map_rule",
 ]
 
@@ -147,8 +148,9 @@ def _two_pass(one_pass, fine: tuple[int, int, int], cfg: QuadConfig, *,
     ``one_pass(angular, radial, levels)`` returns a raw value and an
     evaluation count, and may add a third entry: an error of that pass
     the pass itself measured (the last azimuth doubling of
-    :func:`azimuth_rings`), in the units of the result.  A pass without
-    directions puts its inner order in the angular slot.  The fine pass
+    :func:`azimuth_rings`, or the rounding of a sum whose terms cancel),
+    in the units of the result.  A pass without directions puts its
+    inner order in the angular slot.  The fine pass
     runs at ``fine`` with its depth ``L`` capped at :data:`MAX_LEVELS`.
     The coarse pass, by the one rule of the package, runs at
     ``(max(8, angular // 2), max(8, radial - 6), _coarse_depth(L))``,
@@ -240,10 +242,12 @@ def centred_radial(f, domain) -> bool:
     origin.
 
     Then ``f``, the ball and every field derived from them depend on
-    ``|y|`` alone, so a polar integrand around a point ``x`` is symmetric
-    under each reflection that fixes the line through the centre and
-    ``x``: the 2D passes fold their direction rules by that mirror
-    (:func:`polar_directions`), and the 3D passes take one azimuth per
+    ``|y|`` alone.  The Green operator and the domain logarithmic
+    Laplacian then integrate in ``|y|`` alone (:func:`offset_rule`).  The
+    other polar integrands around a point ``x`` are symmetric under each
+    reflection that fixes the line through the centre and ``x``: their 2D
+    passes fold their direction rules by that mirror
+    (:func:`polar_directions`), and their 3D passes take one azimuth per
     ring (:func:`azimuth_rings`).
     """
     def centred(d):
@@ -440,6 +444,41 @@ def direction_chunks(n_dirs: int, row_len: int, budget: int = 1_200_000):
 
 
 @lru_cache(maxsize=512)
+def _graded_half(alpha: float, n: int, levels: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Rule on ``[0, 1/2]`` graded toward 0 for ``x^alpha * smooth``:
+    Gauss panels ``[2^-(k+1), 2^-k]`` for ``1 <= k <= levels`` and a
+    Gauss-Jacobi micro-segment of exponent ``alpha`` on
+    ``[0, 2^-(levels+1)]``, its weights divided by ``x^alpha`` so they
+    apply to integrand values.  The depth is not capped: scaled but not
+    shifted, the nodes keep their relative precision at any depth."""
+    h0 = 0.5 ** (levels + 1)
+    tj, wj = _jacobi_unit(max(n, 20), float(alpha))
+    # Micro-segment [0, h0]: integrate t^alpha g exactly, then divide
+    # the weight by t^alpha so it applies to raw integrand values.
+    t = tj * h0
+    w = wj * h0 ** (alpha + 1.0) / t ** alpha
+    seg_t, seg_w = [t], [w]
+    xg, wg = _gauss_unit(n)
+    lo = h0
+    for _ in range(levels):
+        hi = 2.0 * lo
+        seg_t.append(lo + (hi - lo) * xg)
+        seg_w.append((hi - lo) * wg)
+        lo = hi
+    return np.concatenate(seg_t), np.concatenate(seg_w)
+
+
+def _half(alpha, n: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_graded_half`, or one Gauss panel on ``[0, 1/2]`` when the
+    end is smooth (``alpha`` None)."""
+    if alpha is None:
+        xg, wg = _gauss_unit(n)
+        return 0.5 * xg, 0.5 * wg
+    return _graded_half(float(alpha), n, levels)
+
+
+@lru_cache(maxsize=512)
 def unit_power_rule(alpha_lo, alpha_hi, n: int, levels: int
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Composite rule on [0, 1] for integrands ``x^alpha_lo (1-x)^alpha_hi * smooth``.
@@ -452,58 +491,86 @@ def unit_power_rule(alpha_lo, alpha_hi, n: int, levels: int
     weight has been divided back out at the micro-segment nodes.
     ``levels`` must be at least 0: a negative depth would stretch the
     micro-segment past the half interval.
+
+    The micro-segment is exact for ``x^alpha * smooth`` only.  A regular
+    part added to it, ``x^alpha g1 + g2``, loses ``O(2^-levels)`` of the
+    regular part's mass there: with ``alpha = 1`` the weights of one
+    graded end sum to ``1/2 - 1.7e-11`` at the full depth.  A
+    micro-segment exact on both ``{x^k}`` and ``{x^(alpha+k)}`` would
+    likely let this depth reach rounding; the radial Green rule grades
+    deeper instead (:func:`offset_rule`).
     """
     if int(levels) < 0:
         raise DomainError(f"refinement depth {levels} is negative")
-    pieces_t, pieces_w = [], []
     # Deeper refinement than MAX_LEVELS would place nodes closer to the
     # endpoint than floating point can represent once the rule is mapped
     # to a generic interval; the Jacobi micro-segment already captures the
     # remaining mass exactly, so nothing is lost by capping.
     levels = min(int(levels), MAX_LEVELS)
-
-    def graded_end(alpha, lo_is_zero: bool):
-        # Builds the rule on [0, 1/2] graded toward 0; mirrored for the
-        # upper endpoint by the caller.
-        h0 = 0.5 ** (levels + 1)
-        tj, wj = _jacobi_unit(max(n, 20), float(alpha))
-        # Micro-segment [0, h0]: integrate t^alpha g exactly, then divide
-        # the weight by t^alpha so it applies to raw integrand values.
-        t = tj * h0
-        w = wj * h0 ** (alpha + 1.0) / t ** alpha
-        seg_t, seg_w = [t], [w]
-        xg, wg = _gauss_unit(n)
-        lo = h0
-        for _ in range(levels):
-            hi = 2.0 * lo
-            seg_t.append(lo + (hi - lo) * xg)
-            seg_w.append((hi - lo) * wg)
-            lo = hi
-        t_all = np.concatenate(seg_t)
-        w_all = np.concatenate(seg_w)
-        if lo_is_zero:
-            return t_all, w_all
-        return 1.0 - t_all[::-1], w_all[::-1]
-
-    def smooth_end(lo_is_zero: bool):
-        xg, wg = _gauss_unit(n)
-        if lo_is_zero:
-            return 0.5 * xg, 0.5 * wg
-        return 0.5 + 0.5 * xg, 0.5 * wg
-
-    if alpha_lo is None:
-        t, w = smooth_end(True)
-    else:
-        t, w = graded_end(alpha_lo, True)
-    pieces_t.append(t)
-    pieces_w.append(w)
+    t_lo, w_lo = _half(alpha_lo, n, levels)
     if alpha_hi is None:
-        t, w = smooth_end(False)
+        xg, wg = _gauss_unit(n)
+        t_hi, w_hi = 0.5 + 0.5 * xg, 0.5 * wg
     else:
-        t, w = graded_end(alpha_hi, False)
-    pieces_t.append(t)
-    pieces_w.append(w)
-    return np.concatenate(pieces_t), np.concatenate(pieces_w)
+        t, w = _graded_half(float(alpha_hi), n, levels)
+        t_hi, w_hi = 1.0 - t[::-1], w[::-1]
+    return np.concatenate([t_lo, t_hi]), np.concatenate([w_lo, w_hi])
+
+
+def _centre_distance(x, R: float) -> float:
+    """``|x|`` for the radial routes, 0 within ``2^-30 R`` of the centre.
+
+    Their rules grade a level deeper per halving of ``|x|``
+    (:func:`offset_rule`); that close, the value moves by ``O(|x|^2)``,
+    below rounding for data smooth at the centre.
+    """
+    r = float(np.linalg.norm(x))
+    return r if r > 2.0 ** -30 * R else 0.0
+
+
+def offset_rule(r: float, R: float, n: int, near, far
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rule for ``int_0^R g(rho) drho`` with ``g`` singular at an interior
+    point ``0 <= r < R`` and at ``R``.
+
+    ``near = (alpha, levels)`` declares ``|rho - r|^alpha * smooth`` on
+    each side of ``r``, ``far = (beta, levels)`` declares
+    ``(R - rho)^beta * smooth`` at ``R``; either may be None for a smooth
+    end.  ``[0, r]`` and ``[r, R]`` are halved: the halves next to ``r``
+    are graded toward it (:func:`_half` with ``near``), the one next to
+    ``R`` toward ``R`` (with ``far``), and ``[0, r/2]`` is one Gauss
+    panel.  The smooth factors vary near ``r`` on the scale of the
+    nearer of the centre and ``R``, so both halves next to ``r`` grade to
+    ``2^-levels`` of ``min(r, R - r)``: the longer one takes the extra
+    levels.  Each graded half runs in its own offset variable, ``tau =
+    |rho - r|`` or ``sigma = R - rho``, built as an exact multiple of its
+    half's length, so it may grade deeper than :data:`MAX_LEVELS`.
+
+    Returns ``(rho, off, sigma, w)``: the nodes, their signed offsets
+    ``rho - r`` (negative below ``r``), their distances ``R - rho`` and
+    the weights.  ``off`` is exact on the halves next to ``r`` and
+    ``sigma`` on the half next to ``R``, where they are small; the side
+    of a node is the sign of ``off``, even where ``rho`` rounds to ``r``.
+    """
+    span = R - r
+    scale = min(r, span) if r > 0.0 else span
+
+    def graded(end, length=scale):
+        if end is None:
+            return _half(None, n, 0)
+        deeper = max(0, math.ceil(math.log2(length / scale)))
+        return _half(end[0], n, end[1] + deeper)
+
+    t, w = graded(near, span)
+    tf, wf = graded(far)
+    parts = [(r + span * t, span * t, span - span * t, span * w),
+             (R - span * tf, span - span * tf, span * tf, span * wf)]
+    if r > 0.0:
+        t, w = graded(near, r)
+        tg, wg = graded(None)
+        parts += [(r - r * t, -r * t, span + r * t, r * w),
+                  (r * tg, r * tg - r, R - r * tg, r * wg)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def map_rule(rule: tuple[np.ndarray, np.ndarray], a: float, b: float

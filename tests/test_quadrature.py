@@ -47,6 +47,22 @@ def test_unit_power_rule_exactness():
         assert float(w @ f) == pytest.approx(exact, rel=rel), (a, b)
 
 
+@pytest.mark.parametrize("r", [0.0, 0.3, 0.9999])
+def test_offset_rule_offsets_are_exact(r):
+    # int_0^r (r - rho)^(-1/2) + int_r^R (rho - r)^(-1/2) (R - rho)^(1/2)
+    # = 2 sqrt(r) + (R - r) pi / 2, integrated from the offsets themselves
+    # with no representation loss 60 levels deep, where rho rounds to r.
+    # The side of a node is the sign of its offset.
+    R = 1.0
+    rho, off, sigma, w = quad.offset_rule(r, R, 10, (-0.5, 60), (0.5, 26))
+    f = np.abs(off) ** -0.5 * np.where(off > 0.0, sigma ** 0.5, 1.0)
+    exact = 2.0 * math.sqrt(r) + 0.5 * math.pi * (R - r)
+    assert float(w @ f) == pytest.approx(exact, rel=1e-13)
+    assert (off[rho < r] < 0.0).all() and (off[rho > r] > 0.0).all()
+    assert np.abs(rho - r - off).max() <= 2e-16
+    assert np.abs(R - rho - sigma).max() <= 2e-16
+
+
 def test_unit_power_rule_rejects_negative_depth():
     # Depth -1 would make the micro-segment [0, 1]: weights summing to 2.
     with pytest.raises(DomainError):
