@@ -3,18 +3,17 @@ Poisson kernel with its Fubini-form application.
 
 Stability conventions
 ---------------------
-* The Green function of the ball is evaluated through the auxiliary
-  integral ``B(r0) = int_0^r0 t^(s-1) (1+t)^(-N/2) dt`` with
-  ``r0 = (R^2-|x|^2)(R^2-|y|^2) / (R^2 |x-y|^2)``.  For ``r0 < 1`` the
-  integral is computed directly (a Gauss-Jacobi rule after ``t = r0 u``
-  leaves an analytic factor); for ``r0 >= 1`` the *complement*
-  ``J(r0) = int_r0^inf`` is computed by a Gauss-Jacobi rule after
-  ``t = r0 / v``, which avoids the cancellation ``B(inf) - B(r0)`` that
-  would otherwise eat the significant digits exactly where the Green
-  function matters most (near the diagonal).  One helper forms the whole
-  kernel ``d^(2s-N) (kappa - pref J)`` or ``d^(2s-N) pref B``, and
-  ``green_apply`` integrates it on a single radial rule graded with the
-  Riesz exponent, so no Riesz sum and tail correction cancel each other.
+* The Green function of the ball is ``kappa d^(2s-N) I_x(s, N/2 - s)``,
+  the regularized incomplete beta function (``scipy.special.betainc``) at
+  ``x = r0 / (1 + r0)`` with ``r0 = (R^2-|x|^2)(R^2-|y|^2) / (R^2
+  |x-y|^2)``.  For ``r0 >= 1`` it is taken as the complement at ``1 / (1 +
+  r0)``, never at the rounded ``x``, whose ``1 - x`` loses the digits
+  that matter most near the diagonal.  Against 50-digit mpmath it is
+  within 2e-15 relative for ``0.01 <= s <= 0.999999``, also as ``s ->
+  1``, where ``kappa`` grows like ``1 / (1 - s)`` in the plane.
+  ``green_apply`` integrates the whole kernel on a single radial rule
+  graded with the Riesz exponent, so no Riesz sum and tail correction
+  cancel each other.
 * Every integral across the boundary layer of the exterior uses the
   *distance* ``E = q - R`` as integration variable.  The singular factor
   ``(q - R)^(-s)`` is then evaluated from an exactly-represented ``E``
@@ -33,6 +32,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import betainc, betaincc
 
 from .core import (CapabilityError, DivergenceError, DomainError,
                    SingularityError, as_order)
@@ -91,87 +91,20 @@ def _green_prefactor(N: int, s: float) -> float:
                                   * math.gamma(s) ** 2)
 
 
-# Gauss-Jacobi nodes of the B/J factor rules, and the rows evaluated at a
-# time: an (8192 x 12) block of the analytic factor stays under 1 MB.
-_GREEN_NODES = 12
-_GREEN_BLOCK = 8192
-
-
-def _neg_half_power(w: np.ndarray, N: int) -> np.ndarray:
-    """``w^(-N/2)``, without the general power in the plane and in space."""
-    if N == 2:
-        return 1.0 / w
-    if N == 3:
-        return 1.0 / (w * np.sqrt(w))
-    return w ** (-0.5 * N)
-
-
-def _jacobi_factor_sum(N: int, beta: float, z: np.ndarray) -> np.ndarray:
-    """``int_0^1 u^beta (1 + z u)^(-N/2) du`` for ``0 <= z <= 1``, row by row.
-
-    The rule runs over :data:`_GREEN_BLOCK` rows at a time, so the
-    ``(rows x nodes)`` work array stays in cache however many rows come.
-    """
-    u, w = quad._jacobi_unit(_GREEN_NODES, beta)
-    out = np.empty(len(z))
-    for lo in range(0, len(z), _GREEN_BLOCK):
-        blk = slice(lo, lo + _GREEN_BLOCK)
-        out[blk] = _neg_half_power(1.0 + z[blk, None] * u[None, :], N) @ w
-    return out
-
-
-def _green_factor_small(N: int, s: float, r0: np.ndarray) -> np.ndarray:
-    """``B(r0) = int_0^r0 t^(s-1)(1+t)^(-N/2) dt`` for ``r0 <= 1``.
-
-    After ``t = r0 u`` the fractional power ``u^(s-1)`` is a Gauss-Jacobi
-    weight and ``(1 + r0 u)^(-N/2)`` is analytic; its only singularity,
-    ``u = -1/r0``, lies at distance ``1/r0 >= 1`` from ``[0, 1]``.  The
-    Gauss-Jacobi error then falls geometrically with the node count;
-    12 nodes (:data:`_GREEN_NODES`) are used, and more only add rounding.
-    Against 40-digit mpmath at random ``(|y|, d)`` the whole kernel
-    (:func:`_green_kernel`) was within 8.4e-15 relative for ``0.25 <= s
-    <= 0.75`` in the plane and within 1.0e-14 for every tested ``s`` up
-    to 0.99999 in space.  In the plane the error grows as ``s -> 1``:
-    2.2e-12 at ``s = 0.99``, 7.1e-11 at 0.999 and 6.7e-9 at 0.99999.
-    """
-    return r0 ** s * _jacobi_factor_sum(N, s - 1.0, r0)
-
-
-def _green_tail(N: int, s: float, r0: np.ndarray) -> np.ndarray:
-    """``J(r0) = int_r0^inf t^(s-1)(1+t)^(-N/2) dt`` for ``r0 >= 1``.
-
-    After ``t = r0 / v``:  ``J = r0^(s - N/2) int_0^1 v^(N/2-s-1)
-    (1 + v/r0)^(-N/2) dv``; the fractional power goes into a Gauss-Jacobi
-    weight and the remaining factor is analytic with its singularity,
-    ``v = -r0``, at distance ``r0 >= 1`` from ``[0, 1]``, so the same 12
-    nodes as :func:`_green_factor_small` reach rounding level.
-    """
-    return r0 ** (s - 0.5 * N) * _jacobi_factor_sum(N, 0.5 * N - s - 1.0,
-                                                    1.0 / r0)
-
-
-def _green_factor(N: int, s: float, r0: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """``B(r0)`` where ``r0 < 1`` and ``J(r0)`` elsewhere, with the mask.
-
-    Each side is integrated directly, never as ``B(inf)`` minus the
-    other, so neither loses digits to cancellation.
-    """
-    small = r0 < 1.0
-    out = np.empty_like(r0)
-    out[small] = _green_factor_small(N, s, r0[small])
-    out[~small] = _green_tail(N, s, r0[~small])
-    return small, out
-
-
 def _green_kernel(N: int, s: float, R: float, lx: float, ly: np.ndarray,
                   d: np.ndarray) -> np.ndarray:
     """Centered-ball Green function from ``lx = R^2 - |x|^2``, ``ly = R^2 -
     |y|^2 >= 0`` and ``d = |x - y| > 0``.
 
-    With ``r0 = lx ly / (R^2 d^2)`` it is ``d^(2s-N) pref B(r0)`` where
-    ``r0 < 1`` and ``d^(2s-N) (kappa - pref J(r0))`` elsewhere; ``s = 1``
-    takes the classical logarithmic (plane) or image (space) formula.
+    With ``r0 = lx ly / (R^2 d^2)`` it is ``kappa d^(2s-N) I_x(s, N/2 -
+    s)``, ``x = r0 / (1 + r0)`` (DLMF 8.17); ``s = 1`` takes the classical
+    logarithmic (plane) or image (space) formula.  Where ``r0 >= 1`` the
+    complement ``c = I_y(N/2 - s, s)`` is taken at ``y = 1 / (1 + r0)``,
+    which keeps the digits that ``1 - x`` would round away near the
+    diagonal, and ``1 - c`` is formed directly by ``betaincc`` where ``c >
+    1/2``.  Only there: ``betaincc`` costs about seven times as much per
+    node, and scipy 1.17's is 2e-12 off at ``a = b = 1/2`` (the plane at
+    ``s = 1/2``) for ``y`` near 1e-16, where ``1 - c`` is exact.
     """
     if s >= 1.0 and N == 3:
         # 1/d - 1/e with e = sqrt(d^2 + q), written as q / (d e (d + e)):
@@ -183,23 +116,16 @@ def _green_kernel(N: int, s: float, R: float, lx: float, ly: np.ndarray,
     r0 = lx * ly / (R * R * d * d)
     if s >= 1.0:
         return np.log1p(r0) / (4.0 * math.pi)
-    pref = _green_prefactor(N, s)
-    small, factor = _green_factor(N, s, r0)
-    return d ** (2.0 * s - N) * np.where(
-        small, pref * factor, riesz_constant(N, s) - pref * factor)
-
-
-def _green_values(R: float, N: int, s: float, x: np.ndarray,
-                  y: np.ndarray) -> np.ndarray:
-    """Vectorized centered-ball Green function; zero outside, no checks."""
-    d = np.sqrt(geometry.sq_dist(y, x))
-    ly = R * R - geometry.sq_dist(y)
-    out = np.zeros(len(y))
-    inside = ly > 0.0
-    if inside.any():
-        out[inside] = _green_kernel(N, s, R, R * R - float(x @ x),
-                                    ly[inside], d[inside])
-    return out
+    a, b = s, 0.5 * N - s
+    small = r0 < 1.0
+    I = np.empty_like(r0)
+    I[small] = betainc(a, b, r0[small] / (1.0 + r0[small]))
+    y = 1.0 / (1.0 + r0[~small])
+    tail = 1.0 - betainc(b, a, y)
+    low = tail < 0.5
+    tail[low] = betaincc(b, a, y[low])
+    I[~small] = tail
+    return riesz_constant(N, s) * d ** (2.0 * s - N) * I
 
 
 def green_ball(domain: Domain, s, x, y) -> float | np.ndarray:
@@ -219,9 +145,20 @@ def green_ball(domain: Domain, s, x, y) -> float | np.ndarray:
     yc = _centered(ball, y_arr)
     if (geometry.sq_dist(yc, xc) == 0.0).any():
         raise SingularityError("Green function evaluated on its diagonal")
-    out = _green_values(ball.radius, ball.dim, s, xc, yc)
+    R = ball.radius
+    ly = R * R - geometry.sq_dist(yc)
+    out = np.zeros(len(yc))
+    inside = ly > 0.0
+    if inside.any():
+        out[inside] = _green_kernel(
+            ball.dim, s, R, R * R - float(xc @ xc), ly[inside],
+            np.sqrt(geometry.sq_dist(yc[inside], xc)))
     return float(out[0]) if single else out
 
+
+# Nodes per chunk of rays in the polar pass of green_apply: whole rings
+# under this count keep its work arrays a few MB.
+_GREEN_CHUNK = 131072
 
 # The radial Green rule: rows of rho nodes whose v-rules share one block of
 # work arrays, the width of its panels in ln t, and how much deeper than
@@ -361,8 +298,8 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
 
     Other data is integrated in polar form around ``x``: along each ray
     the full kernel (:func:`_green_kernel`) is ``t^(2s-N)`` times ``kappa
-    - pref J(r0)``, whose correction vanishes like ``t^(N-2s)`` at ``t =
-    0``; one radial rule graded toward ``t = 0`` with the Riesz exponent
+    I_x``, whose correction ``1 - I_x`` vanishes like ``t^(N-2s)`` at ``t
+    = 0``; one radial rule graded toward ``t = 0`` with the Riesz exponent
     ``2s - 1`` (``N - 1`` for the classical ``s = 1`` kernel) therefore
     reaches rounding level, and each node reads ``f`` once.  In 3D each
     ring of directions around ``x`` takes as many azimuths as the data
@@ -373,7 +310,7 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
     ``t_hi``, the kernel and ``t^(N-1)`` once per ring and radial node, on
     the ring's first azimuth, while ``f`` is read at every node.  The
     plane runs the same code with one direction per ring.  Rays run in
-    chunks of whole rings under ``16 * _GREEN_BLOCK`` nodes, so the work
+    chunks of whole rings under :data:`_GREEN_CHUNK` nodes, so the work
     arrays stay a few MB however many directions a pass takes.
     """
     ball = _require_ball(domain, "the Green solution operator")
@@ -423,7 +360,7 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
                                             dirs[::n_phi])
             total = 0.0
             for sl in quad.direction_chunks(len(t_hi), n_phi * len(xu),
-                                            16 * _GREEN_BLOCK):
+                                            _GREEN_CHUNK):
                 rows = slice(sl.start * n_phi, sl.stop * n_phi)
                 t = t_hi[sl, None] * xu[None, :]
                 ring_dirs = dirs[rows].reshape(len(t), n_phi, N)

@@ -5,9 +5,9 @@ closed-form identities."""
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import beta as sp_beta, betainc as sp_betainc
 
 from fraclab.closedform import jacobi_data, jacobi_solution
 from fraclab.core import (DivergenceError, DomainError, EvaluationError,
@@ -31,8 +31,11 @@ def radial_field(fn):
 
 
 # ---------------------------------------------------------------------------
-# The incomplete integral behind the Green function.
-# Frozen values: 25-digit direct quadrature of int_0^r0 t^(s-1)(1+t)^(-N/2).
+# The Green factor: G_s = kappa d^(2s-N) I_x(s, N/2-s), x = r0/(1+r0), or
+# equally d^(2s-N) pref B(r0) with B(r0) = int_0^r0 t^(s-1)(1+t)^(-N/2).
+# The kernel depends on lx, ly, d only through r0 = lx ly / (R d)^2 and d;
+# the rows take R = lx = 1 and ly = r0 d^2.
+# Frozen values: 25-digit direct quadrature of B(r0).
 # ---------------------------------------------------------------------------
 
 FACTOR_TABLE = [
@@ -41,7 +44,7 @@ FACTOR_TABLE = [
     (2, 0.1, 1e-06, 2.5118862031563878),
 ]
 
-TAIL_TABLE = [  # J(r0) = B(inf) - B(r0), frozen via B(r0)
+TAIL_TABLE = [  # rows at r0 >= 1, where the kernel takes the complement
     (2, 0.75, 4.0, 1.7390937441091078),
     (3, 0.6, 12.0, 1.6835649935771523),
     (2, 0.99, 1e8, 16.840074132899456),
@@ -49,47 +52,78 @@ TAIL_TABLE = [  # J(r0) = B(inf) - B(r0), frozen via B(r0)
     (3, 0.5, 2e5, 1.9999950000187499),
 ]
 
+# d = 2^-14 keeps ly = r0 d^2 <= 1 on every frozen row, and r0 exact.
+FROZEN_D = 2.0 ** -14
 
-def _beta_total(N, s):
-    return sp_beta(s, 0.5 * N - s)
+
+def _kernel_at(N, s, r0):
+    d = np.array([FROZEN_D])
+    return kernels._green_kernel(N, s, 1.0, 1.0, r0 * d * d, d)[0]
+
+
+def _frozen_kernel(N, s, b_r0):
+    pref = math.gamma(0.5 * N) / (4.0 ** s * math.pi ** (0.5 * N)
+                                  * math.gamma(s) ** 2)
+    return FROZEN_D ** (2.0 * s - N) * pref * b_r0
+
+
+def _mp_green(N, s, lx, ly, d):
+    """``kappa d^(2s-N) I_x(s, N/2-s)`` in mpmath's working precision
+    (``R = 1``), through the complement where ``r0 >= 1``; ``ln(1 + r0) /
+    4 pi`` at ``s = 1`` in the plane."""
+    lx, ly, d = mpmath.mpf(lx), mpmath.mpf(ly), mpmath.mpf(d)
+    r0 = lx * ly / d ** 2
+    if s == 1.0:
+        return mpmath.log1p(r0) / (4 * mpmath.pi)
+    a, b = mpmath.mpf(s), mpmath.mpf(N) / 2 - mpmath.mpf(s)
+    if r0 < 1:
+        beta = mpmath.betainc(a, b, 0, r0 / (1 + r0), regularized=True)
+    else:
+        beta = 1 - mpmath.betainc(b, a, 0, 1 / (1 + r0), regularized=True)
+    kappa = mpmath.gamma(b) / (4 ** a * mpmath.pi ** (mpmath.mpf(N) / 2)
+                               * mpmath.gamma(a))
+    return kappa * d ** (2 * a - N) * beta
 
 
 @pytest.mark.parametrize("N,s,r0,expected", FACTOR_TABLE)
 def test_green_factor_small_oracle(N, s, r0, expected):
-    got = kernels._green_factor_small(N, s, np.array([r0]))[0]
-    assert got == pytest.approx(expected, rel=1e-13)
+    assert _kernel_at(N, s, r0) == pytest.approx(
+        _frozen_kernel(N, s, expected), rel=3e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("N,s,r0,b_r0", TAIL_TABLE)
 def test_green_tail_oracle(N, s, r0, b_r0):
-    expected = _beta_total(N, s) - b_r0
-    got = kernels._green_tail(N, s, np.array([r0]))[0]
-    assert got == pytest.approx(expected, rel=1e-12)
+    assert _kernel_at(N, s, r0) == pytest.approx(
+        _frozen_kernel(N, s, b_r0), rel=3e-15, abs=0.0)
 
 
 def test_green_factor_matches_incomplete_beta():
-    # B(r0) = Beta(s, N/2-s) * I(s, N/2-s; r0/(1+r0)) via t = u/(1-u).
     for N, s, r0 in [(2, 0.35, 0.8), (3, 0.7, 0.5)]:
-        expected = _beta_total(N, s) * sp_betainc(s, 0.5 * N - s,
-                                                  r0 / (1.0 + r0))
-        got = kernels._green_factor_small(N, s, np.array([r0]))[0]
-        assert got == pytest.approx(expected, rel=1e-12)
+        with mpmath.workdps(50):
+            expected = float(_mp_green(N, s, 1.0, r0 * FROZEN_D ** 2,
+                                       FROZEN_D))
+        assert _kernel_at(N, s, r0) == pytest.approx(expected, rel=3e-15,
+                                                     abs=0.0)
 
 
 @pytest.mark.parametrize("N", [2, 3])
-@pytest.mark.parametrize("s", [0.01, 0.25, 0.5, 0.75, 0.98, 0.999999])
+@pytest.mark.parametrize("s", [0.01, 0.02, 0.25, 0.5, 0.75, 0.9, 0.98, 0.99,
+                               0.999, 0.9999, 0.99999, 0.999999])
 def test_green_factor_matches_incomplete_beta_to_rounding(N, s):
-    # Each side against the incomplete beta function on the side whose
-    # argument stays at most 1/2: B(r0) through I(s, N/2-s; r0/(1+r0)),
-    # J(r0) through the complement I(N/2-s, s; 1/(1+r0)) (DLMF 8.17).
-    r0 = np.logspace(-6.0, 8.0, 57)
-    small, got = kernels._green_factor(N, s, r0)
-    a, b = s, 0.5 * N - s
-    expected = np.where(small,
-                        sp_beta(a, b) * sp_betainc(a, b, r0 / (1.0 + r0)),
-                        sp_beta(a, b) * sp_betainc(b, a, 1.0 / (1.0 + r0)))
-    assert np.array_equal(small, r0 < 1.0)
-    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+    # r0 from 1e-12 to 1e16 at d down to 1e-8.  Near the diagonal (large
+    # r0) 1 - x rounds away: in the plane, betainc(s, N/2-s, x) on the
+    # rounded x is 5.0e-9 off at r0 = 1e12, s = 0.75, and up to 5e-3 at
+    # s = 0.99 for r0 between 1e15 and 1e16.  In the plane kappa grows
+    # like pi / sin(pi s) as s -> 1, so a factor formed as kappa minus a
+    # term of that size (kappa - pref J) loses digits there.
+    r0 = np.logspace(-12.0, 16.0, 57)
+    for d in (1e-8, 1e-4, 0.3, 1.9):
+        ly = r0 * d * d
+        ly = ly[ly <= 1.0]
+        got = kernels._green_kernel(N, s, 1.0, 1.0, ly, np.full(len(ly), d))
+        with mpmath.workdps(50):
+            expected = [float(_mp_green(N, s, 1.0, v, d)) for v in ly]
+        np.testing.assert_allclose(got, expected, rtol=3e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +208,28 @@ def test_green_ball_symmetry():
         a = green_ball(ball, s, [0.5, 0.1], [-0.2, 0.6])
         b = green_ball(ball, s, [-0.2, 0.6], [0.5, 0.1])
         assert a == pytest.approx(b, rel=1e-12)
+
+
+@pytest.mark.parametrize("y", [(-0.2, 0.4), (0.3 + 1e-7, 0.1)],
+                         ids=["regular", "near-diagonal"])
+def test_green_ball_order_quotient_near_one(y):
+    # The nonlocal-to-local transition: (G_1 - G_s) / (1 - s) at s = 1 -
+    # 10^-k.  The difference G_1 - G_s is 10^-k times the quotient, so G_s
+    # must hold nearly all its digits; a kernel formed as kappa - pref J,
+    # both growing like pi / sin(pi s), read -0.0060 for -0.1701 at k = 7.
+    ball = Ball(center=(0.0, 0.0), radius=1.0)
+    x = (0.3, 0.1)
+    g1 = green_ball(ball, 1.0, x, y)
+    with mpmath.workdps(50):
+        xm, ym = mpmath.matrix(x), mpmath.matrix(y)
+        args = (1 - xm.T * xm)[0], (1 - ym.T * ym)[0], mpmath.norm(xm - ym)
+        mp_g1 = _mp_green(2, 1.0, *args)
+        for k in range(2, 8):
+            s = 1.0 - 10.0 ** -k
+            got = (g1 - green_ball(ball, s, x, y)) / (1.0 - s)
+            expected = float((mp_g1 - _mp_green(2, s, *args))
+                             / (1 - mpmath.mpf(s)))
+            assert got == pytest.approx(expected, rel=1e-8, abs=0.0), k
 
 
 def test_green_ball_edges():
@@ -395,13 +451,13 @@ def wave(y):
 
 
 def test_green_apply_memory_stays_small():
-    # Rays run in chunks of whole rings under 16 * _GREEN_BLOCK nodes and
-    # the Green factor in cache-sized row blocks; a dense (nodes x rule)
-    # matrix per chunk peaked at 17.7 MB on the disc, and 1.2M-node chunks
-    # at 146 MB on the plain-callable 3-ball call.  The last case reaches
-    # the azimuth caps, 64 fine and 32 coarse azimuths per ring: four times
-    # the fine and twice the coarse evaluations of the 16-azimuth f = 1
-    # call.
+    # Rays run in chunks of whole rings under _GREEN_CHUNK = 131,072 nodes,
+    # and the Green factor is one betainc call per chunk; a dense (nodes x
+    # rule) matrix per chunk peaked at 17.7 MB on the disc, and 1.2M-node
+    # chunks at 146 MB on the plain-callable 3-ball call.  The last case
+    # reaches the azimuth caps, 64 fine and 32 coarse azimuths per ring:
+    # four times the fine and twice the coarse evaluations of the
+    # 16-azimuth f = 1 call.
     for x, data, evaluations, limit in (((0.3, 0.2), ones, None, 10e6),
                                         ((0.3, 0.2, 0.1), ones, None, 40e6),
                                         ((0.3, 0.2, 0.1), wave, 13912064,
