@@ -133,14 +133,17 @@ def _radial_points(ball: Ball) -> np.ndarray:
     # log-spaced boundary distances so the blow-up of h and P^c 1 near
     # the boundary is sampled densely; delta = R reaches the center.
     R = ball.radius
-    deltas = np.geomspace(1e-4 * R, R, N_GRID)
-    pts = np.tile(ball.center_array, (N_GRID, 1))
-    pts[:, 0] += R - deltas
-    return pts
+    return kernels._radial_points(ball, R - np.geomspace(1e-4 * R, R, N_GRID))
+
+
+def _at_origin(ball: Ball, pts) -> tuple[Ball, np.ndarray]:
+    """``ball`` and ``pts`` moved to the origin: ``P^c_s 1`` is translation
+    invariant, and ``_ones``, with no domain, is radial about the origin."""
+    return Ball((0.0,) * ball.dim, ball.radius), pts - ball.center_array
 
 
 def _mass_profile(ball: Ball, t: float, cfg: QuadConfig, pts) -> np.ndarray:
-    """``P^c_t 1`` at the scan points ``pts``."""
+    """``P^c_t 1`` at the points ``pts`` of an origin-centred ``ball``."""
     data = _ones(ball.dim)
     return np.array([kernels.comp_poisson_apply(ball, data, t, p, cfg).value
                      for p in pts])
@@ -159,7 +162,8 @@ def p_s_numeric(domain: Domain, s, cfg: QuadConfig | None = None) -> float:
     ball = kernels._require_ball(domain, "the complementary-mass infimum")
     cfg = cfg or QuadConfig()
     s = float(as_order(s))
-    return float(_mass_profile(ball, s, cfg, _radial_points(ball)).min())
+    origin, pts = _at_origin(ball, _radial_points(ball))
+    return float(_mass_profile(origin, s, cfg, pts).min())
 
 
 def _h_profile(ball: Ball, cfg: QuadConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -180,7 +184,8 @@ def m_s(domain: Domain, s, cfg: QuadConfig | None = None) -> float:
     s = float(as_order(s))
     rho_N = log_constants(ball.dim)[1]
     pts, h = _h_profile(ball, cfg)
-    return rho_N + float(np.min(h + _mass_profile(ball, s, cfg, pts)))
+    origin, pts = _at_origin(ball, pts)
+    return rho_N + float(np.min(h + _mass_profile(origin, s, cfg, pts)))
 
 
 def min_h_omega(domain: Domain) -> float:
@@ -221,7 +226,8 @@ def green_norm_bound(domain: Domain, s,
 
     taus = s * np.arange(1, N_TAU + 1) / N_TAU
     taus[-1] = s  # p_s is read at this node; the product may round off s
-    profiles = [_mass_profile(ball, t, cfg, pts) for t in taus]
+    origin, pts = _at_origin(ball, pts)
+    profiles = [_mass_profile(origin, t, cfg, pts) for t in taus]
     ms = np.array([rho_N + float(np.min(h + p)) for p in profiles])
     integral = float(np.trapezoid(ms, taus))
     m0 = ms[0] - (ms[1] - ms[0]) * taus[0] / (taus[1] - taus[0])

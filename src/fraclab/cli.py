@@ -21,7 +21,7 @@ Subcommands
     boundary kernel at ``s = 1``), or ``P^c_s(x, z)``.
 ``torsion --dim N --orders A:STEP:B [--at PT]``
     Closed-form torsion value and its order-derivative on the unit ball.
-``derivative --dim N --order S [--fd H] [--grid-n K] --compare closedform``
+``derivative --dim N --order S [--fd H] [--grid-n K]``
     Solves the order-derivative problem on a radial grid and compares
     with the closed form; ``--fd`` adds a difference-quotient column.
     Exit code 2 when any pointwise relative error exceeds 5e-2.
@@ -58,12 +58,11 @@ import numpy as np
 from . import __version__
 from .core import DomainError, FracLabError
 from . import geometry
-from .geometry import Ball
 from .quadrature import QuadConfig
 from . import kernels
 from . import operators
-from .operators import ScalarField
 from . import bounds as bounds_mod
+from .bounds import _ones
 from . import derivative as derivative_mod
 from .closedform import torsion_s_derivative, torsion_value
 from .specfun import (ball_poisson_constant, ball_torsion_constant,
@@ -232,12 +231,6 @@ def _read_points(source: str, dim: int) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(len(rows), dim)
 
 
-def _ones(N: int) -> ScalarField:
-    return ScalarField(fn=lambda p: np.ones(len(np.atleast_2d(p))), dim=N,
-                       radial=True, smooth_scale=1.0,
-                       cache_token=("cli-ones", N))
-
-
 # ---------------------------------------------------------- subcommands
 
 
@@ -350,8 +343,7 @@ def _cmd_derivative(config: RunConfig) -> tuple[int, str]:
     cfg = config.quad_config()
     ball = geometry.unit_ball(N)
     n = opts["grid_n"]
-    grid = np.zeros((n, N))
-    grid[:, 0] = np.linspace(0.0, 0.95, n)
+    grid = kernels._radial_points(ball, np.linspace(0.0, 0.95, n))
     data = _ones(N)
     vs = derivative_mod.solve_vs(data, ball, s, grid, cfg)
     closed = np.array([torsion_s_derivative(np.eye(N), s, p) for p in grid])
@@ -386,8 +378,7 @@ def _cmd_transition(config: RunConfig) -> tuple[int, str]:
     cfg = config.quad_config()
     ball = geometry.unit_ball(N)
     n = opts["grid_n"]
-    grid = np.zeros((n, N))
-    grid[:, 0] = np.linspace(0.0, 0.95, n)
+    grid = kernels._radial_points(ball, np.linspace(0.0, 0.95, n))
     data = _ones(N)
     rows, point_rows = [], []
     for s in orders:
@@ -478,8 +469,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--order", type=float, required=True)
     p.add_argument("--fd", type=float, default=None)
-    p.add_argument("--compare", choices=("closedform",),
-                   default="closedform")
     p.add_argument("--grid-n", type=int, default=8)
 
     p = sub.add_parser("transition", parents=[common])

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CapabilityError, DomainError, Order, as_order
+from .core import CapabilityError, DomainError, as_order
 from . import geometry
 from .geometry import Ball, Domain
 from . import quadrature as quad
@@ -146,21 +146,19 @@ def ell_field(f, domain: Domain, s, cfg: QuadConfig | None = None, *,
     ball = kernels._require_ball(domain, "the order-derivative data")
     cfg = cfg or QuadConfig()
     s = float(as_order(s))
-    if not bool(getattr(f, "radial", False)):
-        raise CapabilityError("the tabulated derivative data needs radial "
-                              "f; evaluate ell_s pointwise instead")
+    if not quad.centred_radial(f, ball):
+        raise CapabilityError("the tabulated derivative data needs f radial "
+                              "about the ball's centre; evaluate ell_s "
+                              "pointwise instead")
     N, R = ball.dim, ball.radius
     c0 = ball.center_array
     ln_lo, ln_span = math.log(1e-6 * R), -math.log(1e-6)
 
     def quotient(t):
-        out = np.empty(len(t))
-        for i, d in enumerate(np.exp(ln_lo + 0.5 * ln_span * (t + 1.0))):
-            pt = c0.copy()
-            pt[0] += R - d
-            out[i] = ell_s(f, ball, s, pt, cfg,
-                           complementary_sign=complementary_sign) * d ** s
-        return out
+        d = np.exp(ln_lo + 0.5 * ln_span * (t + 1.0))
+        return np.array([
+            ell_s(f, ball, s, pt, cfg, complementary_sign=complementary_sign)
+            * q ** s for pt, q in zip(kernels._radial_points(ball, R - d), d)])
 
     token = quad._data_key(f, "ell", ball, s, complementary_sign, cfg)
     coef = quad._PROFILE_CACHE.fetch(

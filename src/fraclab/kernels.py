@@ -40,8 +40,7 @@ from . import geometry
 from .geometry import Ball, Domain
 from . import quadrature as quad
 from .quadrature import QuadConfig, IntegralResult
-from .specfun import (ball_poisson_constant, frac_normalization,
-                      log_constants, riesz_constant)
+from .specfun import ball_poisson_constant, log_constants, riesz_constant
 
 __all__ = [
     "green_ball",
@@ -74,12 +73,18 @@ def _absolute(domain: Ball, pts: np.ndarray) -> np.ndarray:
     return pts + c if c.any() else pts
 
 
+def _radial_points(ball: Ball, rho) -> np.ndarray:
+    """``centre + rho e_1``, one row per radius ``rho``: every radial
+    route, tabulator and scan places its samples here."""
+    rho = np.atleast_1d(rho)
+    pts = np.tile(ball.center_array, (len(rho), 1))
+    pts[:, 0] += rho
+    return pts
+
+
 def _radial_data(f, ball: Ball, rho: np.ndarray) -> np.ndarray:
-    """Radial data ``f`` at the radii ``rho`` about the ball's centre, read
-    on the first axis."""
-    pts = np.zeros((len(rho), ball.dim))
-    pts[:, 0] = rho
-    return quad._finite_values(f, pts + ball.center_array)
+    """Radial data ``f`` at the radii ``rho`` about the ball's centre."""
+    return quad._finite_values(f, _radial_points(ball, rho))
 
 
 # ---------------------------------------------------------------------------
@@ -280,19 +285,19 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
     ``boundary_power`` declares how ``f`` behaves at the boundary
     (``delta^p``; logarithmic factors are absorbed by the dyadic panels).
 
-    Radial data on a ball centred at the origin
+    Data radial about the centre of the ball
     (:func:`~fraclab.quadrature.centred_radial`) takes one integral in
-    ``rho = |y|``: ``int_0^R K(rho) f(rho) drho``, with the sphere integral
-    ``K`` of the Green function done without the data
+    ``rho = |y - centre|``: ``int_0^R K(rho) f(rho) drho``, with the
+    sphere integral ``K`` of the Green function done without the data
     (:func:`_shell_green`), so ``f`` is read once per ``rho`` node.  The
-    rule (:func:`~fraclab.quadrature.offset_rule`) grades toward ``rho =
-    |x|`` from both sides, where ``K`` behaves like ``|rho - |x||^(2s-1)``
-    plus a regular part: a Jacobi micro-segment of that exponent ends it
-    :data:`_SHELL_DEPTH` levels deeper than the other rules, since it is
-    exact for the singular part alone.  At ``s = 1`` ``K`` only kinks
-    there.  Toward ``R`` it grades with the exponent ``s +
-    boundary_power``.  Every node costs a ``v``-rule, so the rule takes 10
-    Gauss nodes per dyadic level, which reach rounding on such panels,
+    rule (:func:`~fraclab.quadrature.offset_rule`) grades toward ``rho = r
+    = |x - centre|`` from both sides, where ``K`` behaves like ``|rho -
+    r|^(2s-1)`` plus a regular part: a Jacobi micro-segment of that
+    exponent ends it :data:`_SHELL_DEPTH` levels deeper than the other
+    rules, since it is exact for the singular part alone.  At ``s = 1``
+    ``K`` only kinks there.  Toward ``R`` it grades with the exponent ``s
+    + boundary_power``.  Every node costs a ``v``-rule, so the rule takes
+    10 Gauss nodes per dyadic level, which reach rounding on such panels,
     whatever ``radial_order`` says; the ``v``-rules take 12 nodes per
     panel.  The coarse pass takes 8 of each.
 
@@ -797,12 +802,13 @@ def comp_poisson_apply(domain: Domain, f, s, x,
     ``int_Omega P^c_s(x, z) f(z) dz`` via Fubini with the exterior variable
     outermost.
 
-    For radial ``f`` on a ball everything collapses to one radial
-    integral whose ``x`` dependence enters only through the closed
-    single-pole angular factor; the ``f``-dependent inner integrals are
-    cached on a master exterior grid, so evaluating a whole profile of
-    ``x`` values costs one pass of inner integrals.  Non-radial ``f``
-    falls back to a (much slower) nested quadrature.
+    For ``f`` radial about the centre of the ball
+    (:func:`~fraclab.quadrature.centred_radial`) everything collapses to
+    one radial integral whose ``x`` dependence enters only through the
+    closed single-pole angular factor; the ``f``-dependent inner
+    integrals are cached on a master exterior grid, so evaluating a whole
+    profile of ``x`` values costs one pass of inner integrals.  Other
+    ``f`` falls back to a (much slower) nested quadrature.
     """
     ball = _require_ball(domain, "the complementary Poisson application")
     cfg = cfg or QuadConfig()
@@ -813,7 +819,7 @@ def comp_poisson_apply(domain: Domain, f, s, x,
     if rx >= R:
         raise DomainError("complementary Poisson application needs interior x")
     c_N, _ = log_constants(N)
-    radial = bool(getattr(f, "radial", False))
+    radial = quad.centred_radial(f, ball)
 
     if s >= 1.0 and radial:
         # c_N beta_f R^{N-1} times the closed single-pole angle, with

@@ -56,19 +56,19 @@ class ScalarField:
     then integrate across the boundary with panels of matching exponent.
 
     ``radial`` declares that ``fn`` depends only on the distance to the
-    centre of the field's ball (to the origin when there is no domain).
-    The tabulated fields (``restriction_ws``, ``ell_field``), the
-    interchange residual and the radial shortcut of
-    ``comp_poisson_apply`` require it.  On a ball centred at the origin
-    (:func:`~fraclab.quadrature.centred_radial`) ``green_apply`` and
-    ``log_laplacian_compact`` take one integral in ``|y|`` with the
-    sphere integrals of their kernels done without the data, and every
-    other polar pass around a point ``x`` uses the mirror symmetry across
-    the line through the centre and ``x``: the 2D passes of
-    ``log_laplacian``, the principal value of ``frac_laplacian`` and the
-    nonlocal normal derivative read half their directions, and the 3D
-    passes of ``poisson_extend`` and the normal derivative read one
-    azimuth per ring.
+    centre of the field's ball (to the origin when there is no domain, so
+    data for a ball centred elsewhere is declared with ``domain``).  On a
+    ball with that centre (:func:`~fraclab.quadrature.centred_radial`) the
+    tabulated fields (``restriction_ws``, ``ell_field``) and the
+    interchange residual accept the data, ``comp_poisson_apply`` reads it
+    on one radius, ``green_apply`` and ``log_laplacian_compact`` take one
+    integral in the distance to the centre with the sphere integrals of
+    their kernels done without the data, and every other polar pass around
+    a point ``x`` uses the mirror symmetry across the line through the
+    centre and ``x``: the 2D passes of ``log_laplacian``, the principal
+    value of ``frac_laplacian`` and the nonlocal normal derivative read
+    half their directions, and the 3D passes of ``poisson_extend`` and the
+    normal derivative read one azimuth per ring.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -127,12 +127,13 @@ def CompactField(fn, domain: Domain, **kw) -> ScalarField:
 
 
 def _compact_on(f, ball: Ball) -> ScalarField:
-    """Data ``f`` cut off outside ``ball``, keeping its ``radial`` flag and
-    ``cache_token``; a field already compact on ``ball`` is ``f`` itself."""
+    """Data ``f`` cut off outside ``ball``, keeping its ``cache_token`` and,
+    if :func:`~fraclab.quadrature.centred_radial`, its ``radial`` flag; a
+    field already compact on ``ball`` is ``f`` itself."""
     if isinstance(f, ScalarField) and f.is_compact and f.domain == ball:
         return f
     return CompactField(lambda p: np.asarray(f(p), dtype=float), ball,
-                        radial=bool(getattr(f, "radial", False)),
+                        radial=quad.centred_radial(f, ball),
                         cache_token=getattr(f, "cache_token", None))
 
 
@@ -222,7 +223,7 @@ def log_laplacian(u, x, cfg: QuadConfig | None = None) -> IntegralResult:
     dom = getattr(u, "domain", None)
     compact = bool(getattr(u, "is_compact", False))
     ext_p = getattr(u, "exterior_power", None)
-    axis = x if quad.centred_radial(u, dom) else None
+    axis = x - dom.center_array if quad.centred_radial(u, dom) else None
 
     def one_pass(m_ang, n_rad, levels):
         dirs, w_dir = quad.polar_directions(N, m_ang, axis)
@@ -294,16 +295,17 @@ def log_laplacian_compact(u, x, cfg: QuadConfig | None = None
     Agrees with :func:`log_laplacian` on compact fields; the unit-ball
     split is traded for the geometry weight ``h_Omega``.
 
-    A radial field on a ball centred at the origin
+    A field radial about the centre of its ball
     (:func:`~fraclab.quadrature.centred_radial`) takes one integral in
-    ``rho = |y|``: the sphere means of ``|x - y|^(-N)`` are closed,
-    ``2 pi rho / |rho^2 - r^2|`` in the plane and ``4 pi rho min(r, rho) /
-    (r |rho^2 - r^2|)`` in space (``r = |x|``), and ``u(x) - u(rho)``
-    times either stays bounded on each side of ``rho = r``.  The rule
-    (:func:`~fraclab.quadrature.offset_rule`) splits there and grades
-    toward ``r`` from both sides and toward ``R``, so no principal value
-    is needed, and the field is read once per ``rho`` node.  Other fields
-    are integrated along the rays of a polar rule around ``x``.
+    ``rho = |y - centre|``: the sphere means of ``|x - y|^(-N)`` are
+    closed, ``2 pi rho / |rho^2 - r^2|`` in the plane and ``4 pi rho
+    min(r, rho) / (r |rho^2 - r^2|)`` in space (``r = |x - centre|``), and
+    ``u(x) - u(rho)`` times either stays bounded on each side of ``rho =
+    r``.  The rule (:func:`~fraclab.quadrature.offset_rule`) splits there
+    and grades toward ``r`` from both sides and toward ``R``, so no
+    principal value is needed, and the field is read once per ``rho``
+    node.  Other fields are integrated along the rays of a polar rule
+    around ``x``.
     """
     cfg = cfg or QuadConfig()
     N = _field_dim(u)
@@ -317,7 +319,7 @@ def log_laplacian_compact(u, x, cfg: QuadConfig | None = None
     u_x = quad._centre_value(u, x)
 
     def radial_pass(_, n_rad, levels):
-        r = quad._centre_distance(x, dom.radius)
+        r = quad._centre_distance(x - dom.center_array, dom.radius)
         rho, off, _, w = quad.offset_rule(r, dom.radius, n_rad,
                                           (0.0, levels), (0.0, levels))
         # |rho^2 - r^2| = |off| (rho + r), with off exact near rho = r.
@@ -496,37 +498,37 @@ def restriction_ws(domain: Domain, f, s, cfg: QuadConfig | None = None
                    ) -> ScalarField:
     """The solution ``u_s = G_s f`` as a compactly supported field.
 
-    Radial data on a ball: the smooth quotient ``u_s(x) / (R^2-|x|^2)^s``
-    is a chopped Chebyshev series in ``2|x|^2/R^2 - 1`` sampled by
-    ``green_apply`` (see :func:`quadrature._chebyshev_profile`; for
-    polynomial data the quotient is a polynomial in ``|x|^2``, so it chops
-    after a handful of solves).  Clenshaw recurrence evaluates it at all
-    points at once, and downstream operators see the boundary factor
-    ``(R^2-|x|^2)^s`` exactly instead of chasing it numerically.  The
-    coefficients are built once per data ``cache_token``, ball, order and
-    ``QuadConfig``: that ``quad._data_key`` is both their store key and
-    the field's ``cache_token``, so a field built at another config is
-    other data downstream.  Every call returns a fresh field.
+    Data radial about the centre of the ball only
+    (:func:`~fraclab.quadrature.centred_radial`), ``x`` measured from it:
+    the smooth quotient ``u_s(x) / (R^2-|x|^2)^s`` is a chopped Chebyshev
+    series in ``2|x|^2/R^2 - 1`` sampled by ``green_apply`` (see
+    :func:`quadrature._chebyshev_profile`; for polynomial data the
+    quotient is a polynomial in ``|x|^2``, so it chops after a handful of
+    solves).  Clenshaw recurrence evaluates it at all points at once, and
+    downstream operators see the boundary factor ``(R^2-|x|^2)^s`` exactly
+    instead of chasing it numerically.  The coefficients are built once
+    per data ``cache_token``, ball, order and ``QuadConfig``: that
+    ``quad._data_key`` is both their store key and the field's
+    ``cache_token``, so a field built at another config is other data
+    downstream.  Every call returns a fresh field.
     """
     ball = kernels._require_ball(domain, "the solution-operator field")
     cfg = cfg or QuadConfig()
     s = float(as_order(s))
-    if not bool(getattr(f, "radial", False)):
-        raise CapabilityError("the tabulated solution field needs radial "
-                              "data; evaluate green_apply pointwise instead")
+    if not quad.centred_radial(f, ball):
+        raise CapabilityError("the tabulated solution field needs data "
+                              "radial about the ball's centre; evaluate "
+                              "green_apply pointwise instead")
     N, R = ball.dim, ball.radius
     c0 = ball.center_array
 
     def quotient(xi):
-        out = np.empty(len(xi))
-        for i, r2 in enumerate(0.5 * R * R * (xi + 1.0)):
-            pt = c0.copy()
-            pt[0] += math.sqrt(r2)
-            out[i] = kernels.green_apply(
-                ball, f, s, pt, cfg,
-                boundary_power=getattr(f, "boundary_power", None)
-            ).value / (R * R - r2) ** s
-        return out
+        r2 = 0.5 * R * R * (xi + 1.0)
+        pts = kernels._radial_points(ball, np.sqrt(r2))
+        bp = getattr(f, "boundary_power", None)
+        return np.array([
+            kernels.green_apply(ball, f, s, pt, cfg, boundary_power=bp).value
+            / (R * R - q) ** s for pt, q in zip(pts, r2)])
 
     token = quad._data_key(f, "ws", ball, s, cfg)
     coef = quad._PROFILE_CACHE.fetch(
@@ -639,9 +641,9 @@ def interchange_residual(domain: Domain, f, s, x,
     s = float(as_order(s))
     x = np.asarray(x, dtype=float)
     N, R = ball.dim, ball.radius
-    c0 = ball.center_array
-    if not bool(getattr(f, "radial", False)):
-        raise CapabilityError("the interchange residual needs radial data")
+    if not quad.centred_radial(f, ball):
+        raise CapabilityError("the interchange residual needs data radial "
+                              "about the ball's centre")
     u_s = restriction_ws(ball, f, s, cfg)
     lite = QuadConfig(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
                       angular_order=max(32, cfg.angular_order // 2),
@@ -673,17 +675,15 @@ def interchange_residual(domain: Domain, f, s, x,
                           max_subdiv=16)
 
     def lprofile(r):
-        pt = c0.copy()
-        pt[0] += r
-        return log_laplacian(u_s, pt, prof_cfg).value
+        return log_laplacian(u_s, kernels._radial_points(ball, r)[0],
+                             prof_cfg).value
 
     lfield = _radial_interp_field(ball, lprofile, lprofile, float(N))
     lhs = frac_laplacian(lfield, s, x, lite).value
 
     def nu_profile(r):
-        pt = c0.copy()
-        pt[0] += r
-        return nonlocal_normal_derivative(u_s, s, pt, prof_cfg).value
+        return nonlocal_normal_derivative(
+            u_s, s, kernels._radial_points(ball, r)[0], prof_cfg).value
 
     nu_field = _radial_interp_field(ball, lambda r: 0.0, nu_profile,
                                     float(N) + 2.0 * s, ext_power=-s)

@@ -236,26 +236,26 @@ def _jacobi_unit(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return t, w * 2.0 ** (-beta - 1.0)
 
 
-def centred_radial(f, domain) -> bool:
-    """Whether ``f`` declares radial data (``f.radial``) and ``domain``,
-    like the field's own domain if it has one, is a ball centred at the
-    origin.
+def centred_radial(f, ball) -> bool:
+    """Whether ``f`` is declared radial (``f.radial``, read nowhere else)
+    about the centre of ``ball``: ``ball`` is a :class:`Ball` and ``f``'s
+    own centre -- that of its domain, or the origin when it has none --
+    is ``ball.center_array`` exactly.
 
-    Then ``f``, the ball and every field derived from them depend on
-    ``|y|`` alone.  The Green operator and the domain logarithmic
-    Laplacian then integrate in ``|y|`` alone (:func:`offset_rule`).  The
-    other polar integrands around a point ``x`` are symmetric under each
-    reflection that fixes the line through the centre and ``x``: their 2D
-    passes fold their direction rules by that mirror
-    (:func:`polar_directions`), and their 3D passes take one azimuth per
-    ring (:func:`azimuth_rings`).
+    Then ``f``, the ball and every field derived from them depend on the
+    distance ``rho`` to that centre alone.  The Green operator and the
+    domain logarithmic Laplacian then integrate in ``rho`` alone
+    (:func:`offset_rule`).  The other polar integrands around a point
+    ``x`` are symmetric under each reflection that fixes the line through
+    the centre and ``x``: their 2D passes fold their direction rules by
+    that mirror (:func:`polar_directions` on the axis ``x - centre``), and
+    their 3D passes take one azimuth per ring (:func:`azimuth_rings`).
     """
-    def centred(d):
-        return isinstance(d, Ball) and not d.center_array.any()
-
+    if not (getattr(f, "radial", False) and isinstance(ball, Ball)):
+        return False
     own = getattr(f, "domain", None)
-    return bool(getattr(f, "radial", False)) and centred(domain) \
-        and (own is None or centred(own))
+    centre = np.zeros(ball.dim) if own is None else own.center_array
+    return np.array_equal(centre, ball.center_array)
 
 
 def polar_directions(N: int, m: int, axis=None, antipodal: bool = False
@@ -823,7 +823,7 @@ def _pv_pass(u, x, u_x, s, N, domain, inner_scale, compact_support,
              m_ang, n_rad, levels):
     # The symmetrized integrand is even in theta, so one direction of each
     # +- pair carries the pair; radial data folds by the mirror too.
-    axis = x if centred_radial(u, domain) else None
+    axis = x - domain.center_array if centred_radial(u, domain) else None
     dirs, w_dir = polar_directions(N, m_ang, axis, antipodal=True)
     M = len(dirs)
     every = np.arange(M)

@@ -209,7 +209,7 @@ def test_torsion_off_center(capsys):
 
 def test_derivative_compare_closedform(capsys):
     code, out = run(capsys, ["derivative", "--dim", "2", "--order", "0.75",
-                             "--grid-n", "6", "--compare", "closedform"])
+                             "--grid-n", "6"])
     assert code == 0
     cols, rows = csv_body(out)
     assert cols == ["r", "delta", "v_numeric", "v_closed", "rel_err"]

@@ -115,7 +115,7 @@ def test_ell_field_rebuilds_for_other_inputs(profile_builds):
     derivative.ell_field(f, DISC, 0.5, CFG)
     derivative.ell_field(f, DISC, 0.6, CFG)
     derivative.ell_field(f, DISC, 0.5, QuadConfig(radial_order=12))
-    derivative.ell_field(f, Ball(center=(0.5, 0.0), radius=1.0), 0.5, CFG)
+    derivative.ell_field(f, Ball(center=(0.0, 0.0), radius=1.5), 0.5, CFG)
     derivative.ell_field(f, DISC, 0.5, CFG, complementary_sign=1.0)
     # The restriction field of the same data is a different entry.
     operators.restriction_ws(DISC, f, 0.5, CFG)

@@ -12,7 +12,7 @@ from fraclab.geometry import Ball, Ellipsoid
 from fraclab.kernels import green_apply
 from fraclab.quadrature import QuadConfig
 from fraclab.specfun import ball_torsion_constant, log_constants
-from fraclab import operators
+from fraclab import derivative, kernels, operators
 from fraclab.operators import (CompactField, ScalarField, frac_laplacian,
                                h_omega, interchange_residual, log_laplacian,
                                log_laplacian_compact,
@@ -503,9 +503,9 @@ def test_interchange_needs_radial_data():
 
 # ---------------------------------------------------------------------------
 # Symmetry folds of the ray operators.
-# Declared radial data on a ball centred at the origin folds the 2D
-# direction rules by the mirror across the line through the centre and the
-# point, and the principal value always pairs theta with -theta.
+# Data declared radial about the centre of its ball folds the 2D direction
+# rules by the mirror across the line through the centre and the point,
+# and the principal value always pairs theta with -theta.
 # ---------------------------------------------------------------------------
 
 OFF_DISC = Ball(center=(0.2, -0.1), radius=1.0)
@@ -533,16 +533,19 @@ def bump(domain, radial):
     return CompactField(fn, domain, radial=radial, smooth_scale=1.0)
 
 
-# These take one integral in |y| for radial data on a centred ball instead
-# of a folded polar pass.
+# These take one integral in |y - centre| for data radial about the centre
+# of its ball instead of a folded polar pass.
 RADIAL_ROUTES = ("green_apply", "log_laplacian_compact")
 
 
-@pytest.mark.parametrize("name", list(FOLD_OPS))
-def test_radial_data_on_the_centred_disc_reads_half(name):
+@pytest.mark.parametrize("name,domain", [
+    *[pytest.param(name, DISC, id=name) for name in FOLD_OPS],
+    *[pytest.param(name, OFF_DISC, id=name + "-off_centre")
+      for name in FOLD_OPS]])
+def test_radial_data_on_the_centred_disc_reads_half(name, domain):
     run = FOLD_OPS[name]
-    c = np.zeros(2)
-    folded, plain = run(bump(DISC, True), c), run(bump(DISC, False), c)
+    c = domain.center_array
+    folded, plain = run(bump(domain, True), c), run(bump(domain, False), c)
     if name in RADIAL_ROUTES:
         assert folded.evaluations <= 4000
     else:
@@ -553,14 +556,88 @@ def test_radial_data_on_the_centred_disc_reads_half(name):
 
 
 @pytest.mark.parametrize("name,domain", [
+    # Data with no domain is radial about the origin, not about the centre
+    # of OFF_DISC: neither the Green operator nor its cut-off to OFF_DISC
+    # (the data the ray operators then read) folds it.
     *[(name, OFF_DISC) for name in FOLD_OPS],
     # The Green operator is closed for balls only.
     *[(name, ELLIPSE) for name in FOLD_OPS if name != "green_apply"]])
 def test_no_fold_off_the_centred_ball(name, domain):
-    run = FOLD_OPS[name]
     c = domain.center_array
-    declared, plain = run(bump(domain, True), c), run(bump(domain, False), c)
+    if isinstance(domain, Ball):
+        fn = bump(DISC, False).fn
+        origin = ScalarField(fn=fn, dim=2, radial=True)
+        if name == "green_apply":
+            declared, plain = (green_apply(domain, u, 0.5, c + (0.3, 0.2))
+                               for u in (origin, fn))
+        else:
+            declared, plain = (
+                FOLD_OPS[name](operators._compact_on(u, domain), c)
+                for u in (origin, fn))
+    else:
+        declared, plain = (FOLD_OPS[name](bump(domain, radial), c)
+                           for radial in (True, False))
     assert declared == plain
+
+
+# e^{-|y|^2} declared radial with no domain, on a ball not centred at the
+# origin: the radial shortcuts do not hold for it.
+SHIFTED = Ball(center=(0.5, 0.0), radius=1.0)
+
+
+def test_origin_radial_data_off_centre_takes_the_generic_route():
+    res = kernels.comp_poisson_apply(SHIFTED, gauss_field(2), 0.5,
+                                     np.array([0.6, 0.2]))
+    # The value of the same data as a plain callable.
+    assert abs(res.value - 0.3249575005) <= res.error_estimate
+
+
+@pytest.mark.parametrize("tabulate", [
+    lambda f: restriction_ws(SHIFTED, f, 0.5),
+    lambda f: derivative.ell_field(f, SHIFTED, 0.5),
+    lambda f: interchange_residual(SHIFTED, f, 0.5, np.array([0.6, 0.2]))],
+    ids=["restriction_ws", "ell_field", "interchange_residual"])
+def test_origin_radial_data_off_centre_is_not_tabulated(tabulate):
+    with pytest.raises(CapabilityError):
+        tabulate(gauss_field(2))
+
+
+def centred_gauss(domain):
+    # e^{-|y - centre|^2} on ``domain``, declared radial about its centre.
+    c = domain.center_array
+    return CompactField(lambda p: np.exp(-np.sum((p - c) ** 2, axis=1)),
+                        domain, radial=True, smooth_scale=1.0)
+
+
+SHIFT_OPS = {
+    "green_apply": lambda f, x: green_apply(f.domain, f, 0.5, x),
+    "log_laplacian_compact": log_laplacian_compact,
+    "comp_poisson_apply-0.5": lambda f, x: kernels.comp_poisson_apply(
+        f.domain, f, 0.5, x),
+    "comp_poisson_apply-1": lambda f, x: kernels.comp_poisson_apply(
+        f.domain, f, 1.0, x),
+}
+
+
+@pytest.mark.parametrize("name", list(SHIFT_OPS))
+def test_shifted_ball_matches_the_centred_disc(name):
+    # Data declared on the shifted ball takes every route it takes on the
+    # centred disc, at the translated point.
+    run, x = SHIFT_OPS[name], np.array([0.3, 0.2])
+    shifted = run(centred_gauss(OFF_DISC), OFF_DISC.center_array + x)
+    centred = run(centred_gauss(DISC), x)
+    assert abs(shifted.value - centred.value) <= (shifted.error_estimate
+                                                  + centred.error_estimate)
+    assert shifted.evaluations == centred.evaluations
+    assert shifted.tolerance_ok
+
+
+def test_shifted_ball_solution_field_matches_the_centred_disc():
+    x = np.array([[0.3, 0.2], [0.0, 0.0], [-0.7, 0.5]])
+    shifted = restriction_ws(OFF_DISC, centred_gauss(OFF_DISC), 0.5)
+    centred = restriction_ws(DISC, centred_gauss(DISC), 0.5)
+    assert np.allclose(shifted(OFF_DISC.center_array + x), centred(x),
+                       rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("radial", [False, True])

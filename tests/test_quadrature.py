@@ -262,6 +262,10 @@ def test_centred_radial_needs_radial_data_on_a_centred_ball():
                                                            4.0)))
     radial.domain = off
     assert not quad.centred_radial(radial, DISC)
+    # Radial about the centre of its own (shifted) domain.
+    assert quad.centred_radial(radial, off)
+    radial.domain = geo.unit_ball(3)
+    assert not quad.centred_radial(radial, DISC)
 
 
 # ---------------------------------------------------------------------------
