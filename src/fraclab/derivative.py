@@ -131,15 +131,14 @@ def ell_field(f, domain: Domain, s, cfg: QuadConfig | None = None, *,
     """Radial tabulation of ``ell_s f`` ready for the Green operator.
 
     The data blows up like ``delta^{-s}`` at the boundary, so the bounded
-    quotient ``ell_s f * delta^s`` is a chopped Chebyshev series (see
-    :func:`quadrature._chebyshev_profile`) in a variable affine in
-    ``ln delta`` on ``[ln(1e-6 R), ln R]``, held at its end value closer
-    to the boundary; the field declares ``boundary_power = -s`` for the
-    quadrature to grade against.  The coefficients are built once per data
-    ``cache_token``, ball, order, sign and ``QuadConfig``: that
-    ``quad._data_key`` is both their store key and the field's
-    ``cache_token``, so a field built at another config is other data
-    downstream.  Every call returns a fresh field.  The samples' ``L[E f]``
+    quotient ``ell_s f * delta^s`` is a chopped Chebyshev series in a
+    variable affine in ``ln delta`` on ``[ln(1e-6 R), ln R]``, held at its
+    end value closer to the boundary (:func:`quadrature._log_profile`);
+    the field declares ``boundary_power = -s`` for the quadrature to grade
+    against.  The coefficients are built once per data ``cache_token``,
+    ball, order, sign and ``QuadConfig``: that ``quad._data_key`` is both
+    their store key and the field's ``cache_token``, so a field built at
+    another config is other data downstream.  Every call returns a fresh field.  The samples' ``L[E f]``
     terms come from :func:`ell_s`'s store, so a build at another order or
     sign of the same data computes only the complementary Poisson term.
     """
@@ -152,24 +151,20 @@ def ell_field(f, domain: Domain, s, cfg: QuadConfig | None = None, *,
                               "pointwise instead")
     N, R = ball.dim, ball.radius
     c0 = ball.center_array
-    ln_lo, ln_span = math.log(1e-6 * R), -math.log(1e-6)
 
-    def quotient(t):
-        d = np.exp(ln_lo + 0.5 * ln_span * (t + 1.0))
+    def quotient(d):
         return np.array([
             ell_s(f, ball, s, pt, cfg, complementary_sign=complementary_sign)
             * q ** s for pt, q in zip(kernels._radial_points(ball, R - d), d)])
 
     token = quad._data_key(f, "ell", ball, s, complementary_sign, cfg)
-    coef = quad._PROFILE_CACHE.fetch(
-        token, lambda: quad._chebyshev_profile(quotient))
+    profile = quad._log_profile(quotient, math.log(1e-6 * R),
+                                -math.log(1e-6), token)
 
     def fn(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = np.sqrt(geometry.sq_dist(pts, c0))
-        d = np.clip(R - r, 1e-60 * R, None)
-        t = np.clip(2.0 * (np.log(d) - ln_lo) / ln_span - 1.0, -1.0, 1.0)
-        return np.polynomial.chebyshev.chebval(t, coef) * d ** -s
+        d = np.clip(R - np.sqrt(geometry.sq_dist(pts, c0)), 1e-60 * R, None)
+        return profile(d) * d ** -s
 
     return ScalarField(fn=fn, dim=N, domain=ball, radial=True,
                        is_compact=True, smooth_scale=0.5 * R,

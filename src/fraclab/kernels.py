@@ -499,6 +499,12 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
 
     ``g`` must grow slower than ``|y|^(2s)``; the dyadic far field is
     summed until its blocks are negligible and diverging blocks raise.
+
+    For ``g`` radial about the centre of the ball
+    (:func:`~fraclab.quadrature.centred_radial`) the sphere integral of
+    the kernel at each radius ``q`` of the exterior grid is the closed
+    :func:`_single_pole_angle`, so ``g`` is read once per ``q``; at ``s =
+    1`` the extension is ``g(R)`` exactly.
     """
     ball = _require_ball(domain, "the Poisson extension")
     cfg = cfg or QuadConfig()
@@ -509,7 +515,9 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
     if r >= R:
         raise DomainError("Poisson extension is evaluated inside the domain")
 
-    symmetric = quad.centred_radial(g, ball)
+    radial = quad.centred_radial(g, ball)
+    if s >= 1.0 and radial:
+        return IntegralResult(float(_radial_data(g, ball, R)[0]), 0.0, 1)
 
     if s >= 1.0:
         # Spectral boundary rule; resolution follows the kernel scale d(x).
@@ -530,8 +538,7 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
             return quad.azimuth_rings(
                 lambda dirs, w_dir, n_phi: bd_sum(
                     domain.center_array + R * dirs, R * R * w_dir),
-                xc, "cap", n_mu, lv,
-                None if symmetric else min(256, max(16, m)), cfg)
+                xc, "cap", n_mu, lv, min(256, max(16, m)), cfg)
 
         m = int(min(8192, max(cfg.angular_order, 12.0 / rel)))
         return quad._two_pass(bd_pass, (m, 20, depth), cfg)
@@ -543,7 +550,7 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
     def one_pass(m_ang, n_rad, levels):
         E, wE, offs = _exterior_radial_grid(R, s, n_rad, levels)
         q = R + E
-        radial = E ** (-s) * (2.0 * R + E) ** (-s) * q ** (N - 1)
+        weight = E ** (-s) * (2.0 * R + E) ** (-s) * q ** (N - 1)
 
         def ring_pass(dirs, w_dir, n_phi=1):
             # The angular integral at every radius of the master grid.
@@ -560,22 +567,24 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
             return proj, evals
 
         def blocks(proj):
-            return np.add.reduceat(radial * proj * wE, offs)
+            return np.add.reduceat(weight * proj * wE, offs)
 
         def value(proj):
             return tau * lx ** s * float(blocks(proj).sum())
 
         # Polar around the center: the kernel concentrates at angular scale
         # delta(x) near the closest boundary point.
-        if N == 2:
+        known = 0.0
+        if radial:
+            proj = _single_pole_angle(N, q, r) * _radial_data(g, ball, q)
+            evals = len(q)
+        elif N == 2:
             proj, evals = ring_pass(*quad.polar_directions(N, m_ang))
-            known = 0.0
         else:
             lv = int(min(levels, max(8, 2.0 * math.log2(1.0 / rel) + 6.0)))
             proj, evals, known = quad.azimuth_rings(
                 ring_pass, xc, "cap", max(10, n_rad), lv,
-                None if symmetric else min(256, max(16, m_ang)), cfg,
-                value=value)
+                min(256, max(16, m_ang)), cfg, value=value)
         final = blocks(proj)
         # Probe the dyadic blocks only; the final inversion block is
         # legitimately larger than the late dyadic ones.
@@ -615,6 +624,65 @@ def _single_pole_angle(N, q, r):
     if N == 2:
         return 2.0 * math.pi / (q * q - r * r)
     return 4.0 * math.pi / (q * (q * q - r * r))
+
+
+@lru_cache(maxsize=64)
+def _circle_hyp_series(s: float) -> tuple[np.ndarray, ...]:
+    """40 coefficients each, highest first, of ``F(z) = 2F1(-s, -s; 1; z)``
+    about 0 and of ``P``, ``Q`` in ``F(1 - t) = P(t) + t^2 L(t) Q(t)``,
+    ``L = (t^e - 1) / e``, ``e = 2s - 1``.  DLMF 15.8.4 splits ``F(1 - t)``
+    into ``sum A_k t^k + t^(2+e) sum B_k t^k``, where ``A_(k+2)`` and
+    ``B_k`` have poles at ``e = 0`` that cancel in pairs; with ``t^(2+e) =
+    t^2 (1 + e L)`` they regroup as ``A_(k+2) + B_k = K D_k`` and ``e B_k =
+    -K Y_k``, ``K = Gamma(1+e) Gamma(1-e) / (Gamma(s) Gamma(1-s))^2``,
+    ``Y_k = Gamma(k+1+s)^2 / (Gamma(k+3+e) k!)``, ``D_k = (X_k - Y_k) /
+    e``, ``X_k = Gamma(k+2-s)^2 / (Gamma(k+1-e) (k+2)!)``.  ``D_(k+1) = x_k
+    D_k + Y_k (x_k - y_k) / e`` with the term ratios ``x``, ``y``, whose
+    difference quotient is rational in ``e``, and ``K D_0`` makes both
+    forms agree at ``z = 1/2``: no pole is left, and ``s = 1/2`` is the
+    logarithmic case."""
+    n, e = 40, 2.0 * s - 1.0     # every series converges like 2^-k
+    k = np.arange(n, dtype=float)
+    about_0 = np.cumprod(np.r_[1.0, ((k[:-1] - s) / (k[:-1] + 1.0)) ** 2])
+    a0 = math.gamma(1.0 + 2.0 * s) / math.gamma(1.0 + s) ** 2
+    K = math.cos(0.5 * math.pi * e) / (math.pi ** 2 * np.sinc(0.5 * e))
+    p, q, a = k + 1.0, k + 3.0, k + 1.5
+    x = (a - 0.5 * e) ** 2 / ((p - e) * q)
+    dq = (a * a * (p + q) - 2.0 * a * p * q + 2.0 * a * e
+          + 0.25 * e * e * (p + q)) / ((p - e) * q * (q + e) * p)
+    Y = math.gamma(1.0 + s) ** 2 / math.gamma(3.0 + e) * np.cumprod(
+        np.r_[1.0, ((a + 0.5 * e) ** 2 / ((q + e) * p))[:-1]])
+    # D_k = D_0 unit_k + forced_k, with D_0 fixed by the matching below.
+    unit, forced = np.cumprod(np.r_[1.0, x[:-1]]), np.zeros(n)
+    for j in range(n - 1):
+        forced[j + 1] = x[j] * forced[j] + Y[j] * dq[j]
+    h = 0.5 ** k
+    L = math.log(0.5) if e == 0.0 else math.expm1(e * math.log(0.5)) / e
+    KD = (4.0 * (about_0 @ h - a0 * (1.0 - 0.25 * s)) - K * (forced @ h)
+          + L * K * (Y @ h)) / (unit @ h)
+    P = np.r_[a0, -0.5 * s * a0, KD * unit + K * forced]
+    return about_0[::-1], P[::-1], -K * Y[::-1]
+
+
+def _exterior_mean(N: int, s: float, r: float, rho: np.ndarray,
+                   gap: np.ndarray) -> np.ndarray:
+    """``int_{S^{N-1}} |z - rho w|^(-N-2s) dw`` for ``|z| = r > rho``, ``0 <=
+    s < 1``, from ``gap = r - rho`` formed without cancellation: ``2 pi
+    (gap^k - (r + rho)^k) / (-k r rho)``, ``k = -1 - 2s``, in space, ``2 pi
+    r^(2s) (r^2 - rho^2)^(-1-2s) F(rho^2 / r^2)`` in the plane, with ``F``
+    of :func:`_circle_hyp_series` (within 9e-16 of mpmath)."""
+    b = r + rho
+    if N == 3:
+        k = -1.0 - 2.0 * s
+        return 2.0 * math.pi * (gap ** k - b ** k) / (-k * r * rho)
+    about_0, P, Q = _circle_hyp_series(float(s))
+    z, t, e = (rho / r) ** 2, gap * b / (r * r), 2.0 * s - 1.0
+    near = z > 0.5
+    F = np.polyval(about_0, z)
+    t = t[near]
+    L = np.log(t) if e == 0.0 else np.expm1(e * np.log(t)) / e
+    F[near] = np.polyval(P, t) + t * t * L * np.polyval(Q, t)
+    return 2.0 * math.pi * r ** (2.0 * s) * (gap * b) ** (-1.0 - 2.0 * s) * F
 
 
 def _comp_kernel_disc_many(ball: Ball, s: float, xc: np.ndarray,
@@ -868,9 +936,14 @@ def comp_poisson_apply(domain: Domain, f, s, x,
                 kv[lo:lo + 2048] = _comp_kernel_disc_many(ball, s, xc,
                                                           chunk, cfg)
             return kv * np.asarray(f(zb), dtype=float)
-        inner_cfg = QuadConfig(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                               angular_order=min(48, cfg.angular_order),
-                               radial_order=12, max_subdiv=20)
+        # Three quarters of the orders and a depth of log2(1 / rel_tol):
+        # 48, 12 and 20 at the default config.
+        inner_cfg = QuadConfig(
+            rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+            angular_order=3 * cfg.angular_order // 4,
+            radial_order=max(8, 3 * cfg.radial_order // 4),
+            max_subdiv=min(cfg.max_subdiv,
+                           max(4, math.ceil(-math.log2(cfg.rel_tol)))))
         res = quad.integrate_interior(ball, kern_times_f, inner_cfg,
                                       boundary_power=(s if s < 1.0 else 1.0))
         return res

@@ -60,15 +60,14 @@ class ScalarField:
     data for a ball centred elsewhere is declared with ``domain``).  On a
     ball with that centre (:func:`~fraclab.quadrature.centred_radial`) the
     tabulated fields (``restriction_ws``, ``ell_field``) and the
-    interchange residual accept the data, ``comp_poisson_apply`` reads it
-    on one radius, ``green_apply`` and ``log_laplacian_compact`` take one
-    integral in the distance to the centre with the sphere integrals of
-    their kernels done without the data, and every other polar pass around
-    a point ``x`` uses the mirror symmetry across the line through the
-    centre and ``x``: the 2D passes of ``log_laplacian``, the principal
-    value of ``frac_laplacian`` and the nonlocal normal derivative read
-    half their directions, and the 3D passes of ``poisson_extend`` and the
-    normal derivative read one azimuth per ring.
+    interchange residual accept the data, ``comp_poisson_apply`` and
+    ``poisson_extend`` read it on one radius per exterior node,
+    ``green_apply``, ``log_laplacian_compact`` and
+    ``nonlocal_normal_derivative`` take one integral in the distance to
+    the centre with the sphere integrals of their kernels done without the
+    data, and the 2D passes of ``log_laplacian`` and of the principal
+    value of ``frac_laplacian`` read half their directions, by the mirror
+    symmetry across the line through the centre and the point.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -415,6 +414,33 @@ def h_omega(domain: Domain, x, cfg: QuadConfig | None = None
 # Nonlocal normal derivative.
 # ---------------------------------------------------------------------------
 
+def _exterior_radial(u, ball: Ball, t: float, z, cfg: QuadConfig,
+                     scale: float) -> IntegralResult:
+    """``scale int_ball (u(z) - u(y)) |z - y|^(-N-2t) dy``, ``0 <= t < 1``,
+    at ``z`` outside ``ball`` for ``u`` radial about its centre: ``scale
+    int_0^R (u(z) - u(rho)) rho^(N-1) M drho`` with the closed sphere mean
+    ``M`` (:func:`kernels._exterior_mean`) at ``r - rho = (r - R) + (R -
+    rho)``.  The kernel peaks at ``R`` on the scale ``r - R``, so the rule
+    grades there ``ceil(log2(R / (r - R)))`` levels deeper."""
+    N, R = ball.dim, ball.radius
+    u_z = quad._centre_value(u, z)
+    gap = float(np.linalg.norm(z - ball.center_array)) - R
+    deeper = max(0, math.ceil(math.log2(R / gap)))
+    bp = getattr(u, "boundary_power", None)
+
+    def radial_pass(_, n_rad, levels):
+        rho, _, sigma, w = quad.offset_rule(0.0, R, n_rad, None,
+                                            (bp or 0.0, levels + deeper))
+        mean = kernels._exterior_mean(N, t, R + gap, rho, gap + sigma)
+        vals = (u_z - kernels._radial_data(u, ball, rho)) \
+            * rho ** (N - 1) * mean
+        return float(w @ vals), len(rho)
+
+    return quad._two_pass(radial_pass, (0, cfg.radial_order,
+                                        min(cfg.max_subdiv, 24)),
+                          cfg, scale=scale, floor=1e-15)
+
+
 def nonlocal_normal_derivative(u, s, z, cfg: QuadConfig | None = None
                                ) -> IntegralResult:
     """``N_s u(z) = c(N,s) int_Omega (u(z) - u(y)) / |z-y|^(N+2s) dy`` at
@@ -423,6 +449,9 @@ def nonlocal_normal_derivative(u, s, z, cfg: QuadConfig | None = None
     For fields supported in the closure of Omega this equals
     ``(-Delta)^s u(z)``: the principal-value integral is proper at
     exterior points and the two expressions integrate the same function.
+    A field radial about the centre of its ball takes one integral in
+    ``|y - centre|`` (:func:`_exterior_radial`), others the rays of the
+    cone under which ``z`` sees the domain.
     """
     cfg = cfg or QuadConfig()
     s = float(as_order(s, include_high=False))
@@ -436,6 +465,8 @@ def nonlocal_normal_derivative(u, s, z, cfg: QuadConfig | None = None
         raise DomainError("the nonlocal normal derivative is evaluated "
                           "outside the closure of the domain")
     c = frac_normalization(N, s)
+    if quad.centred_radial(u, dom):
+        return _exterior_radial(u, dom, s, z, cfg, c)
     u_z = quad._centre_value(u, z)
 
     # The domain is seen from z under a finite cone; integrate directions
@@ -447,7 +478,6 @@ def nonlocal_normal_derivative(u, s, z, cfg: QuadConfig | None = None
     cz = center - z
     q0 = float(np.linalg.norm(cz))
     sin_a = min(1.0, 0.5 * diam / max(q0, 1e-300))
-    symmetric = quad.centred_radial(u, dom)
 
     def one_pass(n_mu, n_rad, levels):
         def ring_pass(dirs, w_dir, n_phi=1):
@@ -468,21 +498,15 @@ def nonlocal_normal_derivative(u, s, z, cfg: QuadConfig | None = None
             e1 = np.array([-a_hat[1], a_hat[0]])
             th, w_dir = quad.map_rule(
                 quad.unit_power_rule(0.0, 0.0, n_mu, levels), -alpha, alpha)
-            if symmetric:
-                # The cone is symmetric about its axis, the line through
-                # the centre and z: one side at double weight.
-                keep = th > 0.0
-                th, w_dir = th[keep], 2.0 * w_dir[keep]
             dirs = np.cos(th)[:, None] * a_hat[None, :] \
                 + np.sin(th)[:, None] * e1[None, :]
             return ring_pass(dirs, w_dir)
         # The doubling is judged on the normalized value, the units of the
         # result and of the difference it returns.
         mu_lo = -1.0 if sin_a >= 1.0 else math.sqrt(1.0 - sin_a * sin_a)
-        return quad.azimuth_rings(
-            ring_pass, cz, "cone", n_mu, levels,
-            None if symmetric else min(128, max(16, 6 * n_mu)), cfg,
-            mu_lo=mu_lo, value=lambda v: c * v)
+        return quad.azimuth_rings(ring_pass, cz, "cone", n_mu, levels,
+                                  min(128, max(16, 6 * n_mu)), cfg,
+                                  mu_lo=mu_lo, value=lambda v: c * v)
 
     return quad._two_pass(one_pass,
                           (max(10, cfg.angular_order // 6), cfg.radial_order,
@@ -565,57 +589,41 @@ class InterchangeReport:
     boundary_term: float
 
 
-def _radial_interp_field(ball: Ball, inner_fn, outer_fn, decay: float,
-                         n_in: int = 40, n_out: int = 40,
-                         ext_power: float | None = None) -> ScalarField:
-    """Field from two radial profiles: ``inner_fn(r)`` sampled at
-    Chebyshev nodes in ``r^2`` inside the ball, ``outer_fn(r)`` sampled
-    geometrically in ``r - R`` outside, splined separately (the kink at
-    the boundary stays a quadrature breakpoint), with an ``r^-decay``
-    power tail beyond the sampled range.
-
-    ``ext_power`` declares the algebraic behaviour ``(r - R)^ext_power``
-    of the outer profile at the boundary; below the innermost sample the
-    field is then continued by that power law (instead of clamping),
-    and the metadata is passed on so operators grade their panels.
-    """
-    from scipy.interpolate import CubicSpline
-
-    N, R = ball.dim, ball.radius
-    c0 = ball.center_array
-    xi = np.cos((2.0 * np.arange(n_in) + 1.0) * math.pi / (2.0 * n_in))
-    r_in = np.sqrt(0.5 * R * R * (xi + 1.0))[::-1]
-    r_in = np.concatenate([[0.0], r_in, [R * (1.0 - 1e-7)]])
-    v_in = np.array([float(inner_fn(r)) for r in r_in])
-    sp_in = CubicSpline(r_in ** 2, v_in)
-
-    e_out = np.geomspace(1e-6 * R, 63.0 * R, n_out)
-    r_out = R + e_out
-    v_out = np.array([float(outer_fn(r)) for r in r_out])
-    sp_out = CubicSpline(np.log(e_out), v_out)
-    e0, v0 = float(e_out[0]), float(v_out[0])
-    r_hi = float(r_out[-1])
-    v_hi = float(v_out[-1])
-
+def _radial_field(ball: Ball, inner, outer, exterior_power=None
+                  ) -> ScalarField:
+    """A field radial about the centre of ``ball``: ``inner(r)`` inside,
+    ``outer(r)`` elsewhere, ``r`` the distance to the centre."""
     def fn(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = np.sqrt(geometry.sq_dist(pts, c0))
+        r = np.sqrt(geometry.sq_dist(pts, ball.center_array))
+        ins = r < ball.radius
         out = np.empty(len(r))
-        ins = r < R
-        out[ins] = sp_in(r[ins] ** 2)
-        mid = (~ins) & (r <= r_hi)
-        e = np.clip(r[mid] - R, 1e-60 * R, None)
-        vals = sp_out(np.log(np.clip(e, e0, None)))
-        if ext_power is not None:
-            tiny = e < e0
-            vals[tiny] = v0 * (e[tiny] / e0) ** ext_power
-        out[mid] = vals
-        farm = r > r_hi
-        out[farm] = v_hi * (r_hi / r[farm]) ** decay
+        out[ins], out[~ins] = inner(r[ins]), outer(r[~ins])
         return out
 
-    return ScalarField(fn=fn, dim=N, domain=ball, radial=True,
-                       smooth_scale=0.5 * R, exterior_power=ext_power)
+    return ScalarField(fn=fn, dim=ball.dim, domain=ball, radial=True,
+                       smooth_scale=0.5 * ball.radius,
+                       exterior_power=exterior_power)
+
+
+def _exterior_profile(ball: Ball, t: float, sample, token):
+    """``sample(pt)`` outside ``ball`` as a function of the radius ``r``: a
+    profile like ``(r - R)^(-t)`` at the boundary and ``r^(-N-2t)`` far
+    away, times ``((r - R) / R)^t (r / R)^(N+t)``, tabulated in ``ln(r -
+    R)`` on ``[ln(1e-6 R), ln(63 R)]`` and continued by those powers."""
+    N, R = ball.dim, ball.radius
+
+    def weight(e):
+        return (e / R) ** t * (1.0 + e / R) ** (N + t)
+
+    q = quad._log_profile(lambda e: weight(e) * np.array(
+        [sample(pt) for pt in kernels._radial_points(ball, R + e)]),
+        math.log(1e-6 * R), math.log(6.3e7), token)
+
+    def profile(r):
+        e = np.maximum(r - R, 1e-60 * R)
+        return q(e) / weight(e)
+
+    return profile
 
 
 def interchange_residual(domain: Domain, f, s, x,
@@ -635,6 +643,13 @@ def interchange_residual(domain: Domain, f, s, x,
     contribution here.  With ``drop_boundary_term`` the identity is
     evaluated without that contribution (it should then fail, which is
     the point of the flag).
+
+    ``u_s`` is read through radial routes only: ``L u_s`` by
+    :func:`log_laplacian_compact` inside and as ``-c_N int u_s(y) |z -
+    y|^(-N) dy`` outside, ``N_s u_s`` by :func:`_exterior_radial`.  At ``s
+    < 1`` the outer operators read these as profiles tabulated once per
+    data ``cache_token``, ball, order and ``QuadConfig``, inside in
+    ``ln(R^2 - r^2)``, which keeps them even in ``r``.
     """
     ball = kernels._require_ball(domain, "the interchange residual")
     cfg = cfg or QuadConfig()
@@ -649,61 +664,43 @@ def interchange_residual(domain: Domain, f, s, x,
                       angular_order=max(32, cfg.angular_order // 2),
                       radial_order=max(12, cfg.radial_order - 4),
                       max_subdiv=min(cfg.max_subdiv, 20))
-    f_field = _compact_on(f, ball)
 
     if s >= 1.0:
-        d = float(geometry.delta(ball, x))
-        h = 0.1 * d
-        lvals = np.array([log_laplacian(u_s, p, lite).value
-                          for p in _stencil_points(x, h)])
-        lhs = _stencil_neg_laplacian(lvals, h)
-        interior = log_laplacian(f_field, x, lite).value
+        h = 0.1 * float(geometry.delta(ball, x))
+        lhs = _stencil_neg_laplacian([
+            log_laplacian_compact(u_s, p, cfg).value
+            for p in _stencil_points(x, h)], h)
+        f_field = _compact_on(f, ball)
         boundary = kernels.comp_poisson_apply(ball, f_field, 1.0, x,
                                               lite).value
-        rhs = interior + (0.0 if drop_boundary_term else boundary)
-        residual = abs(lhs - rhs)
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        return InterchangeReport(lhs, rhs, residual, residual / scale,
-                                 boundary)
+        rhs = log_laplacian_compact(f_field, x, cfg).value \
+            + (0.0 if drop_boundary_term else boundary)
+    else:
+        # Each nested field is tabulated once as a radial profile, which
+        # the outer operator reads.
+        def key(kind):
+            return quad._data_key(f, "interchange", kind, ball, s, cfg)
 
-    # s < 1.  Both sides nest operator evaluations; the data and hence
-    # every intermediate field are radial, so each nested field is
-    # tabulated once as a radial profile and the outer operator works on
-    # the (cheap) interpolant.
-    prof_cfg = QuadConfig(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                          angular_order=32, radial_order=12,
-                          max_subdiv=16)
+        def nu(pt):
+            return nonlocal_normal_derivative(u_s, s, pt, cfg).value
 
-    def lprofile(r):
-        return log_laplacian(u_s, kernels._radial_points(ball, r)[0],
-                             prof_cfg).value
-
-    lfield = _radial_interp_field(ball, lprofile, lprofile, float(N))
-    lhs = frac_laplacian(lfield, s, x, lite).value
-
-    def nu_profile(r):
-        return nonlocal_normal_derivative(
-            u_s, s, kernels._radial_points(ball, r)[0], prof_cfg).value
-
-    nu_field = _radial_interp_field(ball, lambda r: 0.0, nu_profile,
-                                    float(N) + 2.0 * s, ext_power=-s)
-
-    def rhs_fn(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.zeros(len(pts))
-        inside = np.atleast_1d(geometry.contains(ball, pts))
-        if inside.any():
-            out[inside] = np.asarray(f(pts[inside]), dtype=float)
-        if (~inside).any() and not drop_boundary_term:
-            out[~inside] = nu_field(pts[~inside])
-        return out
-
-    rhs_field = ScalarField(fn=rhs_fn, dim=N, domain=ball, radial=True,
-                            smooth_scale=0.5 * R,
-                            exterior_power=(None if drop_boundary_term
-                                            else -s))
-    rhs = log_laplacian(rhs_field, x, lite).value
-    boundary = nu_profile(1.25 * R)
+        lap_in = quad._log_profile(lambda d: np.array([
+            log_laplacian_compact(u_s, pt, cfg).value
+            for pt in kernels._radial_points(ball, np.sqrt(R * R - d))]),
+            math.log(1e-6 * R * R), -math.log(1e-6), key("L inside"))
+        lap_out = _exterior_profile(
+            ball, 0.0, lambda pt: _exterior_radial(
+                u_s, ball, 0.0, pt, cfg, log_constants(N)[0]).value,
+            key("L outside"))
+        lhs = frac_laplacian(_radial_field(
+            ball, lambda r: lap_in((R - r) * (R + r)), lap_out), s, x,
+            lite).value
+        outer, ext_p = (np.zeros_like, None) if drop_boundary_term else \
+            (_exterior_profile(ball, s, nu, key("nu")), -s)
+        rhs = log_laplacian(_radial_field(
+            ball, lambda r: kernels._radial_data(f, ball, r), outer, ext_p),
+            x, lite).value
+        boundary = nu(kernels._radial_points(ball, 1.25 * R)[0])
     residual = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return InterchangeReport(lhs, rhs, residual, residual / scale, boundary)

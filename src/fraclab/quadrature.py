@@ -36,9 +36,12 @@ kinks at the boundary, :func:`crossing_segments` cuts the segments at
 the crossings of one or more rays per direction and names the endpoint
 exponents of a declared exterior layer.
 
-Tabulated radial fields are chopped Chebyshev series from
-:func:`_chebyshev_profile`, sampled only as densely as the data needs and
-stored under the field's own token, a :func:`_data_key`.
+Data radial about the centre of its ball (:func:`centred_radial`) is
+integrated in the distance to that centre alone (:func:`offset_rule`).
+Tabulated radial fields and profiles are chopped Chebyshev series from
+:func:`_chebyshev_profile`, in the logarithm of a distance where they reach
+a boundary (:func:`_log_profile`), stored under their own
+:func:`_data_key`.
 
 Every integration returns an :class:`IntegralResult` with a coarse/fine
 error estimate and the evaluation count, formed in one place,
@@ -85,10 +88,12 @@ class QuadConfig:
     """Tolerances and resolution knobs shared by all quadratures.
 
     ``rel_tol`` / ``abs_tol`` are targets the error estimate is compared
-    against (results flag, not raise, when they miss).  ``max_subdiv``
-    bounds the dyadic refinement depth toward singular endpoints; no rule
-    grades deeper than :data:`MAX_LEVELS` = 26, so a value above 26
-    changes nothing.
+    against (results flag, not raise, when they miss).  ``max_subdiv`` is
+    the fine pass's dyadic depth toward singular endpoints, capped at
+    :data:`MAX_LEVELS` = 26 (lower in some operators).  Rules in an exact
+    offset (:func:`offset_rule`) grade deeper where a singularity needs it:
+    the radial Green rule 14 levels toward ``rho = |x|``, and the exterior
+    radial rule ``ceil(log2(R / (r - R)))`` toward ``R``.
     """
 
     rel_tol: float = 1e-6
@@ -106,8 +111,8 @@ class QuadConfig:
 
 DEFAULT_CONFIG = QuadConfig()
 
-# Deepest dyadic grading of any rule (:func:`unit_power_rule`); a deeper
-# ``max_subdiv`` changes nothing.
+# Deepest grading a caller's ``max_subdiv`` asks for (:func:`_two_pass`,
+# :func:`unit_power_rule`); rules in an exact offset add levels beyond it.
 MAX_LEVELS = 26
 
 # Radius of the principal-value inner ball, as a fraction of the local
@@ -243,13 +248,14 @@ def centred_radial(f, ball) -> bool:
     is ``ball.center_array`` exactly.
 
     Then ``f``, the ball and every field derived from them depend on the
-    distance ``rho`` to that centre alone.  The Green operator and the
-    domain logarithmic Laplacian then integrate in ``rho`` alone
-    (:func:`offset_rule`).  The other polar integrands around a point
-    ``x`` are symmetric under each reflection that fixes the line through
-    the centre and ``x``: their 2D passes fold their direction rules by
-    that mirror (:func:`polar_directions` on the axis ``x - centre``), and
-    their 3D passes take one azimuth per ring (:func:`azimuth_rings`).
+    distance ``rho`` to that centre alone: the Green operator, the domain
+    logarithmic Laplacian and the nonlocal normal derivative integrate in
+    ``rho`` (:func:`offset_rule`), and the Poisson extension and the
+    complementary Poisson operator read the data once per exterior radius.
+    The full-space logarithmic Laplacian and the principal value have no
+    such form; their 2D passes fold their direction rules by the mirror
+    across the line through the centre and ``x`` (:func:`polar_directions`
+    on the axis ``x - centre``).
     """
     if not (getattr(f, "radial", False) and isinstance(ball, Ball)):
         return False
@@ -322,8 +328,7 @@ def _axis_frame(axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def layered_directions(axis, layout: str, n_mu: int, levels: int,
-                       n_phi: int | None = None, mu_lo: float = -1.0,
-                       offset: bool = False
+                       n_phi: int, mu_lo: float = -1.0, offset: bool = False
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Direction rule on the 2-sphere for integrands with an angular layer.
 
@@ -340,14 +345,11 @@ def layered_directions(axis, layout: str, n_mu: int, levels: int,
       both edges: an exterior point sees a convex body under the half
       angle ``arccos(mu_lo)`` and the spans collapse at the rim.
 
-    ``n_phi = None`` declares the integrand axisymmetric around ``axis``:
-    a single representative azimuth is used and the exact factor
-    ``2 pi`` is folded into the weights.  Otherwise the azimuth gets an
-    ``n_phi``-point trapezoid rule (spectral in smooth angular
-    dependence) at ``phi_j = 2 pi j / n_phi``, or, with ``offset``, at
-    the midpoints ``2 pi (j + 1/2) / n_phi`` that double it; callers pick
-    ``n_phi`` through :func:`azimuth_rings`.  Weights carry the surface
-    measure of the covered zone.
+    The azimuth gets an ``n_phi``-point trapezoid rule (spectral in smooth
+    angular dependence) at ``phi_j = 2 pi j / n_phi``, or, with
+    ``offset``, at the midpoints ``2 pi (j + 1/2) / n_phi`` that double
+    it; callers pick ``n_phi`` through :func:`azimuth_rings`.  Weights
+    carry the surface measure of the covered zone.
     """
     a, e1, e2 = _axis_frame(axis)
     if layout == "cap":
@@ -364,9 +366,6 @@ def layered_directions(axis, layout: str, n_mu: int, levels: int,
         raise DomainError(f"unknown angular layout {layout!r}")
     mu = np.asarray(mu, dtype=float)
     sig = np.sqrt(np.maximum(1.0 - mu * mu, 0.0))
-    if n_phi is None:
-        dirs = mu[:, None] * a[None, :] + sig[:, None] * e1[None, :]
-        return dirs, 2.0 * math.pi * np.asarray(w_mu, dtype=float)
     phi = 2.0 * math.pi * (np.arange(int(n_phi)) + 0.5 * offset) / int(n_phi)
     ring = np.cos(phi)[:, None] * e1[None, :] \
         + np.sin(phi)[:, None] * e2[None, :]
@@ -381,7 +380,7 @@ AZIMUTH_START = 8     # azimuths per ring before the first doubling
 
 
 def azimuth_rings(ring_pass, axis, layout: str, n_mu: int, levels: int,
-                  max_azimuths: int | None, cfg: QuadConfig, *,
+                  max_azimuths: int, cfg: QuadConfig, *,
                   mu_lo: float = -1.0, value=float):
     """A :func:`layered_directions` pass whose azimuth count doubles until
     the data is resolved.
@@ -391,12 +390,11 @@ def azimuth_rings(ring_pass, axis, layout: str, n_mu: int, levels: int,
     to the pass's scalar result) and its evaluation count.  The rows come
     ring by ring: each ring is ``n_phi`` consecutive rows of
     :func:`layered_directions` that share the polar cosine ``mu`` against
-    ``axis`` and differ only in azimuth (``n_phi = 1`` for the
-    one-azimuth rule), so whatever depends on ``mu`` alone (spans of a
-    centred ball, distances to a point on the axis, a kernel of those) may
-    be computed once per ring, on its first azimuth.  Every ring first
-    takes ``AZIMUTH_START`` azimuths ``2 pi j / n``.  A doubling reads only
-    the ``n`` new azimuths ``2 pi (j + 1/2) / n``, whose trapezoid sum
+    ``axis`` and differ only in azimuth, so whatever depends on ``mu``
+    alone (spans of a centred ball, distances to a point on the axis, a
+    kernel of those) may be computed once per ring, on its first azimuth.
+    Every ring first takes ``AZIMUTH_START`` azimuths ``2 pi j / n``.  A
+    doubling reads only the ``n`` new azimuths ``2 pi (j + 1/2) / n``, whose trapezoid sum
     ``T_n`` gives ``S_2n = (S_n + T_n) / 2``, so no node is read twice.  It
     stops once ``|S_2n - S_n| <= max(abs_tol, rel_tol |S_2n|)``, or at the
     largest ``AZIMUTH_START * 2^k`` not above ``max_azimuths``.  The
@@ -406,17 +404,12 @@ def azimuth_rings(ring_pass, axis, layout: str, n_mu: int, levels: int,
     ``S_2n``.
 
     Returns ``(sum, evaluations, |S_2n - S_n|)``, the difference in the
-    units of ``value``.  ``max_azimuths = None`` declares the integrand
-    axisymmetric around ``axis``: one pass on the single-azimuth rule,
-    with difference 0.
+    units of ``value``.
     """
     def rings(n, offset=False):
         return ring_pass(*layered_directions(axis, layout, n_mu, levels, n,
-                                             mu_lo, offset), n or 1)
+                                             mu_lo, offset), n)
 
-    if max_azimuths is None:
-        acc, evals = rings(None)
-        return acc, evals, 0.0
     n = AZIMUTH_START
     acc, evals = rings(n)
     diff = 0.0
@@ -622,9 +615,23 @@ def _chebyshev_profile(sample) -> np.ndarray:
         n *= 3
 
 
-# Coefficients of the tabulated fields (``restriction_ws``, ``ell_field``),
-# keyed by the field's own token.
+# Coefficients of the tabulated fields (``restriction_ws``, ``ell_field``)
+# and of the interchange profiles, keyed by their own token.
 _PROFILE_CACHE = _Memo(256)
+
+
+def _log_profile(sample, ln_lo: float, ln_span: float, token):
+    """A function of a distance ``d > 0``: the chopped Chebyshev series of
+    ``sample(d)`` in ``2 (ln d - ln_lo) / ln_span - 1`` (stored in
+    :data:`_PROFILE_CACHE` under ``token``), held at its end values."""
+    coef = _PROFILE_CACHE.fetch(token, lambda: _chebyshev_profile(
+        lambda t: sample(np.exp(ln_lo + 0.5 * ln_span * (t + 1.0)))))
+
+    def profile(d):
+        t = np.clip(2.0 * (np.log(d) - ln_lo) / ln_span - 1.0, -1.0, 1.0)
+        return np.polynomial.chebyshev.chebval(t, coef)
+
+    return profile
 
 
 # ---------------------------------------------------------------------------

@@ -402,3 +402,17 @@ def test_importing_fraclab_leaves_heavy_scipy_modules_unloaded():
                          capture_output=True, text=True).stdout.split()
     assert "fraclab.cli" in out and "fraclab.operators" in out
     assert not {"scipy.interpolate", "scipy.integrate"} & set(out)
+    # Nor does the interchange residual load them: its profiles are
+    # Chebyshev series, not splines.
+    code = ("import sys, numpy as np\n"
+            "from fraclab.geometry import Ball\n"
+            "from fraclab.operators import ScalarField, interchange_residual\n"
+            "f = ScalarField(fn=lambda p: np.ones(len(p)), dim=2, "
+            "radial=True)\n"
+            "interchange_residual(Ball(center=(0.0, 0.0), radius=1.0), f, "
+            "0.5, np.array([0.3, 0.0]))\n"
+            "print(' '.join(sorted(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "fraclab.operators" in out
+    assert not {"scipy.interpolate", "scipy.integrate"} & set(out)

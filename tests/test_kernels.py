@@ -499,9 +499,9 @@ def test_green_apply_kernel_once_per_ring(monkeypatch, s):
         rows, log = [], {"rounds": 0, "per_azimuth": 0, "n_phi": 1}
         kernel, directions = kernels._green_kernel, quad.layered_directions
 
-        def spy(axis, layout, n_mu, levels, n_phi=None, *rest):
+        def spy(axis, layout, n_mu, levels, n_phi, *rest):
             log["rounds"] += 1
-            log["n_phi"] = n_phi or 1
+            log["n_phi"] = n_phi
             return directions(axis, layout, n_mu, levels, n_phi, *rest)
 
         def field(y, data=data):
@@ -594,8 +594,7 @@ def azimuth_counts(monkeypatch):
     counts = []
     inner = quad.layered_directions
 
-    def spy(axis, layout, n_mu, levels, n_phi=None, mu_lo=-1.0,
-            offset=False):
+    def spy(axis, layout, n_mu, levels, n_phi, mu_lo=-1.0, offset=False):
         if offset:
             counts[-1] += n_phi
         else:
@@ -772,6 +771,27 @@ def test_poisson_extension_non_finite_data_raises_at_its_point(N, s):
 
 
 @pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("s", [0.5, 1.0])
+def test_poisson_extend_radial_matches_polar(N, s):
+    # The sphere integral of the kernel at each exterior radius is the
+    # closed single-pole angle (g(R) itself at s = 1).
+    def g(y):
+        return 1.0 / (1.0 + np.sum(np.atleast_2d(y) ** 2, axis=1))
+
+    def declared(y):
+        return g(y)
+
+    ball = Ball(center=(0.0,) * N, radius=1.0)
+    x = np.array([0.3, -0.2, 0.4][:N])
+    radial = poisson_extend(ball, radial_field(declared), s, x, CFG)
+    polar = poisson_extend(ball, g, s, x, CFG)
+    assert 10 * radial.evaluations < polar.evaluations
+    assert abs(radial.value - polar.value) <= (radial.error_estimate
+                                               + polar.error_estimate)
+    assert radial.tolerance_ok
+
+
+@pytest.mark.parametrize("N", [2, 3])
 def test_poisson_classical_kernel_mass(N):
     from fraclab.geometry import boundary_quadrature
     ball = Ball(center=(0.0,) * N, radius=1.5)
@@ -780,6 +800,37 @@ def test_poisson_classical_kernel_mass(N):
     z[0] = 0.7
     pk = poisson_ball_classical(ball, z, rule.nodes)
     assert float(rule.weights @ pk) == pytest.approx(1.0, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Exterior sphere means of |z - rho w|^(-N-2s), the kernel of the radial
+# normal derivative.
+# ---------------------------------------------------------------------------
+
+# rho = 1 - gap at r = 1, gap exact: rho^2 up to 1 - 7e-15, and below 1/2.
+MEAN_GAPS = np.r_[2.0 ** -np.arange(1, 48), 0.3, 0.6, 0.9, 0.99]
+
+
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.49, 0.5, 0.51, 0.75, 0.99,
+                               0.5 - 1e-7])
+def test_circle_mean_matches_mpmath(s):
+    # 2 pi (1 - rho^2)^(-1-2s) 2F1(-s, -s; 1; rho^2), also at and next to
+    # s = 1/2, where the expansion about rho = 1 turns logarithmic.
+    got = kernels._exterior_mean(2, s, 1.0, 1.0 - MEAN_GAPS, MEAN_GAPS)
+    with mpmath.workdps(30):
+        for gap, value in zip(MEAN_GAPS, got):
+            rho = 1 - mpmath.mpf(gap)
+            want = 2 * mpmath.pi * (1 - rho ** 2) ** (-1 - 2 * mpmath.mpf(s)) \
+                * mpmath.hyp2f1(-s, -s, 1, rho ** 2)
+            assert abs(value - want) <= 1e-13 * abs(want), gap
+
+
+def test_exterior_means_reduce_to_the_single_pole_angle():
+    rho = np.array([0.1, 0.5, 0.999])
+    for N in (2, 3):
+        got = kernels._exterior_mean(N, 0.0, 1.2, rho, 1.2 - rho)
+        want = kernels._single_pole_angle(N, 1.2, rho)
+        np.testing.assert_allclose(got, want, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -879,6 +930,30 @@ def test_comp_apply_radial_frozen(N, s, r, expected):
     f = radial_field(lambda y: np.ones(len(np.atleast_2d(y))))
     res = comp_poisson_apply(ball, f, s, x, CFG)
     assert res.value == pytest.approx(expected, rel=1e-8)
+
+
+def test_comp_apply_generic_2d_follows_its_config():
+    # Non-radial data: the nested rule takes its orders and depth from the
+    # config (three quarters of each order, depth log2(1 / rel_tol)), the
+    # fixed 48, 12 and 20 at the default, so a tighter config reads more
+    # points and lands closer.  Reference: the same path at rel_tol=1e-12,
+    # angular_order=128, radial_order=32 gives 0.3249575007837765.  The
+    # default is 3.1e-10 from it, the tighter config 1.5e-12 (at fixed
+    # orders it read the default's points and values).
+    ball = Ball(center=(0.0, 0.0), radius=1.0)
+
+    def f(y):
+        return np.exp(-np.sum((np.atleast_2d(y) + (0.5, 0.0)) ** 2, axis=1))
+
+    x = np.array([0.1, 0.2])
+    default = comp_poisson_apply(ball, f, 0.5, x, CFG)
+    tight = comp_poisson_apply(ball, f, 0.5, x, QuadConfig(
+        rel_tol=1e-9, angular_order=96, radial_order=24))
+    assert default.evaluations == 30528
+    assert default.value == 0.3249575004725461
+    assert tight.evaluations > default.evaluations
+    assert abs(tight.value - 0.3249575007837765) < 3e-12
+    assert abs(default.value - 0.3249575007837765) > 3e-10
 
 
 def test_comp_apply_generic_matches_radial_fast_path():

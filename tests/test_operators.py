@@ -6,12 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import hyp2f1
 
 from fraclab.core import CapabilityError, DomainError
 from fraclab.geometry import Ball, Ellipsoid
 from fraclab.kernels import green_apply
 from fraclab.quadrature import QuadConfig
-from fraclab.specfun import ball_torsion_constant, log_constants
+from fraclab.specfun import (ball_torsion_constant, frac_normalization,
+                             log_constants)
 from fraclab import derivative, kernels, operators
 from fraclab.operators import (CompactField, ScalarField, frac_laplacian,
                                h_omega, interchange_residual, log_laplacian,
@@ -460,6 +463,77 @@ def test_nonlocal_normal_derivative_off_axis():
     assert b.value == pytest.approx(a.value, rel=1e-9)
 
 
+def torsion_flux(N, s, q):
+    """``N_s u_s`` at ``|z| = q > 1`` for the torsion ``u_s = d(N,s) (1 -
+    |y|^2)_+^s`` of the unit ball: ``-c(N,s) d(N,s) int_0^1 (1 - rho^2)^s
+    rho^(N-1) M(q, rho) drho`` by scipy's ``quad`` in ``v = ln(1 - rho)``,
+    with the sphere mean ``M`` of ``|z - rho w|^(-N-2s)`` taken as ``2 pi
+    q^(-2 nu) 2F1(nu, nu; 1; rho^2/q^2)``, ``nu = 1 + s`` (scipy's
+    ``hyp2f1``) in the plane and as the elementary ``2 pi ((q - rho)^k -
+    (q + rho)^k) / (-k q rho)``, ``k = -1 - 2s``, in space."""
+    k = -1.0 - 2.0 * s
+
+    def mean(rho):
+        if N == 2:
+            return 2.0 * math.pi * q ** (-2.0 - 2.0 * s) * hyp2f1(
+                1.0 + s, 1.0 + s, 1.0, (rho / q) ** 2)
+        return 2.0 * math.pi * ((q - rho) ** k - (q + rho) ** k) \
+            / (-k * q * rho)
+
+    def integrand(v):
+        rho = 1.0 - math.exp(v)
+        return (2.0 - math.exp(v)) ** s * rho ** (N - 1) * mean(rho) \
+            * math.exp((1.0 + s) * v)
+
+    val, _ = quad(integrand, -80.0, 0.0, points=[math.log(q - 1.0)],
+                  epsabs=0.0, epsrel=2e-14, limit=400)
+    return -frac_normalization(N, s) * ball_torsion_constant(N, s)[0] * val
+
+
+@pytest.mark.parametrize("q", [1.001, 1.01, 1.1, 1.5, 3.0])
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_radial_normal_derivative_matches_exterior_flux(s, q):
+    # One integral in |y| with the closed sphere mean (8e-15 or closer on
+    # every row), about 700 to 900 points per call.
+    u = restriction_ws(DISC, ones_field(2), s)
+    got = nonlocal_normal_derivative(u, s, axis_point(2, q))
+    assert got.value == pytest.approx(torsion_flux(2, s, q), rel=1e-12)
+    assert got.evaluations < 1000 and got.tolerance_ok
+
+
+@pytest.mark.parametrize("q", [1.01, 1.25, 2.0])
+@pytest.mark.parametrize("s", [0.25, 0.75])
+def test_radial_normal_derivative_matches_3d_mean_quadrature(s, q):
+    u = restriction_ws(BALL3, ones_field(3), s)
+    got = nonlocal_normal_derivative(u, s, np.array([0.6, -0.48, 0.64]) * q)
+    assert got.value == pytest.approx(torsion_flux(3, s, q), rel=1e-12)
+
+
+def dome_gauss(domain, radial):
+    # (1 - |y|^2)_+^(1/2) e^{-|y|^2}, declared or not declared radial.
+    def fn(p):
+        r2 = np.sum(p * p, axis=1)
+        return np.sqrt(np.maximum(1.0 - r2, 0.0)) * np.exp(-r2)
+
+    return CompactField(fn, domain, radial=radial, smooth_scale=1.0,
+                        boundary_power=0.5)
+
+
+@pytest.mark.parametrize("N,z,cfg", [
+    (2, (1.1, -0.3), QuadConfig()),
+    (3, (0.2, -0.1, 1.25), QuadConfig(angular_order=48, radial_order=10,
+                                      max_subdiv=12)),
+], ids=["2", "3"])
+def test_radial_normal_derivative_matches_polar_route(N, z, cfg):
+    radial, polar = (nonlocal_normal_derivative(
+        dome_gauss(unit_ball(N), flag), 0.5, np.array(z), cfg)
+        for flag in (True, False))
+    assert radial.evaluations < 1000 < polar.evaluations
+    assert abs(radial.value - polar.value) <= (radial.error_estimate
+                                               + polar.error_estimate)
+    assert radial.tolerance_ok
+
+
 def test_nonlocal_normal_derivative_contract():
     u = restriction_ws(DISC, ones_field(2), 0.75)
     with pytest.raises(DomainError):
@@ -535,7 +609,8 @@ def bump(domain, radial):
 
 # These take one integral in |y - centre| for data radial about the centre
 # of its ball instead of a folded polar pass.
-RADIAL_ROUTES = ("green_apply", "log_laplacian_compact")
+RADIAL_ROUTES = ("green_apply", "log_laplacian_compact",
+                 "nonlocal_normal_derivative")
 
 
 @pytest.mark.parametrize("name,domain", [

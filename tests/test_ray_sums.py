@@ -56,11 +56,19 @@ def compact2():
 
 
 def layered2():
-    # Not compactly supported, with an integrable (r - 1)^(-1/2) layer
-    # outside the disc that the ray segments must grade toward.
-    return operators._radial_interp_field(
-        DISC, lambda r: 1.0 - 0.5 * r * r,
-        lambda r: 0.5 * (r - 1.0) ** -0.5 * r ** -2.5, 3.0, ext_power=-0.5)
+    # Not compactly supported: 1 - r^2/2 inside the disc, and outside it
+    # an integrable (r - 1)^(-1/2) layer that the ray segments must grade
+    # toward, decaying like r^(-3).
+    def fn(p):
+        r = np.sqrt(np.sum(p * p, axis=1))
+        out = 1.0 - 0.5 * r * r
+        out_side = r >= 1.0
+        e = np.maximum(r[out_side] - 1.0, 1e-300)
+        out[out_side] = 0.5 * e ** -0.5 * r[out_side] ** -2.5
+        return out
+
+    return ScalarField(fn=fn, dim=2, domain=DISC, radial=True,
+                       smooth_scale=0.5, exterior_power=-0.5)
 
 
 def ws2():
@@ -82,17 +90,26 @@ CASES = {
     # folds +-theta).  Re-frozen then (was 177344 evaluations, value
     # -0.4683180280955783): 5.5e-10 from -0.4683180286065821, the unfolded
     # rule at angular order 256, radial order 30 and max_subdiv 40 (the
-    # unfolded value was 5.1e-10 off), inside the estimate 1.3e-8.
+    # unfolded value was 5.1e-10 off), inside the estimate 1.3e-8.  The
+    # field then read its profiles from splines; re-frozen on the analytic
+    # profiles themselves (was -0.4683180280567908): 7.0e-11 from
+    # -0.4683325499151707, the rule at angular order 256, radial order 30
+    # and max_subdiv 40, inside the estimate 1.4e-9.
     "log_laplacian_exterior_layer": (
-        layered2, lambda u: log_laplacian(u, X), 88672, -0.4683180280567908),
+        layered2, lambda u: log_laplacian(u, X), 88672, -0.46833254984532235),
     # The disc's h_Omega is closed now: its 2128 evaluations are gone.
     "log_laplacian_domain_form": (
         compact2, lambda u: log_laplacian_compact(u, X), 63232,
         1.1627727776170782),
-    # The cone of radial data keeps one side of its axis (was 526720).
+    # Radial data takes one integral in |y| with the closed sphere mean of
+    # the kernel (was 263360 evaluations on one side of the cone's axis,
+    # 526720 on the whole cone, value -0.3251780002520529): 5.0e-16 from
+    # -0.32517800025201954, the cone rule on the same data not declared
+    # radial at angular order 256, radial order 30 and max_subdiv 40, and
+    # 6.1e-16 from the closed exterior flux -0.32517800025201965.
     "normal_derivative_ws_2d": (
         ws2, lambda u: nonlocal_normal_derivative(u, 0.5, np.array([1.2, 0.1])),
-        263360, -0.3251780002520529),
+        688, -0.32517800025201904),
     # The cone rings double their azimuths from 8: this polynomial stops
     # at 16 in both passes (6058752 evaluations at a fixed 60 and 48,
     # value 1.6e-16 lower).  The one coarse policy grades the coarse pass
@@ -113,10 +130,14 @@ CASES = {
     # 0.9798935329470566): 4.1e-11 from 0.9798935329220773, the unfolded
     # rule at angular order 256, radial order 30 and max_subdiv 40 (the
     # unfolded value was 2.5e-11 off), inside the estimate 1.5e-9.  The
-    # coarse pass grades 18 levels deep, not 24 (was 119232).
+    # coarse pass grades 18 levels deep, not 24 (was 119232).  Re-frozen on
+    # the analytic profiles instead of their splines (was
+    # 0.9798935329627722): 2.1e-11 from 0.9798915881179144, the rule at
+    # angular order 256, radial order 30 and max_subdiv 40, inside the
+    # estimate 7.7e-10.
     "frac_laplacian_decaying_tail": (
         layered2, lambda u: frac_laplacian(u, 0.5, Y), 113472,
-        0.9798935329627722),
+        0.9798915881390003),
 }
 
 
