@@ -276,8 +276,8 @@ def _sphere_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns unit vectors (M, 3) and weights summing to 4 pi.
     """
-    n_mu = max(4, int(order))
-    n_phi = max(8, 2 * int(order))
+    n_mu = int(order)
+    n_phi = 2 * n_mu
     mu, wmu = np.polynomial.legendre.leggauss(n_mu)
     phi = 2.0 * math.pi * (np.arange(n_phi) + 0.5) / n_phi
     sin_th = np.sqrt(1.0 - mu ** 2)

@@ -11,9 +11,8 @@ Stability conventions
   that matter most near the diagonal.  Against 50-digit mpmath it is
   within 2e-15 relative for ``0.01 <= s <= 0.999999``, also as ``s ->
   1``, where ``kappa`` grows like ``1 / (1 - s)`` in the plane.
-  ``green_apply`` integrates the whole kernel on a single radial rule
-  graded with the Riesz exponent, so no Riesz sum and tail correction
-  cancel each other.
+* ``green_apply`` never evaluates the kernel pointwise: its closed
+  integrals over spheres, degree by degree, meet the data's moments.
 * Every integral across the boundary layer of the exterior uses the
   *distance* ``E = q - R`` as integration variable.  The singular factor
   ``(q - R)^(-s)`` is then evaluated from an exactly-represented ``E``
@@ -73,10 +72,14 @@ def _absolute(domain: Ball, pts: np.ndarray) -> np.ndarray:
     return pts + c if c.any() else pts
 
 
-def _radial_points(ball: Ball, rho) -> np.ndarray:
-    """``centre + rho e_1``, one row per radius ``rho``: every radial
-    route, tabulator and scan places its samples here."""
+def _radial_points(ball: Ball, rho, dirs=None) -> np.ndarray:
+    """``centre + rho d`` for every radius ``rho`` and row ``d`` of ``dirs``
+    (``e_1`` when None), radius by radius: every route in ``rho``,
+    tabulator and scan places its samples here."""
     rho = np.atleast_1d(rho)
+    if dirs is not None:
+        return _absolute(ball, (rho[:, None, None] * dirs).reshape(
+            -1, ball.dim))
     pts = np.tile(ball.center_array, (len(rho), 1))
     pts[:, 0] += rho
     return pts
@@ -161,16 +164,14 @@ def green_ball(domain: Domain, s, x, y) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
-# Nodes per chunk of rays in the polar pass of green_apply: whole rings
-# under this count keep its work arrays a few MB.
-_GREEN_CHUNK = 131072
-
-# The radial Green rule: rows of rho nodes whose v-rules share one block of
-# work arrays, the width of its panels in ln t, and how much deeper than
-# the other rules it grades toward rho = |x| at s < 1.
+# The Green rule: rows of rho nodes whose v-rules share one block of work
+# arrays, the width of its panels in ln t, how much deeper than the other
+# rules it grades toward rho = |x| at s < 1, and the data nodes per call of
+# f, which keep the work arrays near 6 MB.
 _SHELL_BLOCK = 256
 _LOG_PANEL = 3.0
 _SHELL_DEPTH = 14
+_SPHERE_NODES = 1 << 18
 
 
 def _shell_denominator(N: int, a2, b2, t):
@@ -192,11 +193,25 @@ def _shell_denominator(N: int, a2, b2, t):
     return A
 
 
+def _degree_sums(N: int, num, p, a2, b2, t, w, L: int) -> np.ndarray:
+    """Rows ``(num phi q^l) @ w`` for ``l <= L``, ``phi`` of
+    :func:`_shell_denominator` at ``t`` (overwritten) and ``q = p /
+    (sqrt(a2 + t) + sqrt(b2 + t))^2`` in cumulative products."""
+    q = p / (np.sqrt(a2 + t) + np.sqrt(b2 + t)) ** 2 if L else None
+    vals = num / _shell_denominator(N, a2, b2, t)
+    out = np.empty((L + 1, len(vals)))
+    out[0] = vals @ w
+    for l in range(1, L + 1):
+        vals *= q
+        out[l] = vals @ w
+    return out
+
+
 def _shell_factor(N: int, s: float, a: np.ndarray, b: np.ndarray,
-                  c: np.ndarray, n: int) -> np.ndarray:
-    """``int_0^c t^(s-1) phi(t) dt`` row by row, ``phi`` as in
-    :func:`_shell_denominator` with ``a = |rho - r| > 0`` and ``b = rho +
-    r``.
+                  c: np.ndarray, p: np.ndarray, n: int, L: int) -> np.ndarray:
+    """``int_0^c t^(s-1) phi(t) q(t)^l dt``, one row per degree ``l <= L``
+    and one column per entry of ``a = |rho - r| > 0``, with ``b = rho +
+    r``, ``p = 4 r rho`` and ``phi``, ``q`` of :func:`_degree_sums`.
 
     ``phi`` turns from ``1/(a b)`` toward ``t^(-1/2)/b`` at ``t = a^2`` and
     toward ``1/t`` at ``t = b^2``.  An ``n``-node Gauss-Jacobi rule of
@@ -211,71 +226,81 @@ def _shell_factor(N: int, s: float, a: np.ndarray, b: np.ndarray,
     a2, b2 = a * a, b * b
     t1 = np.minimum(a2, c)
     u, wj = quad._jacobi_unit(n, s - 1.0)
-    out = t1 ** s * ((1.0 / _shell_denominator(
-        N, a2[:, None], b2[:, None], t1[:, None] * u)) @ wj)
+    cols = (p[:, None], a2[:, None], b2[:, None])
+    out = t1 ** s * _degree_sums(N, 1.0, *cols, t1[:, None] * u, wj, L)
     xg, wg = quad._gauss_unit(n)
     span = np.log(c / t1)
     full = np.floor(span / _LOG_PANEL).astype(np.intp)
     h = span - _LOG_PANEL * full
     lnt = np.log(t1)[:, None] + h[:, None] * xg
-    out += h * ((np.exp(s * lnt) / _shell_denominator(
-        N, a2[:, None], b2[:, None], np.exp(lnt))) @ wg)
+    out += h * _degree_sums(N, np.exp(s * lnt), *cols, np.exp(lnt), wg, L)
     row = np.repeat(np.arange(len(a)), full)
     k = np.arange(len(row)) - np.repeat(np.cumsum(full) - full, full)
     lnq = np.log(c)[row] - _LOG_PANEL * (k + 1.0)
     e = np.exp(_LOG_PANEL * xg)
-    vals = np.exp(s * lnq)[:, None] * e ** s
-    vals /= _shell_denominator(N, a2[row, None], b2[row, None],
-                               np.exp(lnq)[:, None] * e)
-    return out + np.bincount(row, weights=vals @ (_LOG_PANEL * wg),
-                             minlength=len(a))
+    panels = _degree_sums(N, np.exp(s * lnq)[:, None] * e ** s,
+                          p[row, None], a2[row, None], b2[row, None],
+                          np.exp(lnq)[:, None] * e, _LOG_PANEL * wg, L)
+    for l in range(L + 1):
+        out[l] += np.bincount(row, weights=panels[l], minlength=len(a))
+    return out
 
 
 def _shell_green(N: int, s: float, R: float, r: float, rho: np.ndarray,
-                 off: np.ndarray, sigma: np.ndarray, n: int) -> np.ndarray:
-    """``K(rho) = int_{|y| = rho} G_s(x, y) dS(y)`` for ``|x| = r`` on the
-    centred ball, at nodes with offsets ``off = rho - r`` and distances
-    ``sigma = R - rho`` (:func:`~fraclab.quadrature.offset_rule`).
+                 off: np.ndarray, sigma: np.ndarray, n: int, L: int
+                 ) -> np.ndarray:
+    """``K_l(rho) = int_{|y| = rho} G_s(x, y) Z_l dS(y)``, one row per
+    degree ``l <= L`` and one column per node, for ``|x| = r`` on the
+    centred ball, with ``Z_l = P_l`` (space) or ``cos(l psi)`` (plane) of
+    the angle between ``y`` and ``x``, at nodes with offsets ``off = rho -
+    r`` and ``sigma = R - rho`` (:func:`~fraclab.quadrature.offset_rule`).
 
-    At ``s = 1`` it is ``rho ln(R / max(r, rho))`` (plane) and
-    ``rho^2 (1 / max(r, rho) - 1 / R)`` (space).  For ``s < 1``,
-    ``G = pref c^s int_0^1 v^(s-1) (d^2 + c v)^(-N/2) dv`` with ``c = (R^2 -
-    r^2)(R^2 - rho^2) / R^2`` constant on the sphere, whose angular integral
-    is closed: ``K = pref 2 pi rho int_0^c t^(s-1) phi(t) dt`` (plane) or
-    ``pref 8 pi rho^2`` times it (space), with ``1 / phi`` of
-    :func:`_shell_denominator` (:func:`_shell_factor`, in rows of
-    :data:`_SHELL_BLOCK`).
+    At ``s = 1`` they are the multipole factors ``K_0 = rho ln(R / max(r,
+    rho))`` (plane) or ``rho^2 (1 / max(r, rho) - 1 / R)`` (space), then,
+    with ``k = 2l + N - 2``, ``(rho / k) (r / rho)^l (1 - (rho / R)^k)``
+    above ``r`` and ``(rho / k) (rho / r)^(l + N - 2) (1 - (r / R)^k)``
+    below.  For ``s < 1``, ``G = pref int_0^c t^(s-1) (d^2 + t)^(-N/2)
+    dt``, ``c = (R^2 - r^2)(R^2 - rho^2) / R^2``, and the angular integral
+    of ``(d^2 + t)^(-N/2) Z_l`` is ``q^l`` times that of degree 0 (DLMF
+    18.12): ``K_l = pref 2 pi rho`` or ``pref 8 pi rho^2`` times
+    :func:`_shell_factor`.
     """
     if s >= 1.0:
         # Nodes below r exist only for r > 0.
         outer, inner = off > 0.0, off <= 0.0
-        K = np.empty(len(rho))
-        if N == 2:
-            K[outer] = -rho[outer] * np.log1p(-sigma[outer] / R)
-            if inner.any():
-                K[inner] = rho[inner] * math.log(R / r)
-        else:
-            K[outer] = rho[outer] * sigma[outer] / R
-            if inner.any():
-                K[inner] = rho[inner] ** 2 * (R - r) / (r * R)
+        ro, so, ri = rho[outer], sigma[outer], rho[inner]
+        l = np.arange(1.0, L + 1.0)[:, None]
+        k = 2.0 * l + (N - 2)
+        K = np.empty((L + 1, len(rho)))
+        K[0, outer] = -ro * np.log1p(-so / R) if N == 2 else ro * so / R
+        K[1:, outer] = ro / k * (r / ro) ** l \
+            * -np.expm1(k * np.log1p(-so / R))
+        if inner.any():
+            K[0, inner] = ri * math.log(R / r) if N == 2 else \
+                ri ** 2 * (R - r) / (r * R)
+            K[1:, inner] = ri / k * (ri / r) ** (l + N - 2) \
+                * -np.expm1(k * math.log1p(-(R - r) / R))
         return K
     c = (R - r) * (R + r) * sigma * (2.0 * R - sigma) / (R * R)
-    a, b = np.abs(off), rho + r
-    J = np.empty(len(rho))
+    a, b, p = np.abs(off), rho + r, 4.0 * r * rho
+    J = np.empty((L + 1, len(rho)))
     for lo in range(0, len(rho), _SHELL_BLOCK):
         blk = slice(lo, lo + _SHELL_BLOCK)
-        J[blk] = _shell_factor(N, s, a[blk], b[blk], c[blk], n)
+        J[:, blk] = _shell_factor(N, s, a[blk], b[blk], c[blk], p[blk], n, L)
     ang = 2.0 * math.pi * rho if N == 2 else 8.0 * math.pi * rho * rho
     return _green_prefactor(N, s) * ang * J
 
 
-def _angular_order(cfg: QuadConfig, N: int, floor: float) -> int:
-    """Fine angular order of a polar pass.  In 2D it is raised to
-    ``floor`` (capped at 4096) where the integrand narrows near the
-    boundary."""
-    if N == 2:
-        return int(min(4096, max(cfg.angular_order, floor)))
-    return cfg.angular_order
+def _sphere_moments(f, ball: Ball, rho: np.ndarray, dirs: np.ndarray,
+                    Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Y^T f(centre + rho_i dirs)`` per node ``rho_i`` and ``|Y|^T |f|``,
+    the scale of its rounding, in blocks under :data:`_SPHERE_NODES`."""
+    h, scale = np.empty((2, Y.shape[1], len(rho)))
+    for sl in quad.direction_chunks(len(rho), len(Y), _SPHERE_NODES):
+        vals = quad._finite_values(f, _radial_points(ball, rho[sl], dirs))
+        vals = vals.reshape(-1, len(Y)).T
+        h[:, sl], scale[:, sl] = Y.T @ vals, np.abs(Y.T) @ np.abs(vals)
+    return h, scale
 
 
 def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
@@ -285,38 +310,26 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
     ``boundary_power`` declares how ``f`` behaves at the boundary
     (``delta^p``; logarithmic factors are absorbed by the dyadic panels).
 
-    Data radial about the centre of the ball
-    (:func:`~fraclab.quadrature.centred_radial`) takes one integral in
-    ``rho = |y - centre|``: ``int_0^R K(rho) f(rho) drho``, with the
-    sphere integral ``K`` of the Green function done without the data
-    (:func:`_shell_green`), so ``f`` is read once per ``rho`` node.  The
-    rule (:func:`~fraclab.quadrature.offset_rule`) grades toward ``rho = r
-    = |x - centre|`` from both sides, where ``K`` behaves like ``|rho -
-    r|^(2s-1)`` plus a regular part: a Jacobi micro-segment of that
-    exponent ends it :data:`_SHELL_DEPTH` levels deeper than the other
-    rules, since it is exact for the singular part alone.  At ``s = 1``
-    ``K`` only kinks there.  Toward ``R`` it grades with the exponent ``s
-    + boundary_power``.  Every node costs a ``v``-rule, so the rule takes
-    10 Gauss nodes per dyadic level, which reach rounding on such panels,
-    whatever ``radial_order`` says; the ``v``-rules take 12 nodes per
-    panel.  The coarse pass takes 8 of each.
+    One integral in ``rho = |y - centre|`` serves every datum, one
+    harmonic degree at a time (Funk-Hecke; Atkinson and Han, *Spherical
+    Harmonics and Approximations on the Unit Sphere*, LNM 2044, 2012):
+    the kernel's factors ``K_l`` over each sphere (:func:`_shell_green`)
+    meet the data's moments on it (:func:`_sphere_moments`) about ``x -
+    centre``.  The degree ``L`` runs through 1, 3, 7, ... up to half the
+    ``angular_order`` (at least 4), on rules that share no node, until the
+    :func:`~fraclab.quadrature.doubling_error` of the last step meets
+    ``max(abs_tol, rel_tol |value|)``; that error joins the estimate.
+    Data radial about the centre (:func:`~fraclab.quadrature.centred_radial`)
+    is ``L = 0``, read once per ``rho`` node at ``centre + rho e_1``.
 
-    Other data is integrated in polar form around ``x``: along each ray
-    the full kernel (:func:`_green_kernel`) is ``t^(2s-N)`` times ``kappa
-    I_x``, whose correction ``1 - I_x`` vanishes like ``t^(N-2s)`` at ``t
-    = 0``; one radial rule graded toward ``t = 0`` with the Riesz exponent
-    ``2s - 1`` (``N - 1`` for the classical ``s = 1`` kernel) therefore
-    reaches rounding level, and each node reads ``f`` once.  In 3D each
-    ring of directions around ``x`` takes as many azimuths as the data
-    needs (:func:`~fraclab.quadrature.azimuth_rings`, capped through
-    ``angular_order``).  The directions of a ring make the same angle with
-    ``x``, so on the ball they share the ray span ``t_hi``, ``|y|`` at
-    each radius and hence the kernel: each azimuth round computes
-    ``t_hi``, the kernel and ``t^(N-1)`` once per ring and radial node, on
-    the ring's first azimuth, while ``f`` is read at every node.  The
-    plane runs the same code with one direction per ring.  Rays run in
-    chunks of whole rings under :data:`_GREEN_CHUNK` nodes, so the work
-    arrays stay a few MB however many directions a pass takes.
+    The rule (:func:`~fraclab.quadrature.offset_rule`) grades toward
+    ``rho = r = |x - centre|`` from both sides, where every ``K_l`` behaves
+    like ``|rho - r|^(2s-1)`` plus a regular part (it kinks at ``s = 1``),
+    with a Jacobi micro-segment of that exponent :data:`_SHELL_DEPTH`
+    levels deeper than the other rules, and toward ``R`` with the exponent
+    ``s + boundary_power``.  It takes 10 Gauss nodes per dyadic level and
+    the ``v``-rules 12 per panel, whatever ``radial_order`` says (8 of each
+    in the coarse pass): they reach rounding on such panels.
     """
     ball = _require_ball(domain, "the Green solution operator")
     cfg = cfg or QuadConfig()
@@ -327,81 +340,38 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
     if np.linalg.norm(xc) >= R:
         raise DomainError("Green solution evaluated outside the domain")
     bp = 0.0 if boundary_power is None else float(boundary_power)
+    r = quad._centre_distance(xc, R)
+    rule = (None, np.ones((1, 1))) if quad.centred_radial(f, ball) else None
+    top = (max(4, cfg.angular_order // 2) + 1).bit_length()
+    degrees = [0] if rule else [2 ** k - 1 for k in range(1, top)]
 
-    if quad.centred_radial(f, ball):
-        r = quad._centre_distance(xc, R)
+    def green_pass(n_v, n_rad, levels):
+        near = (0.0, levels) if s >= 1.0 else \
+            (2.0 * s - 1.0, levels + _SHELL_DEPTH)
+        rho, off, sigma, w = quad.offset_rule(r, R, n_rad, near,
+                                              (s + bp, levels))
+        K, evals, gap, err = np.empty((0, len(rho))), 0, 0.0, 0.0
+        for i, L in enumerate(degrees):
+            if len(K) <= L:
+                # One degree ahead: the factors cost more than the data.
+                K = _shell_green(N, s, R, r, rho, off, sigma, n_v,
+                                 degrees[min(i + 1, len(degrees) - 1)])
+            dirs, Y = rule or quad.harmonic_rule(N, xc, L)
+            h, scale = _sphere_moments(f, ball, rho, dirs, Y)
+            wK = w * K[:L + 1]
+            value = float((wK * h).sum())
+            evals += len(rho) * len(Y)
+            if i:
+                err, gap = quad.doubling_error(gap, abs(value - last)), \
+                    abs(value - last)
+                if err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+                    break
+            last = value
+        # Kernel values and moments carry about 1e-15 relative rounding, so
+        # terms that cancel leave it on the scale of sum |w K| |Y| |f|.
+        return value, evals, err + 1e-15 * float((np.abs(wK) * scale).sum())
 
-        def radial_pass(n_v, n_rad, levels):
-            near = (0.0, levels) if s >= 1.0 else \
-                (2.0 * s - 1.0, levels + _SHELL_DEPTH)
-            rho, off, sigma, w = quad.offset_rule(r, R, n_rad, near,
-                                                  (s + bp, levels))
-            terms = w * _shell_green(N, s, R, r, rho, off, sigma, n_v) \
-                * _radial_data(f, ball, rho)
-            # Kernel values carry about 1e-15 relative rounding, so terms
-            # that cancel leave it on the scale of sum |terms|.
-            return float(terms.sum()), len(rho), \
-                1e-15 * float(np.abs(terms).sum())
-
-        return quad._two_pass(radial_pass, (12, 10, cfg.max_subdiv), cfg)
-
-    r = float(np.linalg.norm(xc))
-    rel = max(1e-8, 1.0 - r / R)
-    lx = R * R - r * r
-    # Ray spans kink across the tangency circle on the angular scale
-    # width = sqrt(R^2 - r^2) / r (seen in mu = cos(angle to x)).
-    width = min(1.0, max(1e-12, math.sqrt(max(lx, 0.0)) / max(r, 1e-300)))
-    alpha = float(N - 1) if s >= 1.0 else 2.0 * s - 1.0
-    hi = 1.0 + bp if s >= 1.0 else bp
-
-    def one_pass(m_ang, n_rad, levels):
-        xu, wu = quad.unit_power_rule(alpha, hi, n_rad, levels)
-
-        def ring_pass(dirs, w_dir, n_phi):
-            # The azimuths of a ring share mu = cos(theta, x), so its span,
-            # ly, kernel and t^(N-1) come from its first azimuth; f is read
-            # at every node.
-            _, t_hi, _ = geometry.ray_spans(ball, ball.center_array + xc,
-                                            dirs[::n_phi])
-            total = 0.0
-            for sl in quad.direction_chunks(len(t_hi), n_phi * len(xu),
-                                            _GREEN_CHUNK):
-                rows = slice(sl.start * n_phi, sl.stop * n_phi)
-                t = t_hi[sl, None] * xu[None, :]
-                ring_dirs = dirs[rows].reshape(len(t), n_phi, N)
-                pts = np.empty((len(t), n_phi, len(xu), N))
-                for d in range(N):
-                    # In place, column by column: x + t theta, bit for bit.
-                    col = pts[..., d]
-                    np.multiply(t[:, None, :], ring_dirs[:, :, d, None],
-                                out=col)
-                    col += xc[d]
-                # Distances come from the radial variable directly;
-                # coordinates collapse onto x at the innermost nodes.  ly
-                # is taken first: on a centred ball f reads pts itself.
-                ly = np.maximum(R * R - geometry.sq_dist(pts[:, 0]), 0.0)
-                flat = _absolute(ball, pts.reshape(-1, N))
-                fv = quad._finite_values(f, flat).reshape(pts.shape[:-1])
-                kern = _green_kernel(N, s, R, lx, ly.reshape(-1),
-                                     t.reshape(-1)).reshape(t.shape)
-                vals = (kern[:, None, :] * fv) * (t ** (N - 1))[:, None, :]
-                rad = vals.reshape(-1, len(xu)) @ wu
-                total += float(w_dir[rows]
-                               @ (rad * np.repeat(t_hi[sl], n_phi)))
-            return total, len(dirs) * len(xu)
-
-        if N == 2:
-            return ring_pass(*quad.polar_directions(N, m_ang), 1)
-        lv = int(min(levels, 24,
-                     max(6, math.ceil(math.log2(1.0 / width)) + 6)))
-        return quad.azimuth_rings(ring_pass, xc, "equator", max(10, n_rad - 4),
-                                  lv, min(256, max(16, m_ang)), cfg)
-
-    # In 2D the radial integral varies with the direction on the scale of
-    # the tangency width sqrt(delta); resolve it.
-    m_ang = _angular_order(cfg, N, 12.0 / math.sqrt(rel))
-    return quad._two_pass(one_pass, (m_ang, cfg.radial_order,
-                                     cfg.max_subdiv), cfg)
+    return quad._two_pass(green_pass, (12, 10, cfg.max_subdiv), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +568,11 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
 
     # The kernel's angular peak has width delta near the boundary and the
     # 2D trapezoid error falls like exp(-m delta): 30/delta directions
-    # reach rounding level, 10/delta stay about 4e-5 off.
-    return quad._two_pass(one_pass, (_angular_order(cfg, N, 30.0 / rel),
-                                     cfg.radial_order, cfg.max_subdiv), cfg)
+    # (at most 4096) reach rounding level, 10/delta stay about 4e-5 off.
+    m_ang = cfg.angular_order if N == 3 else \
+        int(min(4096, max(cfg.angular_order, 30.0 / rel)))
+    return quad._two_pass(one_pass, (m_ang, cfg.radial_order,
+                                     cfg.max_subdiv), cfg)
 
 
 # ---------------------------------------------------------------------------

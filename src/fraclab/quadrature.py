@@ -23,7 +23,9 @@ Polar passes in dimension 3 that follow a boundary layer use
 :func:`layered_directions` instead, whose azimuth count per ring
 :func:`azimuth_rings` doubles until the data is resolved, reading each
 node once; what depends on a ring's polar angle alone may be computed
-once per ring.
+once per ring.  The Green operator of a ball reads the data through its
+harmonic moments on spheres about the centre (:func:`harmonic_rule`).
+Both judge their last doubling by :func:`doubling_error`.
 
 Integrals along rays from a point (the interior polar pass, the
 logarithmic Laplacians, the nonlocal normal derivative, the
@@ -75,7 +77,9 @@ __all__ = [
     "centred_radial",
     "polar_directions",
     "layered_directions",
+    "harmonic_rule",
     "azimuth_rings",
+    "doubling_error",
     "direction_chunks",
     "unit_power_rule",
     "offset_rule",
@@ -152,9 +156,9 @@ def _two_pass(one_pass, fine: tuple[int, int, int], cfg: QuadConfig, *,
 
     ``one_pass(angular, radial, levels)`` returns a raw value and an
     evaluation count, and may add a third entry: an error of that pass
-    the pass itself measured (the last azimuth doubling of
-    :func:`azimuth_rings`, or the rounding of a sum whose terms cancel),
-    in the units of the result.  A pass without directions puts its
+    the pass itself measured (the :func:`doubling_error` of the last
+    azimuth or degree doubling, or the rounding of a sum whose terms
+    cancel), in the units of the result.  A pass without directions puts its
     inner order in the angular slot.  The fine pass
     runs at ``fine`` with its depth ``L`` capped at :data:`MAX_LEVELS`.
     The coarse pass, by the one rule of the package, runs at
@@ -339,8 +343,6 @@ def layered_directions(axis, layout: str, n_mu: int, levels: int,
 
     * ``"cap"``     -- graded toward ``mu = 1``: kernels peaking at the
       boundary point nearest an off-center base point;
-    * ``"equator"`` -- graded toward ``mu = 0`` from both sides: ray spans
-      of interior polar integrals kink across the tangency circle;
     * ``"cone"``    -- supported on ``mu in [mu_lo, 1]`` and graded toward
       both edges: an exterior point sees a convex body under the half
       angle ``arccos(mu_lo)`` and the spans collapse at the rim.
@@ -355,10 +357,6 @@ def layered_directions(axis, layout: str, n_mu: int, levels: int,
     if layout == "cap":
         v, wv = unit_power_rule(0.0, None, n_mu, levels)
         mu, w_mu = 1.0 - 2.0 * v, 2.0 * wv
-    elif layout == "equator":
-        v, wv = unit_power_rule(0.0, None, n_mu, levels)
-        mu = np.concatenate([v, -v])
-        w_mu = np.concatenate([wv, wv])
     elif layout == "cone":
         mu, w_mu = map_rule(unit_power_rule(0.0, 0.0, n_mu, levels),
                             float(mu_lo), 1.0)
@@ -374,6 +372,38 @@ def layered_directions(axis, layout: str, n_mu: int, levels: int,
     w = np.repeat(np.asarray(w_mu, dtype=float), int(n_phi)) \
         * (2.0 * math.pi / int(n_phi))
     return dirs, w
+
+
+def harmonic_rule(N: int, axis, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions and the matrix ``Y`` that maps data values at them
+    to the moments ``(2l + 1)/(4 pi) int P_l(mu) g dS`` (sphere) or
+    ``eps_l/(2 pi) int cos(l psi) g dpsi`` (circle; ``eps_0 = 1``, else 2)
+    of degree ``l <= L`` about ``axis``, exact for polynomials of degree
+    ``L``: :func:`~fraclab.geometry._sphere_rule` of ``L + 1`` Gauss nodes
+    in ``mu`` turned to the axis (``e_z`` if it vanishes), or the ``2L +
+    2``-point :func:`polar_directions`."""
+    if N == 2:
+        dirs, w = polar_directions(2, 2 * L + 2)
+        psi = np.arctan2(dirs[:, 1], dirs[:, 0]) - math.atan2(axis[1], axis[0])
+        Z = 2.0 * np.cos(np.outer(psi, np.arange(L + 1)))
+        Z[:, 0] = 1.0
+    else:
+        d, w = geometry._sphere_rule(L + 1)
+        a, e1, e2 = _axis_frame(axis)
+        dirs = d @ np.array([e1, e2, a])
+        Z = np.polynomial.legendre.legvander(d[:, 2], L) \
+            * (np.arange(L + 1) + 0.5)
+    return dirs, Z * (w / (2.0 * math.pi))[:, None]
+
+
+def doubling_error(prev: float, gap: float) -> float:
+    """Error of the last sum ``S_2n`` of a doubling sequence from the last
+    differences ``prev = |S_n - S_n/2|`` (0 if none) and ``gap = |S_2n -
+    S_n|``: the geometric tail ``gap q / (1 - q)`` where ``q = gap / prev
+    < 1`` (Trefethen and Weideman, SIAM Review 56, 2014), else ``gap``."""
+    if 0.0 < gap < prev:
+        return gap * gap / (prev - gap)
+    return gap
 
 
 AZIMUTH_START = 8     # azimuths per ring before the first doubling
@@ -394,17 +424,15 @@ def azimuth_rings(ring_pass, axis, layout: str, n_mu: int, levels: int,
     alone (spans of a centred ball, distances to a point on the axis, a
     kernel of those) may be computed once per ring, on its first azimuth.
     Every ring first takes ``AZIMUTH_START`` azimuths ``2 pi j / n``.  A
-    doubling reads only the ``n`` new azimuths ``2 pi (j + 1/2) / n``, whose trapezoid sum
-    ``T_n`` gives ``S_2n = (S_n + T_n) / 2``, so no node is read twice.  It
-    stops once ``|S_2n - S_n| <= max(abs_tol, rel_tol |S_2n|)``, or at the
-    largest ``AZIMUTH_START * 2^k`` not above ``max_azimuths``.  The
-    periodic trapezoid rule converges geometrically in smooth azimuthal
-    dependence (Trefethen and Weideman, SIAM Review 56, 2014): the last
-    difference measures the error of ``S_n``, well above what is left in
-    ``S_2n``.
+    doubling reads only the ``n`` new azimuths ``2 pi (j + 1/2) / n``,
+    whose trapezoid sum ``T_n`` gives ``S_2n = (S_n + T_n) / 2``, so no
+    node is read twice.  It stops once the error of ``S_2n``
+    (:func:`doubling_error` of the last two differences) is at most
+    ``max(abs_tol, rel_tol |S_2n|)``, or at the largest ``AZIMUTH_START *
+    2^k`` not above ``max_azimuths``.
 
-    Returns ``(sum, evaluations, |S_2n - S_n|)``, the difference in the
-    units of ``value``.
+    Returns ``(sum, evaluations, error)``, the error in the units of
+    ``value``.
     """
     def rings(n, offset=False):
         return ring_pass(*layered_directions(axis, layout, n_mu, levels, n,
@@ -412,7 +440,7 @@ def azimuth_rings(ring_pass, axis, layout: str, n_mu: int, levels: int,
 
     n = AZIMUTH_START
     acc, evals = rings(n)
-    diff = 0.0
+    gap = err = 0.0
     while 2 * n <= max_azimuths:
         mid, more = rings(n, offset=True)
         evals += more
@@ -420,10 +448,10 @@ def azimuth_rings(ring_pass, axis, layout: str, n_mu: int, levels: int,
         acc = 0.5 * (acc + mid)
         n *= 2
         now = value(acc)
-        diff = abs(now - prev)
-        if diff <= max(cfg.abs_tol, cfg.rel_tol * abs(now)):
+        err, gap = doubling_error(gap, abs(now - prev)), abs(now - prev)
+        if err <= max(cfg.abs_tol, cfg.rel_tol * abs(now)):
             break
-    return acc, evals, diff
+    return acc, evals, err
 
 
 def direction_chunks(n_dirs: int, row_len: int, budget: int = 1_200_000):
@@ -511,11 +539,11 @@ def unit_power_rule(alpha_lo, alpha_hi, n: int, levels: int
 
 
 def _centre_distance(x, R: float) -> float:
-    """``|x|`` for the radial routes, 0 within ``2^-30 R`` of the centre.
-
-    Their rules grade a level deeper per halving of ``|x|``
-    (:func:`offset_rule`); that close, the value moves by ``O(|x|^2)``,
-    below rounding for data smooth at the centre.
+    """``|x|`` for the routes in ``rho = |y - centre|``, 0 within ``2^-30
+    R`` of the centre: their rules grade a level deeper per halving of
+    ``|x|`` (:func:`offset_rule`).  That close, the value moves by
+    ``O(|x|^2)``, below rounding, for radial data smooth at the centre,
+    and by at most ``2^-30 R |grad u|`` for other data.
     """
     r = float(np.linalg.norm(x))
     return r if r > 2.0 ** -30 * R else 0.0

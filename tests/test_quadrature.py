@@ -272,7 +272,7 @@ def test_centred_radial_needs_radial_data_on_a_centred_ball():
 # Layered direction rules on the 2-sphere.
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("layout", ["cap", "equator"])
+@pytest.mark.parametrize("layout", ["cap"])
 @pytest.mark.parametrize("n_phi", [32])
 def test_layered_directions_measure(layout, n_phi):
     dirs, w = quad.layered_directions([0.0, 0.0, 1.0], layout, 16, 12, n_phi)
@@ -295,7 +295,7 @@ def test_layered_directions_axisymmetric_moment():
     axis = np.array([0.3, -1.2, 0.5])
     a_hat = axis / np.linalg.norm(axis)
     for n_phi in (8, 48):
-        dirs, w = quad.layered_directions(axis, "equator", 20, 14, n_phi)
+        dirs, w = quad.layered_directions(axis, "cap", 20, 14, n_phi)
         got = float(w @ (dirs @ a_hat) ** 2)
         assert got == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
 
@@ -311,7 +311,7 @@ def test_layered_directions_nonsymmetric_needs_azimuth():
 
 def test_layered_directions_unknown_layout():
     with pytest.raises(DomainError):
-        quad.layered_directions([0.0, 0.0, 1.0], "belt", 8, 8, 8)
+        quad.layered_directions([0.0, 0.0, 1.0], "equator", 8, 8, 8)
 
 
 def test_direction_chunks_cover_range():
@@ -357,3 +357,33 @@ def test_chebyshev_profile_chops_nests_and_caps():
     assert np.max(np.abs(err)) < 1e-6
     np.testing.assert_array_equal(quad._chebyshev_profile(np.zeros_like),
                                   [0.0])
+
+
+@pytest.mark.parametrize("prev,gap,expected", [
+    (0.0, 1e-3, 1e-3),            # one difference: the raw one
+    (1e-3, 2e-3, 2e-3),           # growing: no convergence shown
+    (1e-3, 1e-3, 1e-3),
+    (1e-2, 1e-4, 1e-4 * 1e-2 / (1.0 - 1e-2)),
+    (4e-2, 2e-2, 2e-2),           # ratio 1/2: the geometric tail is gap
+])
+def test_doubling_error(prev, gap, expected):
+    assert quad.doubling_error(prev, gap) == pytest.approx(expected,
+                                                           rel=1e-14)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("L", [0, 1, 3, 7])
+def test_harmonic_rule_moments(N, L):
+    # Addition theorem: the degree-l moment about a of Z_k(theta . b) is
+    # Z_k(a . b) if l = k and 0 otherwise, for Z_k = P_k (sphere) or
+    # T_k, cos(k psi) (circle); a constant has moments (1, 0, ..., 0).
+    a = np.array([0.3, -1.2, 0.5][:N])
+    b = np.array([-0.7, 0.1, 0.4][:N])
+    a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+    dirs, Y = quad.harmonic_rule(N, a, L)
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-15)
+    vander = (np.polynomial.legendre.legvander if N == 3
+              else np.polynomial.chebyshev.chebvander)
+    Z = vander(np.clip(dirs @ b, -1.0, 1.0), L)
+    at = vander(np.array([a @ b]), L)[0]
+    np.testing.assert_allclose(Z.T @ Y, np.diag(at), atol=1e-14)

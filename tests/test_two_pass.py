@@ -83,9 +83,12 @@ FROZEN = {
     # graded 18 levels deep, not 20 (was 69888 evaluations).  Re-frozen
     # with the incomplete-beta Green factor: the value moved 2.6e-17
     # toward that reference (was 0.01721241223493194, estimate
-    # 4.032810022076146e-11), the count is unchanged.
+    # 4.032810022076146e-11), the count is unchanged.  Re-frozen with the
+    # harmonic route, which stops at degree 3 and lands 4.6e-17 from the
+    # reference (was 0.017212412234931966, estimate 4.032810369020841e-11,
+    # 68608 evaluations on the polar pass).
     "green_apply":
-        (0.017212412234931966, 4.032810369020841e-11, 68608, True),
+        (0.017212412234932258, 4.389207601980667e-16, 23328, True),
     # Coarse depth 3 of the fine 6, not 4 (was 10688 evaluations).
     "integrate_interior":
         (18.91459956574577, 1.8991644200917561, 10368, False),
