@@ -11,18 +11,20 @@ Stability conventions
   that matter most near the diagonal.  Against 50-digit mpmath it is
   within 2e-15 relative for ``0.01 <= s <= 0.999999``, also as ``s ->
   1``, where ``kappa`` grows like ``1 / (1 - s)`` in the plane.
-* ``green_apply`` never evaluates the kernel pointwise: its closed
-  integrals over spheres, degree by degree, meet the data's moments.
+* ``green_apply`` and ``comp_poisson_apply`` never evaluate their kernels
+  pointwise: closed integrals over spheres, degree by degree, meet the
+  data's moments (:func:`_harmonic_sum`).
 * Every integral across the boundary layer of the exterior uses the
   *distance* ``E = q - R`` as integration variable.  The singular factor
   ``(q - R)^(-s)`` is then evaluated from an exactly-represented ``E``
   rather than from a rounded absolute coordinate; this is what keeps the
   kernels accurate as ``s -> 1``, when most of the exterior mass sits
   below ``E = 1e-12``.
-* In the plane the angular integrals of ``1/|x - q w|^2`` and of the
-  product of two such poles have closed forms (Poisson-series summation),
-  so the complementary kernel and its radial application reduce to
-  one-dimensional integrals.
+* The sphere integrals of ``|x - q w|^(-N)`` against each zonal harmonic
+  are closed (Poisson-series summation), so ``comp_poisson_apply`` is a
+  double integral in the exterior radius ``q`` and the radius ``rho`` of
+  the data, and in the plane the product of two such poles is closed too,
+  so the pointwise complementary kernel is one radial integral.
 """
 
 from __future__ import annotations
@@ -303,6 +305,47 @@ def _sphere_moments(f, ball: Ball, rho: np.ndarray, dirs: np.ndarray,
     return h, scale
 
 
+def _ladder(cfg: QuadConfig) -> list[int]:
+    """The degrees 1, 3, 7, ... of a harmonic route, up to half the
+    ``angular_order`` (at least 4): their sphere rules share no node."""
+    top = (max(4, cfg.angular_order // 2) + 1).bit_length()
+    return [2 ** k - 1 for k in range(1, top)]
+
+
+def _harmonic_sum(f, ball: Ball, xc: np.ndarray, rho: np.ndarray, contract,
+                  cfg: QuadConfig) -> tuple[float, int, float]:
+    """One integral in ``rho`` over the data's moments about ``xc`` on the
+    spheres ``|y - centre| = rho``, one harmonic degree at a time.
+
+    ``contract(h, scale)`` maps a block of moments ``h`` (one row per degree
+    ``l <= L``, one column per node; :func:`_sphere_moments`) to the value,
+    and their rounding scale ``scale`` to ``sum |terms|``.  ``L`` climbs
+    the :func:`_ladder` until the
+    :func:`~fraclab.quadrature.doubling_error` of the last step meets
+    ``max(abs_tol, rel_tol |value|)``.  Data radial about the
+    centre (:func:`~fraclab.quadrature.centred_radial`) is ``L = 0``, read
+    once per node at ``centre + rho e_1``.  Returns the value, the data
+    points read and the error: the last doubling error plus ``1e-15 sum
+    |terms|``, since factors and moments carry about 1e-15 relative
+    rounding and terms that cancel leave it on that scale.
+    """
+    radial = quad.centred_radial(f, ball)
+    degrees = [0] if radial else _ladder(cfg)
+    evals, gap, err = 0, 0.0, 0.0
+    for i, L in enumerate(degrees):
+        dirs, Y = (None, np.ones((1, 1))) if radial else \
+            quad.harmonic_rule(ball.dim, xc, L)
+        value, size = contract(*_sphere_moments(f, ball, rho, dirs, Y))
+        evals += len(rho) * len(Y)
+        if i:
+            err, gap = quad.doubling_error(gap, abs(value - last)), \
+                abs(value - last)
+            if err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+                break
+        last = value
+    return value, evals, err + 1e-15 * size
+
+
 def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
                 boundary_power=None) -> IntegralResult:
     """Solution value ``int_Omega G_s(x, y) f(y) dy`` at an interior point.
@@ -314,13 +357,10 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
     harmonic degree at a time (Funk-Hecke; Atkinson and Han, *Spherical
     Harmonics and Approximations on the Unit Sphere*, LNM 2044, 2012):
     the kernel's factors ``K_l`` over each sphere (:func:`_shell_green`)
-    meet the data's moments on it (:func:`_sphere_moments`) about ``x -
-    centre``.  The degree ``L`` runs through 1, 3, 7, ... up to half the
-    ``angular_order`` (at least 4), on rules that share no node, until the
-    :func:`~fraclab.quadrature.doubling_error` of the last step meets
-    ``max(abs_tol, rel_tol |value|)``; that error joins the estimate.
-    Data radial about the centre (:func:`~fraclab.quadrature.centred_radial`)
-    is ``L = 0``, read once per ``rho`` node at ``centre + rho e_1``.
+    meet the data's moments on it about ``x - centre``
+    (:func:`_harmonic_sum`, whose degree ladder stops on the configured
+    tolerance; radial data is ``L = 0``).  The factors run one degree of
+    the ladder ahead: they cost more than the data.
 
     The rule (:func:`~fraclab.quadrature.offset_rule`) grades toward
     ``rho = r = |x - centre|`` from both sides, where every ``K_l`` behaves
@@ -341,35 +381,25 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
         raise DomainError("Green solution evaluated outside the domain")
     bp = 0.0 if boundary_power is None else float(boundary_power)
     r = quad._centre_distance(xc, R)
-    rule = (None, np.ones((1, 1))) if quad.centred_radial(f, ball) else None
-    top = (max(4, cfg.angular_order // 2) + 1).bit_length()
-    degrees = [0] if rule else [2 ** k - 1 for k in range(1, top)]
+    top = _ladder(cfg)[-1]
 
     def green_pass(n_v, n_rad, levels):
         near = (0.0, levels) if s >= 1.0 else \
             (2.0 * s - 1.0, levels + _SHELL_DEPTH)
         rho, off, sigma, w = quad.offset_rule(r, R, n_rad, near,
                                               (s + bp, levels))
-        K, evals, gap, err = np.empty((0, len(rho))), 0, 0.0, 0.0
-        for i, L in enumerate(degrees):
+        K = np.empty((0, len(rho)))
+
+        def contract(h, scale):
+            nonlocal K
+            L = len(h) - 1
             if len(K) <= L:
-                # One degree ahead: the factors cost more than the data.
                 K = _shell_green(N, s, R, r, rho, off, sigma, n_v,
-                                 degrees[min(i + 1, len(degrees) - 1)])
-            dirs, Y = rule or quad.harmonic_rule(N, xc, L)
-            h, scale = _sphere_moments(f, ball, rho, dirs, Y)
+                                 min(2 * L + 1, top) if L else 0)
             wK = w * K[:L + 1]
-            value = float((wK * h).sum())
-            evals += len(rho) * len(Y)
-            if i:
-                err, gap = quad.doubling_error(gap, abs(value - last)), \
-                    abs(value - last)
-                if err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
-                    break
-            last = value
-        # Kernel values and moments carry about 1e-15 relative rounding, so
-        # terms that cancel leave it on the scale of sum |w K| |Y| |f|.
-        return value, evals, err + 1e-15 * float((np.abs(wK) * scale).sum())
+            return float((wK * h).sum()), float((np.abs(wK) * scale).sum())
+
+        return _harmonic_sum(f, ball, xc, rho, contract, cfg)
 
     return quad._two_pass(green_pass, (12, 10, cfg.max_subdiv), cfg)
 
@@ -657,35 +687,6 @@ def _exterior_mean(N: int, s: float, r: float, rho: np.ndarray,
     return 2.0 * math.pi * r ** (2.0 * s) * (gap * b) ** (-1.0 - 2.0 * s) * F
 
 
-def _comp_kernel_disc_many(ball: Ball, s: float, xc: np.ndarray,
-                           zc: np.ndarray, cfg: QuadConfig) -> np.ndarray:
-    """Vectorized ``P^c_s(x, z)`` on the disc for a batch of centered ``z``.
-
-    The angular integral is closed for both the ``s < 1`` exterior form
-    and the ``s = 1`` boundary form, so the batch costs one matrix-vector
-    product over the master radial grid.
-    """
-    R = ball.radius
-    c_N, _ = log_constants(2)
-    rx = float(np.linalg.norm(xc))
-    phix = math.atan2(xc[1], xc[0])
-    rz = np.sqrt(geometry.sq_dist(zc))
-    phiz = np.arctan2(zc[:, 1], zc[:, 0])
-    lz = np.maximum(R * R - rz * rz, 0.0)
-    if s >= 1.0:
-        ang = _double_pole_angle(R * R, rz, phiz, rx, phix)
-        return c_N * lz / (2.0 * math.pi) * ang
-    tau = ball_poisson_constant(2, s)
-    E, wE, _ = _exterior_radial_grid(R, s, cfg.radial_order,
-                                     cfg.max_subdiv)
-    q = R + E
-    q2 = q * q
-    ang = _double_pole_angle(q2[None, :], rz[:, None], phiz[:, None],
-                             rx, phix)
-    radial = (E ** (-s) * (2.0 * R + E) ** (-s) * q)[None, :] * ang
-    return c_N * tau * lz ** s * (radial @ wE)
-
-
 def comp_poisson_kernel(domain: Domain, s, x, z,
                         cfg: QuadConfig | None = None) -> float:
     """Complementary Poisson kernel ``P^c_s(x, z)`` for interior ``x, z``.
@@ -693,8 +694,9 @@ def comp_poisson_kernel(domain: Domain, s, x, z,
     ``P^c_s(x, z) = c_N int_{Omega^c} |x-y|^{-N} P_s(z, y) dy`` for
     ``s < 1`` and the analogous boundary integral against the classical
     kernel at ``s = 1``.  On the disc both reduce through the closed
-    angular forms: the ``s = 1`` value is fully explicit and ``s < 1``
-    needs one scalar radial integral.
+    angular form of the product of two poles (:func:`_double_pole_angle`):
+    the ``s = 1`` value is fully explicit and ``s < 1`` needs one scalar
+    radial integral.
     """
     ball = _require_ball(domain, "the complementary Poisson kernel")
     cfg = cfg or QuadConfig()
@@ -708,7 +710,17 @@ def comp_poisson_kernel(domain: Domain, s, x, z,
     c_N, _ = log_constants(N)
 
     if N == 2:
-        return float(_comp_kernel_disc_many(ball, s, xc, zc[None, :], cfg)[0])
+        phi = math.atan2(zc[1], zc[0]) - math.atan2(xc[1], xc[0])
+        if s >= 1.0:
+            return c_N * (R * R - rz * rz) / (2.0 * math.pi) \
+                * _double_pole_angle(R * R, rz, phi, rx, 0.0)
+        E, wE, _ = _exterior_radial_grid(R, s, cfg.radial_order,
+                                         cfg.max_subdiv)
+        q = R + E
+        ang = _double_pole_angle(q * q, rz, phi, rx, 0.0)
+        radial = E ** (-s) * (2.0 * R + E) ** (-s) * q * ang
+        return c_N * ball_poisson_constant(2, s) * (R * R - rz * rz) ** s \
+            * float(radial @ wE)
 
     if s >= 1.0:
         rel = max(1e-3, 1.0 - max(rx, rz) / R)
@@ -734,106 +746,89 @@ def comp_poisson_kernel(domain: Domain, s, x, z,
 # Master-grid inner integrals; a bound_chain pass holds 90 of them.
 _MF_CACHE = quad._Memo(256)
 
-# Master-grid rows whose inner integrals share one data call: at the
-# default QuadConfig a block of 64 rows holds about 20k eta nodes, so the
-# work arrays stay near 1 MB however long the grid is.
-_MF_BLOCK = 64
+# Exterior radii per block of the (q x rho) factor of comp_poisson_apply:
+# at the default QuadConfig a block is about 250 KB, which keeps a cold
+# call's peak below that of the rule per radius it replaced.
+_POLE_BLOCK = 64
 
 
-def _eta_segments(eps: np.ndarray, half: float, s: float, jac, gauss
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat ``eta`` rule on ``[0, half]`` for every ``eps``: ``(row, eta,
-    weight)``.
+@lru_cache(maxsize=16)
+def _comp_rules(N: int, R: float, s: float, bp, n_rho: int, n: int,
+                levels: int) -> tuple[np.ndarray, ...]:
+    """The exterior nodes ``E = q - R`` of one pass of
+    :func:`comp_poisson_apply` with their weights ``wq`` (everything but
+    ``M_l(q)`` and the pole at ``x``), and the rule ``(rho, sigma = R -
+    rho, w)`` every exterior radius shares.
 
-    Row ``i`` gets an ``eps``-scaled Jacobi block on ``[0, first]``,
-    ``first = min(eps_i, half)``, whose weight already divides out the
-    ``eta^s`` the integrand carries, then Gauss panels ``k = 1, 2, ...`` on
-    ``[first 2^(k-1), min(first 2^k, half)]`` until ``half`` is reached.
-    The Jacobi nodes of all rows come first, then the panels row by row,
-    so per row the nodes run from ``eta = 0`` upwards.
+    For ``s < 1`` the nodes are the master grid
+    :func:`_exterior_radial_grid`, and the ``rho`` rule is an
+    ``n_rho``-node :func:`~fraclab.quadrature.offset_rule` graded toward
+    ``R`` with the exponent ``s + bp`` down to the smallest ``E``, the
+    scale on which ``1 / (q^2 - rho^2)`` varies there.  At ``s = 1`` the
+    one node is ``q = R``, and the ``n``-node rule is graded toward ``R``
+    only by a declared boundary power ``bp``: nothing else is singular
+    there.  The calls of a profile at one order share them, read-only.
     """
-    tj, wj = jac
-    xg, wg = gauss
-    first = np.minimum(eps, half)
-    # Panel count: the least K with first 2^K >= half (the products are
-    # exact, so the log2 guess is only corrected by one either way).
-    n_pan = np.maximum(np.ceil(np.log2(half / first)), 0.0).astype(np.intp)
-    n_pan += np.ldexp(first, n_pan) < half
-    n_pan -= (n_pan > 0) & (np.ldexp(first, n_pan - 1) >= half)
-    rows = np.arange(len(eps))
-    prow = np.repeat(rows, n_pan)
-    k = np.arange(len(prow)) - np.repeat(np.cumsum(n_pan) - n_pan, n_pan)
-    lo = np.ldexp(first[prow], k)
-    h = np.minimum(2.0 * lo, half) - lo
-    jac_eta = first[:, None] * tj
-    jac_w = wj * first[:, None] ** (s + 1.0) / jac_eta ** s
-    row = np.repeat(np.concatenate([rows, prow]), len(tj))
-    eta = np.concatenate([jac_eta.ravel(),
-                          (lo[:, None] + h[:, None] * xg).ravel()])
-    wts = np.concatenate([jac_w.ravel(), (h[:, None] * wg).ravel()])
-    return row, eta, wts
+    c_N = log_constants(N)[0]
+    sphere = 2.0 * math.pi if N == 2 else 4.0 * math.pi
+    if s >= 1.0:
+        rho, _, sigma, w = quad.offset_rule(
+            0.0, R, n, None, None if bp is None else (bp, levels))
+        return np.zeros(1), np.array([c_N * sphere * R ** (2 - N)]), rho, \
+            sigma, w
+    E, wE, _ = _exterior_radial_grid(R, s, n, levels)
+    depth = math.ceil(math.log2(R / E.min()))
+    rho, _, sigma, w = quad.offset_rule(0.0, R, n_rho, None,
+                                        (s + (bp or 0.0), depth))
+    wq = c_N * ball_poisson_constant(N, s) * sphere ** 2 * wE \
+        * E ** (-s) * (2.0 * R + E) ** (-s) * (R + E) ** (3 - N)
+    return E, wq, rho, sigma, w
+
+
+def _pole_sums(R: float, s: float, E: np.ndarray, rho: np.ndarray,
+               sigma: np.ndarray, wh: np.ndarray, r: float = 0.0
+               ) -> np.ndarray:
+    """``sum_l sum_rho (R^2 - rho^2)^s / (q^2 - rho^2) (r rho / q^2)^l
+    wh[l]`` at every ``q = R + E``, one row per ``q`` and one column per
+    column of the ``wh[l]`` (weighted moments of degree ``l``, one row per
+    ``rho`` node), with ``q^2 - rho^2 = E (2R + E) + sigma (2R - sigma)``
+    from the exact offsets, :data:`_POLE_BLOCK` radii at a time."""
+    c = sigma * (2.0 * R - sigma)
+    cs, eps = c ** s, E * (2.0 * R + E)
+    out = np.empty((len(E), wh.shape[-1]))
+    for lo in range(0, len(E), _POLE_BLOCK):
+        blk = slice(lo, lo + _POLE_BLOCK)
+        P = np.add(eps[blk, None], c)
+        np.divide(cs, P, out=P)
+        out[blk] = P @ wh[0]
+        if len(wh) > 1:
+            t = r * rho / (R + E[blk, None]) ** 2
+            for l in range(1, len(wh)):
+                P *= t
+                out[blk] += P @ wh[l]
+    return out
 
 
 def _mf_on_grid(ball: Ball, f, s: float, n: int, levels: int,
-                n_eta: int = 12) -> np.ndarray:
+                n_rho: int = 12) -> np.ndarray:
     """:func:`_mf_integrals`, kept in :data:`_MF_CACHE` under
-    ``quad._data_key(f, ball, s, n, levels, n_eta)``: data without a
+    ``quad._data_key(f, ball, s, n, levels, n_rho)``: data without a
     ``cache_token`` is never stored."""
     return _MF_CACHE.fetch(
-        quad._data_key(f, ball, s, n, levels, n_eta),
-        lambda: _mf_integrals(ball, f, s, n, levels, n_eta))
+        quad._data_key(f, ball, s, n, levels, n_rho),
+        lambda: _mf_integrals(ball, f, s, n, levels, n_rho))
 
 
 def _mf_integrals(ball: Ball, f, s: float, n: int, levels: int,
-                  n_eta: int) -> np.ndarray:
-    """``M_f(q) = int_Omega (R^2-|z|^2)^s |z-y|^{-N} f(z) dz`` on the master
-    grid ``_exterior_radial_grid(R, s, n, levels)``.
-
-    Radial ``f`` only.  The angular integral collapses to the closed
-    single-pole form, and with ``eta = R^2 - rho^2`` the radial part is
-    ``int_0^{R^2} W(eta) f(sqrt(R^2-eta)) eta^s / (eps + eta) deta`` with
-    ``eps = q^2 - R^2``.  On ``eta in [0, R^2/2]`` the rule uses an
-    eps-scaled Jacobi block plus dyadic panels, exact through the boundary
-    layer (:func:`_eta_segments`); the upper half is integrated back in the
-    ``rho`` variable, where nothing kinks, as one (grid x 24) product.
-
-    The lower half runs over :data:`_MF_BLOCK` grid rows at a time: the
-    segments of a block are laid out flat, ``f`` is called once on all
-    their nodes and the sums per row come from ``np.bincount``.  Each node
-    is evaluated once.
-    """
+                  n_rho: int) -> np.ndarray:
+    """``M_0(q) = sum_rho w rho^(N-1) (R^2 - rho^2)^s f(rho) / (q^2 -
+    rho^2)`` for radial ``f`` at the nodes of :func:`_comp_rules`: ``f`` is
+    read once per ``rho`` node, for every exterior radius at once."""
     N, R = ball.dim, ball.radius
-    E = _exterior_radial_grid(R, s, n, levels)[0]
-    A = R * R
-    half = 0.5 * A
-    eps = E * (2.0 * R + E)
-    jac = quad._jacobi_unit(n_eta, s)
-    gauss = quad._gauss_unit(n_eta)
-
-    # Upper half in the rho variable (rho in [0, sqrt(A/2)]), smooth.
-    rho_nodes, rho_w = quad.map_rule(quad._gauss_unit(24), 0.0,
-                                     math.sqrt(half))
-    c = A - rho_nodes ** 2
-    fc_hi = _radial_data(f, ball, rho_nodes) * c ** s
-    low = np.empty(len(E))
-    for lo in range(0, len(E), _MF_BLOCK):
-        e = eps[lo:lo + _MF_BLOCK]
-        row, eta, wts = _eta_segments(e, half, s, jac, gauss)
-        w_eta = 1.0 if N == 2 else np.sqrt(np.maximum(A - eta, 0.0))
-        vals = w_eta * _radial_data(f, ball, np.sqrt(A - eta)) * eta ** s \
-            / (e[row] + eta)
-        low[lo:lo + _MF_BLOCK] = np.bincount(row, weights=wts * vals,
-                                             minlength=len(e))
-    if N == 2:
-        ang = 2.0 * math.pi / (eps[:, None] + c)
-        # The eta integral carries the 2D angular constant pi.
-        out = math.pi * low + (fc_hi * ang * rho_nodes) @ rho_w
-    else:
-        q = np.sqrt(eps + A)
-        ang = 4.0 * math.pi / (q[:, None] * (eps[:, None] + c))
-        out = (2.0 * math.pi / q) * low \
-            + (fc_hi * ang * rho_nodes ** 2) @ rho_w
-    return out
+    bp = getattr(f, "boundary_power", None)
+    E, _, rho, sigma, w = _comp_rules(N, R, s, bp, n_rho, n, levels)
+    wh = w * rho ** (N - 1) * _radial_data(f, ball, rho)
+    return _pole_sums(R, s, E, rho, sigma, wh[None, :, None])[:, 0]
 
 
 def comp_poisson_apply(domain: Domain, f, s, x,
@@ -842,92 +837,59 @@ def comp_poisson_apply(domain: Domain, f, s, x,
     ``int_Omega P^c_s(x, z) f(z) dz`` via Fubini with the exterior variable
     outermost.
 
+    One route serves every datum, one harmonic degree at a time
+    (Funk-Hecke; Atkinson and Han, LNM 2044, 2012): with ``r = |x -
+    centre|``,
+
+        ``P^c_s f(x) = c_N tau int dq q^(N-1) (q^2 - R^2)^(-s)
+        sum_l mu_l(q, r) M_l(q)``,
+        ``M_l(q) = int drho rho^(N-1) (R^2 - rho^2)^s mu_l(q, rho) h_l(rho)``,
+
+    where ``h_l`` is the data's degree-``l`` moment about ``x - centre``
+    on the sphere of radius ``rho`` (:func:`_harmonic_sum`) and ``mu_l(q,
+    rho) = 2 pi (rho/q)^l / (q^2 - rho^2)`` (plane) or ``4 pi (rho/q)^l /
+    (q (q^2 - rho^2))`` (space) is the sphere integral of ``|rho w - q
+    v|^(-N)`` against the degree-``l`` zonal function.  ``q`` runs on the
+    master grid, ``rho`` on one rule shared by all of it
+    (:func:`_comp_rules`), so the data is read once per ``rho`` node and
+    sphere point whatever the grid.  At ``s = 1`` the exterior integral
+    is the boundary one, ``q = R`` alone with ``c_N / (|S| R)`` and ``R^2
+    - rho^2`` in place of the ``s`` weights.
+
     For ``f`` radial about the centre of the ball
-    (:func:`~fraclab.quadrature.centred_radial`) everything collapses to
-    one radial integral whose ``x`` dependence enters only through the
-    closed single-pole angular factor; the ``f``-dependent inner
-    integrals are cached on a master exterior grid, so evaluating a whole
-    profile of ``x`` values costs one pass of inner integrals.  Other
-    ``f`` falls back to a (much slower) nested quadrature.
+    (:func:`~fraclab.quadrature.centred_radial`) only ``L = 0`` remains,
+    and ``M_0`` does not depend on ``x``: it is kept on the grid
+    (:func:`_mf_on_grid`), so a whole profile of ``x`` values reads the
+    data once; ``evaluations`` counts the rule's points all the same.
     """
     ball = _require_ball(domain, "the complementary Poisson application")
     cfg = cfg or QuadConfig()
     s = float(as_order(s))
     N, R = ball.dim, ball.radius
     xc = _centered(ball, x)[0]
-    rx = float(np.linalg.norm(xc))
-    if rx >= R:
+    if np.linalg.norm(xc) >= R:
         raise DomainError("complementary Poisson application needs interior x")
-    c_N, _ = log_constants(N)
+    r = quad._centre_distance(xc, R)
+    bp = getattr(f, "boundary_power", None)
     radial = quad.centred_radial(f, ball)
 
-    if s >= 1.0 and radial:
-        # c_N beta_f R^{N-1} times the closed single-pole angle, with
-        # beta_f R^{N-1} = int f(rho) rho^{N-1} drho independent of the
-        # boundary point, on the radial rule graded toward R by the data's
-        # declared boundary power.
-        bp = getattr(f, "boundary_power", None)
+    def comp_pass(n_rho, n, levels):
+        E, wq, rho, sigma, w = _comp_rules(N, R, s, bp, n_rho, n, levels)
+        # The pole at x: 1 / (q^2 - r^2), from the offset E + (R - r).
+        wq = wq / ((E + (R - r)) * (R + E + r))
+        if radial:
+            M = _mf_on_grid(ball, f, s, n, levels, n_rho)
+            return float(wq @ M), len(rho)
+        wr = w * rho ** (N - 1)
 
-        def mass_pass(_, n_rad, levels):
-            rho, _, _, w = quad.offset_rule(
-                0.0, R, n_rad, None, None if bp is None else (bp, levels))
-            return float(w @ (_radial_data(f, ball, rho) * rho ** (N - 1))), \
-                len(rho)
+        def contract(h, scale):
+            wh = np.stack([h, scale], axis=-1) * wr[:, None]
+            value, size = wq @ _pole_sums(R, s, E, rho, sigma, wh, r)
+            return float(value), float(size)
 
-        return quad._two_pass(mass_pass, (12, cfg.radial_order,
-                                          cfg.max_subdiv), cfg,
-                              scale=c_N * _single_pole_angle(N, R, rx))
+        return _harmonic_sum(f, ball, xc, rho, contract, cfg)
 
-    if s < 1.0 and radial:
-        tau = ball_poisson_constant(N, s)
-
-        def one_pass(n_eta, n, levels):
-            E, wE, _ = _exterior_radial_grid(R, s, n, levels)
-            M = _mf_on_grid(ball, f, s, n, levels, n_eta)
-            q = R + E
-            ang = _single_pole_angle(N, q, rx)
-            integrand = (E ** (-s) * (2.0 * R + E) ** (-s) * M * ang
-                         * q ** (N - 1))
-            return c_N * tau * float(wE @ integrand), len(E)
-
-        # The coarse pass runs on a thinner master grid; the inner eta
-        # order takes the angular slot (12 fine, 8 coarse).
-        return quad._two_pass(one_pass, (12, cfg.radial_order,
-                                         cfg.max_subdiv), cfg)
-
-    # Generic fallback: z-outermost integration of the pointwise kernel.
-    # On the disc the per-batch kernel is closed in angle and cheap; in
-    # three dimensions this loops a boundary/sphere rule per node and is
-    # meant for cross-checks only.
-    if N == 2:
-        def kern_times_f(zz):
-            zb = np.atleast_2d(np.asarray(zz, dtype=float))
-            kv = np.empty(len(zb))
-            for lo in range(0, len(zb), 2048):
-                chunk = zb[lo:lo + 2048] - domain.center_array
-                kv[lo:lo + 2048] = _comp_kernel_disc_many(ball, s, xc,
-                                                          chunk, cfg)
-            return kv * np.asarray(f(zb), dtype=float)
-        # Three quarters of the orders and a depth of log2(1 / rel_tol):
-        # 48, 12 and 20 at the default config.
-        inner_cfg = QuadConfig(
-            rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-            angular_order=3 * cfg.angular_order // 4,
-            radial_order=max(8, 3 * cfg.radial_order // 4),
-            max_subdiv=min(cfg.max_subdiv,
-                           max(4, math.ceil(-math.log2(cfg.rel_tol)))))
-        res = quad.integrate_interior(ball, kern_times_f, inner_cfg,
-                                      boundary_power=(s if s < 1.0 else 1.0))
-        return res
-
-    def kern_times_f_3d(zz):
-        zb = np.atleast_2d(np.asarray(zz, dtype=float))
-        small = QuadConfig(angular_order=24, radial_order=8, max_subdiv=18)
-        kv = np.array([comp_poisson_kernel(ball, s, domain.center_array + xc,
-                                           z, small) for z in zb])
-        return kv * np.asarray(f(zb), dtype=float)
-
-    inner_cfg = QuadConfig(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                           angular_order=12, radial_order=6, max_subdiv=12)
-    return quad.integrate_interior(ball, kern_times_f_3d, inner_cfg,
-                                   boundary_power=(s if s < 1.0 else 1.0))
+    # The inner rho order takes the angular slot (12 fine, 8 coarse); the
+    # s = 1 rule takes the radial one.
+    return quad._two_pass(comp_pass, (12, cfg.radial_order, cfg.max_subdiv),
+                          cfg)

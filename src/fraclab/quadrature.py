@@ -23,17 +23,18 @@ Polar passes in dimension 3 that follow a boundary layer use
 :func:`layered_directions` instead, whose azimuth count per ring
 :func:`azimuth_rings` doubles until the data is resolved, reading each
 node once; what depends on a ring's polar angle alone may be computed
-once per ring.  The Green operator of a ball reads the data through its
-harmonic moments on spheres about the centre (:func:`harmonic_rule`).
-Both judge their last doubling by :func:`doubling_error`.
+once per ring.  The Green and complementary Poisson operators of a ball
+read the data through its harmonic moments on spheres about the centre
+(:func:`harmonic_rule`).  Both judge their last doubling by
+:func:`doubling_error`.
 
-Integrals along rays from a point (the interior polar pass, the
-logarithmic Laplacians, the nonlocal normal derivative, the
-principal value) go through :func:`ray_sums`.  An operator lays out its
-ray segments as flat arrays (direction index, start, end), one
-unit-interval rule is mapped onto all of them, the field is called once
-per chunk of nodes rather than once per segment, and the weighted
-integrand is reduced per direction with ``np.bincount``.  Where a field
+Integrals along rays from a point (the logarithmic Laplacians, the
+nonlocal normal derivative, the principal value) go through
+:func:`ray_sums`.  An operator lays out its ray segments as flat
+arrays (direction index, start, end), one unit-interval rule is mapped
+onto all of them, the field is called once per chunk of nodes rather
+than once per segment, and the weighted integrand is reduced per
+direction with ``np.bincount``.  Where a field
 kinks at the boundary, :func:`crossing_segments` cuts the segments at
 the crossings of one or more rays per direction and names the endpoint
 exponents of a declared exterior layer.
@@ -67,12 +68,11 @@ from scipy.special import roots_jacobi
 
 from .core import DomainError, EvaluationError
 from . import geometry
-from .geometry import Ball, Domain
+from .geometry import Ball
 
 __all__ = [
     "QuadConfig",
     "IntegralResult",
-    "integrate_interior",
     "integrate_pv_second_difference",
     "centred_radial",
     "polar_directions",
@@ -254,8 +254,9 @@ def centred_radial(f, ball) -> bool:
     Then ``f``, the ball and every field derived from them depend on the
     distance ``rho`` to that centre alone: the Green operator, the domain
     logarithmic Laplacian and the nonlocal normal derivative integrate in
-    ``rho`` (:func:`offset_rule`), and the Poisson extension and the
-    complementary Poisson operator read the data once per exterior radius.
+    ``rho`` (:func:`offset_rule`), the complementary Poisson operator keeps
+    the one data-dependent integral of every exterior radius, and the
+    Poisson extension reads the data once per exterior radius.
     The full-space logarithmic Laplacian and the principal value have no
     such form; their 2D passes fold their direction rules by the mirror
     across the line through the centre and ``x`` (:func:`polar_directions`
@@ -763,48 +764,6 @@ def ray_sums(u, x, dirs, idx, a, b, rule, kernel) -> tuple[np.ndarray, int]:
         seg = np.einsum("kj,kj->k", kernel(t, vals), h * wu[None, :])
         sums += np.bincount(idx[sl], weights=seg, minlength=len(dirs))
     return sums, idx.size * len(xu)
-
-
-# ---------------------------------------------------------------------------
-# Interior integrals.
-# ---------------------------------------------------------------------------
-
-def _polar_interior_pass(domain, f, center, radial_power, boundary_power,
-                         m_ang, n_rad, levels):
-    N = domain.dim
-    dirs, w_dir = polar_directions(N, m_ang)
-    _, t_hi, hit = geometry.ray_spans(domain, center, dirs)
-    if not hit.all() or (t_hi <= 0.0).any():
-        raise DomainError("polar center must be an interior point")
-    alpha_lo = (0.0 if radial_power is None else float(radial_power)) + (N - 1)
-    alpha_hi = None if boundary_power is None else float(boundary_power)
-    sums, evals = ray_sums(f, center, dirs, np.arange(len(dirs)),
-                           np.zeros(len(dirs)), t_hi,
-                           unit_power_rule(alpha_lo, alpha_hi, n_rad, levels),
-                           lambda t, v: v * t ** (N - 1))
-    return float(w_dir @ sums), evals
-
-
-def integrate_interior(domain: Domain, f, cfg: QuadConfig | None = None, *,
-                       center=None, radial_power=None, boundary_power=None
-                       ) -> IntegralResult:
-    """Integral of ``f`` over the domain by a graded polar product rule.
-
-    ``radial_power`` declares a point singularity ``|y - center|^p`` at the
-    polar center, ``boundary_power`` a boundary concentration
-    ``delta(y)^q``; both are optional and only sharpen the rule, they are
-    not required for correctness on smooth integrands.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    c = domain.center_array if center is None else np.asarray(center,
-                                                               dtype=float)
-
-    def one_pass(m_ang, n_rad, levels):
-        return _polar_interior_pass(domain, f, c, radial_power,
-                                    boundary_power, m_ang, n_rad, levels)
-
-    return _two_pass(one_pass, (cfg.angular_order, cfg.radial_order,
-                                cfg.max_subdiv), cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -219,8 +219,11 @@ def test_ac10_complementary_mass_scales_with_boundary_distance():
         for d in deltas:
             x = (1.0 - d) * DIR2
             mass = kernels.comp_poisson_apply(DISC, ones_callable, s, x,
-                                              CFG).value
-            vals.append(d * mass)
+                                              CFG)
+            # The harmonic route stops at L = 3 for constant data; a
+            # nested polar pass reads many times this.
+            assert mass.evaluations <= 20000
+            vals.append(d * mass.value)
         vals = np.asarray(vals)
         assert vals.max() / vals.min() < 10.0, f"s={s} spread={vals}"
 

@@ -1022,31 +1022,125 @@ def test_comp_apply_radial_frozen(N, s, r, expected):
     assert res.value == pytest.approx(expected, rel=1e-8)
 
 
+@pytest.mark.parametrize("N,s,r,expected",
+                         [row for row in PI_TABLE if row[0] == 3])
+def test_comp_apply_plain_3d_matches_the_table(N, s, r, expected):
+    # f = 1 as a plain callable takes the harmonic route, which stops at
+    # L = 3 and reads 40 points per rho node.  The per-node loop it replaced
+    # gave 81,363.2 at the centre and 139,264.8 at r = 0.6 (both flagged)
+    # in 50-61 s per call.
+    ball = Ball(center=(0.0,) * N, radius=1.0)
+    x = np.zeros(N)
+    x[0] = r
+    res = comp_poisson_apply(ball, ones, s, x, CFG)
+    assert res.value == pytest.approx(expected, rel=1e-10)
+    assert abs(res.value - expected) <= res.error_estimate
+    assert res.tolerance_ok
+    assert res.evaluations <= 60000
+
+
+@pytest.mark.parametrize("gap", [1e-6, 0.3])
+@pytest.mark.parametrize("N", [2, 3])
+def test_comp_apply_pole_factor_matches_quad(N, gap):
+    # mu_l(q, rho), the sphere integral of |rho w - q v|^(-N) against the
+    # degree-l zonal function, is 2 pi (rho/q)^l / (q^2 - rho^2) (plane)
+    # or 4 pi (rho/q)^l / (q (q^2 - rho^2)) (space).  _pole_sums at s = 0
+    # with r = q weighs degree l by (rho/q)^l / (q^2 - rho^2); q^2 - rho^2
+    # comes from the offsets E = q - R and sigma = R - rho, half of the gap
+    # each.  Reference: scipy quad of the angular integral, with |rho w -
+    # q v|^2 = (q - rho)^2 + 2 q rho (1 - cos), split at multiples of the
+    # peak width.  Measured: within 4.4e-16; q * q - rho * rho from the
+    # rounded radii is 2.9e-11 off at the 1e-6 gap.
+    from scipy.integrate import quad as sp_quad
+    from scipy.special import eval_legendre
+    R = 1.0
+    E, sigma = np.array([0.5 * gap]), np.array([0.5 * gap])
+    q, rho = R + E[0], R - sigma[0]
+    width = gap / math.sqrt(q * rho)
+    ends = [0.0] + [k * width for k in (1, 10, 100, 1000) if k * width < 1.0]
+    for l in range(4):
+        if N == 2:
+            def f(psi):
+                return 2.0 * math.cos(l * psi) / (
+                    gap ** 2 + 4.0 * q * rho * math.sin(0.5 * psi) ** 2)
+            span = [*ends, math.pi]
+        else:
+            def f(u):
+                return 2.0 * math.pi * eval_legendre(l, 1.0 - u) / (
+                    gap ** 2 + 2.0 * q * rho * u) ** 1.5
+            span = [*ends, 2.0]
+        want = sum(sp_quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                   for a, b in zip(span[:-1], span[1:]))
+        wh = np.zeros((l + 1, 1, 1))
+        wh[l] = 1.0
+        got = kernels._pole_sums(R, 0.0, E, np.array([rho]), sigma, wh,
+                                 r=q)[0, 0]
+        got *= 2.0 * math.pi if N == 2 else 4.0 * math.pi / q
+        assert got == pytest.approx(want, rel=1e-14), l
+
+
+# P^c_s f(x) for f(y) = exp(1.5 y.e), e = (0.36, 0.48, 0.8), at x = (0.3,
+# -0.2, 0.4) on the unit 3-ball.  Independent of the sphere rules and the
+# degree ladder: the moments about x are closed, h_l(rho) = (2l + 1)
+# i_l(1.5 rho) P_l(xhat.e), and the sum over l <= 30 of mu_l(q, r) mu_l(q,
+# rho) h_l(rho) was integrated by nested scipy quad (QAGS, epsrel 1e-13)
+# in ln(R - rho) and ln(q - R), below q - R = 1e-40 by its limit, beyond
+# q = 2R in R / (q - R); at s = 1 by one quad in rho at q = R.  A second
+# variable set, (R - rho)^(1+s) and (q - R)^(1-s), agreed within 2 ulps
+# at s = 0.25 and 0.5.
+EXP_TABLE = [
+    (0.25, 0.44468637745233197),
+    (0.5, 0.8323383394170969),
+    (0.9, 1.3742831060020384),
+    (1.0, 1.4988379730990995),
+]
+
+
+def exp_wave(y):
+    return np.exp(1.5 * (np.atleast_2d(y) @ np.array([0.36, 0.48, 0.8])))
+
+
+@pytest.mark.parametrize("s,expected", EXP_TABLE)
+def test_comp_apply_non_radial_3d_matches_closed_moments(s, expected):
+    # Within 5e-11 relative: the master grid loses O(2^-depth) of the
+    # regular part of its integrand at q = R, about 2e-11 at depth 26
+    # (f = 1 at the centre is 1.9e-11 off 2 ln 2 - 1 on either route).
+    ball = Ball(center=(0.0, 0.0, 0.0), radius=1.0)
+    res = comp_poisson_apply(ball, exp_wave, s, (0.3, -0.2, 0.4), CFG)
+    assert res.value == pytest.approx(expected, rel=5e-11)
+    assert abs(res.value - expected) <= res.error_estimate
+    assert res.tolerance_ok
+
+
 def test_comp_apply_generic_2d_follows_its_config():
-    # Non-radial data: the nested rule takes its orders and depth from the
-    # config (three quarters of each order, depth log2(1 / rel_tol)), the
-    # fixed 48, 12 and 20 at the default, so a tighter config reads more
-    # points and lands closer.  Reference: the same path at rel_tol=1e-12,
-    # angular_order=128, radial_order=32 gives 0.3249575007837765.  The
-    # default is 3.1e-10 from it, the tighter config 1.5e-12 (at fixed
-    # orders it read the default's points and values).
+    # Non-radial data takes the harmonic route, whose degree ladder stops
+    # on the configured tolerance.  Reference: the nested polar pass that
+    # route replaced, at rel_tol=1e-12, angular_order=128, radial_order=32,
+    # gives 0.3249575007837765.  The default stops at L = 7, reads 20,608
+    # points and lands 9.2e-13 from it (the nested pass read 30,528 and was
+    # 3.1e-10 off); the tighter config meets its tolerance, where the
+    # nested pass reported an estimate of 1.25e-9 for an error of 1.5e-12.
     ball = Ball(center=(0.0, 0.0), radius=1.0)
 
     def f(y):
         return np.exp(-np.sum((np.atleast_2d(y) + (0.5, 0.0)) ** 2, axis=1))
 
     x = np.array([0.1, 0.2])
+    ref = 0.3249575007837765
     default = comp_poisson_apply(ball, f, 0.5, x, CFG)
     tight = comp_poisson_apply(ball, f, 0.5, x, QuadConfig(
         rel_tol=1e-9, angular_order=96, radial_order=24))
-    assert default.evaluations == 30528
-    assert default.value == 0.3249575004725461
-    assert tight.evaluations > default.evaluations
-    assert abs(tight.value - 0.3249575007837765) < 3e-12
-    assert abs(default.value - 0.3249575007837765) > 3e-10
+    assert default.evaluations == 20608
+    assert abs(default.value - ref) < 3e-12
+    for res in (default, tight):
+        assert abs(res.value - ref) <= res.error_estimate
+        assert res.tolerance_ok
+    assert tight.error_estimate <= 1e-9
 
 
 def test_comp_apply_generic_matches_radial_fast_path():
+    # f = 1 undeclared stops at L = 3, where its moments of degree >= 1
+    # vanish; the value is the radial route's but for rounding.
     ball = Ball(center=(0.0, 0.0), radius=1.0)
     x = np.array([0.2, 0.0])
     s = 0.5
@@ -1055,7 +1149,7 @@ def test_comp_apply_generic_matches_radial_fast_path():
         CFG)
     generic = comp_poisson_apply(
         ball, lambda y: np.ones(len(np.atleast_2d(y))), s, x, CFG)
-    assert generic.value == pytest.approx(fast.value, rel=1e-5)
+    assert generic.value == pytest.approx(fast.value, rel=1e-12)
 
 
 @pytest.mark.parametrize("N,beta", [(2, 1.0 / 3.0), (3, math.pi / 16.0)])
@@ -1083,8 +1177,9 @@ def test_comp_apply_classical_estimate_bounds_its_error(N, beta):
 
 
 def test_comp_apply_radial_nonconstant_profile():
-    # f(z) = 1 - |z|^2: check the cached inner integrals against a direct
-    # z-outermost evaluation through the pointwise kernel.
+    # f(z) = 1 - |z|^2: the cached inner integrals of the radial
+    # declaration against the harmonic route of the same data undeclared,
+    # on the same rules (the two were 1e-5 apart on the nested pass).
     ball = Ball(center=(0.0, 0.0), radius=1.0)
     s = 0.4
     x = np.array([0.45, 0.0])
@@ -1095,7 +1190,7 @@ def test_comp_apply_radial_nonconstant_profile():
 
     fast = comp_poisson_apply(ball, radial_field(prof), s, x, CFG)
     generic = comp_poisson_apply(ball, prof, s, x, CFG)
-    assert generic.value == pytest.approx(fast.value, rel=1e-5)
+    assert generic.value == pytest.approx(fast.value, rel=1e-12)
 
 
 def test_comp_apply_master_grid_cache_tells_equal_length_grids_apart():
@@ -1134,96 +1229,94 @@ class CountingProfile:
         return 1.0 - 0.5 * np.einsum("ij,ij->i", y, y)
 
 
-MASTER_GRID_TABLE = [  # N, s, R, point, evaluations, data points, value
-    (2, 0.02, 0.8, 'centre', 1754, 102684, 0.026151844641130486),
-    (2, 0.02, 0.8, 'edge', 1754, 102684, 0.5898777106541756),
-    (2, 0.02, 1.23, 'centre', 1754, 102684, 0.017594001504068774),
-    (2, 0.02, 1.23, 'edge', 1754, 102684, 0.33931312213116616),
-    (2, 0.25, 0.8, 'centre', 1754, 102704, 0.28576213152205027),
-    (2, 0.25, 0.8, 'edge', 1754, 102704, 15.57134447362634),
-    (2, 0.25, 1.23, 'centre', 1754, 102704, 0.19847213152411503),
-    (2, 0.25, 1.23, 'edge', 1754, 102704, 10.342441574890076),
-    (2, 0.75, 0.8, 'centre', 1754, 102764, 0.6875452613004335),
-    (2, 0.75, 0.8, 'edge', 1754, 102764, 543.9147735353707),
-    (2, 0.75, 1.23, 'centre', 1754, 102764, 0.5004952613037087),
-    (2, 0.75, 1.23, 'edge', 1754, 102764, 523.6137234463096),
-    (2, 0.999, 0.8, 'centre', 1754, 102944, 0.8394349038137398),
-    (2, 0.999, 0.8, 'edge', 1754, 102944, 3335.4453627869775),
-    (2, 0.999, 1.23, 'centre', 1754, 102944, 0.6213190708973751),
-    (2, 0.999, 1.23, 'edge', 1754, 102944, 3793.478721516569),
-    (3, 0.02, 0.8, 'centre', 1754, 102684, 0.014321614284884609),
-    (3, 0.02, 0.8, 'edge', 1754, 102684, 0.49411755766087867),
-    (3, 0.02, 1.23, 'centre', 1754, 102684, 0.008578851127183072),
-    (3, 0.02, 1.23, 'edge', 1754, 102684, 0.2617447454037245),
-    (3, 0.25, 0.8, 'centre', 1754, 102704, 0.16526819385078184),
-    (3, 0.25, 0.8, 'edge', 1754, 102704, 12.495010326657436),
-    (3, 0.25, 1.23, 'centre', 1754, 102704, 0.10291819385284663),
-    (3, 0.25, 1.23, 'edge', 1754, 102704, 7.573572665536102),
-    (3, 0.75, 0.8, 'centre', 1754, 102764, 0.42938982597338815),
-    (3, 0.75, 0.8, 'edge', 1754, 102764, 375.41897853948194),
-    (3, 0.75, 1.23, 'centre', 1754, 102764, 0.28390649264333007),
-    (3, 0.75, 1.23, 'edge', 1754, 102764, 328.0862624499425),
-    (3, 0.999, 0.8, 'centre', 1754, 102944, 0.5382530215033515),
-    (3, 0.999, 0.8, 'edge', 1754, 102944, 2139.5130247608827),
-    (3, 0.999, 1.23, 'centre', 1754, 102944, 0.36377781141941057),
-    (3, 0.999, 1.23, 'edge', 1754, 102944, 2221.8656048296475),
+MASTER_GRID_TABLE = [  # N, s, R, point, data points, value, first-freeze id
+    (2, 0.02, 0.8, 'centre', 716, 0.026151844641130493,
+     '1900-110164-0.026151844641130486'),
+    (2, 0.02, 0.8, 'edge', 716, 0.5898777106541482,
+     '1900-110164-0.5898777106541756'),
+    (2, 0.02, 1.23, 'centre', 716, 0.01759400150406879,
+     '1900-110164-0.017594001504068774'),
+    (2, 0.02, 1.23, 'edge', 716, 0.33931312213119347,
+     '1900-110164-0.33931312213116616'),
+    (2, 0.25, 0.8, 'centre', 716, 0.28576213152205054,
+     '1900-110184-0.28576213152205027'),
+    (2, 0.25, 0.8, 'edge', 716, 15.57134447362521,
+     '1900-110184-15.57134447362634'),
+    (2, 0.25, 1.23, 'centre', 716, 0.1984721315241153,
+     '1900-110184-0.19847213152411503'),
+    (2, 0.25, 1.23, 'edge', 716, 10.342441574891456,
+     '1900-110184-10.342441574890076'),
+    (2, 0.75, 0.8, 'centre', 756, 0.687545261300434,
+     '1900-110244-0.6875452613004335'),
+    (2, 0.75, 0.8, 'edge', 756, 543.9147735352694,
+     '1900-110244-543.9147735353707'),
+    (2, 0.75, 1.23, 'centre', 756, 0.5004952613037092,
+     '1900-110244-0.5004952613037087'),
+    (2, 0.75, 1.23, 'edge', 756, 523.6137234464654,
+     '1900-110244-523.6137234463096'),
+    (2, 0.999, 0.8, 'centre', 916, 0.8394349038137401,
+     '1900-110424-0.8394349038137398'),
+    (2, 0.999, 0.8, 'edge', 916, 3335.4453627853745,
+     '1900-110424-3335.4453627869775'),
+    (2, 0.999, 1.23, 'centre', 916, 0.6213190708973756,
+     '1900-110424-0.6213190708973751'),
+    (2, 0.999, 1.23, 'edge', 916, 3793.4787215176652,
+     '1900-110424-3793.478721516569'),
+    (3, 0.02, 0.8, 'centre', 716, 0.014321614284884623,
+     '1900-110164-0.014321614284884609'),
+    (3, 0.02, 0.8, 'edge', 716, 0.4941175576608541,
+     '1900-110164-0.49411755766087867'),
+    (3, 0.02, 1.23, 'centre', 716, 0.008578851127183082,
+     '1900-110164-0.008578851127183072'),
+    (3, 0.02, 1.23, 'edge', 716, 0.26174474540374787,
+     '1900-110164-0.2617447454037245'),
+    (3, 0.25, 0.8, 'centre', 716, 0.16526819385078206,
+     '1900-110184-0.16526819385078184'),
+    (3, 0.25, 0.8, 'edge', 716, 12.495010326656498,
+     '1900-110184-12.495010326657436'),
+    (3, 0.25, 1.23, 'centre', 716, 0.10291819385284676,
+     '1900-110184-0.10291819385284663'),
+    (3, 0.25, 1.23, 'edge', 716, 7.573572665537155,
+     '1900-110184-7.573572665536102'),
+    (3, 0.75, 0.8, 'centre', 756, 0.4293898259733886,
+     '1900-110244-0.42938982597338815'),
+    (3, 0.75, 0.8, 'edge', 756, 375.418978539412,
+     '1900-110244-375.41897853948194'),
+    (3, 0.75, 1.23, 'centre', 756, 0.28390649264333045,
+     '1900-110244-0.28390649264333007'),
+    (3, 0.75, 1.23, 'edge', 756, 328.08626245004046,
+     '1900-110244-328.0862624499425'),
+    (3, 0.999, 0.8, 'centre', 916, 0.5382530215033519,
+     '1900-110424-0.5382530215033515'),
+    (3, 0.999, 0.8, 'edge', 916, 2139.5130247598545,
+     '1900-110424-2139.5130247608827'),
+    (3, 0.999, 1.23, 'centre', 916, 0.36377781141941096,
+     '1900-110424-0.36377781141941057'),
+    (3, 0.999, 1.23, 'edge', 916, 2221.8656048302896,
+     '1900-110424-2221.8656048296475'),
 ]
 
 
-def _first_freeze_id(row):
-    # The table was first frozen with a coarse master grid of radial order
-    # 12 and depth 20; the one coarse policy of _two_pass makes it 10 and
-    # 18, which reads 146 grid nodes and 7480 data points fewer.  The test
-    # ids keep the counts of the first freeze, so the names stay stable.
-    N, s, R, where, evaluations, points, value = row
-    return f"{N}-{s}-{R}-{where}-{evaluations + 146}-{points + 7480}-{value}"
-
-
-@pytest.mark.parametrize("N,s,R,where,evaluations,points,value",
-                         MASTER_GRID_TABLE,
-                         ids=[_first_freeze_id(r) for r in MASTER_GRID_TABLE])
-def test_comp_apply_master_grid_pinned(N, s, R, where, evaluations, points,
-                                       value):
-    # Frozen from the per-node loop the block layout replaced: the same
-    # eta nodes are evaluated once each, only the summation order moved.
-    # That loop made 1,902 data calls per cold application.
+@pytest.mark.parametrize("N,s,R,where,points,value",
+                         [row[:6] for row in MASTER_GRID_TABLE],
+                         ids=[f"{r[0]}-{r[1]}-{r[2]}-{r[3]}-{r[6]}"
+                              for r in MASTER_GRID_TABLE])
+def test_comp_apply_master_grid_pinned(N, s, R, where, points, value):
+    # Re-frozen with one rho rule shared by every radius of the master
+    # grid: 716 to 916 data points in one call per pass, where a rule per
+    # radius read 102,684 to 102,944 (the values moved by at most 4.8e-13
+    # relative, 1.4e-15 at the centre).  The evaluations are the data
+    # points.  The test ids keep the grid nodes (with the coarse pass of
+    # the first freeze, 146 more), data points (7,480 more) and values of
+    # the first freeze, so the names stay stable.
     x = np.zeros(N)
     if where == "edge":
         x[0] = R - 1e-4
     f = CountingProfile()
     res = comp_poisson_apply(Ball(center=(0.0,) * N, radius=R), f, s, x, CFG)
-    assert res.evaluations == evaluations
-    assert f.points == points
-    assert f.calls <= 40
+    assert res.evaluations == f.points == points <= 1000
+    assert f.calls == 2
     assert res.value == pytest.approx(value, rel=1e-13, abs=0.0)
-
-
-def test_eta_segments_match_the_panel_loop():
-    # The per-row loop the flat layout replaced, on eps at, just above and
-    # just below the panel ends first 2^k = half: nodes must be the same
-    # numbers, weights may differ by the rounding of the power.
-    half, s = 0.5 * 1.23 ** 2, 0.37
-    ends = half * 2.0 ** -np.arange(60)
-    eps = np.concatenate([ends, np.nextafter(ends, 0.0),
-                          np.nextafter(ends, np.inf),
-                          np.geomspace(1e-14, 1e3, 200), [1e300]])
-    tj, wj = kernels.quad._jacobi_unit(12, s)
-    xg, wg = kernels.quad._gauss_unit(12)
-    row, eta, wts = kernels._eta_segments(eps, half, s, (tj, wj), (xg, wg))
-    for i, e in enumerate(eps):
-        first = min(e, half)
-        nodes, weights = [tj * first], [wj * first ** (s + 1.0)
-                                         / (tj * first) ** s]
-        lo = first
-        while lo < half:
-            hi = min(2.0 * lo, half)
-            nodes.append(lo + (hi - lo) * xg)
-            weights.append((hi - lo) * wg)
-            lo = hi
-        mine = row == i
-        np.testing.assert_array_equal(eta[mine], np.concatenate(nodes))
-        np.testing.assert_allclose(wts[mine], np.concatenate(weights),
-                                   rtol=1e-15, atol=0.0)
 
 
 class TokenlessProfile:

@@ -17,7 +17,6 @@ from fraclab.specfun import frac_normalization
 
 
 DISC = geo.unit_ball(2)
-BALL3 = geo.unit_ball(3)
 CFG = quad.QuadConfig()
 
 
@@ -87,66 +86,6 @@ def test_coarse_pass_is_coarser_than_the_fine_one():
             assert 0 <= lvc < capped, levels
             assert min(angular, 8) <= mc <= angular
             assert min(radial, 8) <= nc <= radial
-
-
-def test_interior_area_and_moments():
-    res = quad.integrate_interior(DISC, lambda y: np.ones(len(y)), CFG)
-    assert res.value == pytest.approx(math.pi, rel=1e-12)
-    assert res.tolerance_ok and res.evaluations > 0
-    # int_{B_1^2} |y|^2 dy = pi/2
-    res2 = quad.integrate_interior(DISC, lambda y: (y ** 2).sum(axis=1), CFG)
-    assert res2.value == pytest.approx(math.pi / 2.0, rel=1e-12)
-    # Volume of the 3-ball.
-    res3 = quad.integrate_interior(BALL3, lambda y: np.ones(len(y)), CFG)
-    assert res3.value == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
-
-
-def test_interior_point_singularity():
-    # int_{B_1^3} |y|^{-1} dy = 2 pi.
-    res = quad.integrate_interior(
-        BALL3, lambda y: 1.0 / np.linalg.norm(y, axis=1), CFG,
-        radial_power=-1.0)
-    assert res.value == pytest.approx(2.0 * math.pi, rel=1e-10)
-
-
-def test_interior_boundary_singularity():
-    # int_{B_1^2} (1-|y|^2)^(-1/2) dy = 2 pi.
-    res = quad.integrate_interior(
-        DISC, lambda y: 1.0 / np.sqrt(np.abs(1.0 - (y ** 2).sum(axis=1))),
-        CFG, boundary_power=-0.5)
-    assert res.value == pytest.approx(2.0 * math.pi, rel=1e-9)
-    assert abs(res.value - 2.0 * math.pi) <= 10.0 * max(res.error_estimate,
-                                                        CFG.abs_tol)
-
-
-def test_interior_strong_boundary_power():
-    # int_{B_1^2} (1-|y|)^(-0.9) dy: radialize to 2 pi int_0^1 r (1-r)^(-0.9) dr
-    # = 2 pi Beta(2, 0.1) = 2 pi / (0.1 * 1.1).
-    exact = 2.0 * math.pi / (0.1 * 1.1)
-    res = quad.integrate_interior(
-        DISC, lambda y: (1.0 - np.linalg.norm(y, axis=1)) ** -0.9,
-        CFG, boundary_power=-0.9)
-    # Near-boundary nodes evaluate 1 - |y| with catastrophic cancellation,
-    # which bounds what any black-box rule can do for exponents this close
-    # to -1; the configured 1e-6 relative target still holds comfortably.
-    assert res.value == pytest.approx(exact, rel=1e-6)
-
-
-def test_interior_offcenter_polar_center():
-    # The split point is arbitrary: integrating from an off-center pole
-    # must give the same area.
-    res = quad.integrate_interior(DISC, lambda y: np.ones(len(y)), CFG,
-                                  center=np.array([0.3, -0.2]))
-    assert res.value == pytest.approx(math.pi, rel=1e-10)
-    with pytest.raises(DomainError):
-        quad.integrate_interior(DISC, lambda y: np.ones(len(y)), CFG,
-                                center=np.array([2.0, 0.0]))
-
-
-def test_interior_ellipsoid():
-    dom = geo.Ellipsoid(a=(1.0, 0.0, 0.0, 4.0))
-    res = quad.integrate_interior(dom, lambda y: np.ones(len(y)), CFG)
-    assert res.value == pytest.approx(math.pi / 2.0, rel=1e-12)
 
 
 def test_pv_second_difference_gaussian():

@@ -40,16 +40,7 @@ def radial2():
                        dim=2, radial=True)
 
 
-def undeclared_layer(p):
-    # A delta^(-0.9) boundary layer the rule is not told about: with
-    # shallow grading the two passes disagree and the flag drops.
-    r2 = np.sum(p * p, axis=1)
-    return np.exp(p[:, 0]) * np.maximum(1.0 - r2, 0.0) ** -0.9
-
-
 CASES = {
-    "integrate_interior": lambda: quad.integrate_interior(
-        DISC, undeclared_layer, quad.QuadConfig(max_subdiv=6)),
     "integrate_pv_second_difference":
         lambda: quad.integrate_pv_second_difference(
             compact2(), np.array([0.2, -0.1]), 0.5),
@@ -73,9 +64,13 @@ FROZEN = {
     # Re-frozen with math.gamma and scipy's digamma in the constants (was
     # 0.5139603083393468, 5 ulps lower).
     # The coarse master grid has radial order 10 and depth 18 (was 12 and
-    # 20: estimate 2.8036422771541175e-10, 1900 evaluations).
+    # 20: estimate 2.8036422771541175e-10, 1900 evaluations).  Re-frozen
+    # with one rho rule shared by the whole master grid: the evaluations
+    # count the data points of that rule, 736, not the 1754 grid nodes,
+    # and the value moved 2 ulps (was 0.5139603083393474, estimate
+    # 1.1347608922445452e-09).
     "comp_poisson_apply":
-        (0.5139603083393474, 1.1347608922445452e-09, 1754, True),
+        (0.5139603083393472, 1.1347491238804842e-09, 736, True),
     # Re-frozen with the one-rule Green kernel (was 164416 evaluations on
     # two rules); an angular_order=256, radial_order=30 run gives
     # 0.017212412234932212, 2.7e-16 above, inside the estimate.  The
@@ -89,9 +84,6 @@ FROZEN = {
     # 68608 evaluations on the polar pass).
     "green_apply":
         (0.017212412234932258, 4.389207601980667e-16, 23328, True),
-    # Coarse depth 3 of the fine 6, not 4 (was 10688 evaluations).
-    "integrate_interior":
-        (18.91459956574577, 1.8991644200917561, 10368, False),
     # Re-frozen with one ray per +-theta pair: the same value at half the
     # evaluations (was 294400); the coarse pass sums in another order, so
     # the estimate moved from 3.9037691576264246e-13.  Re-frozen with the
