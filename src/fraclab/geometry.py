@@ -1,11 +1,10 @@
 """Domains (balls and origin-centered ellipsoids) and their geometry.
 
 Everything downstream -- quadrature segmentation, boundary layers, kernel
-formulas -- is driven by four primitives implemented here: the signed
-distance to the boundary, exact ray/boundary intersections, boundary
-quadrature rules, and the squared distance ``sq_dist`` of a point batch,
-through which every row norm of points, boundary vectors and ray nodes
-goes.
+formulas -- is driven by the primitives implemented here: the signed
+distance to the boundary, exact ray/boundary intersections, the product
+rule on the unit sphere, and the squared distance ``sq_dist`` of a point
+batch, through which every row norm of points and ray nodes goes.
 
 Both domain types are frozen dataclasses (hence hashable), which lets
 expensive per-domain data such as eigendecompositions and cached quadrature
@@ -27,13 +26,11 @@ __all__ = [
     "Ball",
     "Ellipsoid",
     "Domain",
-    "BoundaryQuadrature",
     "unit_ball",
     "sq_dist",
     "delta",
     "contains",
     "measures",
-    "boundary_quadrature",
     "ray_spans",
     "parse_domain",
 ]
@@ -102,15 +99,6 @@ class Ellipsoid:
 
 
 Domain = Ball | Ellipsoid
-
-
-@dataclass(frozen=True)
-class BoundaryQuadrature:
-    """Nodes, surface-measure weights, and outward unit normals on a boundary."""
-
-    nodes: np.ndarray     # (M, N)
-    weights: np.ndarray   # (M,)
-    normals: np.ndarray   # (M, N)
 
 
 def unit_ball(N: int) -> Ball:
@@ -288,49 +276,6 @@ def _sphere_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     dirs[:, 2] = np.repeat(mu, n_phi)
     w = np.repeat(wmu, n_phi) * (2.0 * math.pi / n_phi)
     return dirs, w
-
-
-def boundary_quadrature(domain: Domain, order: int) -> BoundaryQuadrature:
-    """Quadrature for surface integrals over the domain boundary.
-
-    In dimension 2 the rule is the trapezoid rule in the (elliptic) angle,
-    which converges spectrally on these analytic closed curves; ``order``
-    is the number of nodes.  In dimension 3 it is a Gauss x azimuth product
-    rule mapped through the linear parametrization, with the surface
-    Jacobian folded into the weights.
-    """
-    if order < 4:
-        raise DomainError("boundary quadrature needs order >= 4")
-    N = domain.dim
-    if N == 2:
-        t = 2.0 * math.pi * np.arange(order) / order
-        omega = np.stack([np.cos(t), np.sin(t)], axis=1)
-        if isinstance(domain, Ball):
-            nodes = domain.center_array + domain.radius * omega
-            weights = np.full(order, 2.0 * math.pi * domain.radius / order)
-            normals = omega
-        else:
-            _, _, B, Binv = _spectral(domain)
-            nodes = omega @ B.T
-            tangent = np.stack([-np.sin(t), np.cos(t)], axis=1) @ B.T
-            weights = np.sqrt(sq_dist(tangent)) * (2.0 * math.pi / order)
-            raw = omega @ Binv.T          # A x is parallel to B^{-1} omega
-            normals = raw / np.sqrt(sq_dist(raw))[:, None]
-        return BoundaryQuadrature(nodes, weights, normals)
-
-    dirs, w = _sphere_rule(order)
-    if isinstance(domain, Ball):
-        nodes = domain.center_array + domain.radius * dirs
-        weights = w * domain.radius ** 2
-        normals = dirs
-    else:
-        _, _, B, Binv = _spectral(domain)
-        nodes = dirs @ B.T
-        raw = dirs @ Binv.T
-        scale = np.sqrt(sq_dist(raw))
-        weights = w * float(np.linalg.det(B)) * scale
-        normals = raw / scale[:, None]
-    return BoundaryQuadrature(nodes, weights, normals)
 
 
 def ray_spans(domain: Domain, x, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -11,9 +11,9 @@ Stability conventions
   that matter most near the diagonal.  Against 50-digit mpmath it is
   within 2e-15 relative for ``0.01 <= s <= 0.999999``, also as ``s ->
   1``, where ``kappa`` grows like ``1 / (1 - s)`` in the plane.
-* ``green_apply`` and ``comp_poisson_apply`` never evaluate their kernels
-  pointwise: closed integrals over spheres, degree by degree, meet the
-  data's moments (:func:`_harmonic_sum`).
+* ``green_apply``, ``poisson_extend`` and ``comp_poisson_apply`` never
+  evaluate their kernels pointwise: closed integrals over spheres, degree
+  by degree, meet the data's moments (:func:`_harmonic_sum`).
 * Every integral across the boundary layer of the exterior uses the
   *distance* ``E = q - R`` as integration variable.  The singular factor
   ``(q - R)^(-s)`` is then evaluated from an exactly-represented ``E``
@@ -21,10 +21,11 @@ Stability conventions
   kernels accurate as ``s -> 1``, when most of the exterior mass sits
   below ``E = 1e-12``.
 * The sphere integrals of ``|x - q w|^(-N)`` against each zonal harmonic
-  are closed (Poisson-series summation), so ``comp_poisson_apply`` is a
-  double integral in the exterior radius ``q`` and the radius ``rho`` of
-  the data, and in the plane the product of two such poles is closed too,
-  so the pointwise complementary kernel is one radial integral.
+  are closed (Poisson-series summation), so ``poisson_extend`` is one
+  integral in the exterior radius ``q`` and ``comp_poisson_apply`` a
+  double integral in ``q`` and the radius ``rho`` of the data.  The
+  sphere integral of the product of two such poles is closed too, so the
+  pointwise complementary kernel is one integral in ``q``.
 """
 
 from __future__ import annotations
@@ -492,6 +493,22 @@ def _exterior_radial_grid(R: float, s: float, n: int, levels: int
     return np.concatenate(E), np.concatenate(W), np.array(offsets)
 
 
+def _exterior_rule(N: int, R: float, s: float, lz: float, n: int,
+                   levels: int) -> tuple[np.ndarray, np.ndarray, object]:
+    """The exterior nodes ``E = q - R`` of the Poisson kernel ``P_s(z, .)``,
+    ``lz = R^2 - |z|^2``, with weights ``tau lz^s (q^2 - R^2)^(-s)
+    q^(N-1)`` times the master grid's (everything but the sphere
+    integral), and the grid's block offsets.  At ``s = 1`` the kernel
+    lives on the boundary: ``q = R`` alone, weight ``lz R^(N-2) / |S|``,
+    and no offsets."""
+    if s >= 1.0:
+        sphere = 2.0 * math.pi if N == 2 else 4.0 * math.pi
+        return np.zeros(1), np.array([lz * R ** (N - 2) / sphere]), None
+    E, wE, offs = _exterior_radial_grid(R, s, n, levels)
+    return E, ball_poisson_constant(N, s) * lz ** s * wE * E ** (-s) \
+        * (2.0 * R + E) ** (-s) * (R + E) ** (N - 1), offs
+
+
 def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
                    ) -> IntegralResult:
     """Poisson extension: ``int_{Omega^c} P_s(x, y) g(y) dy`` for ``s < 1``,
@@ -500,11 +517,22 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
     ``g`` must grow slower than ``|y|^(2s)``; the dyadic far field is
     summed until its blocks are negligible and diverging blocks raise.
 
-    For ``g`` radial about the centre of the ball
-    (:func:`~fraclab.quadrature.centred_radial`) the sphere integral of
-    the kernel at each radius ``q`` of the exterior grid is the closed
-    :func:`_single_pole_angle`, so ``g`` is read once per ``q``; at ``s =
-    1`` the extension is ``g(R)`` exactly.
+    One integral over the exterior radii ``q = R + E`` of the master grid
+    (:func:`_exterior_radial_grid`) serves every datum, one harmonic
+    degree at a time (:func:`_harmonic_sum`): with ``r = |x - centre|``,
+
+        ``P_s g(x) = tau (R^2 - r^2)^s int dq q^(N-1) (q^2 - R^2)^(-s)
+        sum_l mu_l(q, r) g_l(q)``,
+
+    where ``g_l`` is the degree-``l`` moment of ``g`` about ``x - centre``
+    on the sphere of radius ``q`` and ``mu_l(q, r) = |S| (r/q)^l / (q^(N-2)
+    (q^2 - r^2))`` the sphere integral of ``|x - q w|^(-N)`` against the
+    degree-``l`` zonal function, with ``q^2 - r^2 = (E + R - r)(q + r)``
+    from the exact offset.  At ``s = 1`` the exterior integral is the
+    boundary one, ``q = R`` alone with weight ``(R^2 - r^2) R^(N-2) /
+    |S|``.  Data radial about the centre of the ball
+    (:func:`~fraclab.quadrature.centred_radial`) is ``L = 0``: ``g`` is
+    read once per ``q``.
     """
     ball = _require_ball(domain, "the Poisson extension")
     cfg = cfg or QuadConfig()
@@ -514,119 +542,41 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
     r = float(np.linalg.norm(xc))
     if r >= R:
         raise DomainError("Poisson extension is evaluated inside the domain")
+    sphere = 2.0 * math.pi if N == 2 else 4.0 * math.pi
+    lx = (R - r) * (R + r)
 
-    radial = quad.centred_radial(g, ball)
-    if s >= 1.0 and radial:
-        return IntegralResult(float(_radial_data(g, ball, R)[0]), 0.0, 1)
-
-    if s >= 1.0:
-        # Spectral boundary rule; resolution follows the kernel scale d(x).
-        rel = max(1e-3, 1.0 - r / R)
-        # The kernel peak occupies 1 - mu ~ delta^2 around the nearest
-        # boundary point.
-        depth = int(max(8, 2.0 * math.log2(1.0 / rel) + 6.0))
-
-        def bd_sum(nodes, wts):
-            pk = poisson_ball_classical(ball, x, nodes)
-            gv = quad._finite_values(g, nodes)
-            return float(wts @ (pk * gv)), len(nodes)
-
-        def bd_pass(m, n_mu, lv):
-            if N == 2:
-                rule = geometry.boundary_quadrature(ball, m)
-                return bd_sum(rule.nodes, rule.weights)
-            return quad.azimuth_rings(
-                lambda dirs, w_dir, n_phi: bd_sum(
-                    domain.center_array + R * dirs, R * R * w_dir),
-                xc, "cap", n_mu, lv, min(256, max(16, m)), cfg)
-
-        m = int(min(8192, max(cfg.angular_order, 12.0 / rel)))
-        return quad._two_pass(bd_pass, (m, 20, depth), cfg)
-
-    tau = ball_poisson_constant(N, s)
-    lx = R * R - r * r
-    rel = max(2.5e-4, 1.0 - r / R)
-
-    def one_pass(m_ang, n_rad, levels):
-        E, wE, offs = _exterior_radial_grid(R, s, n_rad, levels)
+    def one_pass(_, n_rad, levels):
+        E, wq, offs = _exterior_rule(N, R, s, lx, n_rad, levels)
         q = R + E
-        weight = E ** (-s) * (2.0 * R + E) ** (-s) * q ** (N - 1)
+        # mu_l(q, r) without its (r/q)^l, from the offset E + (R - r).
+        wq = wq * sphere / (q ** (N - 2) * (E + (R - r)) * (q + r))
+        t = r / q
 
-        def ring_pass(dirs, w_dir, n_phi=1):
-            # The angular integral at every radius of the master grid.
-            proj = np.zeros(len(E))
-            evals = 0
-            for sl in quad.direction_chunks(len(dirs), len(E)):
-                pts = q[None, :, None] * dirs[sl, None, :]
-                # d first: on a centred ball g reads pts itself.
-                d = np.sqrt(geometry.sq_dist(pts, xc))
-                flat = _absolute(ball, pts.reshape(-1, N))
-                gv = quad._finite_values(g, flat).reshape(-1, len(E))
-                proj += w_dir[sl] @ (d ** (-float(N)) * gv)
-                evals += flat.shape[0]
-            return proj, evals
+        def contract(h, scale):
+            proj, size = h[-1].copy(), scale[-1].copy()
+            for l in range(len(h) - 2, -1, -1):
+                proj = proj * t + h[l]
+                size = size * t + scale[l]
+            if offs is not None:
+                # The dyadic blocks of the sum; the inversion block, last,
+                # is legitimately larger than the late dyadic ones.
+                blocks = np.abs(np.add.reduceat(wq * proj, offs)[:-1])
+                tail = blocks[-3:]
+                if tail.min() > 1e-13 * blocks.max() and tail[-1] >= tail[0]:
+                    raise DivergenceError(
+                        "Poisson extension diverges: the boundary datum "
+                        "grows at least like |y|^(2s) at infinity")
+            return float(wq @ proj), float(np.abs(wq) @ size)
 
-        def blocks(proj):
-            return np.add.reduceat(weight * proj * wE, offs)
+        return _harmonic_sum(g, ball, xc, q, contract, cfg)
 
-        def value(proj):
-            return tau * lx ** s * float(blocks(proj).sum())
-
-        # Polar around the center: the kernel concentrates at angular scale
-        # delta(x) near the closest boundary point.
-        known = 0.0
-        if radial:
-            proj = _single_pole_angle(N, q, r) * _radial_data(g, ball, q)
-            evals = len(q)
-        elif N == 2:
-            proj, evals = ring_pass(*quad.polar_directions(N, m_ang))
-        else:
-            lv = int(min(levels, max(8, 2.0 * math.log2(1.0 / rel) + 6.0)))
-            proj, evals, known = quad.azimuth_rings(
-                ring_pass, xc, "cap", max(10, n_rad), lv,
-                min(256, max(16, m_ang)), cfg, value=value)
-        final = blocks(proj)
-        # Probe the dyadic blocks only; the final inversion block is
-        # legitimately larger than the late dyadic ones.
-        scale = float(np.abs(final[:-1]).max()) + 1e-300
-        tail = np.abs(final[-4:-1])
-        if tail.min() > 1e-13 * scale and tail[-1] >= tail[0]:
-            raise DivergenceError(
-                "Poisson extension diverges: the boundary datum grows at "
-                "least like |y|^(2s) at infinity")
-        return value(proj), evals, known
-
-    # The kernel's angular peak has width delta near the boundary and the
-    # 2D trapezoid error falls like exp(-m delta): 30/delta directions
-    # (at most 4096) reach rounding level, 10/delta stay about 4e-5 off.
-    m_ang = cfg.angular_order if N == 3 else \
-        int(min(4096, max(cfg.angular_order, 30.0 / rel)))
-    return quad._two_pass(one_pass, (m_ang, cfg.radial_order,
+    return quad._two_pass(one_pass, (cfg.angular_order, cfg.radial_order,
                                      cfg.max_subdiv), cfg)
 
 
 # ---------------------------------------------------------------------------
 # Complementary Poisson kernel and its application.
 # ---------------------------------------------------------------------------
-
-def _double_pole_angle(q2, r1, phi1, r2, phi2):
-    """Closed form of ``int_0^{2pi} |z1 - q w|^-2 |z2 - q w|^-2 dphi``.
-
-    Poisson-series summation: with ``zeta = (r1 r2 / q^2) e^{i(phi1-phi2)}``
-    the integral is ``2 pi Re[(1+zeta)/(1-zeta)] / ((q^2-r1^2)(q^2-r2^2))``.
-    """
-    rho = r1 * r2 / q2
-    c = rho * np.cos(phi1 - phi2)
-    frac = (1.0 - rho * rho) / (1.0 - 2.0 * c + rho * rho)
-    return 2.0 * math.pi * frac / ((q2 - r1 * r1) * (q2 - r2 * r2))
-
-
-def _single_pole_angle(N, q, r):
-    """``int_{S^{N-1}} |x - q w|^{-N} dw`` for ``|x| = r < q`` (closed form)."""
-    if N == 2:
-        return 2.0 * math.pi / (q * q - r * r)
-    return 4.0 * math.pi / (q * (q * q - r * r))
-
 
 @lru_cache(maxsize=64)
 def _circle_hyp_series(s: float) -> tuple[np.ndarray, ...]:
@@ -687,16 +637,43 @@ def _exterior_mean(N: int, s: float, r: float, rho: np.ndarray,
     return 2.0 * math.pi * r ** (2.0 * s) * (gap * b) ** (-1.0 - 2.0 * s) * F
 
 
+def _double_pole(N: int, R: float, E: np.ndarray, xc: np.ndarray,
+                 zc: np.ndarray) -> np.ndarray:
+    """``int_{S^(N-1)} |x - q w|^(-N) |z - q w|^(-N) dw`` at ``q = R + E``
+    for centred ``|x|, |z| < R``, closed by summing the Poisson series
+    ``sum eps_l t^l cos(l g)`` (plane) or ``sum (2l + 1) t^l P_l(cos g)``
+    (space), ``t = |x| |z| / q^2`` and ``g`` the angle between ``x`` and
+    ``z``: ``|S| (1 - t^2) / (q^(2N-4) (q^2 - |x|^2) (q^2 - |z|^2) (1 - 2t
+    cos g + t^2)^(N/2))``.
+
+    With ``p = |x| |z|``, ``a = q^2 - p`` and ``b = p (1 - cos g)``, formed
+    as ``p |x/|x| - z/|z||^2 / 2``, it is ``|S| a (q^2 + p) / ((q^2 -
+    |x|^2) (q^2 - |z|^2) (a^2 + 2 q^2 b)^(N/2))``; every factor is a sum of
+    non-negative terms in the exact offset ``E``.
+    """
+    rx, rz = float(np.linalg.norm(xc)), float(np.linalg.norm(zc))
+    p = rx * rz
+    b = 0.0 if p == 0.0 else \
+        0.5 * p * float(geometry.sq_dist(xc / rx, zc / rz))
+    q = R + E
+    # q^2 - p = E (2R + E) + ((R - |x|)(R + |z|) + (R - |z|)(R + |x|)) / 2.
+    a = E * (2.0 * R + E) + 0.5 * ((R - rx) * (R + rz) + (R - rz) * (R + rx))
+    sphere = 2.0 * math.pi if N == 2 else 4.0 * math.pi
+    return sphere * a * (q * q + p) / (
+        (E + (R - rx)) * (q + rx) * (E + (R - rz)) * (q + rz)
+        * (a * a + 2.0 * q * q * b) ** (0.5 * N))
+
+
 def comp_poisson_kernel(domain: Domain, s, x, z,
                         cfg: QuadConfig | None = None) -> float:
     """Complementary Poisson kernel ``P^c_s(x, z)`` for interior ``x, z``.
 
     ``P^c_s(x, z) = c_N int_{Omega^c} |x-y|^{-N} P_s(z, y) dy`` for
     ``s < 1`` and the analogous boundary integral against the classical
-    kernel at ``s = 1``.  On the disc both reduce through the closed
-    angular form of the product of two poles (:func:`_double_pole_angle`):
-    the ``s = 1`` value is fully explicit and ``s < 1`` needs one scalar
-    radial integral.
+    kernel at ``s = 1``.  The sphere integral of the product of the two
+    poles is closed (:func:`_double_pole`), so the kernel is one integral
+    in the exterior radius on the master grid, ``q = R`` alone at ``s =
+    1``.
     """
     ball = _require_ball(domain, "the complementary Poisson kernel")
     cfg = cfg or QuadConfig()
@@ -704,43 +681,13 @@ def comp_poisson_kernel(domain: Domain, s, x, z,
     N, R = ball.dim, ball.radius
     xc = _centered(ball, x)[0]
     zc = _centered(ball, z)[0]
-    rx, rz = float(np.linalg.norm(xc)), float(np.linalg.norm(zc))
-    if rx >= R or rz >= R:
+    rz = float(np.linalg.norm(zc))
+    if np.linalg.norm(xc) >= R or rz >= R:
         raise DomainError("complementary Poisson kernel needs interior points")
     c_N, _ = log_constants(N)
-
-    if N == 2:
-        phi = math.atan2(zc[1], zc[0]) - math.atan2(xc[1], xc[0])
-        if s >= 1.0:
-            return c_N * (R * R - rz * rz) / (2.0 * math.pi) \
-                * _double_pole_angle(R * R, rz, phi, rx, 0.0)
-        E, wE, _ = _exterior_radial_grid(R, s, cfg.radial_order,
-                                         cfg.max_subdiv)
-        q = R + E
-        ang = _double_pole_angle(q * q, rz, phi, rx, 0.0)
-        radial = E ** (-s) * (2.0 * R + E) ** (-s) * q * ang
-        return c_N * ball_poisson_constant(2, s) * (R * R - rz * rz) ** s \
-            * float(radial @ wE)
-
-    if s >= 1.0:
-        rel = max(1e-3, 1.0 - max(rx, rz) / R)
-        order = int(min(96, max(24, 8.0 / rel)))
-        rule = geometry.boundary_quadrature(ball, order)
-        pk = poisson_ball_classical(ball, ball.center_array + zc, rule.nodes)
-        d = np.sqrt(geometry.sq_dist(rule.nodes - domain.center_array, xc))
-        return c_N * float(rule.weights @ (pk * d ** -3.0))
-
-    tau = ball_poisson_constant(N, s)
-    dirs, w_dir = quad.polar_directions(N, cfg.angular_order)
-    E, wE, _ = _exterior_radial_grid(R, s, cfg.radial_order,
-                                     cfg.max_subdiv)
-    q = R + E
-    pts = q[None, :, None] * dirs[:, None, :]
-    dx = np.sqrt(geometry.sq_dist(pts, xc))
-    dz = np.sqrt(geometry.sq_dist(pts, zc))
-    ang = w_dir @ (dx ** -3.0 * dz ** -3.0)
-    integrand = E ** (-s) * (2.0 * R + E) ** (-s) * q * q * ang
-    return c_N * tau * (R * R - rz * rz) ** s * float(wE @ integrand)
+    E, wq, _ = _exterior_rule(N, R, s, (R - rz) * (R + rz),
+                              cfg.radial_order, cfg.max_subdiv)
+    return c_N * float(wq @ _double_pole(N, R, E, xc, zc))
 
 
 # Master-grid inner integrals; a bound_chain pass holds 90 of them.

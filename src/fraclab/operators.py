@@ -504,7 +504,7 @@ def nonlocal_normal_derivative(u, s, z, cfg: QuadConfig | None = None
         # The doubling is judged on the normalized value, the units of the
         # result and of the difference it returns.
         mu_lo = -1.0 if sin_a >= 1.0 else math.sqrt(1.0 - sin_a * sin_a)
-        return quad.azimuth_rings(ring_pass, cz, "cone", n_mu, levels,
+        return quad.azimuth_rings(ring_pass, cz, n_mu, levels,
                                   min(128, max(16, 6 * n_mu)), cfg,
                                   mu_lo=mu_lo, value=lambda v: c * v)
 

@@ -19,14 +19,14 @@ directions come from an equispaced circle rule (dimension 2, spectrally
 accurate for the analytic angular dependence that arises here) or a
 Gauss x azimuth sphere rule (dimension 3); the exact ray/boundary
 intersections from :mod:`fraclab.geometry` delimit the radial intervals.
-Polar passes in dimension 3 that follow a boundary layer use
-:func:`layered_directions` instead, whose azimuth count per ring
+The cone under which an exterior point sees the domain (dimension 3)
+takes :func:`layered_directions` instead, whose azimuth count per ring
 :func:`azimuth_rings` doubles until the data is resolved, reading each
 node once; what depends on a ring's polar angle alone may be computed
-once per ring.  The Green and complementary Poisson operators of a ball
-read the data through its harmonic moments on spheres about the centre
-(:func:`harmonic_rule`).  Both judge their last doubling by
-:func:`doubling_error`.
+once per ring.  The Green, Poisson-extension and complementary Poisson
+operators of a ball read the data through its harmonic moments on
+spheres about the centre (:func:`harmonic_rule`).  All judge their last
+doubling by :func:`doubling_error`.
 
 Integrals along rays from a point (the logarithmic Laplacians, the
 nonlocal normal derivative, the principal value) go through
@@ -252,11 +252,13 @@ def centred_radial(f, ball) -> bool:
     is ``ball.center_array`` exactly.
 
     Then ``f``, the ball and every field derived from them depend on the
-    distance ``rho`` to that centre alone: the Green operator, the domain
-    logarithmic Laplacian and the nonlocal normal derivative integrate in
-    ``rho`` (:func:`offset_rule`), the complementary Poisson operator keeps
-    the one data-dependent integral of every exterior radius, and the
-    Poisson extension reads the data once per exterior radius.
+    distance ``rho`` to that centre alone: the domain logarithmic
+    Laplacian and the nonlocal normal derivative integrate in ``rho``
+    (:func:`offset_rule`), and the harmonic routes of the Green operator,
+    the Poisson extension and the complementary Poisson operator take
+    degree 0 alone, reading the data once per radius; the complementary
+    Poisson operator keeps the one data-dependent integral of every
+    exterior radius.
     The full-space logarithmic Laplacian and the principal value have no
     such form; their 2D passes fold their direction rules by the mirror
     across the line through the centre and ``x`` (:func:`polar_directions`
@@ -332,21 +334,17 @@ def _axis_frame(axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, e1, np.cross(a, e1)
 
 
-def layered_directions(axis, layout: str, n_mu: int, levels: int,
-                       n_phi: int, mu_lo: float = -1.0, offset: bool = False
+def layered_directions(axis, n_mu: int, levels: int, n_phi: int,
+                       mu_lo: float = -1.0, offset: bool = False
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Direction rule on the 2-sphere for integrands with an angular layer.
 
     A product (equal-area) sphere rule needs ``O(1/width^2)`` points to
     resolve a feature of small angular width, which is hopeless for
     boundary layers; instead the polar cosine ``mu`` against ``axis`` gets
-    a dyadically graded composite rule whose shape names the feature:
-
-    * ``"cap"``     -- graded toward ``mu = 1``: kernels peaking at the
-      boundary point nearest an off-center base point;
-    * ``"cone"``    -- supported on ``mu in [mu_lo, 1]`` and graded toward
-      both edges: an exterior point sees a convex body under the half
-      angle ``arccos(mu_lo)`` and the spans collapse at the rim.
+    a composite rule on ``[mu_lo, 1]`` graded dyadically toward both
+    edges: an exterior point sees a convex body under the half angle
+    ``arccos(mu_lo)``, and the spans collapse at the rim.
 
     The azimuth gets an ``n_phi``-point trapezoid rule (spectral in smooth
     angular dependence) at ``phi_j = 2 pi j / n_phi``, or, with
@@ -355,23 +353,15 @@ def layered_directions(axis, layout: str, n_mu: int, levels: int,
     carry the surface measure of the covered zone.
     """
     a, e1, e2 = _axis_frame(axis)
-    if layout == "cap":
-        v, wv = unit_power_rule(0.0, None, n_mu, levels)
-        mu, w_mu = 1.0 - 2.0 * v, 2.0 * wv
-    elif layout == "cone":
-        mu, w_mu = map_rule(unit_power_rule(0.0, 0.0, n_mu, levels),
-                            float(mu_lo), 1.0)
-    else:
-        raise DomainError(f"unknown angular layout {layout!r}")
-    mu = np.asarray(mu, dtype=float)
+    mu, w_mu = map_rule(unit_power_rule(0.0, 0.0, n_mu, levels),
+                        float(mu_lo), 1.0)
     sig = np.sqrt(np.maximum(1.0 - mu * mu, 0.0))
     phi = 2.0 * math.pi * (np.arange(int(n_phi)) + 0.5 * offset) / int(n_phi)
     ring = np.cos(phi)[:, None] * e1[None, :] \
         + np.sin(phi)[:, None] * e2[None, :]
     dirs = (mu[:, None, None] * a[None, None, :]
             + sig[:, None, None] * ring[None, :, :]).reshape(-1, 3)
-    w = np.repeat(np.asarray(w_mu, dtype=float), int(n_phi)) \
-        * (2.0 * math.pi / int(n_phi))
+    w = np.repeat(w_mu, int(n_phi)) * (2.0 * math.pi / int(n_phi))
     return dirs, w
 
 
@@ -410,7 +400,7 @@ def doubling_error(prev: float, gap: float) -> float:
 AZIMUTH_START = 8     # azimuths per ring before the first doubling
 
 
-def azimuth_rings(ring_pass, axis, layout: str, n_mu: int, levels: int,
+def azimuth_rings(ring_pass, axis, n_mu: int, levels: int,
                   max_azimuths: int, cfg: QuadConfig, *,
                   mu_lo: float = -1.0, value=float):
     """A :func:`layered_directions` pass whose azimuth count doubles until
@@ -436,8 +426,8 @@ def azimuth_rings(ring_pass, axis, layout: str, n_mu: int, levels: int,
     ``value``.
     """
     def rings(n, offset=False):
-        return ring_pass(*layered_directions(axis, layout, n_mu, levels, n,
-                                             mu_lo, offset), n)
+        return ring_pass(*layered_directions(axis, n_mu, levels, n, mu_lo,
+                                             offset), n)
 
     n = AZIMUTH_START
     acc, evals = rings(n)

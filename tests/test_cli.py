@@ -180,6 +180,19 @@ def test_kernels_poisson_classical_at_endpoint(capsys):
     assert float(rows[0][4]) == pytest.approx(float(expected), rel=1e-9)
 
 
+def test_kernels_comp_3d_near_the_boundary(capsys):
+    # x = 0, s = 0.5, |z| = 0.99 on the 3-ball, where a sphere rule once
+    # read 0.045708489 with no flag; scipy quad of the radial integral
+    # (closed sphere factor) gives 0.1346634546395835.
+    code, out = run(capsys, ["kernels", "--which", "comp", "--domain",
+                             "ball:1", "--dim", "3", "--order", "0.5",
+                             "--x", "0,0,0", "--z", "0.99,0,0"])
+    assert code == 0
+    cols, rows = csv_body(out)
+    assert cols[-1] == "value"
+    assert float(rows[0][-1]) == pytest.approx(0.1346634546395835, rel=1e-9)
+
+
 # -------------------------------------------------------------- torsion
 
 

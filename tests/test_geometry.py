@@ -125,50 +125,6 @@ def test_measures():
     assert diam_e == pytest.approx(2.0, rel=1e-13)
 
 
-def test_boundary_quadrature_circle():
-    rule = geo.boundary_quadrature(geo.unit_ball(2), 64)
-    assert rule.weights.sum() == pytest.approx(2.0 * math.pi, abs=1e-12)
-    np.testing.assert_allclose(np.linalg.norm(rule.nodes, axis=1), 1.0, atol=1e-14)
-    np.testing.assert_allclose(rule.normals, rule.nodes, atol=1e-14)
-    # First moment vanishes by symmetry.
-    np.testing.assert_allclose(rule.weights @ rule.nodes, 0.0, atol=1e-12)
-
-
-def test_boundary_quadrature_sphere():
-    rule = geo.boundary_quadrature(geo.Ball(center=(0.0, 0.0, 0.0), radius=2.0), 24)
-    assert rule.weights.sum() == pytest.approx(16.0 * math.pi, rel=1e-12)
-    # Quadratic moment: integral of z^2 over the sphere of radius R is
-    # (4 pi R^2) R^2 / 3.
-    z2 = rule.weights @ rule.nodes[:, 2] ** 2
-    assert z2 == pytest.approx(16.0 * math.pi * 4.0 / 3.0, rel=1e-12)
-
-
-def test_boundary_quadrature_ellipse_perimeter_converges():
-    dom = geo.Ellipsoid(a=(1.0, 0.0, 0.0, 4.0))
-    coarse = geo.boundary_quadrature(dom, 32).weights.sum()
-    fine = geo.boundary_quadrature(dom, 256).weights.sum()
-    # Complete elliptic integral value for semi-axes (1, 1/2).
-    assert fine == pytest.approx(4.844224110273838, rel=1e-10)
-    assert abs(coarse - fine) < 1e-6
-    rule = geo.boundary_quadrature(dom, 64)
-    # Normals are parallel to A x and unit length.
-    direction = rule.nodes @ dom.matrix
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    np.testing.assert_allclose(rule.normals, direction, atol=1e-13)
-
-
-def test_boundary_quadrature_ellipsoid_area_converges():
-    dom = geo.Ellipsoid(a=(1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 3.0))
-    coarse = geo.boundary_quadrature(dom, 16).weights.sum()
-    fine = geo.boundary_quadrature(dom, 48).weights.sum()
-    assert coarse == pytest.approx(fine, rel=1e-8)
-    # Sanity bracket: area of an ellipsoid lies between the areas of the
-    # inscribed and circumscribed spheres.
-    lo = 4.0 * math.pi / 3.0    # radius 1/sqrt(3)
-    hi = 4.0 * math.pi          # radius 1
-    assert lo < fine < hi
-
-
 def test_ray_spans_ball():
     ball = geo.unit_ball(2)
     t0, t1, hit = geo.ray_spans(ball, np.zeros(2), np.array([[1.0, 0.0]]))

@@ -729,44 +729,33 @@ def test_green_apply_estimate_covers_near_boundary_error(s):
     assert res.tolerance_ok
 
 
-def test_azimuth_error_is_calibrated(monkeypatch):
-    # The azimuth term of the fine pass of a 3D poisson_extend call on
-    # smooth data with no symmetry about x, against the same rings at a
-    # fixed 128 azimuths (within 3e-17 of 1024).  The rings double 8 -> 16
-    # -> 32 (differences 4.5e-5 and 1.2e-8) and the returned sum is 4.2e-14
-    # off; the raw last difference overstated that 2.9e5-fold, the
-    # calibrated estimate (3.3e-12) 78-fold.
-    seen = []
-    rings = quad.azimuth_rings
+def test_azimuth_error_is_calibrated():
+    # The doubling error of azimuth_rings on a smooth integrand with no
+    # symmetry about the axis, 1 / (1.3 - theta . e), against the same
+    # rings at 1024 azimuths.  Every cone stops at 32 azimuths; the actual
+    # errors are 1.3e-11, 1.3e-11, 1.2e-12 and 1.3e-15 (rounding) at
+    # mu_lo = -1, 0, 0.5 and 0.8, and the estimates overstate them 32, 33,
+    # 40 and 5 times.
+    e = np.array([0.0, 0.6, 0.8])
+    axis = np.array([0.3, -0.2, 0.5])
 
-    def spy(ring_pass, axis, layout, n_mu, levels, max_azimuths, cfg, *,
-            mu_lo=-1.0, value=float):
-        acc, evals, err = rings(ring_pass, axis, layout, n_mu, levels,
-                                max_azimuths, cfg, mu_lo=mu_lo, value=value)
-        if not seen:
-            fine = ring_pass(*quad.layered_directions(
-                axis, layout, n_mu, levels, 128, mu_lo), 128)[0]
-            seen.append((value(acc), err, abs(value(acc) - value(fine))))
-        return acc, evals, err
+    def ring_pass(dirs, w_dir, n_phi):
+        return float(w_dir @ (1.0 / (1.3 - dirs @ e))), len(dirs)
 
-    def g(y):
-        y = np.atleast_2d(y)
-        return 1.0 / (1.0 + np.sum((y - np.array([0.5, 1.0, -0.3])) ** 2,
-                                   axis=1))
-
-    monkeypatch.setattr(quad, "azimuth_rings", spy)
-    poisson_extend(Ball(center=(0.0, 0.0, 0.0), radius=1.0), g, 0.5,
-                   (-0.6, 0.2, 0.5), CFG)
-    value, estimate, actual = seen[0]
-    assert actual <= estimate <= 1e3 * max(actual, 1e-15 * abs(value))
+    for mu_lo in (-1.0, 0.0, 0.5, 0.8):
+        value, _, estimate = quad.azimuth_rings(ring_pass, axis, 16, 12, 128,
+                                                CFG, mu_lo=mu_lo)
+        fine, _ = ring_pass(*quad.layered_directions(axis, 16, 12, 1024,
+                                                     mu_lo), 1024)
+        actual, rounding = abs(value - fine), 1e-15 * abs(value)
+        assert actual <= estimate + rounding
+        assert estimate <= 1e2 * max(actual, rounding)
 
 
 def test_poisson_extend_estimate_covers_near_boundary_error():
-    # The extension of g = 1 is 1.  At |x| = 0.9 the angular peak has
-    # width delta = 0.099: 30/delta = 304 directions are 2.3e-14 off
-    # (estimate 5.2e-8), where 10/delta = 101 were 4.0e-5 off (estimate
-    # 2.6e-3, tolerance_ok False).  The coarse pass takes half the
-    # directions: at the fine count the estimate read 3e-16.
+    # The extension of g = 1 is 1.  At |x| = 0.9 the kernel's angular peak
+    # has width delta = 0.099, which a direction rule about x resolved only
+    # with 30/delta directions.
     ball = Ball(center=(0.0, 0.0), radius=1.0)
     res = poisson_extend(ball, lambda y: np.ones(len(y)), 0.9, (0.85, 0.3),
                          CFG)
@@ -823,6 +812,51 @@ def test_poisson_extension_reproduces_linear_s_harmonic():
         assert res.value == pytest.approx(x[0], abs=1e-7)
 
 
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("s", [0.75, 1.0])
+@pytest.mark.parametrize("r", [0.99, 0.999])
+def test_poisson_extension_is_exact_near_the_boundary(N, s, r):
+    # y_1 is s-harmonic.  Near the boundary the polar and boundary rules
+    # were up to 1.1e-2 off in the plane (s = 0.75, |x| = 0.999; flagged)
+    # and up to 4.5e-13 in space (s = 1, |x| = 0.999).
+    ball = Ball(center=(0.0,) * N, radius=1.0)
+    x = r * np.array([0.6, 0.8] if N == 2 else [0.48, 0.6, 0.64])
+    res = poisson_extend(ball, lambda y: y[:, 0].copy(), s, x, CFG)
+    assert abs(res.value - x[0]) <= 1e-13
+    assert res.tolerance_ok
+
+
+def test_poisson_extension_off_centre_datum_frozen():
+    # 1 / (1 + |y - c|^2), c = (0.5, 1, -0.3), not symmetric about x: the
+    # reference 0.2219491652541699 is a polar pass of 75,810,816 points
+    # (rel_tol 1e-13, abs_tol 1e-15, angular_order 256, radial_order 30;
+    # estimate 7.8e-17).  The harmonic route lands 1.2e-15 from it, inside
+    # its own estimate of 6.8e-14, from 9,788,064 points.
+    def g(y):
+        return 1.0 / (1.0 + np.sum((y - np.array([0.5, 1.0, -0.3])) ** 2,
+                                   axis=1))
+
+    cfg = QuadConfig(rel_tol=1e-12, angular_order=128, radial_order=30)
+    res = poisson_extend(Ball(center=(0.0, 0.0, 0.0), radius=1.0), g, 0.5,
+                         (-0.6, 0.2, 0.5), cfg)
+    err = abs(res.value - 0.2219491652541699)
+    assert err <= 5e-15
+    assert err <= res.error_estimate
+    assert res.tolerance_ok
+
+
+@pytest.mark.parametrize("N,most", [(2, 30_000), (3, 100_000)])
+def test_poisson_extension_of_one_reads_few_points(N, most):
+    # Degrees 1 and 3 of the ladder on the exterior grid: 21,048 points in
+    # the plane and 70,160 in space, where the polar passes read 92,096
+    # and 4,058,176 or more.
+    ball = Ball(center=(0.0,) * N, radius=1.0)
+    res = poisson_extend(ball, ones, 0.5, np.array([0.3, -0.2, 0.4][:N]),
+                         CFG)
+    assert res.value == pytest.approx(1.0, rel=1e-14)
+    assert res.evaluations <= most
+
+
 def test_poisson_extension_growth_guard():
     for N in (2, 3):
         ball = Ball(center=(0.0,) * N, radius=1.0)
@@ -852,8 +886,7 @@ def nan_right_of_half(y):
 @pytest.mark.parametrize("N", [2, 3])
 @pytest.mark.parametrize("s", [0.5, 1.0])
 def test_poisson_extension_non_finite_data_raises_at_its_point(N, s):
-    # Each branch (the exterior rule, the 2D boundary rule, the 3D cap
-    # rule) returned nan with no error.
+    # The exterior and boundary passes once returned nan with no error.
     ball = Ball(center=(0.0,) * N, radius=1.0)
     with pytest.raises(EvaluationError) as info:
         poisson_extend(ball, nan_right_of_half, s, np.full(N, 0.1), CFG)
@@ -863,8 +896,8 @@ def test_poisson_extension_non_finite_data_raises_at_its_point(N, s):
 @pytest.mark.parametrize("N", [2, 3])
 @pytest.mark.parametrize("s", [0.5, 1.0])
 def test_poisson_extend_radial_matches_polar(N, s):
-    # The sphere integral of the kernel at each exterior radius is the
-    # closed single-pole angle (g(R) itself at s = 1).
+    # Declared radial, g is read once per exterior radius (degree 0);
+    # undeclared, the degree ladder runs to L = 3.
     def g(y):
         return 1.0 / (1.0 + np.sum(np.atleast_2d(y) ** 2, axis=1))
 
@@ -883,13 +916,26 @@ def test_poisson_extend_radial_matches_polar(N, s):
 
 @pytest.mark.parametrize("N", [2, 3])
 def test_poisson_classical_kernel_mass(N):
-    from fraclab.geometry import boundary_quadrature
-    ball = Ball(center=(0.0,) * N, radius=1.5)
-    rule = boundary_quadrature(ball, 40)
+    # The kernel integrates to 1 over the sphere of radius R: a 40-point
+    # trapezoid rule on the circle, or a 40 x 80 Gauss x azimuth rule.
+    R = 1.5
+    ball = Ball(center=(0.0,) * N, radius=R)
+    if N == 2:
+        phi = 2.0 * math.pi * np.arange(40) / 40
+        dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        w = np.full(40, 2.0 * math.pi / 40)
+    else:
+        mu, w_mu = np.polynomial.legendre.leggauss(40)
+        phi = 2.0 * math.pi * (np.arange(80) + 0.5) / 80
+        sin = np.sqrt(1.0 - mu * mu)
+        dirs = np.stack([np.outer(sin, np.cos(phi)).ravel(),
+                         np.outer(sin, np.sin(phi)).ravel(),
+                         np.repeat(mu, 80)], axis=1)
+        w = np.repeat(w_mu, 80) * (2.0 * math.pi / 80)
     z = np.zeros(N)
     z[0] = 0.7
-    pk = poisson_ball_classical(ball, z, rule.nodes)
-    assert float(rule.weights @ pk) == pytest.approx(1.0, rel=1e-10)
+    pk = poisson_ball_classical(ball, z, R * dirs)
+    assert float(R ** (N - 1) * w @ pk) == pytest.approx(1.0, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -916,10 +962,12 @@ def test_circle_mean_matches_mpmath(s):
 
 
 def test_exterior_means_reduce_to_the_single_pole_angle():
-    rho = np.array([0.1, 0.5, 0.999])
-    for N in (2, 3):
-        got = kernels._exterior_mean(N, 0.0, 1.2, rho, 1.2 - rho)
-        want = kernels._single_pole_angle(N, 1.2, rho)
+    # At s = 0 the mean of |z - rho w|^(-N) over the sphere is closed:
+    # 2 pi / (r^2 - rho^2) (plane), 4 pi / (r (r^2 - rho^2)) (space).
+    r, rho = 1.2, np.array([0.1, 0.5, 0.999])
+    for N, want in ((2, 2.0 * math.pi / (r * r - rho * rho)),
+                    (3, 4.0 * math.pi / (r * (r * r - rho * rho)))):
+        got = kernels._exterior_mean(N, 0.0, r, rho, r - rho)
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
 
@@ -987,8 +1035,70 @@ def test_comp_kernel_ball3_frozen(s, r, expected):
     ball = Ball(center=(0.0, 0.0, 0.0), radius=1.0)
     got_x = comp_poisson_kernel(ball, s, [0.0, r, 0.0], [0.0, 0.0, 0.0])
     got_z = comp_poisson_kernel(ball, s, [0.0, 0.0, 0.0], [r, 0.0, 0.0])
-    assert got_x == pytest.approx(expected, rel=1e-6)
-    assert got_z == pytest.approx((1.0 - r * r) ** s * expected, rel=1e-6)
+    assert got_x == pytest.approx(expected, rel=1e-13)
+    assert got_z == pytest.approx((1.0 - r * r) ** s * expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("q,x,z", [
+    (1.05, (0.9, 0.0, 0.0), (0.3, 0.4, -0.2)),
+    (1.5, (0.2, -0.1, 0.3), (-0.4, 0.5, 0.1)),
+    (1.2, (0.0, 0.0, 0.9), (0.0, 0.0, -0.9)),
+])
+def test_double_pole_matches_dblquad(q, x, z):
+    # The closed sphere integral of |x - q w|^-3 |z - q w|^-3 against
+    # scipy dblquad in the polar angles (epsrel 1e-13; about 0.6 s for the
+    # peaked q - R = 0.05 row).
+    from scipy.integrate import dblquad
+    x, z = np.array(x), np.array(z)
+
+    def f(phi, theta):
+        w = np.array([math.sin(theta) * math.cos(phi),
+                      math.sin(theta) * math.sin(phi), math.cos(theta)])
+        dx, dz = x - q * w, z - q * w
+        return math.sin(theta) * float(dx @ dx) ** -1.5 \
+            * float(dz @ dz) ** -1.5
+
+    want = dblquad(f, 0.0, math.pi, 0.0, 2.0 * math.pi, epsabs=0.0,
+                   epsrel=1e-13)[0]
+    got = kernels._double_pole(3, 1.0, np.array([q - 1.0]), x, z)[0]
+    assert got == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("r,expected", [
+    # scipy quad of c_3 tau (1 - r^2)^s 4 pi int_0^inf (1 + E)^-2 (E (2 +
+    # E))^-s / ((1 + E)^2 - r^2) dE, the E^-s end through its algebraic
+    # weight, epsrel 1.2e-14: 0.10110834106440225 and 0.13466345463958354.
+    # A 3D sphere rule once read these 4.7% and 66% low, with no flag.
+    (0.9, 0.1011083410644022),
+    (0.99, 0.1346634546395835),
+])
+def test_comp_kernel_ball3_near_the_boundary(r, expected):
+    ball = Ball(center=(0.0, 0.0, 0.0), radius=1.0)
+    got = comp_poisson_kernel(ball, 0.5, [0.0, 0.0, 0.0], [r, 0.0, 0.0])
+    assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_comp_kernel_ball3_classical_center():
+    # s = 1, x at the centre: c_3 / R^3 by the mean-value property.
+    c3, _ = log_constants(3)
+    for R in (1.0, 2.0):
+        ball = Ball(center=(0.5, -1.0, 0.25), radius=R)
+        z = np.array([0.5 + 0.3 * R, -1.0 - 0.6 * R, 0.25 + 0.2 * R])
+        got = comp_poisson_kernel(ball, 1.0, ball.center, z)
+        assert got == pytest.approx(c3 / R ** 3, rel=1e-14)
+
+
+def test_comp_kernel_memory_ignores_the_angular_order():
+    # No direction rule: a 1024 angular order once asked for 3.5 GB.
+    ball = Ball(center=(0.0, 0.0, 0.0), radius=1.0)
+    cfg = QuadConfig(angular_order=1024)
+    tracemalloc.start()
+    try:
+        comp_poisson_kernel(ball, 0.5, [0.1, 0.2, 0.0], [0.3, 0.0, 0.1], cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 @pytest.mark.parametrize("N,r", [(2, 0.0), (2, 0.5), (2, 0.9),
@@ -1163,7 +1273,8 @@ def test_comp_apply_classical_estimate_bounds_its_error(N, beta):
     x = np.zeros(N)
     x[0] = 0.4
     c_N, _ = log_constants(N)
-    exact = c_N * beta * kernels._single_pole_angle(N, 1.0, 0.4)
+    exact = c_N * beta * (2.0 * math.pi if N == 2 else 4.0 * math.pi) \
+        / (1.0 - 0.4 * 0.4)
     for bp in (0.5, None):
         f = operators.ScalarField(
             fn=lambda y: np.sqrt(np.maximum(1.0 - np.sum(y * y, axis=1),

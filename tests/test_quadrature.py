@@ -211,17 +211,17 @@ def test_centred_radial_needs_radial_data_on_a_centred_ball():
 # Layered direction rules on the 2-sphere.
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("layout", ["cap"])
 @pytest.mark.parametrize("n_phi", [32])
-def test_layered_directions_measure(layout, n_phi):
-    dirs, w = quad.layered_directions([0.0, 0.0, 1.0], layout, 16, 12, n_phi)
+def test_layered_directions_measure(n_phi):
+    # mu_lo = -1: the cone is the whole sphere, graded toward both poles.
+    dirs, w = quad.layered_directions([0.0, 0.0, 1.0], 16, 12, n_phi)
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-14)
     assert w.sum() == pytest.approx(4.0 * math.pi, rel=1e-12)
 
 
 def test_layered_directions_cone_measure():
     mu_lo = 0.5
-    dirs, w = quad.layered_directions([1.0, 2.0, -1.0], "cone", 16, 12, 24,
+    dirs, w = quad.layered_directions([1.0, 2.0, -1.0], 16, 12, 24,
                                       mu_lo=mu_lo)
     assert w.sum() == pytest.approx(2.0 * math.pi * (1.0 - mu_lo), rel=1e-12)
     axis = np.array([1.0, 2.0, -1.0]) / math.sqrt(6.0)
@@ -234,7 +234,7 @@ def test_layered_directions_axisymmetric_moment():
     axis = np.array([0.3, -1.2, 0.5])
     a_hat = axis / np.linalg.norm(axis)
     for n_phi in (8, 48):
-        dirs, w = quad.layered_directions(axis, "cap", 20, 14, n_phi)
+        dirs, w = quad.layered_directions(axis, 20, 14, n_phi)
         got = float(w @ (dirs @ a_hat) ** 2)
         assert got == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
 
@@ -243,14 +243,9 @@ def test_layered_directions_nonsymmetric_needs_azimuth():
     # a harmonic with azimuthal dependence integrates to zero only when
     # the azimuth is actually sampled
     axis = np.array([0.0, 0.0, 1.0])
-    dirs, w = quad.layered_directions(axis, "cap", 20, 14, 64)
+    dirs, w = quad.layered_directions(axis, 20, 14, 64)
     got = float(w @ (dirs[:, 0] * dirs[:, 1]))
     assert abs(got) < 1e-13
-
-
-def test_layered_directions_unknown_layout():
-    with pytest.raises(DomainError):
-        quad.layered_directions([0.0, 0.0, 1.0], "equator", 8, 8, 8)
 
 
 def test_direction_chunks_cover_range():

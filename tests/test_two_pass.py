@@ -103,18 +103,18 @@ FROZEN = {
         (1.247246275736593, 2.095394190793531e-15, 63232, True),
     "nonlocal_normal_derivative":
         (-0.22258865580013346, 2.9326764872154496e-16, 526720, True),
-    # Re-frozen with the 30/delta angular floor: the fine pass takes 304
-    # directions and lands 1.1e-14 from its 1024-direction reference
-    # 0.4861856928329459, the coarse pass 152.  At 10/delta (101 and 50
-    # directions) it was 0.48620551179044025, 2.0e-5 off, with estimate
-    # 1.3e-3, 152324 evaluations and tolerance_ok False.  The library
-    # gamma moved it 4 ulps up from 0.48618569283295726.  The coarse pass
-    # has 10 radial nodes, not 12, and depth 18, not 20 (was estimate
-    # 2.6046783278878787e-08, 459648 evaluations).
+    # Re-frozen on the harmonic route (one integral in the exterior radius
+    # over the data's moments, degrees 1 and 3 of the ladder): 2.4e-16
+    # from the 1024-direction polar reference 0.4861856928329459, where the
+    # polar pass it replaced (0.4861856928329575, estimate 2.6e-8, 437456
+    # evaluations) was 1.2e-14 off.
     "poisson_extend":
-        (0.4861856928329575, 2.6046783500923392e-08, 437456, True),
+        (0.48618569283294566, 2.532739948132726e-15, 21048, True),
+    # The classical extension of 1 + y_1^2 (exact 1.54) on the same route at
+    # q = R alone, degrees 1, 3 and 7; the boundary rule it replaced gave
+    # 1.54 with estimate 6.0e-16 from 96 evaluations.
     "poisson_extend_classical":
-        (1.54, 5.980892098500627e-16, 96, True),
+        (1.5399999999999998, 2.595433806719107e-15, 56, True),
 }
 
 
