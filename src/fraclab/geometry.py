@@ -6,6 +6,9 @@ distance to the boundary, exact ray/boundary intersections, the product
 rule on the unit sphere, and the squared distance ``sq_dist`` of a point
 batch, through which every row norm of points and ray nodes goes.
 
+On an ellipsoid :func:`delta` solves the nearest-point equation for a
+whole batch at once: closed at ``eps = 0``, by Newton steps elsewhere.
+
 Both domain types are frozen dataclasses (hence hashable), which lets
 expensive per-domain data such as eigendecompositions and cached quadrature
 rules key off the domain object directly.
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import DomainError
 
@@ -136,73 +138,48 @@ def sq_dist(pts, c=None) -> np.ndarray:
     return sq
 
 
-def _ellipsoid_delta_one(domain: Ellipsoid, x: np.ndarray) -> float:
-    """Signed distance for one point: positive inside, negative outside.
-
-    The nearest boundary point is the projection ``y = (I + lam A)^{-1} x``
-    with ``lam >= -1/d_max``, where ``lam`` solves
-    ``sum_i d_i xt_i^2 / (1 + lam d_i)^2 = 1`` in the eigenbasis.  On
-    ``(-1/d_active_max, inf)`` that function is strictly decreasing, so
-    the root is unique.  It can fall below ``-1/d_max`` only when ``x``
-    has no component on the stiffest axis; the nearest point then has
-    ``lam = -1/d_max``.  Inside points whose root lies at or near that
-    pole are solved in ``eps = 1 + lam d_max``.
-    """
+def _ellipsoid_distance(domain: Ellipsoid, pts: np.ndarray) -> np.ndarray:
+    """Distance of each row of ``pts`` to the boundary (see :func:`delta`);
+    no BLAS product mixes the rows, so a row alone gives the same bits."""
     d, Q, _, _ = _spectral(domain)
-    xt = Q.T @ x
-    active = np.abs(xt) > 0.0
-    if not active.any():
-        # Center of the ellipsoid: nearest boundary point lies along the
-        # stiffest axis.
-        return float(d.max() ** -0.5)
-    inside = float(np.sum(d * xt ** 2)) < 1.0
-    r = d / d.max()
+    xt = sum(np.multiply.outer(pts[:, k], Q[k]) for k in range(len(d)))
+    r = d / d[-1]
     stiff = r == 1.0
-    s2 = float(np.sum(xt[stiff] ** 2))
-    rest = 1.0 - float(np.sum(d[~stiff] * (xt[~stiff] / (1.0 - r[~stiff]))
-                              ** 2))
-    if inside and rest >= 0.0 and s2 * d.max() <= 1e-6 * rest:
-        # The root has eps = 1 + lam d_max <= 1e-3, which a float lam near
-        # the pole resolves only to about 1e-16/eps: solve for eps, since
-        # 1 + lam d_i = (1 - r_i) + eps r_i has no cancellation.  With no
-        # stiff component, eps = 0: the other axes project and the stiff
-        # axis takes what is left of the level.
-        if s2 == 0.0:
-            yo = xt[~stiff] / (1.0 - r[~stiff])
-            return math.sqrt(float(np.sum((xt[~stiff] - yo) ** 2))
-                             + rest / d.max())
-
-        def g_eps(eps: float) -> float:
-            return float(np.sum(d * xt ** 2 / ((1.0 - r) + eps * r) ** 2)
-                         - 1.0)
-
-        b = math.sqrt(s2 * d.max())
-        eps = brentq(g_eps, 0.5 * b, 2.0 * b / math.sqrt(rest),
-                     xtol=1e-300, rtol=8.9e-16, maxiter=200)
-        return float(np.linalg.norm(xt - xt / ((1.0 - r) + eps * r)))
-    da = d[active]
-    xa = xt[active]
-
-    def g(lam: float) -> float:
-        return float(np.sum(da * xa ** 2 / (1.0 + lam * da) ** 2) - 1.0)
-
-    pole = -1.0 / da.max()
-    span = abs(pole)
-    lo = pole + 1e-14 * span
-    while g(lo) < 0.0:
-        # x has a negligible component on the stiffest axis; tighten toward
-        # the pole until the bracket opens (g -> +inf at the pole).
-        lo = pole + (lo - pole) * 1e-3
-        if lo - pole < 1e-300:
-            lo = pole + 1e-300
-            break
-    hi = span
-    while g(hi) > 0.0:
-        hi *= 4.0
-    lam = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    yt = xt / (1.0 + lam * d)
-    dist = float(np.linalg.norm(xt - yt))
-    return dist if inside else -dist
+    yo = xt[:, ~stiff] / (1.0 - r[~stiff])
+    rest = 1.0 - (d[~stiff] * yo ** 2).sum(axis=1)
+    s2 = (xt[:, stiff] ** 2).sum(axis=1)
+    closed = (s2 == 0.0) & (rest >= 0.0)
+    out = np.empty(len(pts))
+    out[closed] = np.sqrt(((xt[closed][:, ~stiff] - yo[closed]) ** 2)
+                          .sum(axis=1) + rest[closed] / d[-1])
+    x, s2, rest = xt[~closed], s2[~closed], rest[~closed]
+    w = d * x ** 2
+    # Start below the root (F >= 1 for the stiff terms alone, and for the
+    # others with each 1 - r_i lowered to the least); the upper end is
+    # twice a bound with F <= 1, so no step lands on it unevaluated.
+    c = np.min(1.0 - r, where=~stiff, initial=1.0)
+    lo = np.maximum(np.sqrt(d[-1] * s2),
+                    c * -rest / (1.0 + np.sqrt(1.0 - rest)))
+    hi = 2.0 * np.maximum(1.0, np.sqrt(w.sum(axis=1)) / r[0])
+    eps = lo.copy()
+    todo = np.arange(len(x))
+    while todo.size:
+        e = eps[todo]
+        den = (1.0 - r) + e[:, None] * r
+        F = (w[todo] / den ** 2).sum(axis=1)
+        below = F >= 1.0
+        lo[todo] = a = np.where(below, e, lo[todo])
+        hi[todo] = b = np.where(below, hi[todo], e)
+        slope = (w[todo] * r / den ** 3).sum(axis=1)
+        step = e + F * (np.sqrt(F) - 1.0) / slope
+        step = np.where((a <= step) & (step <= b), step, 0.5 * (a + b))
+        eps[todo] = step
+        todo = todo[(a < step) & (step < b)]     # NaN stops too
+    # x - y = x (eps - 1) r / den, with no cancellation near the boundary.
+    den = (1.0 - r) + eps[:, None] * r
+    out[~closed] = np.sqrt(((x * ((eps[:, None] - 1.0) * r) / den) ** 2)
+                           .sum(axis=1))
+    return out
 
 
 def _points(domain: Domain, x) -> tuple[np.ndarray, bool]:
@@ -220,13 +197,31 @@ def delta(domain: Domain, x) -> float | np.ndarray:
     """Signed distance to the boundary: positive inside, negative outside.
 
     Accepts a single point ``(N,)`` or a batch ``(M, N)``; returns a float
-    or an array accordingly.
+    or an array accordingly.  The sign is the side :func:`contains`
+    takes, also within an ulp of the boundary.
+
+    On an ellipsoid ``A = Q diag(d) Q^T`` the nearest boundary point is
+    ``y_i = xt_i / (1 + lam d_i)`` in the eigenbasis ``xt = Q^T x``.  The
+    whole batch is solved at once in ``eps = 1 + lam d_max``, where
+    ``1 + lam d_i = (1 - r_i) + eps r_i`` with ``r_i = d_i / d_max`` does
+    not cancel near the pole ``eps = 0``:
+
+    - ``eps = 0`` in closed form when ``x`` has no stiff component and
+      ``rest >= 0``, the level its projection onto the other axes leaves:
+      the stiff axes take that rest;
+    - otherwise ``eps > 0`` is the unique root of the decreasing, convex
+      ``F(eps) = sum_i d_i xt_i^2 / ((1 - r_i) + eps r_i)^2 = 1``.  Newton
+      steps on the concave ``F^(-1/2) = 1`` (Moré and Sorensen, SIAM J.
+      Sci. Stat. Comput. 4, 1983) rise to it from a lower bound, a step
+      leaving the bracket of evaluated points bisects it, and each point
+      iterates until it stops moving.
     """
     pts, single = _points(domain, x)
     if isinstance(domain, Ball):
         out = domain.radius - np.sqrt(sq_dist(pts, domain.center))
     else:
-        out = np.array([_ellipsoid_delta_one(domain, p) for p in pts])
+        dist = _ellipsoid_distance(domain, pts)
+        out = np.where(_level(domain, pts) < 1.0, dist, -dist)
     return float(out[0]) if single else out
 
 

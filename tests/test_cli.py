@@ -401,31 +401,60 @@ def test_help_exits_zero(capsys):
 # ---------------------------------------------------------- import cost
 
 
-def test_importing_fraclab_leaves_heavy_scipy_modules_unloaded():
-    # Every CLI call pays the import; these scipy modules load lazily
-    # where they are used, and a top-level import would add their cost
-    # to every run.
+_IMPORT_ALL = ("import importlib, pkgutil, sys, fraclab\n"
+               "for m in pkgutil.iter_modules(fraclab.__path__):\n"
+               "    importlib.import_module('fraclab.' + m.name)\n")
+_HEAVY_SCIPY = {"scipy.interpolate", "scipy.integrate", "scipy.optimize",
+                "scipy.sparse", "scipy.spatial", "scipy.fft"}
+
+
+def _modules_after(code):
+    """Names in ``sys.modules`` printed by ``code`` run in a fresh
+    interpreter on this source tree."""
     src = Path(fraclab.__file__).resolve().parents[1]
-    code = ("import importlib, pkgutil, sys, fraclab\n"
-            "for m in pkgutil.iter_modules(fraclab.__path__):\n"
-            "    importlib.import_module('fraclab.' + m.name)\n"
-            "print(' '.join(sorted(sys.modules)))\n")
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout.split()
+    return set(subprocess.run([sys.executable, "-c", code], env=env,
+                              check=True, capture_output=True,
+                              text=True).stdout.split())
+
+
+def test_importing_fraclab_leaves_heavy_scipy_modules_unloaded():
+    # Every CLI call pays the import; none of these scipy modules has a
+    # user in the package, and a top-level import would add its cost to
+    # every run.
+    out = _modules_after(_IMPORT_ALL + "print(' '.join(sys.modules))\n")
     assert "fraclab.cli" in out and "fraclab.operators" in out
-    assert not {"scipy.interpolate", "scipy.integrate"} & set(out)
+    assert not _HEAVY_SCIPY & out
     # Nor does the interchange residual load them: its profiles are
     # Chebyshev series, not splines.
-    code = ("import sys, numpy as np\n"
-            "from fraclab.geometry import Ball\n"
-            "from fraclab.operators import ScalarField, interchange_residual\n"
-            "f = ScalarField(fn=lambda p: np.ones(len(p)), dim=2, "
-            "radial=True)\n"
-            "interchange_residual(Ball(center=(0.0, 0.0), radius=1.0), f, "
-            "0.5, np.array([0.3, 0.0]))\n"
-            "print(' '.join(sorted(sys.modules)))\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout.split()
+    out = _modules_after(
+        "import sys, numpy as np\n"
+        "from fraclab.geometry import Ball\n"
+        "from fraclab.operators import ScalarField, interchange_residual\n"
+        "f = ScalarField(fn=lambda p: np.ones(len(p)), dim=2, radial=True)\n"
+        "interchange_residual(Ball(center=(0.0, 0.0), radius=1.0), f, "
+        "0.5, np.array([0.3, 0.0]))\n"
+        "print(' '.join(sys.modules))\n")
     assert "fraclab.operators" in out
-    assert not {"scipy.interpolate", "scipy.integrate"} & set(out)
+    assert not _HEAVY_SCIPY & out
+
+
+def test_first_calls_import_nothing():
+    # A module a first call imports (scipy.linalg, which roots_jacobi
+    # loads in its first call) would add its cost to the first timed
+    # operation of a run instead of to the import.
+    new = _modules_after(
+        _IMPORT_ALL
+        + "import numpy as np\n"
+        "from fraclab.geometry import unit_ball\n"
+        "from fraclab.kernels import comp_poisson_apply, green_apply\n"
+        "from fraclab.operators import CompactField, log_laplacian_compact\n"
+        "before = set(sys.modules)\n"
+        "one = lambda p: np.ones(len(p))\n"
+        "x = np.array([0.3, 0.1])\n"
+        "green_apply(unit_ball(2), one, 0.5, x)\n"
+        "comp_poisson_apply(unit_ball(2), one, 0.5, x)\n"
+        "log_laplacian_compact(CompactField(one, unit_ball(2), "
+        "smooth_scale=1.0), x)\n"
+        "print(' '.join(set(sys.modules) - before))\n")
+    assert not new

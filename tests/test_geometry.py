@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from fraclab.core import DomainError
 from fraclab import geometry as geo
@@ -110,6 +111,162 @@ def test_ellipsoid_delta_3d_ball_consistency():
     for x in [(0.3, -0.2, 0.9), (1.4, 1.1, -0.3), (0.0, 0.0, 0.0)]:
         expected = R - np.linalg.norm(x)
         assert geo.delta(dom, x) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The batched nearest-point solve on ellipsoids, against the per-point
+# brentq solver it replaced.
+# ---------------------------------------------------------------------------
+
+def _ellipsoid_delta_one(domain, x):
+    """The per-point brentq solver that ``geo.delta`` used before its
+    batched solve; kept here as a reference."""
+    d, Q, _, _ = geo._spectral(domain)
+    xt = Q.T @ x
+    active = np.abs(xt) > 0.0
+    if not active.any():
+        return float(d.max() ** -0.5)
+    inside = float(np.sum(d * xt ** 2)) < 1.0
+    r = d / d.max()
+    stiff = r == 1.0
+    s2 = float(np.sum(xt[stiff] ** 2))
+    rest = 1.0 - float(np.sum(d[~stiff] * (xt[~stiff] / (1.0 - r[~stiff]))
+                              ** 2))
+    if inside and rest >= 0.0 and s2 * d.max() <= 1e-6 * rest:
+        if s2 == 0.0:
+            yo = xt[~stiff] / (1.0 - r[~stiff])
+            return math.sqrt(float(np.sum((xt[~stiff] - yo) ** 2))
+                             + rest / d.max())
+
+        def g_eps(eps):
+            return float(np.sum(d * xt ** 2 / ((1.0 - r) + eps * r) ** 2)
+                         - 1.0)
+
+        b = math.sqrt(s2 * d.max())
+        eps = brentq(g_eps, 0.5 * b, 2.0 * b / math.sqrt(rest),
+                     xtol=1e-300, rtol=8.9e-16, maxiter=200)
+        return float(np.linalg.norm(xt - xt / ((1.0 - r) + eps * r)))
+    da = d[active]
+    xa = xt[active]
+
+    def g(lam):
+        return float(np.sum(da * xa ** 2 / (1.0 + lam * da) ** 2) - 1.0)
+
+    pole = -1.0 / da.max()
+    span = abs(pole)
+    lo = pole + 1e-14 * span
+    while g(lo) < 0.0:
+        lo = pole + (lo - pole) * 1e-3
+        if lo - pole < 1e-300:
+            lo = pole + 1e-300
+            break
+    hi = span
+    while g(hi) > 0.0:
+        hi *= 4.0
+    lam = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    yt = xt / (1.0 + lam * d)
+    dist = float(np.linalg.norm(xt - yt))
+    return dist if inside else -dist
+
+
+def _random_ellipsoid(N, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((N, N)))
+    a = q @ np.diag(np.exp(rng.uniform(-2.0, 2.0, N))) @ q.T
+    return geo.Ellipsoid(a=tuple((0.5 * (a + a.T)).ravel()))
+
+
+def _on_boundary(dom, n, rng):
+    """``n`` random points of the boundary, to rounding."""
+    om = rng.standard_normal((n, dom.dim))
+    om /= np.linalg.norm(om, axis=1, keepdims=True)
+    return om @ geo._spectral(dom)[2].T
+
+
+def _around_boundary(dom, n, rng):
+    """Points inside, outside and within 1e-6 of the boundary."""
+    bd = _on_boundary(dom, n, rng)
+    return np.concatenate([bd * rng.uniform(0.0, 1.0, (n, 1)),
+                           bd * rng.uniform(1.0, 3.0, (n, 1)),
+                           bd + rng.uniform(-1e-6, 1e-6, bd.shape)])
+
+
+def test_ellipsoid_delta_matches_brentq_reference():
+    # 1,200 points of 40 random rotated ellipsoids.  Near the boundary the
+    # two part by up to about 1.3e-15 |x|, because brentq stops within
+    # xtol = 1e-15 of lam: where they part most, a 40-digit solve puts the
+    # reference up to 1.24e-15 |x| off and the batched solve within
+    # 3.5e-16 |x|.
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for k in range(40):
+        dom = _random_ellipsoid(2 + k % 2, rng)
+        pts = _around_boundary(dom, 10, rng)
+        got = geo.delta(dom, pts)
+        ref = np.array([_ellipsoid_delta_one(dom, p) for p in pts])
+        bound = 1e-12 * np.abs(ref) + 2e-15 * np.linalg.norm(pts, axis=1)
+        assert (np.abs(got - ref) <= bound).all()
+        checked += len(pts)
+    assert checked >= 1000
+
+
+def test_ellipsoid_delta_repeated_stiff_eigenvalue():
+    # diag(1, 4, 4) turned: the two stiffest eigenvalues come out of eigh
+    # a rounding apart.  From 1e-3 along a stiff axis the nearest boundary
+    # point is that axis' vertex, at exactly 0.5 - 1e-3.
+    c, s = math.cos(0.7), math.sin(0.7)
+    turn = (np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+            @ np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]]))
+    dom = geo.Ellipsoid(a=tuple((turn @ np.diag([1.0, 4.0, 4.0])
+                                 @ turn.T).ravel()))
+    for axis in (1, 2):
+        got = geo.delta(dom, 1e-3 * turn[:, axis])
+        assert abs(got - 0.499) <= 4.0 * math.ulp(0.499)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_ellipsoid_delta_sign_follows_contains(N):
+    # Points within 3 ulps of the boundary of rotated ellipsoids: none
+    # outside has delta > 0 and none inside has delta < 0.
+    rng = np.random.default_rng(17 + N)
+    inside_seen = outside_seen = 0
+    for _ in range(10):
+        dom = _random_ellipsoid(N, rng)
+        pts = _on_boundary(dom, 100, rng)
+        pts *= 1.0 + rng.integers(-3, 4, (100, 1)) * 2.0 ** -53
+        inside = geo.contains(dom, pts)
+        got = geo.delta(dom, pts)
+        assert not (got[~inside] > 0.0).any()
+        assert not (got[inside] < 0.0).any()
+        inside_seen += inside.sum()
+        outside_seen += (~inside).sum()
+    assert inside_seen and outside_seen
+
+
+@pytest.mark.parametrize("a", [
+    (1.0, 0.0, 0.0, 25.0),
+    (2.0, 0.3, 0.3, 1.0),
+    (1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 3.0),
+    (1.0, 0.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.0, 4.0),
+])
+def test_ellipsoid_delta_batch_matches_its_points_bitwise(a):
+    # Closed-form points (the centre, the plane off the stiffest axis)
+    # and Newton points share one batch.
+    dom = geo.Ellipsoid(a=a)
+    N = dom.dim
+    rng = np.random.default_rng(9)
+    flat = rng.uniform(-0.3, 0.3, (20, N))
+    flat[:, -1] = 0.0
+    pts = np.concatenate([np.zeros((1, N)), flat,
+                          _around_boundary(dom, 20, rng)])
+    one_by_one = np.array([geo.delta(dom, p) for p in pts])
+    np.testing.assert_array_equal(geo.delta(dom, pts), one_by_one)
+
+
+@pytest.mark.parametrize("dom", [geo.Ellipsoid(a=(1.0, 0.2, 0.2, 3.0)),
+                                 geo.unit_ball(3)])
+def test_delta_of_an_empty_batch(dom):
+    out = geo.delta(dom, np.empty((0, dom.dim)))
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
 
 
 def test_measures():
