@@ -47,6 +47,9 @@ from __future__ import annotations
 
 import argparse
 import json
+# argparse's gettext loads locale in the first parse: load it here, not
+# inside the first call of a timed run.
+import locale  # noqa: F401
 import math
 import sys
 import time

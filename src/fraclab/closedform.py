@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import eval_jacobi
 
 from .core import CapabilityError, DomainError, as_order
 from .geometry import sq_dist
@@ -122,6 +121,20 @@ def jacobi_eigenvalue(N: int, s, n: int, l: int) -> float:
                     - math.lgamma(h))
 
 
+def _eval_jacobi(n: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """The Jacobi polynomial ``P_n^(a, b)(x)``, ``a, b >= 0``, by its
+    three-term recurrence in the degree (DLMF 18.9.2)."""
+    p_prev, p = np.ones_like(x), a + 1.0 + 0.5 * (a + b + 2.0) * (x - 1.0)
+    if n == 0:
+        return p_prev
+    for k in range(2, n + 1):
+        c = 2.0 * k + a + b
+        p_prev, p = p, ((c - 1.0) * (c * (c - 2.0) * x + a * a - b * b) * p
+                        - 2.0 * (k + a - 1.0) * (k + b - 1.0) * c * p_prev) \
+            / (2.0 * k * (k + a + b) * (c - 2.0))
+    return p
+
+
 def _jacobi_parts(s, n: int, l: int, x):
     s = float(as_order(s))
     if min(n, l) < 0 or int(n) != n or int(l) != l:
@@ -133,8 +146,8 @@ def _jacobi_parts(s, n: int, l: int, x):
         raise DomainError(f"points must be 2D or 3D, got dimension {N}")
     r2 = sq_dist(pts)
     harmonic = ((pts[:, 0] + 1j * pts[:, 1]) ** int(l)).real
-    data = harmonic * eval_jacobi(int(n), s, 0.5 * N - 1.0 + l,
-                                  2.0 * r2 - 1.0)
+    data = harmonic * _eval_jacobi(int(n), s, 0.5 * N - 1.0 + l,
+                                   2.0 * r2 - 1.0)
     return s, N, r2, data, x.ndim == 1
 
 

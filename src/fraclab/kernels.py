@@ -34,7 +34,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc, betaincc
 
 from .core import (CapabilityError, DivergenceError, DomainError,
                    SingularityError, as_order)
@@ -127,6 +126,9 @@ def _green_kernel(N: int, s: float, R: float, lx: float, ly: np.ndarray,
     r0 = lx * ly / (R * R * d * d)
     if s >= 1.0:
         return np.log1p(r0) / (4.0 * math.pi)
+    # Only the pointwise Green function needs scipy; no operator calls it,
+    # so it is imported here rather than with the package.
+    from scipy.special import betainc, betaincc
     a, b = s, 0.5 * N - s
     small = r0 < 1.0
     I = np.empty_like(r0)
@@ -743,9 +745,13 @@ def _pole_sums(R: float, s: float, E: np.ndarray, rho: np.ndarray,
     c = sigma * (2.0 * R - sigma)
     cs, eps = c ** s, E * (2.0 * R + E)
     out = np.empty((len(E), wh.shape[-1]))
+    # One block buffer per call, filled in place: a fresh block per 64
+    # radii faults in new pages wherever the allocator maps it afresh.
+    buf = np.empty((min(len(E), _POLE_BLOCK), len(rho)))
     for lo in range(0, len(E), _POLE_BLOCK):
         blk = slice(lo, lo + _POLE_BLOCK)
-        P = np.add(eps[blk, None], c)
+        P = buf[:len(E) - lo]
+        np.add(eps[blk, None], c, out=P)
         np.divide(cs, P, out=P)
         out[blk] = P @ wh[0]
         if len(wh) > 1:

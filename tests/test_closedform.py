@@ -4,11 +4,12 @@ boundary band of the derivative); the Jacobi polynomial family."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from fraclab.core import CapabilityError, DomainError
-from fraclab.closedform import (isotropic_scale, jacobi_data,
+from fraclab.closedform import (_eval_jacobi, isotropic_scale, jacobi_data,
                                 jacobi_eigenvalue, jacobi_solution,
                                 torsion_s_derivative, torsion_value)
 from fraclab.specfun import ball_torsion_constant
@@ -160,6 +161,20 @@ def test_jacobi_family_solves_poisson_at_s_one(N, n, l):
     assert lam == pytest.approx(4.0 * (n + 1) * (0.5 * N + n + l), rel=1e-14)
     assert -lap / h ** 2 == pytest.approx(jacobi_data(1.0, n, l, x),
                                           rel=1e-5)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
+@pytest.mark.parametrize("a,b", [(0.01, 0.0), (0.5, 1.5), (0.9, 3.0),
+                                 (1.0, 0.5)])
+def test_jacobi_recurrence_matches_mpmath(n, a, b):
+    # The degree recurrence against mpmath's hypergeometric form, relative
+    # to max(1, |P_n|) since P_n has zeros in (-1, 1); measured 1.9e-15.
+    x = np.linspace(-1.0, 1.0, 41)
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.jacobi(n, a, b, t, zeroprec=200))
+                        for t in x])
+    np.testing.assert_allclose(_eval_jacobi(n, a, b, x), ref, rtol=0.0,
+                               atol=4e-15 * max(1.0, np.abs(ref).max()))
 
 
 def test_jacobi_family_batches_and_vanishes_outside():

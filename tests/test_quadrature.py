@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from fraclab.core import DomainError
 from fraclab import geometry as geo
@@ -23,6 +24,41 @@ CFG = quad.QuadConfig()
 def test_config_validation():
     with pytest.raises(DomainError):
         quad.QuadConfig(rel_tol=0.0)
+
+
+_JACOBI_EXPONENTS = [-0.999, -0.958, -0.75, -0.5, -0.1, 0.0, 0.3, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("n", [8, 12, 20, 24, 32, 40])
+@pytest.mark.parametrize("beta", _JACOBI_EXPONENTS)
+def test_jacobi_unit_integrates_moments_exactly(n, beta):
+    # The Gauss rule of t^beta on [0, 1] integrates t^k exactly for k <
+    # 2n: int_0^1 t^(beta + k) dt = 1 / (beta + k + 1).  Measured worst:
+    # 1.4e-13 relative, at beta = -0.999.
+    t, w = quad._jacobi_unit(n, beta)
+    assert np.all(w > 0.0)
+    assert 0.0 < t[0] and np.all(np.diff(t) > 0.0) and t[-1] < 1.0
+    k = np.arange(2 * n)
+    moments = (w[:, None] * t[:, None] ** k).sum(axis=0)
+    np.testing.assert_allclose(moments, 1.0 / (beta + k + 1.0), rtol=2e-13,
+                               atol=0.0)
+
+
+@pytest.mark.parametrize("n", [8, 20, 40])
+@pytest.mark.parametrize("beta", _JACOBI_EXPONENTS)
+def test_jacobi_unit_nodes_match_scipy(n, beta):
+    # scipy's Gauss-Jacobi rule on [-1, 1], mapped to [0, 1]: the nodes
+    # agree within 3 eps absolute (measured 4.4e-16).  Its weights are
+    # not a reference: they are up to 7e-11 off at beta = -0.958, n = 40.
+    x, _ = roots_jacobi(n, 0.0, beta)
+    t, _ = quad._jacobi_unit(n, beta)
+    np.testing.assert_allclose(t, 0.5 * (x + 1.0), rtol=0.0,
+                               atol=3.0 * np.finfo(float).eps)
+
+
+def test_jacobi_unit_rejects_non_integrable_exponent():
+    with pytest.raises(DomainError):
+        quad._jacobi_unit(8, -1.0)
 
 
 def test_unit_power_rule_exactness():

@@ -2,14 +2,17 @@
 
 The expected values below were generated once with mpmath at 50 digits and
 are committed verbatim; the gamma and digamma functions the constants are
-built from (``math.gamma``, ``scipy.special.digamma``) and the constants
-themselves must reproduce them to 1e-12 relative.
+built from (``math.gamma``, :func:`fraclab.specfun.digamma`) and the
+constants themselves must reproduce them to 1e-12 relative.  The digamma
+function is also held to a few ulps of mpmath on a dense grid of the
+arguments the constants use.
 """
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
-from scipy.special import digamma
 
 from fraclab.core import DomainError
 from fraclab import specfun
@@ -72,7 +75,31 @@ def test_gamma_table(x, expected):
 
 @pytest.mark.parametrize("x, expected", DIGAMMA_TABLE)
 def test_digamma_table(x, expected):
-    assert digamma(x) == pytest.approx(expected, rel=1e-12)
+    assert specfun.digamma(x) == pytest.approx(expected, rel=1e-12)
+
+
+def test_digamma_dense_grid():
+    # psi(1 + s) and psi(N/2 + s), 0 < s < 2, as ball_torsion_constant
+    # takes them: at most 2 ulp off, and at most 4.4e-16 absolute within
+    # 0.3 of the root x0 = 1.4616..., where psi itself vanishes.
+    s = np.linspace(0.0, 2.0, 2001)[1:-1]
+    root = 1.4616321449683623
+    with mpmath.workdps(30):
+        for x in np.concatenate([1.0 + s, 1.5 + s]).tolist():
+            ref = float(mpmath.digamma(x))
+            err = abs(specfun.digamma(x) - ref)
+            if abs(x - root) < 0.3:
+                assert err <= 4.4e-16, x
+            else:
+                assert err <= 2.0 * math.ulp(ref), x
+
+
+def test_digamma_closed_at_half_dimension():
+    # psi(1) = -gamma_E and psi(3/2) = 2 - gamma_E - 2 ln 2, as
+    # log_constants takes them.
+    for N in (2, 3):
+        assert specfun._PSI_HALF_N[N] == pytest.approx(
+            float(mpmath.digamma(0.5 * N)), rel=0.0, abs=4.4e-16)
 
 
 # ---------------------------------------------------------------------------

@@ -68,9 +68,11 @@ FROZEN = {
     # with one rho rule shared by the whole master grid: the evaluations
     # count the data points of that rule, 736, not the 1754 grid nodes,
     # and the value moved 2 ulps (was 0.5139603083393474, estimate
-    # 1.1347608922445452e-09).
+    # 1.1347608922445452e-09).  Re-frozen with the Golub-Welsch Jacobi
+    # rules: the value is unchanged, the estimate moved 1e-7 relative (was
+    # 1.1347491238804842e-09).
     "comp_poisson_apply":
-        (0.5139603083393472, 1.1347491238804842e-09, 736, True),
+        (0.5139603083393472, 1.1347492349027867e-09, 736, True),
     # Re-frozen with the one-rule Green kernel (was 164416 evaluations on
     # two rules); an angular_order=256, radial_order=30 run gives
     # 0.017212412234932212, 2.7e-16 above, inside the estimate.  The
@@ -81,16 +83,24 @@ FROZEN = {
     # 4.032810022076146e-11), the count is unchanged.  Re-frozen with the
     # harmonic route, which stops at degree 3 and lands 4.6e-17 from the
     # reference (was 0.017212412234931966, estimate 4.032810369020841e-11,
-    # 68608 evaluations on the polar pass).
+    # 68608 evaluations on the polar pass).  Re-frozen with the
+    # Golub-Welsch Jacobi rules: 4 ulps up (was 0.017212412234932258,
+    # estimate 4.389207601980667e-16), 6.3e-18 above the closed Jacobi-data
+    # solution 0.0172124122349322637, where it was 5.7e-18 below.
     "green_apply":
-        (0.017212412234932258, 4.389207601980667e-16, 23328, True),
+        (0.01721241223493227, 4.527985480058812e-16, 23328, True),
     # Re-frozen with one ray per +-theta pair: the same value at half the
     # evaluations (was 294400); the coarse pass sums in another order, so
     # the estimate moved from 3.9037691576264246e-13.  Re-frozen with the
     # coarse pass graded 18 levels deep, not 24 (was 3.886005589232422e-13
-    # and 147200 evaluations).
+    # and 147200 evaluations).  Re-frozen with the Golub-Welsch Jacobi
+    # rules: 1.8e-14 down (was 13.547679339876249, estimate
+    # 3.8682420208384195e-13), now 4.5e-13 above the closed value
+    # 13.5476793398757813 (Dyda's formula over c(2, 1/2)), where it was
+    # 4.7e-13 above, outside that estimate; a (1e-13, 1e-15, 256, 30) run
+    # gives 13.547679339876733, 5.0e-13 off, inside the new estimate.
     "integrate_pv_second_difference":
-        (13.547679339876249, 3.8682420208384195e-13, 139520, True),
+        (13.54767933987623, 6.532777279938796e-13, 139520, True),
     # Re-frozen with the library gamma and digamma in c_N and rho_N (was
     # 1.2472462757365927, 1 ulp lower, estimate 2.0953941907935305e-15).
     "log_laplacian":
