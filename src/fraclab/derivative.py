@@ -199,8 +199,7 @@ def _green_solve(f, ball: Ball, s: float, pts: np.ndarray, cfg: QuadConfig,
     values = np.empty(len(pts))
     flags = np.empty(len(pts), dtype=bool)
     for i, p in enumerate(pts):
-        res = kernels.green_apply(ball, data, s, p, cfg,
-                                  boundary_power=data.boundary_power)
+        res = kernels.green_apply(ball, data, s, p, cfg)
         values[i] = res.value
         flags[i] = res.tolerance_ok
     return values, flags

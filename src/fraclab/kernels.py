@@ -3,14 +3,14 @@ Poisson kernel with its Fubini-form application.
 
 Stability conventions
 ---------------------
-* The Green function of the ball is ``kappa d^(2s-N) I_x(s, N/2 - s)``,
-  the regularized incomplete beta function (``scipy.special.betainc``) at
-  ``x = r0 / (1 + r0)`` with ``r0 = (R^2-|x|^2)(R^2-|y|^2) / (R^2
-  |x-y|^2)``.  For ``r0 >= 1`` it is taken as the complement at ``1 / (1 +
-  r0)``, never at the rounded ``x``, whose ``1 - x`` loses the digits
-  that matter most near the diagonal.  Against 50-digit mpmath it is
-  within 2e-15 relative for ``0.01 <= s <= 0.999999``, also as ``s ->
-  1``, where ``kappa`` grows like ``1 / (1 - s)`` in the plane.
+* For ``s < 1`` the Green function of the ball is ``pref d^(2s-N)
+  int_0^r0 u^(s-1) (1 + u)^(-N/2) du``, ``d = |x - y|``, ``r0 = (R^2 -
+  |x|^2)(R^2 - |y|^2) / (R d)^2``: ``green_apply``'s sphere factor
+  :func:`_shell_factor` at ``a = b = 1`` (times 2 in space), with its
+  Gauss-Jacobi block of weight ``u^(s-1)`` and Gauss panels in ``ln u``.
+  Nothing of the size of ``kappa``, which grows like ``1 / (1 - s)`` in
+  the plane, is subtracted: against 50-digit mpmath it is within 3.3e-15
+  relative for ``0.01 <= s <= 0.999999`` and ``r0 <= 1e150``.
 * ``green_apply``, ``poisson_extend`` and ``comp_poisson_apply`` never
   evaluate their kernels pointwise: closed integrals over spheres, degree
   by degree, meet the data's moments (:func:`_harmonic_sum`).
@@ -41,7 +41,7 @@ from . import geometry
 from .geometry import Ball, Domain
 from . import quadrature as quad
 from .quadrature import QuadConfig, IntegralResult
-from .specfun import ball_poisson_constant, log_constants, riesz_constant
+from .specfun import ball_poisson_constant, log_constants
 
 __all__ = [
     "green_ball",
@@ -106,39 +106,30 @@ def _green_kernel(N: int, s: float, R: float, lx: float, ly: np.ndarray,
     """Centered-ball Green function from ``lx = R^2 - |x|^2``, ``ly = R^2 -
     |y|^2 >= 0`` and ``d = |x - y| > 0``.
 
-    With ``r0 = lx ly / (R^2 d^2)`` it is ``kappa d^(2s-N) I_x(s, N/2 -
-    s)``, ``x = r0 / (1 + r0)`` (DLMF 8.17); ``s = 1`` takes the classical
-    logarithmic (plane) or image (space) formula.  Where ``r0 >= 1`` the
-    complement ``c = I_y(N/2 - s, s)`` is taken at ``y = 1 / (1 + r0)``,
-    which keeps the digits that ``1 - x`` would round away near the
-    diagonal, and ``1 - c`` is formed directly by ``betaincc`` where ``c >
-    1/2``.  Only there: ``betaincc`` costs about seven times as much per
-    node, and scipy 1.17's is 2e-12 off at ``a = b = 1/2`` (the plane at
-    ``s = 1/2``) for ``y`` near 1e-16, where ``1 - c`` is exact.
+    For ``s < 1`` it is ``pref d^(2s-N) int_0^r0 u^(s-1) (1 + u)^(-N/2)
+    du``, ``r0 = lx ly / (R d)^2``: :func:`_shell_factor` at ``a = b =
+    1``, ``p = 0``, whose sphere denominator is then ``(1 + u)^(N/2)`` in
+    the plane and twice that in space (hence the factor ``N - 1``), on the
+    Gauss-Jacobi block and ``ln u`` panels ``green_apply`` takes.  Above
+    ``r0 = 1e150`` the plane's ``(1 + u)^2`` would leave double range:
+    such points raise :class:`~fraclab.core.SingularityError`.  ``s = 1``
+    takes the classical logarithmic (plane) or image (space) formula.
     """
-    if s >= 1.0 and N == 3:
-        # 1/d - 1/e with e = sqrt(d^2 + q), written as q / (d e (d + e)):
-        # nothing cancels as y nears the sphere (q -> 0), and nothing
-        # overflows as y nears x.
-        q = lx * ly / (R * R)
-        e = np.sqrt(d * d + q)
-        return q / (d * e * (d + e)) / (4.0 * math.pi)
-    r0 = lx * ly / (R * R * d * d)
-    if s >= 1.0:
-        return np.log1p(r0) / (4.0 * math.pi)
-    # Only the pointwise Green function needs scipy; no operator calls it,
-    # so it is imported here rather than with the package.
-    from scipy.special import betainc, betaincc
-    a, b = s, 0.5 * N - s
-    small = r0 < 1.0
-    I = np.empty_like(r0)
-    I[small] = betainc(a, b, r0[small] / (1.0 + r0[small]))
-    y = 1.0 / (1.0 + r0[~small])
-    tail = 1.0 - betainc(b, a, y)
-    low = tail < 0.5
-    tail[low] = betaincc(b, a, y[low])
-    I[~small] = tail
-    return riesz_constant(N, s) * d ** (2.0 * s - N) * I
+    c = lx * ly / (R * R)
+    if s < 1.0:
+        if (c > 1e150 * d * d).any():
+            raise SingularityError("Green function evaluated within 1e-75 "
+                                   "sqrt(lx ly) / R of its pole")
+        one = np.ones_like(d)
+        return _green_prefactor(N, s) * (N - 1.0) * d ** (2.0 * s - N) \
+            * _shell_factor(N, s, one, one, c / (d * d), 0.0 * one, 12, 0)[0]
+    if N == 2:
+        return np.log1p(c / (d * d)) / (4.0 * math.pi)
+    # 1/d - 1/e with e = sqrt(d^2 + c), written as c / (d e (d + e)):
+    # nothing cancels as y nears the sphere (c -> 0), and nothing overflows
+    # as y nears x.
+    e = np.sqrt(d * d + c)
+    return c / (d * e * (d + e)) / (4.0 * math.pi)
 
 
 def green_ball(domain: Domain, s, x, y) -> float | np.ndarray:
@@ -146,7 +137,8 @@ def green_ball(domain: Domain, s, x, y) -> float | np.ndarray:
 
     ``x`` must lie in the open ball; ``y`` may be a point or a batch and
     the value is zero outside the closure.  ``x == y`` raises
-    :class:`~fraclab.core.SingularityError`.
+    :class:`~fraclab.core.SingularityError`, and so does, for ``s < 1``,
+    ``|x - y| < 1e-75 sqrt((R^2 - |x|^2)(R^2 - |y|^2)) / R``.
     """
     ball = _require_ball(domain, "the Green function")
     s = float(as_order(s))
@@ -169,10 +161,10 @@ def green_ball(domain: Domain, s, x, y) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
-# The Green rule: rows of rho nodes whose v-rules share one block of work
-# arrays, the width of its panels in ln t, how much deeper than the other
-# rules it grades toward rho = |x| at s < 1, and the data nodes per call of
-# f, which keep the work arrays near 6 MB.
+# The Green rule: columns (rho nodes or pointwise kernel values) whose
+# t-rules share one block of work arrays, the width of its panels in ln t,
+# how much deeper than the other rules it grades toward rho = |x| at s < 1,
+# and the data nodes per call of f, which keep the work arrays near 6 MB.
 _SHELL_BLOCK = 256
 _LOG_PANEL = 3.0
 _SHELL_DEPTH = 14
@@ -226,8 +218,13 @@ def _shell_factor(N: int, s: float, a: np.ndarray, b: np.ndarray,
     ``n``-node Gauss panels of width :data:`_LOG_PANEL`, counted down
     from ``ln c`` so that each row's nodes are ``c e^(-W (k+1))`` times one
     shared vector, and one narrower panel at the bottom; the integrand is
-    analytic within ``pi`` of the real axis in ``ln t``.
+    analytic within ``pi`` of the real axis in ``ln t``.  The columns run
+    in blocks of :data:`_SHELL_BLOCK`, which bounds the work arrays.
     """
+    if len(a) > _SHELL_BLOCK:
+        return np.hstack([_shell_factor(N, s, *(v[lo:lo + _SHELL_BLOCK]
+                                               for v in (a, b, c, p)), n, L)
+                          for lo in range(0, len(a), _SHELL_BLOCK)])
     a2, b2 = a * a, b * b
     t1 = np.minimum(a2, c)
     u, wj = quad._jacobi_unit(n, s - 1.0)
@@ -288,12 +285,8 @@ def _shell_green(N: int, s: float, R: float, r: float, rho: np.ndarray,
         return K
     c = (R - r) * (R + r) * sigma * (2.0 * R - sigma) / (R * R)
     a, b, p = np.abs(off), rho + r, 4.0 * r * rho
-    J = np.empty((L + 1, len(rho)))
-    for lo in range(0, len(rho), _SHELL_BLOCK):
-        blk = slice(lo, lo + _SHELL_BLOCK)
-        J[:, blk] = _shell_factor(N, s, a[blk], b[blk], c[blk], p[blk], n, L)
     ang = 2.0 * math.pi * rho if N == 2 else 8.0 * math.pi * rho * rho
-    return _green_prefactor(N, s) * ang * J
+    return _green_prefactor(N, s) * ang * _shell_factor(N, s, a, b, c, p, n, L)
 
 
 def _sphere_moments(f, ball: Ball, rho: np.ndarray, dirs: np.ndarray,
@@ -349,12 +342,13 @@ def _harmonic_sum(f, ball: Ball, xc: np.ndarray, rho: np.ndarray, contract,
     return value, evals, err + 1e-15 * size
 
 
-def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
-                boundary_power=None) -> IntegralResult:
+def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None
+                ) -> IntegralResult:
     """Solution value ``int_Omega G_s(x, y) f(y) dy`` at an interior point.
 
-    ``boundary_power`` declares how ``f`` behaves at the boundary
-    (``delta^p``; logarithmic factors are absorbed by the dyadic panels).
+    A ``boundary_power`` attribute of ``f`` declares how it behaves at the
+    boundary (``delta^p``; logarithmic factors are absorbed by the dyadic
+    panels); data without one is taken as bounded there.
 
     One integral in ``rho = |y - centre|`` serves every datum, one
     harmonic degree at a time (Funk-Hecke; Atkinson and Han, *Spherical
@@ -382,7 +376,7 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None, *,
     xc = _centered(ball, x)[0]
     if np.linalg.norm(xc) >= R:
         raise DomainError("Green solution evaluated outside the domain")
-    bp = 0.0 if boundary_power is None else float(boundary_power)
+    bp = float(getattr(f, "boundary_power", None) or 0.0)
     r = quad._centre_distance(xc, R)
     top = _ladder(cfg)[-1]
 
@@ -532,7 +526,7 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
     degree-``l`` zonal function, with ``q^2 - r^2 = (E + R - r)(q + r)``
     from the exact offset.  At ``s = 1`` the exterior integral is the
     boundary one, ``q = R`` alone with weight ``(R^2 - r^2) R^(N-2) /
-    |S|``.  Data radial about the centre of the ball
+    |S|``, in one pass.  Data radial about the centre of the ball
     (:func:`~fraclab.quadrature.centred_radial`) is ``L = 0``: ``g`` is
     read once per ``q``.
     """
@@ -572,8 +566,14 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
 
         return _harmonic_sum(g, ball, xc, q, contract, cfg)
 
-    return quad._two_pass(one_pass, (cfg.angular_order, cfg.radial_order,
-                                     cfg.max_subdiv), cfg)
+    fine = (cfg.angular_order, cfg.radial_order, cfg.max_subdiv)
+    if s < 1.0:
+        return quad._two_pass(one_pass, fine, cfg)
+    # The one node q = R takes no resolution: a coarse pass would re-read
+    # the same points, so the estimate is the ladder error and rounding.
+    value, evals, err = one_pass(*fine)
+    err += 1e-16 * abs(value)
+    return IntegralResult(value, err, evals, quad._tol_ok(value, err, cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -549,9 +549,8 @@ def restriction_ws(domain: Domain, f, s, cfg: QuadConfig | None = None
     def quotient(xi):
         r2 = 0.5 * R * R * (xi + 1.0)
         pts = kernels._radial_points(ball, np.sqrt(r2))
-        bp = getattr(f, "boundary_power", None)
         return np.array([
-            kernels.green_apply(ball, f, s, pt, cfg, boundary_power=bp).value
+            kernels.green_apply(ball, f, s, pt, cfg).value
             / (R * R - q) ** s for pt, q in zip(pts, r2)])
 
     token = quad._data_key(f, "ws", ball, s, cfg)

@@ -423,7 +423,7 @@ def _scipy(modules):
 
 def test_importing_fraclab_leaves_heavy_scipy_modules_unloaded():
     # Every CLI call pays the import, and the package needs numpy alone:
-    # only the pointwise Green function imports scipy, inside its call.
+    # no module imports scipy, at import or inside a call.
     out = _modules_after(_IMPORT_ALL + "print(' '.join(sys.modules))\n")
     assert "fraclab.cli" in out and "fraclab.operators" in out
     assert not _scipy(out)
@@ -439,6 +439,34 @@ def test_importing_fraclab_leaves_heavy_scipy_modules_unloaded():
         "print(' '.join(sys.modules))\n")
     assert "fraclab.operators" in out
     assert not _scipy(out)
+
+
+def test_package_runs_without_scipy():
+    # numpy is the one runtime dependency: with scipy unimportable, the
+    # pointwise Green function at s < 1 and s = 1, the Green operator and
+    # the CLI's kernel rows still run.
+    out = _modules_after(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        + _IMPORT_ALL
+        + "import contextlib, io\n"
+        "import numpy as np\n"
+        "from fraclab import cli\n"
+        "from fraclab.geometry import unit_ball\n"
+        "from fraclab.kernels import green_apply, green_ball\n"
+        "for N in (2, 3):\n"
+        "    for s in (0.5, 1.0):\n"
+        "        g = green_ball(unit_ball(N), s, np.full(N, 0.1), "
+        "np.full(N, -0.2))\n"
+        "        assert g > 0.0, (N, s, g)\n"
+        "res = green_apply(unit_ball(2), lambda p: np.ones(len(p)), 0.5, "
+        "np.array([0.3, 0.1]))\n"
+        "assert res.tolerance_ok and res.value > 0.0, res\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['kernels', '--which', 'green', '--domain', "
+        "'ball:1', '--order', '0.5', '--x', '0.1,0', '--z', '0.5,0.2'])\n"
+        "print('exit', code)\n")
+    assert out == {"exit", "0"}
 
 
 def test_first_calls_import_nothing():

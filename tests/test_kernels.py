@@ -44,7 +44,7 @@ FACTOR_TABLE = [
     (2, 0.1, 1e-06, 2.5118862031563878),
 ]
 
-TAIL_TABLE = [  # rows at r0 >= 1, where the kernel takes the complement
+TAIL_TABLE = [  # rows at r0 >= 1
     (2, 0.75, 4.0, 1.7390937441091078),
     (3, 0.6, 12.0, 1.6835649935771523),
     (2, 0.99, 1e8, 16.840074132899456),
@@ -241,6 +241,13 @@ def test_green_ball_edges():
     assert batch[1] == 0.0 and batch[0] > 0.0
     with pytest.raises(SingularityError):
         green_ball(ball, 0.5, [0.2, 0.0], [0.2, 0.0])
+    # r0 = lx ly / d^2 above 1e150, where the plane's t-rule would leave
+    # double range; the classical kernel is closed there.
+    with pytest.raises(SingularityError):
+        green_ball(ball, 0.5, [0.0, 0.0], [1e-76, 0.0])
+    assert green_ball(ball, 0.5, [0.0, 0.0], [1e-74, 0.0]) > 0.0
+    assert green_ball(ball, 1.0, [0.0, 0.0], [1e-76, 0.0]) == pytest.approx(
+        math.log1p(1e152) / (4.0 * math.pi), rel=1e-15)
     with pytest.raises(DomainError):
         green_ball(ball, 0.5, [1.2, 0.0], [0.2, 0.0])
     with pytest.raises(kernels.CapabilityError):
@@ -470,6 +477,24 @@ def test_green_apply_near_boundary():
     d, _ = ball_torsion_constant(2, s)
     expected = d * (1.0 - float(x @ x)) ** s
     assert res.value == pytest.approx(expected, rel=1e-12)
+
+
+def test_green_apply_grades_by_the_data_boundary_power():
+    # ell_field(1) blows up like delta^(-1/2) and declares boundary_power
+    # = -1/2; green_apply grades its rho rule toward R by it.  Frozen from
+    # the call that was passed that exponent explicitly; read as 0, the
+    # same field gave -0.9434868150211169 with an estimate of 1.7e-9.
+    ball = Ball(center=(0.0, 0.0), radius=1.0)
+    ones_field = operators.ScalarField(
+        fn=lambda p: np.ones(len(np.atleast_2d(p))), dim=2, radial=True,
+        smooth_scale=1.0, cache_token=("ones", 2))
+    data = derivative.ell_field(ones_field, ball, 0.5, CFG)
+    assert data.boundary_power == -0.5
+    res = green_apply(ball, data, 0.5, (0.3, 0.0), CFG)
+    assert res.value == -0.9434868150277681
+    assert res.evaluations == 1890
+    assert abs(res.error_estimate - 2.2319346272402437e-13) \
+        <= 2.0 * np.spacing(2.2319346272402437e-13)
 
 
 def poly2(y):
