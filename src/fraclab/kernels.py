@@ -163,11 +163,9 @@ def green_ball(domain: Domain, s, x, y) -> float | np.ndarray:
 
 # The Green rule: columns (rho nodes or pointwise kernel values) whose
 # t-rules share one block of work arrays, the width of its panels in ln t,
-# how much deeper than the other rules it grades toward rho = |x| at s < 1,
 # and the data nodes per call of f, which keep the work arrays near 6 MB.
 _SHELL_BLOCK = 256
 _LOG_PANEL = 3.0
-_SHELL_DEPTH = 14
 _SPHERE_NODES = 1 << 18
 
 
@@ -278,7 +276,7 @@ def _shell_green(N: int, s: float, R: float, r: float, rho: np.ndarray,
         K[1:, outer] = ro / k * (r / ro) ** l \
             * -np.expm1(k * np.log1p(-so / R))
         if inner.any():
-            K[0, inner] = ri * math.log(R / r) if N == 2 else \
+            K[0, inner] = -ri * math.log1p(-(R - r) / R) if N == 2 else \
                 ri ** 2 * (R - r) / (r * R)
             K[1:, inner] = ri / k * (ri / r) ** (l + N - 2) \
                 * -np.expm1(k * math.log1p(-(R - r) / R))
@@ -361,12 +359,12 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None
 
     The rule (:func:`~fraclab.quadrature.offset_rule`) grades toward
     ``rho = r = |x - centre|`` from both sides, where every ``K_l`` behaves
-    like ``|rho - r|^(2s-1)`` plus a regular part (it kinks at ``s = 1``),
-    with a Jacobi micro-segment of that exponent :data:`_SHELL_DEPTH`
-    levels deeper than the other rules, and toward ``R`` with the exponent
-    ``s + boundary_power``.  It takes 10 Gauss nodes per dyadic level and
-    the ``v``-rules 12 per panel, whatever ``radial_order`` says (8 of each
-    in the coarse pass): they reach rounding on such panels.
+    like ``|rho - r|^(2s-1)`` times a smooth part plus a smooth part (it
+    kinks at ``s = 1``, exponent 0 there), half as deep as toward ``R``:
+    its end rule is exact on both parts.  Toward ``R`` it grades with the
+    exponent ``s + boundary_power``.  It takes 10 Gauss nodes per dyadic
+    level and the ``v``-rules 12 per panel, whatever ``radial_order`` says
+    (8 of each in the coarse pass): they reach rounding on such panels.
     """
     ball = _require_ball(domain, "the Green solution operator")
     cfg = cfg or QuadConfig()
@@ -381,8 +379,7 @@ def green_apply(domain: Domain, f, s, x, cfg: QuadConfig | None = None
     top = _ladder(cfg)[-1]
 
     def green_pass(n_v, n_rad, levels):
-        near = (0.0, levels) if s >= 1.0 else \
-            (2.0 * s - 1.0, levels + _SHELL_DEPTH)
+        near = (0.0 if s >= 1.0 else 2.0 * s - 1.0, levels // 2)
         rho, off, sigma, w = quad.offset_rule(r, R, n_rad, near,
                                               (s + bp, levels))
         K = np.empty((0, len(rho)))

@@ -4,15 +4,17 @@ Design notes
 ------------
 All deterministic rules reduce to one primitive: a composite rule on the
 unit interval whose endpoint behaviour ``x^a (1-x)^b`` is handled by a
-Gauss-Jacobi micro-segment at each declared endpoint, glued to geometric
-dyadic refinement with plain Gauss-Legendre panels in between.  Per-panel
-relative accuracy of Gauss-Legendre on a dyadic panel is self-similar (the
-nearest singularity sits one panel-length away), so the composite error is
-at rounding level for any mix of endpoint powers, while the micro-segment
-removes the truncation error that pure grading would leave for strong
-singularities.  This is what keeps the boundary-layer mass of the kernels
-(which concentrates below distance 1e-14 of the boundary as s -> 1) inside
-the rule rather than lost under it.
+Gauss-Jacobi micro-segment at each declared endpoint (by a generalized
+Gaussian rule, :func:`_end_rule`, where an end is ``x^a smooth +
+smooth``), glued to geometric dyadic refinement with plain Gauss-Legendre
+panels in between.  Per-panel relative accuracy of Gauss-Legendre on a
+dyadic panel is self-similar (the nearest singularity sits one
+panel-length away), so the composite error is at rounding level for any
+mix of endpoint powers, while the micro-segment removes the truncation
+error that pure grading would leave for strong singularities.  This is
+what keeps the boundary-layer mass of the kernels (which concentrates
+below distance 1e-14 of the boundary as s -> 1) inside the rule rather
+than lost under it.
 
 Volume integrals are assembled in polar form around an interior point:
 directions come from an equispaced circle rule (dimension 2, spectrally
@@ -106,8 +108,9 @@ class QuadConfig:
     the fine pass's dyadic depth toward singular endpoints, capped at
     :data:`MAX_LEVELS` = 26 (lower in some operators).  Rules in an exact
     offset (:func:`offset_rule`) grade deeper where a singularity needs it:
-    the radial Green rule 14 levels toward ``rho = |x|``, and the exterior
-    radial rule ``ceil(log2(R / (r - R)))`` toward ``R``.
+    the exterior radial rule ``ceil(log2(R / (r - R)))`` levels toward
+    ``R``.  The radial Green rule grades half the depth toward ``rho =
+    |x|``, where its end rule is exact on the whole kernel.
     """
 
     rel_tol: float = 1e-6
@@ -267,6 +270,97 @@ def _jacobi_unit(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     J.flat[n::n + 1] = k * (k + beta) / (m * np.sqrt((m - 1.0) * (m + 1.0)))
     t, v = np.linalg.eigh(J)
     return t, v[0] ** 2 / (beta + 1.0)
+
+
+END_NODES = 6       # nodes of the two-family end rule (:func:`_end_rule`)
+
+
+def _end_basis(alpha: float, y: np.ndarray):
+    """Values, ``y``-derivatives and moments on [0, 1] of the 12 functions
+    :func:`_end_rule` integrates, at the nodes ``x = e^y``.
+
+    They are ``x^k`` and, for the family ``x^(alpha+k)``, ``k < 6``, the
+    quotients ``(x^(alpha+k) - x^j) / (alpha - n) = x^j expm1((alpha - n)
+    ln x) / (alpha - n)`` (``x^j ln x`` at ``alpha = n``) where ``j = k +
+    n`` lies in ``0..5``, with ``n`` the integer nearest ``alpha``: the two
+    families merge at ``alpha`` = -1, 0 and 1, and the quotients keep the
+    basis well apart there."""
+    n = min(1, max(-1, round(alpha)))
+    b = alpha - n
+    k = np.arange(END_NODES, dtype=float)
+    x = np.exp(np.outer(k, y))
+    xa = np.exp(np.outer(alpha + k, y))
+    q, dq, mq = xa.copy(), (alpha + k)[:, None] * xa, 1.0 / (alpha + k + 1.0)
+    j = np.arange(END_NODES) + n
+    keep = (j >= 0) & (j < END_NODES)
+    j = j[keep]
+    q[keep] = x[j] * (y if b == 0.0 else np.expm1(b * y) / b)
+    dq[keep] = j[:, None] * q[keep] + xa[keep]
+    mq[keep] = -1.0 / ((j + 1.0) * (alpha + k[keep] + 1.0))
+    return (np.vstack([x, q]), np.vstack([k[:, None] * x, dq]),
+            np.concatenate([1.0 / (k + 1.0), mq]))
+
+
+def _end_newton(alpha: float, w: np.ndarray, y: np.ndarray):
+    """Newton's method on the weights and log-nodes of :func:`_end_rule`
+    from ``(w, y)``, residuals relative to the moments: the converged
+    ``(w, y)``, or None when a step leaves positive weights and nodes in
+    (0, 1) or ten steps do not reach 2e-15."""
+    for _ in range(10):
+        F, dF, mom = _end_basis(alpha, y)
+        res = (F @ w - mom) / np.abs(mom)
+        if np.max(np.abs(res)) < 2e-15:
+            return w, y
+        step = np.linalg.solve(np.hstack([F, dF * w]) / np.abs(mom)[:, None],
+                               -res)
+        w, y = w + step[:END_NODES], y + step[END_NODES:]
+        if not (np.all(w > 0.0) and np.all(y < 0.0)):
+            return None
+    return None
+
+
+@lru_cache(maxsize=64)
+def _end_rule(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 6-node rule on [0, 1] exact on ``x^k`` and ``x^(alpha+k)``, ``k
+    < 6`` (``x^k ln x`` at ``alpha = 0``), for ``-1 < alpha <= 1``: a
+    generalized Gaussian rule (Ma, Rokhlin and Wandzura, SIAM J. Numer.
+    Anal. 33, 1996), with positive weights and nodes inside (0, 1).
+
+    Under ``x = u^2`` the rules at ``alpha = -1/2`` and ``1/2`` are closed:
+    Gauss-Legendre in ``u`` with weights ``2 u w`` and Gauss-Jacobi of
+    weight ``u`` with weights ``2 w``.  From the nearer one, Newton's
+    method (:func:`_end_newton`) follows ``alpha`` in steps of at most
+    1/2, each started from the secant through the last two rules; a step
+    that fails is halved and one that succeeds doubles (Bremer, Gimbutas
+    and Rokhlin, SIAM J. Sci. Comput. 32, 2010).  Built on first use:
+    under a millisecond for ``alpha >= -0.9``, 2-7 ms at ``alpha =
+    -0.999``."""
+    if not -1.0 < alpha <= 1.0:
+        raise DomainError(f"end exponent {alpha} is outside (-1, 1]")
+    if alpha < 0.0:
+        u, w = _gauss_unit(END_NODES)
+        a, w = -0.5, 2.0 * u * w
+    else:
+        u, w = _jacobi_unit(END_NODES, 1.0)
+        a, w = 0.5, 2.0 * w
+    y, last, step = 2.0 * np.log(u), None, 0.25
+    while a != alpha:
+        nxt = a + max(-step, min(step, alpha - a))
+        start = (w, y)
+        if last is not None:
+            f = (nxt - a) / (a - last[0])
+            guess = (w + f * (w - last[1]), y + f * (y - last[2]))
+            if np.all(guess[0] > 0.0):
+                start = guess
+        new = _end_newton(nxt, *start)
+        if new is None:
+            step *= 0.5
+            if step < 1e-6:
+                raise DomainError(f"end rule at {alpha} did not converge")
+            continue
+        last, (w, y) = (a, w, y), new
+        a, step = nxt, min(2.0 * step, 0.5)
+    return np.exp(y), w
 
 
 def centred_radial(f, ball) -> bool:
@@ -480,20 +574,26 @@ def direction_chunks(n_dirs: int, row_len: int, budget: int = 1_200_000):
 
 
 @lru_cache(maxsize=512)
-def _graded_half(alpha: float, n: int, levels: int
+def _graded_half(alpha: float, n: int, levels: int, both: bool = False
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Rule on ``[0, 1/2]`` graded toward 0 for ``x^alpha * smooth``:
-    Gauss panels ``[2^-(k+1), 2^-k]`` for ``1 <= k <= levels`` and a
-    Gauss-Jacobi micro-segment of exponent ``alpha`` on
-    ``[0, 2^-(levels+1)]``, its weights divided by ``x^alpha`` so they
-    apply to integrand values.  The depth is not capped: scaled but not
-    shifted, the nodes keep their relative precision at any depth."""
+    """Rule on ``[0, 1/2]`` graded toward 0: Gauss panels ``[2^-(k+1),
+    2^-k]`` for ``1 <= k <= levels`` and a micro-segment on ``[0,
+    2^-(levels+1)]``.  For ``x^alpha * smooth`` the micro-segment is
+    Gauss-Jacobi of exponent ``alpha``, its weights divided by
+    ``x^alpha`` so they apply to integrand values; with ``both``, for
+    ``x^alpha * smooth + smooth``, it is :func:`_end_rule`.  The depth is
+    not capped: scaled but not shifted, the nodes keep their relative
+    precision at any depth."""
     h0 = 0.5 ** (levels + 1)
-    tj, wj = _jacobi_unit(max(n, 20), float(alpha))
-    # Micro-segment [0, h0]: integrate t^alpha g exactly, then divide
-    # the weight by t^alpha so it applies to raw integrand values.
-    t = tj * h0
-    w = wj * h0 ** (alpha + 1.0) / t ** alpha
+    if both:
+        t, w = _end_rule(alpha)
+        t, w = t * h0, w * h0
+    else:
+        # Integrate t^alpha g exactly, then divide the weight by t^alpha
+        # so it applies to raw integrand values.
+        tj, wj = _jacobi_unit(max(n, 20), alpha)
+        t = tj * h0
+        w = wj * h0 ** (alpha + 1.0) / t ** alpha
     seg_t, seg_w = [t], [w]
     xg, wg = _gauss_unit(n)
     lo = h0
@@ -505,13 +605,14 @@ def _graded_half(alpha: float, n: int, levels: int
     return np.concatenate(seg_t), np.concatenate(seg_w)
 
 
-def _half(alpha, n: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
+def _half(alpha, n: int, levels: int, both: bool = False
+          ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_graded_half`, or one Gauss panel on ``[0, 1/2]`` when the
     end is smooth (``alpha`` None)."""
     if alpha is None:
         xg, wg = _gauss_unit(n)
         return 0.5 * xg, 0.5 * wg
-    return _graded_half(float(alpha), n, levels)
+    return _graded_half(float(alpha), n, levels, both)
 
 
 @lru_cache(maxsize=512)
@@ -528,13 +629,12 @@ def unit_power_rule(alpha_lo, alpha_hi, n: int, levels: int
     ``levels`` must be at least 0: a negative depth would stretch the
     micro-segment past the half interval.
 
-    The micro-segment is exact for ``x^alpha * smooth`` only.  A regular
-    part added to it, ``x^alpha g1 + g2``, loses ``O(2^-levels)`` of the
-    regular part's mass there: with ``alpha = 1`` the weights of one
-    graded end sum to ``1/2 - 1.7e-11`` at the full depth.  A
-    micro-segment exact on both ``{x^k}`` and ``{x^(alpha+k)}`` would
-    likely let this depth reach rounding; the radial Green rule grades
-    deeper instead (:func:`offset_rule`).
+    Each end declares one family, so the micro-segment is exact for
+    ``x^alpha * smooth`` only.  A regular part added to it, ``x^alpha g1 +
+    g2``, would lose ``O(2^-levels)`` of the regular part's mass there:
+    with ``alpha = 1`` the weights of one graded end sum to ``1/2 -
+    1.7e-11`` at the full depth.  :func:`offset_rule`'s near end, which
+    declares both families, closes with :func:`_end_rule` instead.
     """
     if int(levels) < 0:
         raise DomainError(f"refinement depth {levels} is negative")
@@ -569,14 +669,16 @@ def offset_rule(r: float, R: float, n: int, near, far
     """Rule for ``int_0^R g(rho) drho`` with ``g`` singular at an interior
     point ``0 <= r < R`` and at ``R``.
 
-    ``near = (alpha, levels)`` declares ``|rho - r|^alpha * smooth`` on
-    each side of ``r``, ``far = (beta, levels)`` declares
-    ``(R - rho)^beta * smooth`` at ``R``; either may be None for a smooth
-    end.  ``[0, r]`` and ``[r, R]`` are halved: the halves next to ``r``
-    are graded toward it (:func:`_half` with ``near``), the one next to
-    ``R`` toward ``R`` (with ``far``), and ``[0, r/2]`` is one Gauss
-    panel.  The smooth factors vary near ``r`` on the scale of the
-    nearer of the centre and ``R``, so both halves next to ``r`` grade to
+    ``near = (alpha, levels)`` declares ``|rho - r|^alpha * smooth +
+    smooth`` on each side of ``r``, ``-1 < alpha <= 1``, ``far = (beta,
+    levels)`` declares ``(R - rho)^beta * smooth`` at ``R``; either may be
+    None for a smooth end.  ``[0, r]`` and ``[r, R]`` are halved: the
+    halves next to ``r`` are graded toward it (:func:`_half` with
+    ``near``, closed by :func:`_end_rule`, exact on both families), the
+    one next to ``R`` toward ``R`` (with ``far``, closed by a Jacobi
+    micro-segment), and ``[0, r/2]`` is one Gauss panel.  The smooth
+    factors vary near ``r`` on the scale of the nearer of the centre and
+    ``R``, so both halves next to ``r`` grade to
     ``2^-levels`` of ``min(r, R - r)``: the longer one takes the extra
     levels.  Each graded half runs in its own offset variable, ``tau =
     |rho - r|`` or ``sigma = R - rho``, built as an exact multiple of its
@@ -591,18 +693,18 @@ def offset_rule(r: float, R: float, n: int, near, far
     span = R - r
     scale = min(r, span) if r > 0.0 else span
 
-    def graded(end, length=scale):
+    def graded(end, length=scale, both=False):
         if end is None:
             return _half(None, n, 0)
         deeper = max(0, math.ceil(math.log2(length / scale)))
-        return _half(end[0], n, end[1] + deeper)
+        return _half(end[0], n, end[1] + deeper, both)
 
-    t, w = graded(near, span)
+    t, w = graded(near, span, True)
     tf, wf = graded(far)
     parts = [(r + span * t, span * t, span - span * t, span * w),
              (R - span * tf, span - span * tf, span * tf, span * wf)]
     if r > 0.0:
-        t, w = graded(near, r)
+        t, w = graded(near, r, True)
         tg, wg = graded(None)
         parts += [(r - r * t, -r * t, span + r * t, r * w),
                   (r * tg, r * tg - r, R - r * tg, r * wg)]

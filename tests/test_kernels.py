@@ -383,7 +383,7 @@ def test_harmonic_route_matches_polar_references(N, s, x, data, reference):
 @pytest.mark.parametrize("s", [0.5, 1.0])
 def test_green_apply_plain_ball_reads_few_points(s):
     # f = 1 as a plain callable on the 3-ball takes the harmonic route:
-    # 74,880 and 54,720 points here.  The polar pass it replaced read
+    # 36,320 points here at both orders.  The polar pass it replaced read
     # 4,054,016, and any fall-back to one fails this bound.
     ball = Ball(center=(0.0, 0.0, 0.0), radius=1.0)
     res = green_apply(ball, ones, s, (0.3, -0.2, 0.4), CFG)
@@ -419,12 +419,15 @@ def _slanted(N, r):
 
 
 @pytest.mark.parametrize("N", [2, 3])
-@pytest.mark.parametrize("s", [0.25, 0.3, 0.5, 0.75, 0.9, 0.98, 1.0])
+@pytest.mark.parametrize("s", [0.02, 0.25, 0.3, 0.5, 0.75, 0.9, 0.98,
+                               0.99999, 1.0])
 def test_radial_green_matches_torsion_family(N, s):
     # The radial route of green_apply on f = 1 against d(N, s)(1 - |x|^2)^s.
-    # The Jacobi micro-segment at rho = |x| is exact for the singular part
-    # of the shell kernel only; graded 40 levels deep, the rule stays
-    # within 1.2e-14 over this table (1.9e-11 at 26 levels).
+    # The end rule at rho = |x| is exact on both parts of the shell kernel,
+    # |rho - r|^(2s-1) smooth + smooth: graded 13 levels deep, the rule
+    # stays within 2.1e-15 over this table, at 658-980 points per call.
+    # A Gauss-Jacobi end, exact on the first part only, needed 40 levels
+    # (1.9e-11 off at 26) and 1,140-1,944 points; at 13 it is 1.6e-7 off.
     ball = Ball(center=(0.0,) * N, radius=1.0)
     f = radial_field(lambda y: np.ones(len(np.atleast_2d(y))))
     d, _ = ball_torsion_constant(N, s)
@@ -432,7 +435,7 @@ def test_radial_green_matches_torsion_family(N, s):
         res = green_apply(ball, f, s, _slanted(N, r), CFG)
         assert res.value == pytest.approx(d * (1.0 - r * r) ** s,
                                           rel=1e-13), r
-        assert res.tolerance_ok and res.evaluations <= 4000
+        assert res.tolerance_ok and res.evaluations <= 1100
 
 
 @pytest.mark.parametrize("N,s,r", [
@@ -468,6 +471,21 @@ def test_green_apply_classical_torsion(N):
     assert res.value == pytest.approx((1.0 - 0.16) / (2.0 * N), rel=1e-9)
 
 
+@pytest.mark.parametrize("N", [2, 3])
+def test_classical_radial_torsion_keeps_its_digits_near_the_boundary(N):
+    # s = 1, |x| = 0.999: (1 - |x|^2) / (2N) from (1 - r)(1 + r), exact.
+    # The plane's multipole factor below |x| takes ln(R / r) as log1p of
+    # the exact R - r: as ln(R / r) it was 8.7e-14 off, 66 times its
+    # estimate.
+    ball = Ball(center=(0.0,) * N, radius=1.0)
+    x = _slanted(N, 0.999)
+    r = float(np.linalg.norm(x))
+    res = green_apply(ball, radial_field(lambda y: np.ones(len(y))), 1.0, x,
+                      CFG)
+    exact = (1.0 - r) * (1.0 + r) / (2.0 * N)
+    assert abs(res.value - exact) <= min(res.error_estimate, 1e-15 * exact)
+
+
 def test_green_apply_near_boundary():
     ball = Ball(center=(0.0, 0.0), radius=1.0)
     s = 0.75
@@ -484,6 +502,9 @@ def test_green_apply_grades_by_the_data_boundary_power():
     # = -1/2; green_apply grades its rho rule toward R by it.  Frozen from
     # the call that was passed that exponent explicitly; read as 0, the
     # same field gave -0.9434868150211169 with an estimate of 1.7e-9.
+    # Re-frozen with the two-family end rule at rho = |x|, 13 levels deep
+    # (was 1890 evaluations at 40, estimate 2.2319346272402437e-13); the
+    # value holds to the last bit.
     ball = Ball(center=(0.0, 0.0), radius=1.0)
     ones_field = operators.ScalarField(
         fn=lambda p: np.ones(len(np.atleast_2d(p))), dim=2, radial=True,
@@ -492,9 +513,9 @@ def test_green_apply_grades_by_the_data_boundary_power():
     assert data.boundary_power == -0.5
     res = green_apply(ball, data, 0.5, (0.3, 0.0), CFG)
     assert res.value == -0.9434868150277681
-    assert res.evaluations == 1890
-    assert abs(res.error_estimate - 2.2319346272402437e-13) \
-        <= 2.0 * np.spacing(2.2319346272402437e-13)
+    assert res.evaluations == 926
+    assert abs(res.error_estimate - 1.9710322164533319e-13) \
+        <= 2.0 * np.spacing(1.9710322164533319e-13)
 
 
 def poly2(y):
@@ -510,29 +531,35 @@ def ones(y):
 # and 4169216).  The one coarse policy of _two_pass grades the coarse pass
 # 18 levels deep, not 20, which re-froze the counts; the values held.  The
 # harmonic route re-froze the counts of the plain callables again (68608
-# and 4054016 on the polar pass); the values hold.
+# and 4054016 on the polar pass); the values hold.  The two-family end
+# rule at rho = |x|, graded 13 levels deep instead of 40, re-froze all
+# three (was 54432, 1872 and 74880 evaluations).
 @pytest.mark.parametrize("N,s,x,data,evaluations,value", [
     # Non-constant data near the boundary of the disc.  An
     # angular_order=256, radial_order=30 polar run (converged: 512 and 1024
     # directions agree to 1e-17) gives 0.03639239296650002, 1.9e-14 below
-    # the pin.  The harmonic route reads it at degree 3 (the data is
-    # quadratic) and lands 1.2e-16 from that reference.
-    pytest.param(2, 0.9, (0.6, -0.75), poly2, 54432, 0.03639239296651939,
+    # the first pin, 0.03639239296651939.  The harmonic route reads it at
+    # degree 3 (the data is quadratic); at 40 levels it gave
+    # 0.03639239296650017, 1.5e-16 above the reference, now 1.6e-16.
+    pytest.param(2, 0.9, (0.6, -0.75), poly2, 27440, 0.03639239296650018,
                  id="2-0.9-x0-69888-0.03639239296651939"),
     # Radial-flagged data in the 3-ball; the torsion closed form
     # d(3, 1/4) (1 - |x|^2)^(1/4) is 0.6905233796370002.  Re-frozen with
     # the radial route, one integral in |y| (was 253376 evaluations on the
     # axisymmetric directions); its value 0.6905233796369993 holds the pin.
+    # At 13 levels toward |x| it is 0.6905233796370001, 1.1e-16 below the
+    # closed form, the same bits as at 40.
     pytest.param(3, 0.25, (0.3, -0.2, 0.4),
                  radial_field(lambda y: np.ones(len(np.atleast_2d(y)))),
-                 1872, 0.6905233796370018,
+                 908, 0.6905233796370001,
                  id="3-0.25-x1-260576-0.6905233796370018"),
     # Plain-callable f = 1 in the 3-ball: both passes stop at degree 3,
     # 2 x 4 + 4 x 8 nodes per sphere (the polar pass read 4,054,016
     # points).  The torsion closed form d(3, 1/2) (1 - |x|^2)^(1/2) is
-    # 0.4213074886588179.
-    pytest.param(3, 0.5, (0.3, -0.2, 0.4), ones, 74880,
-                 0.4213074886588175, id="3-0.5-x2-4169216-0.4213074886588175"),
+    # 0.4213074886588179; at 40 levels toward |x| the route was 3.9e-16
+    # below it (0.4213074886588175), at 13 it is 1.7e-16 below.
+    pytest.param(3, 0.5, (0.3, -0.2, 0.4), ones, 36320, 0.42130748865881773,
+                 id="3-0.5-x2-4169216-0.4213074886588175"),
 ])
 def test_green_apply_frozen(N, s, x, data, evaluations, value):
     ball = Ball(center=(0.0,) * N, radius=1.0)
@@ -552,11 +579,12 @@ def test_green_apply_memory_stays_small():
     # points.  The polar pass peaked at 17.7 MB on the disc before it ran
     # in chunks, and at 146 MB on the plain-callable 3-ball call in 1.2M-
     # node chunks.  The wave reaches the degree cap, 31, in both passes:
-    # 2,048 nodes per sphere at the last degree (18.7 MB, 5,106,816
-    # evaluations); f = 1 stops at degree 3 (2.1 MB).
+    # 2,048 nodes per sphere at the last degree (17.7 MB, 2,477,024
+    # evaluations; 18.1 MB and 5,106,816 with 40 levels toward |x|);
+    # f = 1 stops at degree 3 (0.7 MB, 2.1 MB with 40 levels).
     for x, data, evaluations, limit in (((0.3, 0.2), ones, None, 10e6),
-                                        ((0.3, 0.2, 0.1), ones, 74880, 10e6),
-                                        ((0.3, 0.2, 0.1), wave, 5106816,
+                                        ((0.3, 0.2, 0.1), ones, 36320, 10e6),
+                                        ((0.3, 0.2, 0.1), wave, 2477024,
                                          40e6)):
         ball = Ball(center=(0.0,) * len(x), radius=1.0)
         tracemalloc.start()

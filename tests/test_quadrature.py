@@ -61,6 +61,56 @@ def test_jacobi_unit_rejects_non_integrable_exponent():
         quad._jacobi_unit(8, -1.0)
 
 
+@pytest.mark.parametrize("alpha", [-0.999, -0.98, -0.5, 0.0, 0.5, 0.98, 0.998,
+                                   1.0 - 2e-6])
+def test_end_rule_integrates_both_families(alpha):
+    # The 6-node end rule integrates x^k and x^(alpha+k), k < 6 (x^k ln x
+    # at alpha = 0), within 1e-14 relative (measured worst 1.2e-15, at the
+    # closed rules alpha = -1/2 and 1/2), with positive weights and nodes
+    # inside (0, 1), also where the two families merge at -1, 0 and 1.
+    x, w = quad._end_rule(alpha)
+    assert len(x) == quad.END_NODES and np.all(w > 0.0)
+    assert np.all(x > 0.0) and np.all(x < 1.0)
+    k = np.arange(6.0)
+    np.testing.assert_allclose(w @ x[:, None] ** k, 1.0 / (k + 1.0),
+                               rtol=1e-14, atol=0.0)
+    if alpha == 0.0:
+        second = w @ (x[:, None] ** k * np.log(x)[:, None])
+        exact = -1.0 / (k + 1.0) ** 2
+    else:
+        second = w @ x[:, None] ** (alpha + k)
+        exact = 1.0 / (alpha + k + 1.0)
+    np.testing.assert_allclose(second, exact, rtol=1e-14, atol=0.0)
+
+
+def test_end_rule_rejects_exponents_outside_its_range():
+    for alpha in (-1.0, 1.5):
+        with pytest.raises(DomainError):
+            quad._end_rule(alpha)
+
+
+def _power_exp_integral(a, sign, alpha):
+    # int_0^a t^alpha e^(sign t) dt by its power series.
+    return sum(sign ** k * a ** (alpha + k + 1.0)
+               / (math.factorial(k) * (alpha + k + 1.0)) for k in range(40))
+
+
+@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.25, 0.5, 0.98])
+def test_offset_rule_near_end_is_exact_on_both_parts(alpha):
+    # |rho - r|^alpha e^rho + cos(3 rho) on [0, 1] with r = 0.3: the end
+    # rule at rho = r takes the singular and the regular part together, so
+    # four levels of grading reach rounding (measured 3.4e-16).  A
+    # Gauss-Jacobi end is exact on the first part only: 1.1e-6 off at
+    # alpha = -1/2, 3.2e-5 at 0.98.
+    r, R = 0.3, 1.0
+    rho, off, _, w = quad.offset_rule(r, R, 10, (alpha, 4), None)
+    got = float(w @ (np.abs(off) ** alpha * np.exp(rho) + np.cos(3.0 * rho)))
+    exact = math.exp(r) * (_power_exp_integral(R - r, 1.0, alpha)
+                           + _power_exp_integral(r, -1.0, alpha)) \
+        + math.sin(3.0 * R) / 3.0
+    assert got == pytest.approx(exact, rel=2e-15)
+
+
 def test_unit_power_rule_exactness():
     # Integrates x^a (1-x)^b from raw integrand values.  At the lower
     # endpoint the node coordinate *is* the distance to the singularity,

@@ -87,8 +87,12 @@ FROZEN = {
     # Golub-Welsch Jacobi rules: 4 ulps up (was 0.017212412234932258,
     # estimate 4.389207601980667e-16), 6.3e-18 above the closed Jacobi-data
     # solution 0.0172124122349322637, where it was 5.7e-18 below.
+    # Re-frozen with the two-family end rule at rho = |x|, graded 13
+    # levels deep instead of 40 (9 instead of 32 in the coarse pass): the
+    # same value, still 6.9e-18 above that solution (was estimate
+    # 4.527985480058812e-16, 23328 evaluations).
     "green_apply":
-        (0.01721241223493227, 4.527985480058812e-16, 23328, True),
+        (0.01721241223493227, 3.417762455433655e-16, 11760, True),
     # Re-frozen with one ray per +-theta pair: the same value at half the
     # evaluations (was 294400); the coarse pass sums in another order, so
     # the estimate moved from 3.9037691576264246e-13.  Re-frozen with the
@@ -146,6 +150,8 @@ def half_dome(p):
 
 
 BOUND_CASES = {
+    "green_apply": lambda u, cfg: kernels.green_apply(
+        DISC, u, 0.5, (0.3, 0.2), cfg),
     "log_laplacian": lambda u, cfg: operators.log_laplacian(
         u, (0.3, 0.2), cfg),
     "log_laplacian_compact": lambda u, cfg: operators.log_laplacian_compact(
