@@ -45,7 +45,6 @@ __all__ = [
     "green_norm_bound",
 ]
 
-N_GRID = 25  # radial scan points, from near the boundary to the centre
 N_TAU = 12  # nodes of (0, s] sampling m_tau in the integral bound
 
 
@@ -129,63 +128,48 @@ def _ones(N: int) -> ScalarField:
                        cache_token=("bounds-ones", N))
 
 
-def _radial_points(ball: Ball) -> np.ndarray:
-    # log-spaced boundary distances so the blow-up of h and P^c 1 near
-    # the boundary is sampled densely; delta = R reaches the center.
-    R = ball.radius
-    return kernels._radial_points(ball, R - np.geomspace(1e-4 * R, R, N_GRID))
+def _centre_mass(ball: Ball, t: float, cfg: QuadConfig) -> float:
+    """``P^c_t 1`` at the centre of ``ball``.  ``P^c_t 1`` is translation
+    invariant, and ``_ones``, with no domain, is radial about the origin,
+    so the ball is moved there."""
+    origin = Ball((0.0,) * ball.dim, ball.radius)
+    return kernels.comp_poisson_apply(origin, _ones(ball.dim), t,
+                                      np.zeros(ball.dim), cfg).value
 
 
-def _at_origin(ball: Ball, pts) -> tuple[Ball, np.ndarray]:
-    """``ball`` and ``pts`` moved to the origin: ``P^c_s 1`` is translation
-    invariant, and ``_ones``, with no domain, is radial about the origin."""
-    return Ball((0.0,) * ball.dim, ball.radius), pts - ball.center_array
-
-
-def _mass_profile(ball: Ball, t: float, cfg: QuadConfig, pts) -> np.ndarray:
-    """``P^c_t 1`` at the points ``pts`` of an origin-centred ``ball``."""
-    data = _ones(ball.dim)
-    return np.array([kernels.comp_poisson_apply(ball, data, t, p, cfg).value
-                     for p in pts])
+def _centre_h(ball: Ball, cfg: QuadConfig) -> float:
+    """``h_Omega`` at the centre of ``ball``, ``-ln(R R)``: one value
+    serves every order."""
+    return operators.h_omega(ball, ball.center_array, cfg).value
 
 
 def p_s_numeric(domain: Domain, s, cfg: QuadConfig | None = None) -> float:
-    """``p_s(Omega) = inf_Omega P^c_s 1`` by a radial scan on a ball.
+    """``p_s(Omega) = inf_Omega P^c_s 1``: on a ball, ``P^c_s 1`` at the
+    centre.
 
-    Minimum over ``N_GRID`` log-spaced points from near the boundary to
-    the centre.  With ``f = 1`` the computed ``P^c_s 1`` sums, with
-    positive weights, terms that grow with the distance from the centre
-    (``2 pi/(q^2 - r^2)``, ``4 pi/(q (q^2 - r^2))``, the ``s = 1`` form),
-    so the profile falls strictly toward the centre: the minimum is the
-    last point, and no search between grid points can lower it.
+    With ``f = 1`` the computed ``P^c_s 1`` sums, with positive weights,
+    terms that grow with the distance from the centre (``2 pi/(q^2 -
+    r^2)``, ``4 pi/(q (q^2 - r^2))``, the ``s = 1`` form), so the profile
+    falls strictly toward the centre and its minimum is the centre value.
+    The test suite checks this against a radial scan.
     """
     ball = kernels._require_ball(domain, "the complementary-mass infimum")
     cfg = cfg or QuadConfig()
-    s = float(as_order(s))
-    origin, pts = _at_origin(ball, _radial_points(ball))
-    return float(_mass_profile(origin, s, cfg, pts).min())
-
-
-def _h_profile(ball: Ball, cfg: QuadConfig) -> tuple[np.ndarray, np.ndarray]:
-    """``h_Omega`` on the scan points: one profile serves every order."""
-    pts = _radial_points(ball)
-    return pts, np.array([operators.h_omega(ball, p, cfg).value
-                          for p in pts])
+    return _centre_mass(ball, float(as_order(s)), cfg)
 
 
 def m_s(domain: Domain, s, cfg: QuadConfig | None = None) -> float:
     """``m_s(Omega) = rho_N + inf_Omega (h_Omega + P^c_s 1)``.
 
-    Both terms blow up at the boundary, so the infimum is interior; the
-    minimum over the ``N_GRID`` radial scan points is reported.
+    On a ball both ``h_Omega = -ln(R^2 - |x - c|^2)`` and ``P^c_s 1``
+    (:func:`p_s_numeric`) are smallest at the centre, so the infimum is
+    their sum there.
     """
     ball = kernels._require_ball(domain, "the norm-decay rate")
     cfg = cfg or QuadConfig()
     s = float(as_order(s))
     rho_N = log_constants(ball.dim)[1]
-    pts, h = _h_profile(ball, cfg)
-    origin, pts = _at_origin(ball, pts)
-    return rho_N + float(np.min(h + _mass_profile(origin, s, cfg, pts)))
+    return rho_N + (_centre_h(ball, cfg) + _centre_mass(ball, s, cfg))
 
 
 def min_h_omega(domain: Domain) -> float:
@@ -206,29 +190,28 @@ def green_norm_bound(domain: Domain, s,
     the center with value ``d_{N,s} R^{2s}``.  The integral-form bound
     integrates ``m_tau`` at ``N_TAU`` equispaced nodes of ``(0, s]`` by the
     trapezoid rule, extending the first cell to ``tau = 0`` linearly.
-    One ``N_GRID``-point profile of ``P^c_tau 1`` per node serves
+    ``m_tau`` is read at the centre (:func:`m_s`): one ``h_Omega`` value
+    serves every node, and one ``P^c_tau 1`` value per node serves
     ``m_tau`` and, at the last node ``tau = s``, ``p_s_numeric``.
     """
     ball = kernels._require_ball(domain, "the Green-operator norm")
     cfg = cfg or QuadConfig()
     s = float(as_order(s))
     N, R = ball.dim, ball.radius
-    c_N, rho_N = log_constants(N)
+    rho_N = log_constants(N)[1]
     vol, diam = geometry.measures(ball)
     geo = vol * diam ** -N
 
     norm_numeric = ball_torsion_constant(N, s)[0] * R ** (2.0 * s)
     q = q_constant(N, s)
-    pts, h = _h_profile(ball, cfg)
     minh = min_h_omega(ball)
     bound_old = math.exp(-s * (minh + rho_N))
     bound_new = math.exp(-s * (minh + rho_N) - q * geo)
 
     taus = s * np.arange(1, N_TAU + 1) / N_TAU
     taus[-1] = s  # p_s is read at this node; the product may round off s
-    origin, pts = _at_origin(ball, pts)
-    profiles = [_mass_profile(origin, t, cfg, pts) for t in taus]
-    ms = np.array([rho_N + float(np.min(h + p)) for p in profiles])
+    mass = np.array([_centre_mass(ball, t, cfg) for t in taus])
+    ms = rho_N + (_centre_h(ball, cfg) + mass)
     integral = float(np.trapezoid(ms, taus))
     m0 = ms[0] - (ms[1] - ms[0]) * taus[0] / (taus[1] - taus[0])
     integral += taus[0] * 0.5 * (m0 + ms[0])
@@ -237,5 +220,5 @@ def green_norm_bound(domain: Domain, s,
     return BoundReport(s=s, norm_numeric=norm_numeric,
                        bound_integral=bound_integral, bound_new=bound_new,
                        bound_old=bound_old, m_s=float(ms[-1]),
-                       p_s_numeric=float(profiles[-1].min()),
+                       p_s_numeric=float(mass[-1]),
                        p_s_lower=p_s_lower(N, s, ball), q_Ns=q)

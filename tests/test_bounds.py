@@ -223,9 +223,8 @@ def test_report_half_order_anchors():
 
 
 def test_report_scans_h_omega_once(monkeypatch):
-    # h_Omega does not depend on the order: one radial profile (25
-    # points) serves every m_tau of the integral bound; the minimum
-    # -2 ln R is closed.
+    # h_Omega does not depend on the order: its centre value serves every
+    # m_tau of the integral bound; the minimum -2 ln R is closed.
     calls = []
     h_omega = operators.h_omega
 
@@ -235,12 +234,13 @@ def test_report_scans_h_omega_once(monkeypatch):
 
     monkeypatch.setattr(operators, "h_omega", counting)
     green_norm_bound(DISC, 0.5)
-    assert len(calls) == 25
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], DISC.center_array)
 
 
 def test_report_scans_each_order_once(monkeypatch):
-    # one P^c_tau 1 profile per tau node serves m_tau and, at tau = s,
-    # p_s_numeric: N_TAU * N_GRID complementary applications in all
+    # one centre value of P^c_tau 1 per tau node serves m_tau and, at
+    # tau = s, p_s_numeric: N_TAU complementary applications in all
     calls = []
     apply = kernels.comp_poisson_apply
 
@@ -250,9 +250,32 @@ def test_report_scans_each_order_once(monkeypatch):
 
     monkeypatch.setattr(kernels, "comp_poisson_apply", counting)
     green_norm_bound(DISC, 0.5)
-    assert bounds.N_TAU * bounds.N_GRID == 300
-    assert len(calls) == 300
-    assert calls.count(0.5) == bounds.N_GRID
+    assert bounds.N_TAU == 12
+    assert len(calls) == 12
+    assert calls.count(0.5) == 1
+
+
+def test_report_reads_its_data_through_the_benchmark_seam(monkeypatch):
+    # The benchmark counts the bound chain's data points by wrapping the
+    # field that bounds._ones builds (perfbench/child.py); a chain that
+    # built its data another way would report no work at all.
+    points = [0]
+    make_ones = bounds._ones
+
+    def counted_ones(N):
+        field = make_ones(N)
+        fn = field.fn
+
+        def wrapped(pts):
+            points[0] += len(np.atleast_2d(pts))
+            return fn(pts)
+
+        field.fn = wrapped
+        return field
+
+    monkeypatch.setattr(bounds, "_ones", counted_ones)
+    green_norm_bound(DISC, 0.5)
+    assert points[0] > 0
 
 
 @pytest.mark.parametrize("domain", [
@@ -260,8 +283,8 @@ def test_report_scans_each_order_once(monkeypatch):
     ids=["disc", "ball3", "off-centre"])
 @pytest.mark.parametrize("s", [0.25, 0.3, 0.75, 1.0])
 def test_report_p_s_is_the_standalone_scan(domain, s):
-    # the report reads p_s off its last tau profile; a cold standalone
-    # scan at the same order gives the same float
+    # the report reads p_s off its last tau node; a cold standalone
+    # centre value at the same order gives the same float
     r = green_norm_bound(domain, s)
     for store in quadrature._MEMO_STORES:
         store.clear()
@@ -271,13 +294,18 @@ def test_report_p_s_is_the_standalone_scan(domain, s):
 @pytest.mark.parametrize("domain", [DISC, BALL3], ids=["disc", "ball3"])
 @pytest.mark.parametrize("s", [0.25, 0.3, 0.75, 1.0])
 def test_mass_profile_falls_toward_center(domain, s):
-    # the scan ends at the centre and the profile falls strictly toward
-    # it, so the grid minimum is the centre value and no search between
-    # grid points could lower it
-    pts = bounds._radial_points(domain)
-    vals = bounds._mass_profile(domain, s, QuadConfig(), pts)
+    # Reference scan: 25 log-spaced radii from near the boundary to the
+    # centre.  The profile falls strictly toward the centre, so its
+    # minimum is the centre value p_s_numeric reads, and no search
+    # between grid points could lower it.
+    R = domain.radius
+    pts = kernels._radial_points(domain, R - np.geomspace(1e-4 * R, R, 25))
+    vals = np.array([kernels.comp_poisson_apply(
+        domain, bounds._ones(domain.dim), s, p, QuadConfig()).value
+        for p in pts])
     assert np.array_equal(pts[-1], domain.center_array)
     assert np.all(np.diff(vals) < 0.0)
+    assert p_s_numeric(domain, s) == vals.min()
 
 
 def test_report_scales_with_radius():
