@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
 from .core import DomainError, as_order
 from . import geometry
@@ -182,14 +183,34 @@ def min_h_omega(domain: Domain) -> float:
     return -2.0 * math.log(ball.radius)
 
 
+def _tau_integral(taus: np.ndarray, ms: np.ndarray) -> tuple[float, float]:
+    """``int_0^s m_tau dtau`` from ``m_tau`` at the equispaced nodes
+    ``taus`` of ``(0, s]``, and its estimate.
+
+    ``m_tau`` is smooth in ``tau``: the rule integrates its interpolant, a
+    Chebyshev series in ``2 tau/s - 1``, which also carries it to ``tau =
+    0``, where no node sits.  The estimate is the gap to the same rule on
+    all nodes but the first.
+    """
+    s = taus[-1]
+    u = 2.0 * taus / s - 1.0
+
+    def rule(k):
+        series = cheb.chebint(cheb.chebfit(u[-k:], ms[-k:], k - 1), lbnd=-1.0)
+        return 0.5 * s * float(cheb.chebval(1.0, series))
+
+    value = rule(len(taus))
+    return value, abs(value - rule(len(taus) - 1))
+
+
 def green_norm_bound(domain: Domain, s,
                      cfg: QuadConfig | None = None) -> BoundReport:
     """Full report: numeric norm of ``G_s`` on a ball and its bounds.
 
     The numeric norm is exact -- the radial torsion solution peaks at
     the center with value ``d_{N,s} R^{2s}``.  The integral-form bound
-    integrates ``m_tau`` at ``N_TAU`` equispaced nodes of ``(0, s]`` by the
-    trapezoid rule, extending the first cell to ``tau = 0`` linearly.
+    integrates ``m_tau`` at ``N_TAU`` equispaced nodes of ``(0, s]`` by
+    their interpolating polynomial (:func:`_tau_integral`).
     ``m_tau`` is read at the centre (:func:`m_s`): one ``h_Omega`` value
     serves every node, and one ``P^c_tau 1`` value per node serves
     ``m_tau`` and, at the last node ``tau = s``, ``p_s_numeric``.
@@ -212,10 +233,7 @@ def green_norm_bound(domain: Domain, s,
     taus[-1] = s  # p_s is read at this node; the product may round off s
     mass = np.array([_centre_mass(ball, t, cfg) for t in taus])
     ms = rho_N + (_centre_h(ball, cfg) + mass)
-    integral = float(np.trapezoid(ms, taus))
-    m0 = ms[0] - (ms[1] - ms[0]) * taus[0] / (taus[1] - taus[0])
-    integral += taus[0] * 0.5 * (m0 + ms[0])
-    bound_integral = math.exp(-integral)
+    bound_integral = math.exp(-_tau_integral(taus, ms)[0])
 
     return BoundReport(s=s, norm_numeric=norm_numeric,
                        bound_integral=bound_integral, bound_new=bound_new,

@@ -308,6 +308,42 @@ def test_mass_profile_falls_toward_center(domain, s):
     assert p_s_numeric(domain, s) == vals.min()
 
 
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("R", [0.8, 1.1])
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 1.0])
+def test_integral_bound_meets_its_estimate(N, R, s):
+    # Reference: Gauss-Legendre in tau on [0, s], which agrees with
+    # itself from 8 to 16 nodes far below the tau rule's error.  The
+    # rule's estimate must cover its distance to the reference.
+    ball = Ball(center=(0.0,) * N, radius=R)
+
+    def gauss(n):
+        x, w = np.polynomial.legendre.leggauss(n)
+        return 0.5 * s * sum(wi * m_s(ball, 0.5 * s * (xi + 1.0))
+                             for xi, wi in zip(x, w))
+
+    ref = gauss(16)
+    assert abs(gauss(8) - ref) < 1e-12
+    taus = s * np.arange(1, bounds.N_TAU + 1) / bounds.N_TAU
+    taus[-1] = s
+    value, estimate = bounds._tau_integral(
+        taus, np.array([m_s(ball, t) for t in taus]))
+    assert abs(value - ref) <= estimate < 1e-6
+    r = green_norm_bound(ball, s)
+    assert r.bound_integral == math.exp(-value)
+    assert r.norm_numeric < r.bound_integral < r.bound_new < r.bound_old
+
+
+def test_tau_rule_is_exact_on_polynomials():
+    # Degree 10 lies in the span of both rules (degree 11 on 12 nodes,
+    # degree 10 on the last 11): the value is exact to rounding, and so
+    # is the gap between the rules.
+    taus = 0.75 * np.arange(1, 13) / 12
+    value, estimate = bounds._tau_integral(taus, 1.0 + taus ** 10)
+    assert value == pytest.approx(0.75 + 0.75 ** 11 / 11, rel=1e-14)
+    assert estimate < 1e-14
+
+
 def test_report_scales_with_radius():
     r = green_norm_bound(Ball(center=(0.0, 0.0), radius=2.0), 0.5)
     base = green_norm_bound(DISC, 0.5)
