@@ -301,9 +301,9 @@ def log_laplacian_compact(u, x, cfg: QuadConfig | None = None
     min(r, rho) / (r |rho^2 - r^2|)`` in space (``r = |x - centre|``), and
     ``u(x) - u(rho)`` times either stays bounded on each side of ``rho =
     r``.  The rule (:func:`~fraclab.quadrature.offset_rule`) splits there
-    and grades toward ``r`` from both sides and toward ``R``, so no
-    principal value is needed, and the field is read once per ``rho``
-    node.  Other fields are integrated along the rays of a polar rule
+    and grades toward ``r`` from both sides, half as deep as toward ``R``
+    (its end rule at ``r`` is exact on both parts), so no principal value
+    is needed, and the field is read once per ``rho`` node.  Other fields are integrated along the rays of a polar rule
     around ``x``.
     """
     cfg = cfg or QuadConfig()
@@ -320,7 +320,7 @@ def log_laplacian_compact(u, x, cfg: QuadConfig | None = None
     def radial_pass(_, n_rad, levels):
         r = quad._centre_distance(x - dom.center_array, dom.radius)
         rho, off, _, w = quad.offset_rule(r, dom.radius, n_rad,
-                                          (0.0, levels), (0.0, levels))
+                                          (0.0, levels // 2), (0.0, levels))
         # |rho^2 - r^2| = |off| (rho + r), with off exact near rho = r.
         mean = 2.0 * math.pi * rho / (np.abs(off) * (rho + r))
         if N == 3:

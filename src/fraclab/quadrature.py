@@ -109,8 +109,9 @@ class QuadConfig:
     :data:`MAX_LEVELS` = 26 (lower in some operators).  Rules in an exact
     offset (:func:`offset_rule`) grade deeper where a singularity needs it:
     the exterior radial rule ``ceil(log2(R / (r - R)))`` levels toward
-    ``R``.  The radial Green rule grades half the depth toward ``rho =
-    |x|``, where its end rule is exact on the whole kernel.
+    ``R``.  The radial rules of the Green operator and of
+    ``log_laplacian_compact`` grade half the depth toward ``rho = |x|``,
+    where their end rule is exact on the whole integrand.
     """
 
     rel_tol: float = 1e-6
