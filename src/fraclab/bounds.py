@@ -130,17 +130,16 @@ def _ones(N: int) -> ScalarField:
 
 
 def _centre_mass(ball: Ball, t: float, cfg: QuadConfig) -> float:
-    """``P^c_t 1`` at the centre of ``ball``.  ``P^c_t 1`` is translation
-    invariant, and ``_ones``, with no domain, is radial about the origin,
-    so the ball is moved there."""
+    """``P^c_t 1`` at the centre of ``ball``, moved to the origin:
+    ``P^c_t 1`` is translation invariant, and ``_ones``, with no domain,
+    is radial about the origin."""
     origin = Ball((0.0,) * ball.dim, ball.radius)
     return kernels.comp_poisson_apply(origin, _ones(ball.dim), t,
                                       np.zeros(ball.dim), cfg).value
 
 
 def _centre_h(ball: Ball, cfg: QuadConfig) -> float:
-    """``h_Omega`` at the centre of ``ball``, ``-ln(R R)``: one value
-    serves every order."""
+    """``h_Omega`` at the centre of ``ball``, ``-ln(R R)``."""
     return operators.h_omega(ball, ball.center_array, cfg).value
 
 
@@ -155,8 +154,7 @@ def p_s_numeric(domain: Domain, s, cfg: QuadConfig | None = None) -> float:
     The test suite checks this against a radial scan.
     """
     ball = kernels._require_ball(domain, "the complementary-mass infimum")
-    cfg = cfg or QuadConfig()
-    return _centre_mass(ball, float(as_order(s)), cfg)
+    return _centre_mass(ball, float(as_order(s)), cfg or QuadConfig())
 
 
 def m_s(domain: Domain, s, cfg: QuadConfig | None = None) -> float:
@@ -184,14 +182,11 @@ def min_h_omega(domain: Domain) -> float:
 
 
 def _tau_integral(taus: np.ndarray, ms: np.ndarray) -> tuple[float, float]:
-    """``int_0^s m_tau dtau`` from ``m_tau`` at the equispaced nodes
-    ``taus`` of ``(0, s]``, and its estimate.
-
-    ``m_tau`` is smooth in ``tau``: the rule integrates its interpolant, a
-    Chebyshev series in ``2 tau/s - 1``, which also carries it to ``tau =
-    0``, where no node sits.  The estimate is the gap to the same rule on
-    all nodes but the first.
-    """
+    """``int_0^s m_tau dtau`` and its estimate from ``m_tau`` at the
+    equispaced nodes ``taus`` of ``(0, s]``: the integral of their
+    Chebyshev interpolant in ``2 tau/s - 1``, which carries the smooth
+    ``m_tau`` to ``tau = 0``, and its gap to the same rule on all nodes
+    but the first."""
     s = taus[-1]
     u = 2.0 * taus / s - 1.0
 
