@@ -10,7 +10,7 @@ On the unit disc this script prints
    kernel ``P_s^c(x, .)`` and its endpoint limit ``P_1^c(x, .)`` as the
    order climbs toward 1.
 
-Run with ``python3 demos/kernel_portraits.py`` (about 1.7 s on a 2-core Xeon host).
+Run with ``python3 demos/kernel_portraits.py`` (a few seconds).
 """
 
 import numpy as np

@@ -138,11 +138,6 @@ def _centre_mass(ball: Ball, t: float, cfg: QuadConfig) -> float:
                                       np.zeros(ball.dim), cfg).value
 
 
-def _centre_h(ball: Ball, cfg: QuadConfig) -> float:
-    """``h_Omega`` at the centre of ``ball``, ``-ln(R R)``."""
-    return operators.h_omega(ball, ball.center_array, cfg).value
-
-
 def p_s_numeric(domain: Domain, s, cfg: QuadConfig | None = None) -> float:
     """``p_s(Omega) = inf_Omega P^c_s 1``: on a ball, ``P^c_s 1`` at the
     centre.
@@ -162,13 +157,15 @@ def m_s(domain: Domain, s, cfg: QuadConfig | None = None) -> float:
 
     On a ball both ``h_Omega = -ln(R^2 - |x - c|^2)`` and ``P^c_s 1``
     (:func:`p_s_numeric`) are smallest at the centre, so the infimum is
-    their sum there.
+    their sum there; ``h_Omega`` is taken as ``-ln(R R)``, not
+    :func:`min_h_omega`'s ``-2 ln R``, which differs by an ulp.
     """
     ball = kernels._require_ball(domain, "the norm-decay rate")
     cfg = cfg or QuadConfig()
     s = float(as_order(s))
     rho_N = log_constants(ball.dim)[1]
-    return rho_N + (_centre_h(ball, cfg) + _centre_mass(ball, s, cfg))
+    h = operators.h_omega(ball, ball.center_array, cfg).value
+    return rho_N + (h + _centre_mass(ball, s, cfg))
 
 
 def min_h_omega(domain: Domain) -> float:
@@ -227,7 +224,8 @@ def green_norm_bound(domain: Domain, s,
     taus = s * np.arange(1, N_TAU + 1) / N_TAU
     taus[-1] = s  # p_s is read at this node; the product may round off s
     mass = np.array([_centre_mass(ball, t, cfg) for t in taus])
-    ms = rho_N + (_centre_h(ball, cfg) + mass)
+    h = operators.h_omega(ball, ball.center_array, cfg).value
+    ms = rho_N + (h + mass)
     bound_integral = math.exp(-_tau_integral(taus, ms)[0])
 
     return BoundReport(s=s, norm_numeric=norm_numeric,
