@@ -11,7 +11,8 @@ the unit disc and the unit 3-ball, plus the ingredients (the spectral
 floor ``m_s``, the complementary-mass infimum ``p_s`` with its closed
 lower bound, and the accumulated improvement ``q_{N,s}``).
 
-Run with ``python3 demos/norm_bound_chain.py`` (0.3–0.4 s on a 2-core Xeon host).
+Run with ``python3 demos/norm_bound_chain.py`` (0.3–0.4 s on a 2-core
+Xeon host).
 """
 
 import numpy as np

@@ -12,7 +12,8 @@ extended solution with the complementary Poisson term.  This script
 3. prints one-sided difference quotients of the closed family on both
    sides of ``s = 1`` to show they pinch the derivative.
 
-Run with ``python3 demos/order_derivative.py`` (0.2–0.3 s on a 2-core Xeon host).
+Run with ``python3 demos/order_derivative.py`` (0.2–0.3 s on a 2-core
+Xeon host).
 """
 
 import numpy as np

@@ -8,7 +8,8 @@ prints the numerical value next to the closed form, then shows the
 constant ladder ``d_{2,s}`` across orders, including the classical
 endpoint ``d_{2,1} = 1/4``.
 
-Run with ``python3 demos/torsion_profile.py`` (about 0.2 s on a 2-core Xeon host).
+Run with ``python3 demos/torsion_profile.py`` (about 0.2 s on a 2-core
+Xeon host).
 """
 
 import numpy as np

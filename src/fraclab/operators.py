@@ -303,8 +303,8 @@ def log_laplacian_compact(u, x, cfg: QuadConfig | None = None
     r``.  The rule (:func:`~fraclab.quadrature.offset_rule`) splits there
     and grades toward ``r`` from both sides, half as deep as toward ``R``
     (its end rule at ``r`` is exact on both parts), so no principal value
-    is needed, and the field is read once per ``rho`` node.  Other fields are integrated along the rays of a polar rule
-    around ``x``.
+    is needed, and the field is read once per ``rho`` node.  Other fields
+    are integrated along the rays of a polar rule around ``x``.
     """
     cfg = cfg or QuadConfig()
     N = _field_dim(u)
