@@ -69,10 +69,11 @@ class BoundReport:
     p_s_numeric: float
     p_s_lower: float
     q_Ns: float
+    integral_error: float
 
     CSV_COLUMNS: ClassVar[tuple] = (
         "s", "norm_numeric", "bound_integral", "bound_new", "bound_old",
-        "m_s", "p_s_numeric", "p_s_lower", "q_Ns")
+        "m_s", "p_s_numeric", "p_s_lower", "q_Ns", "integral_error")
 
 
 def _q_integrand(tau: float, N: int) -> float:
@@ -202,7 +203,8 @@ def green_norm_bound(domain: Domain, s,
     The numeric norm is exact -- the radial torsion solution peaks at
     the center with value ``d_{N,s} R^{2s}``.  The integral-form bound
     integrates ``m_tau`` at ``N_TAU`` equispaced nodes of ``(0, s]`` by
-    their interpolating polynomial (:func:`_tau_integral`).
+    their interpolating polynomial (:func:`_tau_integral`); its estimate
+    ``e`` gives ``bound_integral``'s relative error ``expm1(e)``.
     ``m_tau`` is read at the centre (:func:`m_s`): one ``h_Omega`` value
     serves every node, and one ``P^c_tau 1`` value per node serves
     ``m_tau`` and, at the last node ``tau = s``, ``p_s_numeric``.
@@ -226,10 +228,11 @@ def green_norm_bound(domain: Domain, s,
     mass = np.array([_centre_mass(ball, t, cfg) for t in taus])
     h = operators.h_omega(ball, ball.center_array, cfg).value
     ms = rho_N + (h + mass)
-    bound_integral = math.exp(-_tau_integral(taus, ms)[0])
+    integral, tau_error = _tau_integral(taus, ms)
 
     return BoundReport(s=s, norm_numeric=norm_numeric,
-                       bound_integral=bound_integral, bound_new=bound_new,
+                       bound_integral=math.exp(-integral), bound_new=bound_new,
                        bound_old=bound_old, m_s=float(ms[-1]),
                        p_s_numeric=float(mass[-1]),
-                       p_s_lower=p_s_lower(N, s, ball), q_Ns=q)
+                       p_s_lower=p_s_lower(N, s, ball), q_Ns=q,
+                       integral_error=math.expm1(tau_error))

@@ -30,8 +30,9 @@ Subcommands
     per-point side table (path embedded in the report).
 ``bounds --dim N --orders A:STEP:B --domain ball:R``
     Green-norm bound chain per order; the trailing ``chain_ok`` column
-    records ``norm <= integral <= new <= old``.  Exit code 2 when any
-    row breaks the chain.
+    records ``norm <= integral <= new <= old`` with the integral bound's
+    estimated relative error ``integral_error`` within ``--rel-tol``.
+    Exit code 2 when any row breaks the chain.
 
 Global flags: ``--rel-tol``, ``--abs-tol`` (quadrature tolerances),
 ``--emit csv|json``, ``--out PATH``.
@@ -410,7 +411,7 @@ def _cmd_bounds(config: RunConfig) -> tuple[int, str]:
     for s in orders:
         r = bounds_mod.green_norm_bound(domain, s, cfg)
         chain_ok = (r.norm_numeric <= r.bound_integral <= r.bound_new
-                    <= r.bound_old)
+                    <= r.bound_old and r.integral_error <= cfg.rel_tol)
         flagged = flagged or not chain_ok
         rows.append([getattr(r, c) for c in r.CSV_COLUMNS] + [chain_ok])
     columns = list(bounds_mod.BoundReport.CSV_COLUMNS) + ["chain_ok"]

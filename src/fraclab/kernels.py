@@ -451,29 +451,29 @@ def poisson_ball_classical(domain: Domain, z, y) -> float | np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _exterior_radial_grid(R: float, s: float, n: int, levels: int
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Master rule in ``E = q - R`` on ``(0, inf)`` for ``E^(-s) * smooth``.
-
-    Boundary block ``[0, R]`` from the power-endpoint rule, dyadic blocks
-    out to ``2^40 R``, then one inversion block (``u = 1/q`` with Jacobi
-    weight ``u^(2s-1)``) that integrates the admissible asymptotic decay
-    ``q^(-1-2s) x (analytic in 1/q)`` of the remaining tail exactly --
-    essential for small ``s``, where dyadic truncation alone would lose
-    ~1e-6 of the Poisson mass.  The third return value marks the block
-    boundaries so callers can inspect per-block partial sums for
-    divergence (the inversion block is the last entry).
+def _exterior_radial_grid(R: float, s: float, n: int, depth: int,
+                          blocks: int = 40) -> tuple[np.ndarray, ...]:
+    """Master rule in ``E = q - R`` on ``(0, inf)`` for ``E^(-s) A(E) +
+    B(E)``, ``A`` and ``B`` smooth: a boundary block ``[0, R]`` graded
+    ``depth`` levels toward 0 and closed by the two-family end rule at
+    ``alpha = -s`` (:func:`~fraclab.quadrature._half`), ``blocks`` dyadic
+    blocks out to ``2^blocks R``, then one inversion block (``u = 1/q``,
+    Jacobi weight ``u^(2s-1)``) exact on the admissible decay ``q^(-1-2s)
+    x (analytic in 1/q)`` of the tail, which is analytic from ``Q = 2R``
+    on when every singularity lies at ``q <= R``; a datum outside the
+    ball needs the dyadic blocks.  The third return value marks the block
+    boundaries for per-block divergence checks (the inversion block last).
     """
-    xu, wu = quad.unit_power_rule(-s, None, n, levels)
-    E = [xu * R]
-    W = [wu * R]
-    offsets = [0, len(xu)]
+    xu, wu = quad._half(-s, n, depth, True)
     xg, wg = quad._gauss_unit(n)
+    E = [xu * R, (0.5 + 0.5 * xg) * R]
+    W = [wu * R, 0.5 * wg * R]
+    offsets = [0, len(xu) + n]
     lo = R
-    for _ in range(40):
+    for _ in range(blocks):
         E.append(lo + lo * xg)
         W.append(lo * wg)
-        offsets.append(offsets[-1] + len(xg))
+        offsets.append(offsets[-1] + n)
         lo *= 2.0
     # Tail beyond q = R + lo: int_Q^inf F dq = int_0^{1/Q} u^{2s-1}
     # [F(1/u) u^{-1-2s}] du, Jacobi weight on the bracket.
@@ -486,8 +486,17 @@ def _exterior_radial_grid(R: float, s: float, n: int, levels: int
     return np.concatenate(E), np.concatenate(W), np.array(offsets)
 
 
+def _grid_depth(levels: int, R: float, *radii: float) -> int:
+    """Boundary-block depth of the master grid for a pass ``levels`` deep:
+    half of it (capped at ``MAX_LEVELS``), and a level more per halving of
+    ``R - r`` below ``2^-8 R`` for the nearest pole ``1 / (q^2 - r^2)`` of
+    ``radii``, in steps of 12 so that a profile shares one or two grids."""
+    e = max(0, math.ceil(math.log2(R / min(R - r for r in radii))) - 8)
+    return min(levels, quad.MAX_LEVELS) // 2 + 12 * math.ceil(e / 12)
+
+
 def _exterior_rule(N: int, R: float, s: float, lz: float, n: int,
-                   levels: int) -> tuple[np.ndarray, np.ndarray, object]:
+                   depth: int) -> tuple[np.ndarray, np.ndarray, object]:
     """The exterior nodes ``E = q - R`` of the Poisson kernel ``P_s(z, .)``,
     ``lz = R^2 - |z|^2``, with weights ``tau lz^s (q^2 - R^2)^(-s)
     q^(N-1)`` times the master grid's (everything but the sphere
@@ -497,7 +506,7 @@ def _exterior_rule(N: int, R: float, s: float, lz: float, n: int,
     if s >= 1.0:
         sphere = 2.0 * math.pi if N == 2 else 4.0 * math.pi
         return np.zeros(1), np.array([lz * R ** (N - 2) / sphere]), None
-    E, wE, offs = _exterior_radial_grid(R, s, n, levels)
+    E, wE, offs = _exterior_radial_grid(R, s, n, depth)
     return E, ball_poisson_constant(N, s) * lz ** s * wE * E ** (-s) \
         * (2.0 * R + E) ** (-s) * (R + E) ** (N - 1), offs
 
@@ -539,7 +548,8 @@ def poisson_extend(domain: Domain, g, s, x, cfg: QuadConfig | None = None
     lx = (R - r) * (R + r)
 
     def one_pass(_, n_rad, levels):
-        E, wq, offs = _exterior_rule(N, R, s, lx, n_rad, levels)
+        E, wq, offs = _exterior_rule(N, R, s, lx, n_rad,
+                                     _grid_depth(levels, R, r))
         q = R + E
         # mu_l(q, r) without its (r/q)^l, from the offset E + (R - r).
         wq = wq * sphere / (q ** (N - 2) * (E + (R - r)) * (q + r))
@@ -684,12 +694,13 @@ def comp_poisson_kernel(domain: Domain, s, x, z,
     if np.linalg.norm(xc) >= R or rz >= R:
         raise DomainError("complementary Poisson kernel needs interior points")
     c_N, _ = log_constants(N)
+    depth = _grid_depth(cfg.max_subdiv, R, np.linalg.norm(xc), rz)
     E, wq, _ = _exterior_rule(N, R, s, (R - rz) * (R + rz),
-                              cfg.radial_order, cfg.max_subdiv)
+                              cfg.radial_order, depth)
     return c_N * float(wq @ _double_pole(N, R, E, xc, zc))
 
 
-# Master-grid inner integrals; a bound_chain pass holds 90 of them.
+# Master-grid inner integrals; a bound_chain pass holds 94 of them.
 _MF_CACHE = quad._Memo(256)
 
 # Exterior radii per block of the (q x rho) factor of comp_poisson_apply:
@@ -698,7 +709,8 @@ _MF_CACHE = quad._Memo(256)
 _POLE_BLOCK = 64
 
 
-@lru_cache(maxsize=16)
+# Sized, like _MF_CACHE, to hold the 94 rule sets of a bound_chain pass.
+@lru_cache(maxsize=128)
 def _comp_rules(N: int, R: float, s: float, bp, n_rho: int, n: int,
                 levels: int) -> tuple[np.ndarray, ...]:
     """The exterior nodes ``E = q - R`` of one pass of
@@ -707,13 +719,14 @@ def _comp_rules(N: int, R: float, s: float, bp, n_rho: int, n: int,
     rho, w)`` every exterior radius shares.
 
     For ``s < 1`` the nodes are the master grid
-    :func:`_exterior_radial_grid`, and the ``rho`` rule is an
-    ``n_rho``-node :func:`~fraclab.quadrature.offset_rule` graded toward
-    ``R`` with the exponent ``s + bp`` down to the smallest ``E``, the
-    scale on which ``1 / (q^2 - rho^2)`` varies there.  At ``s = 1`` the
-    one node is ``q = R``, and the ``n``-node rule is graded toward ``R``
-    only by a declared boundary power ``bp``: nothing else is singular
-    there.  The calls of a profile at one order share them, read-only.
+    :func:`_exterior_radial_grid` (``levels`` deep, no dyadic block) and
+    the ``rho`` rule an ``n_rho``-node
+    :func:`~fraclab.quadrature.offset_rule` graded toward ``R`` with the
+    exponent ``s + bp`` down to the smallest ``E``, the scale on which ``1
+    / (q^2 - rho^2)`` varies there.  At ``s = 1`` the one node is ``q =
+    R``, and the ``n``-node rule is graded toward ``R`` only by a declared
+    boundary power ``bp``: nothing else is singular there.  The calls of a
+    profile at one order share them, read-only.
     """
     c_N = log_constants(N)[0]
     sphere = 2.0 * math.pi if N == 2 else 4.0 * math.pi
@@ -722,7 +735,7 @@ def _comp_rules(N: int, R: float, s: float, bp, n_rho: int, n: int,
             0.0, R, n, None, None if bp is None else (bp, levels))
         return np.zeros(1), np.array([c_N * sphere * R ** (2 - N)]), rho, \
             sigma, w
-    E, wE, _ = _exterior_radial_grid(R, s, n, levels)
+    E, wE, _ = _exterior_radial_grid(R, s, n, levels, 0)
     depth = math.ceil(math.log2(R / E.min()))
     rho, _, sigma, w = quad.offset_rule(0.0, R, n_rho, None,
                                         (s + (bp or 0.0), depth))
@@ -761,24 +774,22 @@ def _pole_sums(R: float, s: float, E: np.ndarray, rho: np.ndarray,
 
 def _mf_on_grid(ball: Ball, f, s: float, n: int, levels: int,
                 n_rho: int = 12) -> np.ndarray:
-    """:func:`_mf_integrals`, kept in :data:`_MF_CACHE` under
-    ``quad._data_key(f, ball, s, n, levels, n_rho)``: data without a
-    ``cache_token`` is never stored."""
-    return _MF_CACHE.fetch(
-        quad._data_key(f, ball, s, n, levels, n_rho),
-        lambda: _mf_integrals(ball, f, s, n, levels, n_rho))
-
-
-def _mf_integrals(ball: Ball, f, s: float, n: int, levels: int,
-                  n_rho: int) -> np.ndarray:
     """``M_0(q) = sum_rho w rho^(N-1) (R^2 - rho^2)^s f(rho) / (q^2 -
-    rho^2)`` for radial ``f`` at the nodes of :func:`_comp_rules`: ``f`` is
-    read once per ``rho`` node, for every exterior radius at once."""
-    N, R = ball.dim, ball.radius
-    bp = getattr(f, "boundary_power", None)
-    E, _, rho, sigma, w = _comp_rules(N, R, s, bp, n_rho, n, levels)
-    wh = w * rho ** (N - 1) * _radial_data(f, ball, rho)
-    return _pole_sums(R, s, E, rho, sigma, wh[None, :, None])[:, 0]
+    rho^2)`` for radial ``f`` at the nodes of :func:`_comp_rules`, and of
+    ``|f|`` in a second column, kept in :data:`_MF_CACHE` under
+    ``quad._data_key(f, ball, s, n, levels, n_rho)`` (data without a
+    ``cache_token`` is never stored): ``f`` is read once per ``rho``
+    node."""
+    def build():
+        E, _, rho, sigma, w = _comp_rules(
+            ball.dim, ball.radius, s, getattr(f, "boundary_power", None),
+            n_rho, n, levels)
+        wh = w * rho ** (ball.dim - 1) * _radial_data(f, ball, rho)
+        return _pole_sums(ball.radius, s, E, rho, sigma,
+                          np.stack([wh, np.abs(wh)], axis=-1)[None])
+
+    return _MF_CACHE.fetch(quad._data_key(f, ball, s, n, levels, n_rho),
+                           build)
 
 
 def comp_poisson_apply(domain: Domain, f, s, x,
@@ -809,8 +820,8 @@ def comp_poisson_apply(domain: Domain, f, s, x,
     For ``f`` radial about the centre of the ball
     (:func:`~fraclab.quadrature.centred_radial`) only ``L = 0`` remains,
     and ``M_0`` does not depend on ``x``: it is kept on the grid
-    (:func:`_mf_on_grid`), so a whole profile of ``x`` values reads the
-    data once; ``evaluations`` counts the rule's points all the same.
+    (:func:`_mf_on_grid`), so a profile reads the data once per grid
+    (:func:`_grid_depth`); ``evaluations`` counts the rule's points.
     """
     ball = _require_ball(domain, "the complementary Poisson application")
     cfg = cfg or QuadConfig()
@@ -824,12 +835,14 @@ def comp_poisson_apply(domain: Domain, f, s, x,
     radial = quad.centred_radial(f, ball)
 
     def comp_pass(n_rho, n, levels):
+        levels = _grid_depth(levels, R, r) if s < 1.0 else levels
         E, wq, rho, sigma, w = _comp_rules(N, R, s, bp, n_rho, n, levels)
         # The pole at x: 1 / (q^2 - r^2), from the offset E + (R - r).
         wq = wq / ((E + (R - r)) * (R + E + r))
         if radial:
-            M = _mf_on_grid(ball, f, s, n, levels, n_rho)
-            return float(wq @ M), len(rho)
+            # The rounding as in _harmonic_sum; every weight is positive.
+            value, size = wq @ _mf_on_grid(ball, f, s, n, levels, n_rho)
+            return float(value), len(rho), 1e-15 * float(size)
         wr = w * rho ** (N - 1)
 
         def contract(h, scale):

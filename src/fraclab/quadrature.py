@@ -110,8 +110,8 @@ class QuadConfig:
     offset (:func:`offset_rule`) grade deeper where a singularity needs it:
     the exterior radial rule ``ceil(log2(R / (r - R)))`` levels toward
     ``R``.  The radial rules of the Green operator and of
-    ``log_laplacian_compact`` grade half the depth toward ``rho = |x|``,
-    where their end rule is exact on the whole integrand.
+    ``log_laplacian_compact`` grade half the depth toward ``rho = |x|``
+    and the master grid toward ``q = R``, where their end rule is exact.
     """
 
     rel_tol: float = 1e-6

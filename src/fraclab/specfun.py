@@ -156,14 +156,14 @@ def ball_poisson_constant(N: int, s) -> float:
     """Coefficient ``tau(N, s)`` of the exterior Poisson kernel of a ball.
 
     ``tau(N, s) = Gamma(N/2) sin(pi s) / pi^(N/2 + 1)``; equivalently
-    ``Gamma(N/2) / (pi^(N/2) Gamma(s) Gamma(1 - s))``.  Defined for
-    ``0 < s < 1`` and vanishing at both ends.
+    ``Gamma(N/2) / (pi^(N/2) Gamma(s) Gamma(1 - s))``, for ``0 < s < 1``,
+    from ``sin(pi min(s, 1 - s))``: ``pi s`` would round off ``eps/(1-s)``.
     """
     _check_dim(N)
     s = float(s)
     if not 0.0 < s < 1.0:
         raise DomainError(f"ball_poisson_constant requires 0 < s < 1, got s={s}")
-    return (math.gamma(0.5 * N) * math.sin(math.pi * s)
+    return (math.gamma(0.5 * N) * math.sin(math.pi * min(s, 1.0 - s))
             / math.pi ** (0.5 * N + 1.0))
 
 

@@ -294,10 +294,27 @@ def test_bounds_csv_chain(capsys):
     cols, rows = csv_body(out)
     assert cols == ["s", "norm_numeric", "bound_integral", "bound_new",
                     "bound_old", "m_s", "p_s_numeric", "p_s_lower",
-                    "q_Ns", "chain_ok"]
+                    "q_Ns", "integral_error", "chain_ok"]
     assert len(rows) == 3
     assert all(r[-1] == "true" for r in rows)
     assert float(rows[2][1]) == pytest.approx(0.25, rel=1e-9)
+
+
+def test_bounds_chain_fails_on_an_unresolved_integral(capsys):
+    # At s = 1 on the unit disc the tau rule's estimate makes
+    # bound_integral uncertain by 1.5e-7 relative: within the default
+    # rel_tol, not within 1e-9, where the chain holds but is not resolved.
+    for tol, ok in (("1e-6", "true"), ("1e-9", "false")):
+        code, out = run(capsys, ["bounds", "--dim", "2", "--orders",
+                                 "1.0:1.0:1.0", "--domain", "ball:1",
+                                 "--rel-tol", tol])
+        cols, rows = csv_body(out)
+        row = dict(zip(cols, rows[0]))
+        assert 1e-9 < float(row["integral_error"]) < 1e-6
+        assert (float(row["norm_numeric"]) < float(row["bound_integral"])
+                < float(row["bound_new"]) < float(row["bound_old"]))
+        assert row["chain_ok"] == ok
+        assert code == (0 if ok == "true" else 2)
 
 
 def test_bounds_json_variant(capsys):

@@ -504,7 +504,12 @@ def test_green_apply_grades_by_the_data_boundary_power():
     # same field gave -0.9434868150211169 with an estimate of 1.7e-9.
     # Re-frozen with the two-family end rule at rho = |x|, 13 levels deep
     # (was 1890 evaluations at 40, estimate 2.2319346272402437e-13); the
-    # value holds to the last bit.
+    # value holds to the last bit.  Re-frozen with the two-family end rule
+    # at q = R in comp_poisson_apply, whose samples of ell_s 1 within 2^-8
+    # R of the sphere moved by up to 2e-9 relative toward their reference
+    # (was -0.9434868150277681, estimate 1.9710322164533319e-13).  Both
+    # values lie outside the estimate from the closed order derivative of
+    # the torsion, -0.9434868149539655: 7.4e-11 before, 8.3e-11 now.
     ball = Ball(center=(0.0, 0.0), radius=1.0)
     ones_field = operators.ScalarField(
         fn=lambda p: np.ones(len(np.atleast_2d(p))), dim=2, radial=True,
@@ -512,10 +517,10 @@ def test_green_apply_grades_by_the_data_boundary_power():
     data = derivative.ell_field(ones_field, ball, 0.5, CFG)
     assert data.boundary_power == -0.5
     res = green_apply(ball, data, 0.5, (0.3, 0.0), CFG)
-    assert res.value == -0.9434868150277681
+    assert res.value == -0.9434868150365763
     assert res.evaluations == 926
-    assert abs(res.error_estimate - 1.9710322164533319e-13) \
-        <= 2.0 * np.spacing(1.9710322164533319e-13)
+    assert abs(res.error_estimate - 1.9710322164534288e-13) \
+        <= 2.0 * np.spacing(1.9710322164534288e-13)
 
 
 def poly2(y):
@@ -817,13 +822,19 @@ def test_poisson_extend_estimate_covers_near_boundary_error():
 
 
 def test_shallow_comp_apply_flags_its_truncation():
-    # At max_subdiv = 4 the radial comp_poisson_apply is 3.7e-5 off; the
-    # coarse pass must stay shallower than the fine one to see it.
+    # At max_subdiv = 4 the radial comp_poisson_apply was 3.7e-5 off and
+    # missed the default tolerance.  With the two-family end rule at q = R
+    # its master grid, graded 2 levels deep (1 in the coarse pass), is
+    # 8.1e-15 off and meets it.  The coarse pass must stay shallower than
+    # the fine one: its estimate, 2.3e-10, covers the error and misses a
+    # tolerance of 1e-12 that the default depth meets.
     ball = Ball(center=(0.0, 0.0), radius=1.0)
     f = radial_field(lambda y: np.ones(len(np.atleast_2d(y))))
-    ref = comp_poisson_apply(ball, f, 0.5, (0.4, 0.0), CFG)
+    tight = {"rel_tol": 1e-12, "abs_tol": 1e-15}
+    ref = comp_poisson_apply(ball, f, 0.5, (0.4, 0.0), QuadConfig(**tight))
     res = comp_poisson_apply(ball, f, 0.5, (0.4, 0.0),
-                             QuadConfig(max_subdiv=4))
+                             QuadConfig(max_subdiv=4, **tight))
+    assert ref.tolerance_ok
     assert abs(res.value - ref.value) <= res.error_estimate < 1e-3
     assert not res.tolerance_ok
 
@@ -1265,12 +1276,13 @@ def exp_wave(y):
 
 @pytest.mark.parametrize("s,expected", EXP_TABLE)
 def test_comp_apply_non_radial_3d_matches_closed_moments(s, expected):
-    # Within 5e-11 relative: the master grid loses O(2^-depth) of the
-    # regular part of its integrand at q = R, about 2e-11 at depth 26
-    # (f = 1 at the centre is 1.9e-11 off 2 ln 2 - 1 on either route).
+    # Within 1e-14 relative (1.0e-15 at the most).  The master grid's
+    # one-family end segment at q = R lost O(2^-depth) of the regular
+    # part of its integrand, 2e-11 at depth 26, and this bound was 5e-11;
+    # its two-family end rule is exact on both parts.
     ball = Ball(center=(0.0, 0.0, 0.0), radius=1.0)
     res = comp_poisson_apply(ball, exp_wave, s, (0.3, -0.2, 0.4), CFG)
-    assert res.value == pytest.approx(expected, rel=5e-11)
+    assert res.value == pytest.approx(expected, rel=1e-14)
     assert abs(res.value - expected) <= res.error_estimate
     assert res.tolerance_ok
 
@@ -1283,17 +1295,22 @@ def test_comp_apply_generic_2d_follows_its_config():
     # points and lands 9.2e-13 from it (the nested pass read 30,528 and was
     # 3.1e-10 off); the tighter config meets its tolerance, where the
     # nested pass reported an estimate of 1.25e-9 for an error of 1.5e-12.
+    # Restated with the two-family end rule at q = R: that reference
+    # carried the old master grid's O(2^-26) loss and is 3.5e-12 off the
+    # new one, this route at rel_tol=1e-13, abs_tol=1e-15,
+    # angular_order=256, radial_order=32 (estimate 2.6e-15).  The default
+    # reads 14,224 points (was 20,608) and lands 1.9e-15 from it.
     ball = Ball(center=(0.0, 0.0), radius=1.0)
 
     def f(y):
         return np.exp(-np.sum((np.atleast_2d(y) + (0.5, 0.0)) ** 2, axis=1))
 
     x = np.array([0.1, 0.2])
-    ref = 0.3249575007837765
+    ref = 0.3249575007872562
     default = comp_poisson_apply(ball, f, 0.5, x, CFG)
     tight = comp_poisson_apply(ball, f, 0.5, x, QuadConfig(
         rel_tol=1e-9, angular_order=96, radial_order=24))
-    assert default.evaluations == 20608
+    assert default.evaluations == 14224
     assert abs(default.value - ref) < 3e-12
     for res in (default, tight):
         assert abs(res.value - ref) <= res.error_estimate
@@ -1357,17 +1374,34 @@ def test_comp_apply_radial_nonconstant_profile():
     assert generic.value == pytest.approx(fast.value, rel=1e-12)
 
 
+def test_comp_apply_fine_master_grid_is_short():
+    # At the default config the fine pass's master grid has 262 nodes
+    # (1,124 with 26 levels, a one-family end segment and 40 dyadic
+    # blocks), in every dimension and order below 1.
+    for N in (2, 3):
+        for s in (0.05, 0.5, 0.9999):
+            grid = kernels._comp_rules(N, 1.0, s, None, 12, CFG.radial_order,
+                                       kernels._grid_depth(CFG.max_subdiv,
+                                                           1.0, 0.0))[0]
+            assert len(grid) == 262
+
+
 def test_comp_apply_master_grid_cache_tells_equal_length_grids_apart():
-    # Both configurations give a master grid of 788 nodes at s = 0.6; a
-    # cache keyed by grid length handed the second one the first's values
-    # (1.748 instead of 0.762).
+    # Both configurations give a fine master grid of 198 nodes at s = 0.6
+    # (12 and 16 nodes per panel, 13 and 9 levels); a cache keyed by grid
+    # length handed the second one the first's values (1.748 instead of
+    # 0.762, on the 788-node grids of 12 / 21 and 16 / 5 before the
+    # two-family end rule at q = R).
     ball = Ball(center=(0.0, 0.0), radius=1.0)
     f = radial_field(lambda y: np.ones(len(np.atleast_2d(y))))
     x = np.array([0.3, 0.0])
-    first = QuadConfig(radial_order=12, max_subdiv=21)
-    second = QuadConfig(radial_order=16, max_subdiv=5)
-    assert (len(kernels._exterior_radial_grid(1.0, 0.6, 12, 21)[0])
-            == len(kernels._exterior_radial_grid(1.0, 0.6, 16, 5)[0]))
+    first = QuadConfig(radial_order=12, max_subdiv=26)
+    second = QuadConfig(radial_order=16, max_subdiv=18)
+    grids = [kernels._comp_rules(2, 1.0, 0.6, None, 12, cfg.radial_order,
+                                 kernels._grid_depth(cfg.max_subdiv, 1.0, 0.3)
+                                 )[0] for cfg in (first, second)]
+    assert len(grids[0]) == len(grids[1]) == 198
+    assert not np.array_equal(grids[0], grids[1])
     kernels._MF_CACHE.clear()
     cold = comp_poisson_apply(ball, f, 0.6, x, second)
     kernels._MF_CACHE.clear()
@@ -1394,69 +1428,69 @@ class CountingProfile:
 
 
 MASTER_GRID_TABLE = [  # N, s, R, point, data points, value, first-freeze id
-    (2, 0.02, 0.8, 'centre', 716, 0.026151844641130493,
+    (2, 0.02, 0.8, 'centre', 488, 0.026151844641431488,
      '1900-110164-0.026151844641130486'),
-    (2, 0.02, 0.8, 'edge', 716, 0.5898777106541482,
+    (2, 0.02, 0.8, 'edge', 728, 0.5898777118582319,
      '1900-110164-0.5898777106541756'),
-    (2, 0.02, 1.23, 'centre', 716, 0.01759400150406879,
+    (2, 0.02, 1.23, 'centre', 488, 0.017594001504176594,
      '1900-110164-0.017594001504068774'),
-    (2, 0.02, 1.23, 'edge', 716, 0.33931312213119347,
+    (2, 0.02, 1.23, 'edge', 728, 0.3393131227942366,
      '1900-110164-0.33931312213116616'),
-    (2, 0.25, 0.8, 'centre', 716, 0.28576213152205054,
+    (2, 0.25, 0.8, 'centre', 488, 0.2857621315252672,
      '1900-110184-0.28576213152205027'),
-    (2, 0.25, 0.8, 'edge', 716, 15.57134447362521,
+    (2, 0.25, 0.8, 'edge', 728, 15.571344486493354,
      '1900-110184-15.57134447362634'),
-    (2, 0.25, 1.23, 'centre', 716, 0.1984721315241153,
+    (2, 0.25, 1.23, 'centre', 488, 0.19847213152526738,
      '1900-110184-0.19847213152411503'),
-    (2, 0.25, 1.23, 'edge', 716, 10.342441574891456,
+    (2, 0.25, 1.23, 'edge', 728, 10.342441581977456,
      '1900-110184-10.342441574890076'),
-    (2, 0.75, 0.8, 'centre', 756, 0.687545261300434,
+    (2, 0.75, 0.8, 'centre', 548, 0.687545261305537,
      '1900-110244-0.6875452613004335'),
-    (2, 0.75, 0.8, 'edge', 756, 543.9147735352694,
+    (2, 0.75, 0.8, 'edge', 788, 543.9147735556821,
      '1900-110244-543.9147735353707'),
-    (2, 0.75, 1.23, 'centre', 756, 0.5004952613037092,
+    (2, 0.75, 1.23, 'centre', 548, 0.5004952613055367,
      '1900-110244-0.5004952613037087'),
-    (2, 0.75, 1.23, 'edge', 756, 523.6137234464654,
+    (2, 0.75, 1.23, 'edge', 788, 523.6137234577052,
      '1900-110244-523.6137234463096'),
-    (2, 0.999, 0.8, 'centre', 916, 0.8394349038137401,
+    (2, 0.999, 0.8, 'centre', 728, 0.8394349038138977,
      '1900-110424-0.8394349038137398'),
-    (2, 0.999, 0.8, 'edge', 916, 3335.4453627853745,
+    (2, 0.999, 0.8, 'edge', 968, 3335.445362786003,
      '1900-110424-3335.4453627869775'),
-    (2, 0.999, 1.23, 'centre', 916, 0.6213190708973756,
+    (2, 0.999, 1.23, 'centre', 728, 0.6213190708974395,
      '1900-110424-0.6213190708973751'),
-    (2, 0.999, 1.23, 'edge', 916, 3793.4787215176652,
+    (2, 0.999, 1.23, 'edge', 968, 3793.4787215180622,
      '1900-110424-3793.478721516569'),
-    (3, 0.02, 0.8, 'centre', 716, 0.014321614284884623,
+    (3, 0.02, 0.8, 'centre', 488, 0.014321614285185627,
      '1900-110164-0.014321614284884609'),
-    (3, 0.02, 0.8, 'edge', 716, 0.4941175576608541,
+    (3, 0.02, 0.8, 'edge', 728, 0.4941175588649379,
      '1900-110164-0.49411755766087867'),
-    (3, 0.02, 1.23, 'centre', 716, 0.008578851127183082,
+    (3, 0.02, 1.23, 'centre', 488, 0.008578851127290892,
      '1900-110164-0.008578851127183072'),
-    (3, 0.02, 1.23, 'edge', 716, 0.26174474540374787,
+    (3, 0.02, 1.23, 'edge', 728, 0.2617447460667908,
      '1900-110164-0.2617447454037245'),
-    (3, 0.25, 0.8, 'centre', 716, 0.16526819385078206,
+    (3, 0.25, 0.8, 'centre', 488, 0.16526819385399888,
      '1900-110184-0.16526819385078184'),
-    (3, 0.25, 0.8, 'edge', 716, 12.495010326656498,
+    (3, 0.25, 0.8, 'edge', 728, 12.495010339524647,
      '1900-110184-12.495010326657436'),
-    (3, 0.25, 1.23, 'centre', 716, 0.10291819385284676,
+    (3, 0.25, 1.23, 'centre', 488, 0.10291819385399889,
      '1900-110184-0.10291819385284663'),
-    (3, 0.25, 1.23, 'edge', 716, 7.573572665537155,
+    (3, 0.25, 1.23, 'edge', 728, 7.573572672623151,
      '1900-110184-7.573572665536102'),
-    (3, 0.75, 0.8, 'centre', 756, 0.4293898259733886,
+    (3, 0.75, 0.8, 'centre', 548, 0.42938982597849135,
      '1900-110244-0.42938982597338815'),
-    (3, 0.75, 0.8, 'edge', 756, 375.418978539412,
+    (3, 0.75, 0.8, 'edge', 788, 375.41897855982427,
      '1900-110244-375.41897853948194'),
-    (3, 0.75, 1.23, 'centre', 756, 0.28390649264333045,
+    (3, 0.75, 1.23, 'centre', 548, 0.283906492645158,
      '1900-110244-0.28390649264333007'),
-    (3, 0.75, 1.23, 'edge', 756, 328.08626245004046,
+    (3, 0.75, 1.23, 'edge', 788, 328.08626246128017,
      '1900-110244-328.0862624499425'),
-    (3, 0.999, 0.8, 'centre', 916, 0.5382530215033519,
+    (3, 0.999, 0.8, 'centre', 728, 0.538253021503503,
      '1900-110424-0.5382530215033515'),
-    (3, 0.999, 0.8, 'edge', 916, 2139.5130247598545,
+    (3, 0.999, 0.8, 'edge', 968, 2139.5130247604575,
      '1900-110424-2139.5130247608827'),
-    (3, 0.999, 1.23, 'centre', 916, 0.36377781141941096,
+    (3, 0.999, 1.23, 'centre', 728, 0.363777811419469,
      '1900-110424-0.36377781141941057'),
-    (3, 0.999, 1.23, 'edge', 916, 2221.8656048302896,
+    (3, 0.999, 1.23, 'edge', 968, 2221.8656048306475,
      '1900-110424-2221.8656048296475'),
 ]
 
@@ -1472,7 +1506,14 @@ def test_comp_apply_master_grid_pinned(N, s, R, where, points, value):
     # relative, 1.4e-15 at the centre).  The evaluations are the data
     # points.  The test ids keep the grid nodes (with the coarse pass of
     # the first freeze, 146 more), data points (7,480 more) and values of
-    # the first freeze, so the names stay stable.
+    # the first freeze, so the names stay stable.  Re-frozen with the
+    # two-family end rule at q = R, half as deep, and one inversion block
+    # from 2R: 488 to 728 data points at the centre, 728 to 968 at the
+    # edge, whose pole 1e-4 from the sphere grades 12 levels deeper.
+    # The values moved by at most 2.5e-9 relative, under the old
+    # estimates, to within 2.1e-15 of the same route at 30 nodes per
+    # panel and 44 levels, about as far as such references lie apart; the
+    # old values were up to 2.5e-9 off it.
     x = np.zeros(N)
     if where == "edge":
         x[0] = R - 1e-4

@@ -70,9 +70,14 @@ FROZEN = {
     # and the value moved 2 ulps (was 0.5139603083393474, estimate
     # 1.1347608922445452e-09).  Re-frozen with the Golub-Welsch Jacobi
     # rules: the value is unchanged, the estimate moved 1e-7 relative (was
-    # 1.1347491238804842e-09).
+    # 1.1347491238804842e-09).  Re-frozen with the two-family end rule at
+    # q = R, graded half as deep, one inversion block from 2R and the
+    # rounding of the radial sum in the estimate: 508 data points, and
+    # 3.3e-16 from the same route at 30 nodes per panel and 44 levels,
+    # 0.5139603083437974, where the old value was 4.5e-12 below it (was
+    # 0.5139603083393472, estimate 1.1347492349027867e-09, 736).
     "comp_poisson_apply":
-        (0.5139603083393472, 1.1347492349027867e-09, 736, True),
+        (0.513960308343797, 4.229092320441193e-15, 508, True),
     # Re-frozen with the one-rule Green kernel (was 164416 evaluations on
     # two rules); an angular_order=256, radial_order=30 run gives
     # 0.017212412234932212, 2.7e-16 above, inside the estimate.  The
@@ -121,9 +126,12 @@ FROZEN = {
     # over the data's moments, degrees 1 and 3 of the ladder): 2.4e-16
     # from the 1024-direction polar reference 0.4861856928329459, where the
     # polar pass it replaced (0.4861856928329575, estimate 2.6e-8, 437456
-    # evaluations) was 1.2e-14 off.
+    # evaluations) was 1.2e-14 off.  Re-frozen with the two-family end
+    # rule at q = R, graded half as deep: 6.1e-16 below that reference
+    # (was 0.48618569283294566, 2.4e-16 below, estimate
+    # 2.532739948132726e-15, 21048 evaluations).
     "poisson_extend":
-        (0.48618569283294566, 2.532739948132726e-15, 21048, True),
+        (0.4861856928329453, 2.255184191976436e-15, 17136, True),
     # The classical extension of 1 + y_1^2 (exact 1.54) on the same route at
     # q = R alone, degrees 1, 3 and 7; the boundary rule it replaced gave
     # 1.54 with estimate 6.0e-16 from 96 evaluations.  Re-frozen with one
