@@ -97,7 +97,7 @@ def q_constant(N: int, s) -> float:
     """
     c_N = log_constants(N)[0]
     s = float(as_order(s))
-    nodes, w = quad.map_rule(quad.unit_power_rule(0.0, 0.0, 32, 18), 0.0, s)
+    nodes, w = quad.map_rule(quad.unit_power_rule(0.0, 0.0, 16, 8), 0.0, s)
     vals = np.array([_q_integrand(t, N) for t in nodes])
     return c_N * float(np.dot(w, vals))
 

@@ -455,16 +455,17 @@ def _exterior_radial_grid(R: float, s: float, n: int, depth: int,
                           blocks: int = 40) -> tuple[np.ndarray, ...]:
     """Master rule in ``E = q - R`` on ``(0, inf)`` for ``E^(-s) A(E) +
     B(E)``, ``A`` and ``B`` smooth: a boundary block ``[0, R]`` graded
-    ``depth`` levels toward 0 and closed by the two-family end rule at
-    ``alpha = -s`` (:func:`~fraclab.quadrature._half`), ``blocks`` dyadic
-    blocks out to ``2^blocks R``, then one inversion block (``u = 1/q``,
-    Jacobi weight ``u^(2s-1)``) exact on the admissible decay ``q^(-1-2s)
-    x (analytic in 1/q)`` of the tail, which is analytic from ``Q = 2R``
-    on when every singularity lies at ``q <= R``; a datum outside the
-    ball needs the dyadic blocks.  The third return value marks the block
-    boundaries for per-block divergence checks (the inversion block last).
+    ``depth`` levels toward 0 (:func:`~fraclab.quadrature._half` at
+    ``alpha = -s``, closed like every graded end by the two-family end
+    rule), ``blocks`` dyadic blocks out to ``2^blocks R``, then one
+    inversion block (``u = 1/q``, Jacobi weight ``u^(2s-1)``) exact on the
+    admissible decay ``q^(-1-2s) x (analytic in 1/q)`` of the tail, which
+    is analytic from ``Q = 2R`` on when every singularity lies at ``q <=
+    R``; a datum outside the ball needs the dyadic blocks.  The third
+    return value marks the block boundaries for per-block divergence
+    checks (the inversion block last).
     """
-    xu, wu = quad._half(-s, n, depth, True)
+    xu, wu = quad._half(-s, n, depth)
     xg, wg = quad._gauss_unit(n)
     E = [xu * R, (0.5 + 0.5 * xg) * R]
     W = [wu * R, 0.5 * wg * R]

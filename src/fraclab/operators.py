@@ -480,7 +480,7 @@ def nonlocal_normal_derivative(u, s, z, cfg: QuadConfig | None = None
     sin_a = min(1.0, 0.5 * diam / max(q0, 1e-300))
 
     def one_pass(n_mu, n_rad, levels):
-        def ring_pass(dirs, w_dir, n_phi=1):
+        def ring_pass(dirs, w_dir):
             # Spans per direction, not per ring: on an ellipsoid they vary
             # along a ring of the cone.
             t_lo, t_hi, hit = geometry.ray_spans(dom, z, dirs)

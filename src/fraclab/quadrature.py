@@ -3,18 +3,18 @@
 Design notes
 ------------
 All deterministic rules reduce to one primitive: a composite rule on the
-unit interval whose endpoint behaviour ``x^a (1-x)^b`` is handled by a
-Gauss-Jacobi micro-segment at each declared endpoint (by a generalized
-Gaussian rule, :func:`_end_rule`, where an end is ``x^a smooth +
-smooth``), glued to geometric dyadic refinement with plain Gauss-Legendre
-panels in between.  Per-panel relative accuracy of Gauss-Legendre on a
-dyadic panel is self-similar (the nearest singularity sits one
-panel-length away), so the composite error is at rounding level for any
-mix of endpoint powers, while the micro-segment removes the truncation
-error that pure grading would leave for strong singularities.  This is
-what keeps the boundary-layer mass of the kernels (which concentrates
-below distance 1e-14 of the boundary as s -> 1) inside the rule rather
-than lost under it.
+unit interval whose endpoint behaviour ``x^a (1-x)^b`` is handled by
+geometric dyadic refinement with plain Gauss-Legendre panels toward each
+declared endpoint, closed there by one generalized Gaussian rule,
+:func:`_end_rule`, exact on ``x^a smooth + smooth``: the solutions
+behave like ``delta^s smooth + smooth`` at every boundary and kink.
+Per-panel relative accuracy of Gauss-Legendre on a dyadic panel is
+self-similar (the nearest singularity sits one panel-length away), so
+the composite error is at rounding level for any mix of endpoint powers,
+while the end rule removes the truncation error that pure grading would
+leave for strong singularities.  This is what keeps the boundary-layer
+mass of the kernels (which concentrates below distance 1e-14 of the
+boundary as s -> 1) inside the rule rather than lost under it.
 
 Volume integrals are assembled in polar form around an interior point:
 directions come from an equispaced circle rule (dimension 2, spectrally
@@ -24,8 +24,7 @@ intersections from :mod:`fraclab.geometry` delimit the radial intervals.
 The cone under which an exterior point sees the domain (dimension 3)
 takes :func:`layered_directions` instead, whose azimuth count per ring
 :func:`azimuth_rings` doubles until the data is resolved, reading each
-node once; what depends on a ring's polar angle alone may be computed
-once per ring.  The Green, Poisson-extension and complementary Poisson
+node once.  The Green, Poisson-extension and complementary Poisson
 operators of a ball read the data through its harmonic moments on
 spheres about the centre (:func:`harmonic_rule`).  All judge their last
 doubling by :func:`doubling_error`.
@@ -109,9 +108,10 @@ class QuadConfig:
     :data:`MAX_LEVELS` = 26 (lower in some operators).  Rules in an exact
     offset (:func:`offset_rule`) grade deeper where a singularity needs it:
     the exterior radial rule ``ceil(log2(R / (r - R)))`` levels toward
-    ``R``.  The radial rules of the Green operator and of
-    ``log_laplacian_compact`` grade half the depth toward ``rho = |x|``
-    and the master grid toward ``q = R``, where their end rule is exact.
+    ``R``.  Every graded end closes with :func:`_end_rule`, exact on its
+    singular and its regular part.  The radial rules of the Green
+    operator and of ``log_laplacian_compact`` grade half the depth toward
+    ``rho = |x|``, and the master grid toward ``q = R``.
     """
 
     rel_tol: float = 1e-6
@@ -274,6 +274,7 @@ def _jacobi_unit(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 END_NODES = 6       # nodes of the two-family end rule (:func:`_end_rule`)
+_END_POWERS = np.arange(END_NODES, dtype=float)
 
 
 def _end_basis(alpha: float, y: np.ndarray):
@@ -288,18 +289,22 @@ def _end_basis(alpha: float, y: np.ndarray):
     basis well apart there."""
     n = min(1, max(-1, round(alpha)))
     b = alpha - n
-    k = np.arange(END_NODES, dtype=float)
-    x = np.exp(np.outer(k, y))
-    xa = np.exp(np.outer(alpha + k, y))
-    q, dq, mq = xa.copy(), (alpha + k)[:, None] * xa, 1.0 / (alpha + k + 1.0)
-    j = np.arange(END_NODES) + n
-    keep = (j >= 0) & (j < END_NODES)
-    j = j[keep]
-    q[keep] = x[j] * (y if b == 0.0 else np.expm1(b * y) / b)
+    k = _END_POWERS
+    F, dF = np.empty((2, 2 * END_NODES, END_NODES))
+    x, q, dq = F[:END_NODES], F[END_NODES:], dF[END_NODES:]
+    np.exp(k[:, None] * y, out=x)
+    np.multiply(k[:, None], x, out=dF[:END_NODES])
+    xa = np.exp((alpha + k)[:, None] * y)
+    q[:], mq = xa, 1.0 / (alpha + k + 1.0)
+    np.multiply((alpha + k)[:, None], xa, out=dq)
+    # The rows k whose j = k + n lies in 0..5, and those rows j.
+    keep = slice(max(0, -n), END_NODES - max(0, n))
+    rows = slice(max(0, n), END_NODES + min(0, n))
+    j = k[rows]
+    q[keep] = x[rows] * (y if b == 0.0 else np.expm1(b * y) / b)
     dq[keep] = j[:, None] * q[keep] + xa[keep]
     mq[keep] = -1.0 / ((j + 1.0) * (alpha + k[keep] + 1.0))
-    return (np.vstack([x, q]), np.vstack([k[:, None] * x, dq]),
-            np.concatenate([1.0 / (k + 1.0), mq]))
+    return F, dF, np.concatenate([1.0 / (k + 1.0), mq])
 
 
 def _end_newton(alpha: float, w: np.ndarray, y: np.ndarray):
@@ -315,12 +320,12 @@ def _end_newton(alpha: float, w: np.ndarray, y: np.ndarray):
         step = np.linalg.solve(np.hstack([F, dF * w]) / np.abs(mom)[:, None],
                                -res)
         w, y = w + step[:END_NODES], y + step[END_NODES:]
-        if not (np.all(w > 0.0) and np.all(y < 0.0)):
+        if not (w.min() > 0.0 and y.max() < 0.0):
             return None
     return None
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=128)
 def _end_rule(alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """The 6-node rule on [0, 1] exact on ``x^k`` and ``x^(alpha+k)``, ``k
     < 6`` (``x^k ln x`` at ``alpha = 0``), for ``-1 < alpha <= 1``: a
@@ -329,22 +334,35 @@ def _end_rule(alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
     Under ``x = u^2`` the rules at ``alpha = -1/2`` and ``1/2`` are closed:
     Gauss-Legendre in ``u`` with weights ``2 u w`` and Gauss-Jacobi of
-    weight ``u`` with weights ``2 w``.  From the nearer one, Newton's
-    method (:func:`_end_newton`) follows ``alpha`` in steps of at most
-    1/2, each started from the secant through the last two rules; a step
-    that fails is halved and one that succeeds doubles (Bremer, Gimbutas
-    and Rokhlin, SIAM J. Sci. Comput. 32, 2010).  Built on first use:
-    under a millisecond for ``alpha >= -0.9``, 2-7 ms at ``alpha =
-    -0.999``."""
+    weight ``u`` with weights ``2 w``.  Every other rule continues from
+    an anchor, the rule at the nearest multiple of 1/4 (at least -3/4),
+    and an anchor from the next one toward the closed rule of its sign:
+    a rule depends on ``alpha`` alone, not on which rules were built
+    before.  Newton's method (:func:`_end_newton`) follows ``alpha`` in
+    steps of at most 1/2, each started from a secant: the first through
+    the anchor and the anchor on the other side of ``alpha`` (-1/2 below
+    -3/4), the others through the last two rules.  A step that fails is
+    halved and one that succeeds doubles (Bremer, Gimbutas and Rokhlin,
+    SIAM J. Sci. Comput. 32, 2010).  Built on first use: 0.2-0.6 ms per
+    rule down to ``alpha = -0.9``, 2-6 ms toward -0.999.  The cache holds
+    the 57 exponents of a bound-chain pass and their anchors."""
     if not -1.0 < alpha <= 1.0:
         raise DomainError(f"end exponent {alpha} is outside (-1, 1]")
-    if alpha < 0.0:
+    if alpha == -0.5:
         u, w = _gauss_unit(END_NODES)
-        a, w = -0.5, 2.0 * u * w
-    else:
+        return u * u, 2.0 * u * w
+    if alpha == 0.5:
         u, w = _jacobi_unit(END_NODES, 1.0)
-        a, w = 0.5, 2.0 * w
-    y, last, step = 2.0 * np.log(u), None, 0.25
+        return u * u, 2.0 * w
+    a, last = min(1.0, max(-0.75, round(4.0 * alpha) / 4.0)), None
+    if a == alpha:
+        a += math.copysign(0.25, math.copysign(0.5, a) - a)
+    else:
+        b = a + math.copysign(0.25, alpha - a) if alpha > -0.75 else -0.5
+        xb, wb = _end_rule(b)
+        last = (b, wb, np.log(xb))
+    x, w = _end_rule(a)
+    y, step = np.log(x), 0.25
     while a != alpha:
         nxt = a + max(-step, min(step, alpha - a))
         start = (w, y)
@@ -525,28 +543,25 @@ def azimuth_rings(ring_pass, axis, n_mu: int, levels: int,
     """A :func:`layered_directions` pass whose azimuth count doubles until
     the data is resolved.
 
-    ``ring_pass(dirs, w_dir, n_phi)`` integrates over one direction set
-    and returns its weighted sum (a float, or an array that ``value`` maps
-    to the pass's scalar result) and its evaluation count.  The rows come
-    ring by ring: each ring is ``n_phi`` consecutive rows of
+    ``ring_pass(dirs, w_dir)`` integrates over one direction set and
+    returns its weighted sum (a float, or an array that ``value`` maps to
+    the pass's scalar result) and its evaluation count.  The rows come
+    ring by ring: each ring is a run of consecutive rows of
     :func:`layered_directions` that share the polar cosine ``mu`` against
-    ``axis`` and differ only in azimuth, so whatever depends on ``mu``
-    alone (spans of a centred ball, distances to a point on the axis, a
-    kernel of those) may be computed once per ring, on its first azimuth.
-    Every ring first takes ``AZIMUTH_START`` azimuths ``2 pi j / n``.  A
-    doubling reads only the ``n`` new azimuths ``2 pi (j + 1/2) / n``,
-    whose trapezoid sum ``T_n`` gives ``S_2n = (S_n + T_n) / 2``, so no
-    node is read twice.  It stops once the error of ``S_2n``
-    (:func:`doubling_error` of the last two differences) is at most
-    ``max(abs_tol, rel_tol |S_2n|)``, or at the largest ``AZIMUTH_START *
-    2^k`` not above ``max_azimuths``.
+    ``axis`` and differ only in azimuth.  Every ring first takes
+    ``AZIMUTH_START`` azimuths ``2 pi j / n``.  A doubling reads only the
+    ``n`` new azimuths ``2 pi (j + 1/2) / n``, whose trapezoid sum ``T_n``
+    gives ``S_2n = (S_n + T_n) / 2``, so no node is read twice.  It stops
+    once the error of ``S_2n`` (:func:`doubling_error` of the last two
+    differences) is at most ``max(abs_tol, rel_tol |S_2n|)``, or at the
+    largest ``AZIMUTH_START * 2^k`` not above ``max_azimuths``.
 
     Returns ``(sum, evaluations, error)``, the error in the units of
     ``value``.
     """
     def rings(n, offset=False):
         return ring_pass(*layered_directions(axis, n_mu, levels, n, mu_lo,
-                                             offset), n)
+                                             offset))
 
     n = AZIMUTH_START
     acc, evals = rings(n)
@@ -575,27 +590,20 @@ def direction_chunks(n_dirs: int, row_len: int, budget: int = 1_200_000):
 
 
 @lru_cache(maxsize=512)
-def _graded_half(alpha: float, n: int, levels: int, both: bool = False
+def _graded_half(alpha: float, n: int, levels: int
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Rule on ``[0, 1/2]`` graded toward 0: Gauss panels ``[2^-(k+1),
-    2^-k]`` for ``1 <= k <= levels`` and a micro-segment on ``[0,
-    2^-(levels+1)]``.  For ``x^alpha * smooth`` the micro-segment is
-    Gauss-Jacobi of exponent ``alpha``, its weights divided by
-    ``x^alpha`` so they apply to integrand values; with ``both``, for
-    ``x^alpha * smooth + smooth``, it is :func:`_end_rule`.  The depth is
-    not capped: scaled but not shifted, the nodes keep their relative
-    precision at any depth."""
+    """Rule on ``[0, 1/2]`` for ``x^alpha * smooth + smooth``, graded
+    toward 0: Gauss panels ``[2^-(k+1), 2^-k]`` for ``1 <= k <= levels``,
+    closed on ``[0, 2^-(levels+1)]`` by :func:`_end_rule`, exact on both
+    families.  An exponent ``alpha > 1`` closes at ``alpha - m`` in ``(0,
+    1]``, ``m`` a whole number: ``x^alpha g = x^(alpha-m) (x^m g)``.  The
+    depth is not capped: scaled but not shifted, the nodes keep their
+    relative precision at any depth."""
+    if alpha > 1.0:
+        alpha -= math.ceil(alpha) - 1
     h0 = 0.5 ** (levels + 1)
-    if both:
-        t, w = _end_rule(alpha)
-        t, w = t * h0, w * h0
-    else:
-        # Integrate t^alpha g exactly, then divide the weight by t^alpha
-        # so it applies to raw integrand values.
-        tj, wj = _jacobi_unit(max(n, 20), alpha)
-        t = tj * h0
-        w = wj * h0 ** (alpha + 1.0) / t ** alpha
-    seg_t, seg_w = [t], [w]
+    t, w = _end_rule(alpha)
+    seg_t, seg_w = [t * h0], [w * h0]
     xg, wg = _gauss_unit(n)
     lo = h0
     for _ in range(levels):
@@ -606,14 +614,13 @@ def _graded_half(alpha: float, n: int, levels: int, both: bool = False
     return np.concatenate(seg_t), np.concatenate(seg_w)
 
 
-def _half(alpha, n: int, levels: int, both: bool = False
-          ) -> tuple[np.ndarray, np.ndarray]:
+def _half(alpha, n: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_graded_half`, or one Gauss panel on ``[0, 1/2]`` when the
     end is smooth (``alpha`` None)."""
     if alpha is None:
         xg, wg = _gauss_unit(n)
         return 0.5 * xg, 0.5 * wg
-    return _graded_half(float(alpha), n, levels, both)
+    return _graded_half(float(alpha), n, levels)
 
 
 @lru_cache(maxsize=512)
@@ -623,35 +630,23 @@ def unit_power_rule(alpha_lo, alpha_hi, n: int, levels: int
 
     ``alpha_lo`` / ``alpha_hi`` may be ``None`` (endpoint is smooth: no
     refinement there) or a float > -1 (dyadic refinement toward the
-    endpoint, with the innermost micro-segment integrated by a
-    Gauss-Jacobi rule of matching exponent so no mass is truncated).  The
-    returned weights apply directly to integrand *values*: the Jacobi
-    weight has been divided back out at the micro-segment nodes.
-    ``levels`` must be at least 0: a negative depth would stretch the
-    micro-segment past the half interval.
-
-    Each end declares one family, so the micro-segment is exact for
-    ``x^alpha * smooth`` only.  A regular part added to it, ``x^alpha g1 +
-    g2``, would lose ``O(2^-levels)`` of the regular part's mass there:
-    with ``alpha = 1`` the weights of one graded end sum to ``1/2 -
-    1.7e-11`` at the full depth.  :func:`offset_rule`'s near end, which
-    declares both families, closes with :func:`_end_rule` instead.
+    endpoint, closed by the end rule of :func:`_graded_half`, so no mass
+    is truncated).  The weights apply directly to integrand *values*.
+    Each graded end is exact on a regular part added to its singular
+    one, ``x^alpha g1 + g2``.  ``levels`` must be at least 0: a negative
+    depth would stretch the end segment past the half interval.
     """
     if int(levels) < 0:
         raise DomainError(f"refinement depth {levels} is negative")
     # Deeper refinement than MAX_LEVELS would place nodes closer to the
     # endpoint than floating point can represent once the rule is mapped
-    # to a generic interval; the Jacobi micro-segment already captures the
-    # remaining mass exactly, so nothing is lost by capping.
+    # to a generic interval; the end rule already integrates the rest
+    # exactly, so nothing is lost by capping.
     levels = min(int(levels), MAX_LEVELS)
     t_lo, w_lo = _half(alpha_lo, n, levels)
-    if alpha_hi is None:
-        xg, wg = _gauss_unit(n)
-        t_hi, w_hi = 0.5 + 0.5 * xg, 0.5 * wg
-    else:
-        t, w = _graded_half(float(alpha_hi), n, levels)
-        t_hi, w_hi = 1.0 - t[::-1], w[::-1]
-    return np.concatenate([t_lo, t_hi]), np.concatenate([w_lo, w_hi])
+    t_hi, w_hi = _half(alpha_hi, n, levels)
+    return (np.concatenate([t_lo, 1.0 - t_hi[::-1]]),
+            np.concatenate([w_lo, w_hi[::-1]]))
 
 
 def _centre_distance(x, R: float) -> float:
@@ -671,19 +666,18 @@ def offset_rule(r: float, R: float, n: int, near, far
     point ``0 <= r < R`` and at ``R``.
 
     ``near = (alpha, levels)`` declares ``|rho - r|^alpha * smooth +
-    smooth`` on each side of ``r``, ``-1 < alpha <= 1``, ``far = (beta,
-    levels)`` declares ``(R - rho)^beta * smooth`` at ``R``; either may be
-    None for a smooth end.  ``[0, r]`` and ``[r, R]`` are halved: the
+    smooth`` on each side of ``r``, ``far = (beta, levels)`` ``(R -
+    rho)^beta * smooth + smooth`` at ``R``, exponents above -1; either may
+    be None for a smooth end.  ``[0, r]`` and ``[r, R]`` are halved: the
     halves next to ``r`` are graded toward it (:func:`_half` with
-    ``near``, closed by :func:`_end_rule`, exact on both families), the
-    one next to ``R`` toward ``R`` (with ``far``, closed by a Jacobi
-    micro-segment), and ``[0, r/2]`` is one Gauss panel.  The smooth
-    factors vary near ``r`` on the scale of the nearer of the centre and
-    ``R``, so both halves next to ``r`` grade to
-    ``2^-levels`` of ``min(r, R - r)``: the longer one takes the extra
-    levels.  Each graded half runs in its own offset variable, ``tau =
-    |rho - r|`` or ``sigma = R - rho``, built as an exact multiple of its
-    half's length, so it may grade deeper than :data:`MAX_LEVELS`.
+    ``near``), the one next to ``R`` toward ``R`` (with ``far``), each
+    closed by :func:`_end_rule`, exact on both families, and ``[0, r/2]``
+    is one Gauss panel.  The smooth factors vary near ``r`` on the scale
+    of the nearer of the centre and ``R``, so both halves next to ``r``
+    grade to ``2^-levels`` of ``min(r, R - r)``: the longer one takes the
+    extra levels.  Each graded half runs in its own offset variable,
+    ``tau = |rho - r|`` or ``sigma = R - rho``, built as an exact multiple
+    of its half's length, so it may grade deeper than :data:`MAX_LEVELS`.
 
     Returns ``(rho, off, sigma, w)``: the nodes, their signed offsets
     ``rho - r`` (negative below ``r``), their distances ``R - rho`` and
@@ -694,18 +688,18 @@ def offset_rule(r: float, R: float, n: int, near, far
     span = R - r
     scale = min(r, span) if r > 0.0 else span
 
-    def graded(end, length=scale, both=False):
+    def graded(end, length=scale):
         if end is None:
             return _half(None, n, 0)
         deeper = max(0, math.ceil(math.log2(length / scale)))
-        return _half(end[0], n, end[1] + deeper, both)
+        return _half(end[0], n, end[1] + deeper)
 
-    t, w = graded(near, span, True)
+    t, w = graded(near, span)
     tf, wf = graded(far)
     parts = [(r + span * t, span * t, span - span * t, span * w),
              (R - span * tf, span - span * tf, span * tf, span * wf)]
     if r > 0.0:
-        t, w = graded(near, r, True)
+        t, w = graded(near, r)
         tg, wg = graded(None)
         parts += [(r - r * t, -r * t, span + r * t, r * w),
                   (r * tg, r * tg - r, R - r * tg, r * wg)]
@@ -803,8 +797,8 @@ def crossing_segments(t_lo, t_hi, lo: float, hi, ext_p: float | None
     dyadic grading, right for the bounded kinks of fields vanishing at the
     boundary) everywhere except on the *exterior* side of a crossing of a
     field with a declared ``exterior_power`` ``ext_p`` -- below an entry
-    and above an exit -- where the layer ``dist^p`` gets Jacobi panels of
-    matching exponent.  Crossings are matched to the same tolerance, so
+    and above an exit -- where the end rule of the layer ``dist^p`` takes
+    the matching exponent.  Crossings are matched to the same tolerance, so
     one sitting exactly on ``lo`` or ``hi`` (e.g. the unit-split radius of
     the logarithmic Laplacian hitting the boundary) still flags the
     adjacent segment.

@@ -425,7 +425,8 @@ def test_radial_green_matches_torsion_family(N, s):
     # The radial route of green_apply on f = 1 against d(N, s)(1 - |x|^2)^s.
     # The end rule at rho = |x| is exact on both parts of the shell kernel,
     # |rho - r|^(2s-1) smooth + smooth: graded 13 levels deep, the rule
-    # stays within 2.1e-15 over this table, at 658-980 points per call.
+    # stays within 1.8e-15 over this table, at 630-952 points per call
+    # (2.0e-15 and 658-980 while the end at R took a Jacobi segment).
     # A Gauss-Jacobi end, exact on the first part only, needed 40 levels
     # (1.9e-11 off at 26) and 1,140-1,944 points; at 13 it is 1.6e-7 off.
     ball = Ball(center=(0.0,) * N, radius=1.0)
@@ -510,6 +511,11 @@ def test_green_apply_grades_by_the_data_boundary_power():
     # (was -0.9434868150277681, estimate 1.9710322164533319e-13).  Both
     # values lie outside the estimate from the closed order derivative of
     # the torsion, -0.9434868149539655: 7.4e-11 before, 8.3e-11 now.
+    # Re-frozen with the end rule on every graded end: 1 ulp down, still
+    # 8.3e-11 off (was -0.9434868150365763, estimate
+    # 1.9710322164534288e-13, 926 evaluations).  The coarse pass's end
+    # segment toward R now takes 6 nodes instead of 20, so the estimate
+    # tripled; it still does not see the tabulated data's error.
     ball = Ball(center=(0.0, 0.0), radius=1.0)
     ones_field = operators.ScalarField(
         fn=lambda p: np.ones(len(np.atleast_2d(p))), dim=2, radial=True,
@@ -517,10 +523,10 @@ def test_green_apply_grades_by_the_data_boundary_power():
     data = derivative.ell_field(ones_field, ball, 0.5, CFG)
     assert data.boundary_power == -0.5
     res = green_apply(ball, data, 0.5, (0.3, 0.0), CFG)
-    assert res.value == -0.9434868150365763
-    assert res.evaluations == 926
-    assert abs(res.error_estimate - 1.9710322164534288e-13) \
-        <= 2.0 * np.spacing(1.9710322164534288e-13)
+    assert res.value == -0.9434868150365762
+    assert res.evaluations == 898
+    assert abs(res.error_estimate - 6.186549040955148e-13) \
+        <= 2.0 * np.spacing(6.186549040955148e-13)
 
 
 def poly2(y):
@@ -538,32 +544,38 @@ def ones(y):
 # harmonic route re-froze the counts of the plain callables again (68608
 # and 4054016 on the polar pass); the values hold.  The two-family end
 # rule at rho = |x|, graded 13 levels deep instead of 40, re-froze all
-# three (was 54432, 1872 and 74880 evaluations).
+# three (was 54432, 1872 and 74880 evaluations).  The end rule at R, 6
+# nodes instead of a 20-node Jacobi segment, re-froze them again (was
+# 27440, 908 and 36320); the values moved by at most 1 ulp, under their
+# old estimates (1.6e-15, 2.4e-13 and 1.8e-13).
 @pytest.mark.parametrize("N,s,x,data,evaluations,value", [
     # Non-constant data near the boundary of the disc.  An
     # angular_order=256, radial_order=30 polar run (converged: 512 and 1024
     # directions agree to 1e-17) gives 0.03639239296650002, 1.9e-14 below
     # the first pin, 0.03639239296651939.  The harmonic route reads it at
     # degree 3 (the data is quadratic); at 40 levels it gave
-    # 0.03639239296650017, 1.5e-16 above the reference, now 1.6e-16.
-    pytest.param(2, 0.9, (0.6, -0.75), poly2, 27440, 0.03639239296650018,
+    # 0.03639239296650017, 1.5e-16 above the reference, then 1.6e-16, and
+    # 1.5e-16 with the end rule at R.
+    pytest.param(2, 0.9, (0.6, -0.75), poly2, 26656, 0.036392392966500174,
                  id="2-0.9-x0-69888-0.03639239296651939"),
     # Radial-flagged data in the 3-ball; the torsion closed form
     # d(3, 1/4) (1 - |x|^2)^(1/4) is 0.6905233796370002.  Re-frozen with
     # the radial route, one integral in |y| (was 253376 evaluations on the
     # axisymmetric directions); its value 0.6905233796369993 holds the pin.
     # At 13 levels toward |x| it is 0.6905233796370001, 1.1e-16 below the
-    # closed form, the same bits as at 40.
+    # closed form, the same bits as at 40.  With the end rule at R it is
+    # the closed form's bits.
     pytest.param(3, 0.25, (0.3, -0.2, 0.4),
                  radial_field(lambda y: np.ones(len(np.atleast_2d(y)))),
-                 908, 0.6905233796370001,
+                 880, 0.6905233796370002,
                  id="3-0.25-x1-260576-0.6905233796370018"),
     # Plain-callable f = 1 in the 3-ball: both passes stop at degree 3,
     # 2 x 4 + 4 x 8 nodes per sphere (the polar pass read 4,054,016
     # points).  The torsion closed form d(3, 1/2) (1 - |x|^2)^(1/2) is
     # 0.4213074886588179; at 40 levels toward |x| the route was 3.9e-16
-    # below it (0.4213074886588175), at 13 it is 1.7e-16 below.
-    pytest.param(3, 0.5, (0.3, -0.2, 0.4), ones, 36320, 0.42130748865881773,
+    # below it (0.4213074886588175), at 13 it is 1.7e-16 below, and
+    # 2.2e-16 below with the end rule at R.
+    pytest.param(3, 0.5, (0.3, -0.2, 0.4), ones, 35200, 0.4213074886588177,
                  id="3-0.5-x2-4169216-0.4213074886588175"),
 ])
 def test_green_apply_frozen(N, s, x, data, evaluations, value):
@@ -586,10 +598,12 @@ def test_green_apply_memory_stays_small():
     # node chunks.  The wave reaches the degree cap, 31, in both passes:
     # 2,048 nodes per sphere at the last degree (17.7 MB, 2,477,024
     # evaluations; 18.1 MB and 5,106,816 with 40 levels toward |x|);
-    # f = 1 stops at degree 3 (0.7 MB, 2.1 MB with 40 levels).
+    # f = 1 stops at degree 3 (0.7 MB, 2.1 MB with 40 levels).  The end
+    # rule at R re-froze the counts (was 36,320 and 2,477,024); the peaks
+    # hold.
     for x, data, evaluations, limit in (((0.3, 0.2), ones, None, 10e6),
-                                        ((0.3, 0.2, 0.1), ones, 36320, 10e6),
-                                        ((0.3, 0.2, 0.1), wave, 2477024,
+                                        ((0.3, 0.2, 0.1), ones, 35200, 10e6),
+                                        ((0.3, 0.2, 0.1), wave, 2400640,
                                          40e6)):
         ball = Ball(center=(0.0,) * len(x), radius=1.0)
         tracemalloc.start()
@@ -797,14 +811,14 @@ def test_azimuth_error_is_calibrated():
     e = np.array([0.0, 0.6, 0.8])
     axis = np.array([0.3, -0.2, 0.5])
 
-    def ring_pass(dirs, w_dir, n_phi):
+    def ring_pass(dirs, w_dir):
         return float(w_dir @ (1.0 / (1.3 - dirs @ e))), len(dirs)
 
     for mu_lo in (-1.0, 0.0, 0.5, 0.8):
         value, _, estimate = quad.azimuth_rings(ring_pass, axis, 16, 12, 128,
                                                 CFG, mu_lo=mu_lo)
         fine, _ = ring_pass(*quad.layered_directions(axis, 16, 12, 1024,
-                                                     mu_lo), 1024)
+                                                     mu_lo))
         actual, rounding = abs(value - fine), 1e-15 * abs(value)
         assert actual <= estimate + rounding
         assert estimate <= 1e2 * max(actual, rounding)
@@ -1299,7 +1313,8 @@ def test_comp_apply_generic_2d_follows_its_config():
     # carried the old master grid's O(2^-26) loss and is 3.5e-12 off the
     # new one, this route at rel_tol=1e-13, abs_tol=1e-15,
     # angular_order=256, radial_order=32 (estimate 2.6e-15).  The default
-    # reads 14,224 points (was 20,608) and lands 1.9e-15 from it.
+    # reads 14,224 points (was 20,608) and lands 1.9e-14 from it.  With the
+    # end rule at R it reads 13,440 points; the value holds to the bit.
     ball = Ball(center=(0.0, 0.0), radius=1.0)
 
     def f(y):
@@ -1310,7 +1325,7 @@ def test_comp_apply_generic_2d_follows_its_config():
     default = comp_poisson_apply(ball, f, 0.5, x, CFG)
     tight = comp_poisson_apply(ball, f, 0.5, x, QuadConfig(
         rel_tol=1e-9, angular_order=96, radial_order=24))
-    assert default.evaluations == 14224
+    assert default.evaluations == 13440
     assert abs(default.value - ref) < 3e-12
     for res in (default, tight):
         assert abs(res.value - ref) <= res.error_estimate
@@ -1428,69 +1443,69 @@ class CountingProfile:
 
 
 MASTER_GRID_TABLE = [  # N, s, R, point, data points, value, first-freeze id
-    (2, 0.02, 0.8, 'centre', 488, 0.026151844641431488,
+    (2, 0.02, 0.8, 'centre', 460, 0.026151844641431488,
      '1900-110164-0.026151844641130486'),
-    (2, 0.02, 0.8, 'edge', 728, 0.5898777118582319,
+    (2, 0.02, 0.8, 'edge', 700, 0.5898777118582319,
      '1900-110164-0.5898777106541756'),
-    (2, 0.02, 1.23, 'centre', 488, 0.017594001504176594,
+    (2, 0.02, 1.23, 'centre', 460, 0.017594001504176594,
      '1900-110164-0.017594001504068774'),
-    (2, 0.02, 1.23, 'edge', 728, 0.3393131227942366,
+    (2, 0.02, 1.23, 'edge', 700, 0.3393131227942366,
      '1900-110164-0.33931312213116616'),
-    (2, 0.25, 0.8, 'centre', 488, 0.2857621315252672,
+    (2, 0.25, 0.8, 'centre', 460, 0.2857621315252672,
      '1900-110184-0.28576213152205027'),
-    (2, 0.25, 0.8, 'edge', 728, 15.571344486493354,
+    (2, 0.25, 0.8, 'edge', 700, 15.571344486493354,
      '1900-110184-15.57134447362634'),
-    (2, 0.25, 1.23, 'centre', 488, 0.19847213152526738,
+    (2, 0.25, 1.23, 'centre', 460, 0.1984721315252674,
      '1900-110184-0.19847213152411503'),
-    (2, 0.25, 1.23, 'edge', 728, 10.342441581977456,
+    (2, 0.25, 1.23, 'edge', 700, 10.342441581977456,
      '1900-110184-10.342441574890076'),
-    (2, 0.75, 0.8, 'centre', 548, 0.687545261305537,
+    (2, 0.75, 0.8, 'centre', 520, 0.687545261305537,
      '1900-110244-0.6875452613004335'),
-    (2, 0.75, 0.8, 'edge', 788, 543.9147735556821,
+    (2, 0.75, 0.8, 'edge', 760, 543.9147735556821,
      '1900-110244-543.9147735353707'),
-    (2, 0.75, 1.23, 'centre', 548, 0.5004952613055367,
+    (2, 0.75, 1.23, 'centre', 520, 0.5004952613055367,
      '1900-110244-0.5004952613037087'),
-    (2, 0.75, 1.23, 'edge', 788, 523.6137234577052,
+    (2, 0.75, 1.23, 'edge', 760, 523.6137234577052,
      '1900-110244-523.6137234463096'),
-    (2, 0.999, 0.8, 'centre', 728, 0.8394349038138977,
+    (2, 0.999, 0.8, 'centre', 700, 0.8394349038138983,
      '1900-110424-0.8394349038137398'),
-    (2, 0.999, 0.8, 'edge', 968, 3335.445362786003,
+    (2, 0.999, 0.8, 'edge', 940, 3335.445362786005,
      '1900-110424-3335.4453627869775'),
-    (2, 0.999, 1.23, 'centre', 728, 0.6213190708974395,
+    (2, 0.999, 1.23, 'centre', 700, 0.6213190708974401,
      '1900-110424-0.6213190708973751'),
-    (2, 0.999, 1.23, 'edge', 968, 3793.4787215180622,
+    (2, 0.999, 1.23, 'edge', 940, 3793.4787215180654,
      '1900-110424-3793.478721516569'),
-    (3, 0.02, 0.8, 'centre', 488, 0.014321614285185627,
+    (3, 0.02, 0.8, 'centre', 460, 0.014321614285185627,
      '1900-110164-0.014321614284884609'),
-    (3, 0.02, 0.8, 'edge', 728, 0.4941175588649379,
+    (3, 0.02, 0.8, 'edge', 700, 0.4941175588649379,
      '1900-110164-0.49411755766087867'),
-    (3, 0.02, 1.23, 'centre', 488, 0.008578851127290892,
+    (3, 0.02, 1.23, 'centre', 460, 0.008578851127290892,
      '1900-110164-0.008578851127183072'),
-    (3, 0.02, 1.23, 'edge', 728, 0.2617447460667908,
+    (3, 0.02, 1.23, 'edge', 700, 0.2617447460667908,
      '1900-110164-0.2617447454037245'),
-    (3, 0.25, 0.8, 'centre', 488, 0.16526819385399888,
+    (3, 0.25, 0.8, 'centre', 460, 0.1652681938539989,
      '1900-110184-0.16526819385078184'),
-    (3, 0.25, 0.8, 'edge', 728, 12.495010339524647,
+    (3, 0.25, 0.8, 'edge', 700, 12.495010339524647,
      '1900-110184-12.495010326657436'),
-    (3, 0.25, 1.23, 'centre', 488, 0.10291819385399889,
+    (3, 0.25, 1.23, 'centre', 460, 0.10291819385399889,
      '1900-110184-0.10291819385284663'),
-    (3, 0.25, 1.23, 'edge', 728, 7.573572672623151,
+    (3, 0.25, 1.23, 'edge', 700, 7.573572672623151,
      '1900-110184-7.573572665536102'),
-    (3, 0.75, 0.8, 'centre', 548, 0.42938982597849135,
+    (3, 0.75, 0.8, 'centre', 520, 0.42938982597849135,
      '1900-110244-0.42938982597338815'),
-    (3, 0.75, 0.8, 'edge', 788, 375.41897855982427,
+    (3, 0.75, 0.8, 'edge', 760, 375.41897855982427,
      '1900-110244-375.41897853948194'),
-    (3, 0.75, 1.23, 'centre', 548, 0.283906492645158,
+    (3, 0.75, 1.23, 'centre', 520, 0.283906492645158,
      '1900-110244-0.28390649264333007'),
-    (3, 0.75, 1.23, 'edge', 788, 328.08626246128017,
+    (3, 0.75, 1.23, 'edge', 760, 328.08626246128017,
      '1900-110244-328.0862624499425'),
-    (3, 0.999, 0.8, 'centre', 728, 0.538253021503503,
+    (3, 0.999, 0.8, 'centre', 700, 0.5382530215035034,
      '1900-110424-0.5382530215033515'),
-    (3, 0.999, 0.8, 'edge', 968, 2139.5130247604575,
+    (3, 0.999, 0.8, 'edge', 940, 2139.5130247604598,
      '1900-110424-2139.5130247608827'),
-    (3, 0.999, 1.23, 'centre', 728, 0.363777811419469,
+    (3, 0.999, 1.23, 'centre', 700, 0.3637778114194692,
      '1900-110424-0.36377781141941057'),
-    (3, 0.999, 1.23, 'edge', 968, 2221.8656048306475,
+    (3, 0.999, 1.23, 'edge', 940, 2221.86560483065,
      '1900-110424-2221.8656048296475'),
 ]
 
@@ -1513,7 +1528,12 @@ def test_comp_apply_master_grid_pinned(N, s, R, where, points, value):
     # The values moved by at most 2.5e-9 relative, under the old
     # estimates, to within 2.1e-15 of the same route at 30 nodes per
     # panel and 44 levels, about as far as such references lie apart; the
-    # old values were up to 2.5e-9 off it.
+    # old values were up to 2.5e-9 off it.  Re-frozen with the end rule
+    # on every graded end: the rho rule's end at R takes 6 nodes instead
+    # of a 20-node Jacobi segment, 28 fewer data points per call.  The
+    # values moved by at most 1.2e-15 relative, under the old estimates,
+    # and lie within 2.5e-15 of the same route at radial order 30 and
+    # grid depth 44 (the old values within 2.4e-15).
     x = np.zeros(N)
     if where == "edge":
         x[0] = R - 1e-4

@@ -89,6 +89,52 @@ def test_end_rule_rejects_exponents_outside_its_range():
             quad._end_rule(alpha)
 
 
+def test_end_rule_depends_on_its_exponent_alone():
+    # Each rule continues from the anchor nearest its exponent, and each
+    # anchor from the next one toward the closed rules at -1/2 and 1/2, so
+    # the order in which rules are built changes no bit: the exponents
+    # +-tau of the bound chain's orders tau = s k / N_TAU below 1 (s =
+    # 1/4, 1/2, 3/4, 1), -0.999, 0 and 1, built in ascending order and
+    # then shuffled.
+    from fraclab.bounds import N_TAU
+    taus = np.concatenate([s * np.arange(1, N_TAU + 1) / N_TAU
+                           for s in (0.25, 0.5, 0.75, 1.0)])
+    taus = taus[taus < 1.0]
+    alphas = sorted(set(np.concatenate([taus, -taus]).tolist()
+                        + [-0.999, 0.0, 1.0]))
+    quad._end_rule.cache_clear()
+    first = [quad._end_rule(a) for a in alphas]
+    order = np.random.default_rng(7).permutation(len(alphas))
+    quad._end_rule.cache_clear()
+    second = {i: quad._end_rule(alphas[i]) for i in order}
+    for i, (x, w) in enumerate(first):
+        assert np.array_equal(x, second[i][0]), alphas[i]
+        assert np.array_equal(w, second[i][1]), alphas[i]
+    quad._end_rule.cache_clear()
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.0, 1.5, 2.5])
+def test_one_family_end_is_exact_on_both_families(alpha):
+    # x^alpha e^x + cos 3x on [0, 1]: the graded end at 0 closes with the
+    # end rule, exact on the singular and the regular part (an exponent
+    # above 1 at alpha - m in (0, 1]).  Measured within 2.5e-16; the
+    # Gauss-Jacobi micro-segment it replaced, exact on x^alpha * smooth
+    # alone, was 1.3e-12 off at alpha = -1/2 and 8.7e-11 at 5/2.
+    x, w = quad.unit_power_rule(alpha, None, 16, 26)
+    got = float(w @ (x ** alpha * np.exp(x) + np.cos(3.0 * x)))
+    exact = _power_exp_integral(1.0, 1.0, alpha) + math.sin(3.0) / 3.0
+    assert got == pytest.approx(exact, rel=2e-15)
+
+
+def test_graded_end_keeps_the_mass_of_a_regular_part():
+    # The weights of one graded end at alpha = 1 sum to 1/2 within 2 ulps
+    # (the micro-segment left 1/2 - 1.7e-11); alpha = -1 is not integrable.
+    _, w = quad._graded_half(1.0, 16, 26)
+    assert abs(float(w.sum()) - 0.5) <= 2.0 * np.spacing(0.5)
+    with pytest.raises(DomainError):
+        quad.unit_power_rule(-1.0, None, 16, 26)
+
+
 def _power_exp_integral(a, sign, alpha):
     # int_0^a t^alpha e^(sign t) dt by its power series.
     return sum(sign ** k * a ** (alpha + k + 1.0)
@@ -149,7 +195,7 @@ def test_offset_rule_offsets_are_exact(r):
 
 
 def test_unit_power_rule_rejects_negative_depth():
-    # Depth -1 would make the micro-segment [0, 1]: weights summing to 2.
+    # Depth -1 would make the end segment [0, 1]: weights summing to 2.
     with pytest.raises(DomainError):
         quad.unit_power_rule(0.0, 0.0, 8, -1)
     x, w = quad.unit_power_rule(0.0, 0.0, 8, 0)

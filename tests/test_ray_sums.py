@@ -81,9 +81,14 @@ X = np.array([0.3, 0.2])
 Y = np.array([0.2, -0.1])
 CFG3 = QuadConfig(angular_order=48, radial_order=10, max_subdiv=12)
 
+# Re-frozen with the end rule on every graded end, 6 nodes where the
+# one-family ends took a 20-node Jacobi segment: every count fell, and
+# the values without an exterior layer moved by at most 2 ulps, under
+# their old estimates (was 150688, 88672, 63232, 688, 1550336, 139520 and
+# 113472 evaluations, in order).
 CASES = {
     "log_laplacian_compact_field": (
-        compact2, lambda u: log_laplacian(u, X), 150688, 1.1627727776170784),
+        compact2, lambda u: log_laplacian(u, X), 142624, 1.162772777617078),
     # Radial data on the unit disc: the direction rules fold by the mirror
     # across the line through 0 and the point, so the radial passes read
     # half their directions (quarter in the principal value, which also
@@ -94,12 +99,16 @@ CASES = {
     # field then read its profiles from splines; re-frozen on the analytic
     # profiles themselves (was -0.4683180280567908): 7.0e-11 from
     # -0.4683325499151707, the rule at angular order 256, radial order 30
-    # and max_subdiv 40, inside the estimate 1.4e-9.
+    # and max_subdiv 40, inside the estimate 1.4e-9.  Re-frozen with the
+    # end rule at the layer, exact on its regular part too (was
+    # -0.46833254984532235): 2.2e-11 from that reference, and 1.5e-11
+    # from -0.46833254987871453, the same finer rule with the end rule,
+    # inside the estimate, now 7.3e-11.
     "log_laplacian_exterior_layer": (
-        layered2, lambda u: log_laplacian(u, X), 88672, -0.46833254984532235),
+        layered2, lambda u: log_laplacian(u, X), 84640, -0.46833254989325035),
     # The disc's h_Omega is closed now: its 2128 evaluations are gone.
     "log_laplacian_domain_form": (
-        compact2, lambda u: log_laplacian_compact(u, X), 63232,
+        compact2, lambda u: log_laplacian_compact(u, X), 60544,
         1.1627727776170782),
     # Radial data takes one integral in |y| with the closed sphere mean of
     # the kernel (was 263360 evaluations on one side of the cone's axis,
@@ -109,7 +118,7 @@ CASES = {
     # 6.1e-16 from the closed exterior flux -0.32517800025201965.
     "normal_derivative_ws_2d": (
         ws2, lambda u: nonlocal_normal_derivative(u, 0.5, np.array([1.2, 0.1])),
-        688, -0.32517800025201904),
+        660, -0.32517800025201904),
     # The cone rings double their azimuths from 8: this polynomial stops
     # at 16 in both passes (6058752 evaluations at a fixed 60 and 48,
     # value 1.6e-16 lower).  The one coarse policy grades the coarse pass
@@ -118,11 +127,11 @@ CASES = {
         lambda: CompactField(poly3, BALL3, smooth_scale=1.0),
         lambda u: nonlocal_normal_derivative(
             u, 0.5, np.array([0.2, -0.1, 1.25]), CFG3),
-        1550336, -0.14067497674297313),
+        1202688, -0.14067497674297313),
     # One ray per +-theta pair (was 294400 evaluations, each ray read
     # twice), and a coarse pass graded 18 levels deep, not 24 (was 147200).
     "frac_laplacian_compact_field": (
-        compact2, lambda u: frac_laplacian(u, 0.5, Y), 139520,
+        compact2, lambda u: frac_laplacian(u, 0.5, Y), 134144,
         2.1561801343652527),
     # Frozen from the graded outer span of a non-compact field instead:
     # the per-direction value was 1.1% off (test_decaying_tail_is_graded).
@@ -134,10 +143,13 @@ CASES = {
     # the analytic profiles instead of their splines (was
     # 0.9798935329627722): 2.1e-11 from 0.9798915881179144, the rule at
     # angular order 256, radial order 30 and max_subdiv 40, inside the
-    # estimate 7.7e-10.
+    # estimate 7.7e-10.  Re-frozen with the end rule at the layer (was
+    # 0.9798915881390003): 2.6e-12 from that reference, and 1.8e-12 from
+    # 0.9798915881171675, the same finer rule with the end rule, inside
+    # the estimate, now 5.0e-11.
     "frac_laplacian_decaying_tail": (
-        layered2, lambda u: frac_laplacian(u, 0.5, Y), 113472,
-        0.9798915881390003),
+        layered2, lambda u: frac_laplacian(u, 0.5, Y), 109440,
+        0.9798915881153539),
 }
 
 

@@ -76,8 +76,11 @@ FROZEN = {
     # 3.3e-16 from the same route at 30 nodes per panel and 44 levels,
     # 0.5139603083437974, where the old value was 4.5e-12 below it (was
     # 0.5139603083393472, estimate 1.1347492349027867e-09, 736).
+    # Re-frozen with the end rule closing the rho rule at R (6 nodes, not
+    # a 20-node Jacobi segment): 1 ulp up, 2.2e-16 from that reference
+    # (was 0.513960308343797, 508 evaluations; the estimate holds).
     "comp_poisson_apply":
-        (0.513960308343797, 4.229092320441193e-15, 508, True),
+        (0.5139603083437971, 4.229092320441193e-15, 480, True),
     # Re-frozen with the one-rule Green kernel (was 164416 evaluations on
     # two rules); an angular_order=256, radial_order=30 run gives
     # 0.017212412234932212, 2.7e-16 above, inside the estimate.  The
@@ -95,9 +98,10 @@ FROZEN = {
     # Re-frozen with the two-family end rule at rho = |x|, graded 13
     # levels deep instead of 40 (9 instead of 32 in the coarse pass): the
     # same value, still 6.9e-18 above that solution (was estimate
-    # 4.527985480058812e-16, 23328 evaluations).
+    # 4.527985480058812e-16, 23328 evaluations).  Re-frozen with the end
+    # rule at R: the same value and estimate (was 11760 evaluations).
     "green_apply":
-        (0.01721241223493227, 3.417762455433655e-16, 11760, True),
+        (0.01721241223493227, 3.417762455433655e-16, 11424, True),
     # Re-frozen with one ray per +-theta pair: the same value at half the
     # evaluations (was 294400); the coarse pass sums in another order, so
     # the estimate moved from 3.9037691576264246e-13.  Re-frozen with the
@@ -108,20 +112,29 @@ FROZEN = {
     # 13.5476793398757813 (Dyda's formula over c(2, 1/2)), where it was
     # 4.7e-13 above, outside that estimate; a (1e-13, 1e-15, 256, 30) run
     # gives 13.547679339876733, 5.0e-13 off, inside the new estimate.
+    # Re-frozen with the end rule on the graded ends of the outer
+    # segments, 6 nodes instead of 20: the same value and estimate (was
+    # 139520 evaluations).
     "integrate_pv_second_difference":
-        (13.54767933987623, 6.532777279938796e-13, 139520, True),
+        (13.54767933987623, 6.532777279938796e-13, 134144, True),
     # Re-frozen with the library gamma and digamma in c_N and rho_N (was
     # 1.2472462757365927, 1 ulp lower, estimate 2.0953941907935305e-15).
+    # Re-frozen with the end rule on every graded end: the same value and
+    # estimate (was 150224 evaluations).
     "log_laplacian":
-        (1.247246275736593, 2.095394190793531e-15, 150224, True),
+        (1.247246275736593, 2.095394190793531e-15, 142160, True),
     # Re-frozen with the closed ball h_Omega, which takes no evaluations
     # and adds no error (was 65360 evaluations), and again with the
     # library gamma and digamma (was 1.2472462757365927, 1 ulp lower,
-    # estimate 2.0953941907935305e-15).
+    # estimate 2.0953941907935305e-15).  Re-frozen with the end rule on
+    # every graded end: the same value, the coarse pass 2.8e-16 closer to
+    # it (was estimate 2.095394190793531e-15, 63232 evaluations).
     "log_laplacian_compact":
-        (1.247246275736593, 2.095394190793531e-15, 63232, True),
+        (1.247246275736593, 1.812678219107885e-15, 60544, True),
+    # Re-frozen with the end rule on every graded end: 1 ulp down, under
+    # the old estimate (was -0.22258865580013346, 526720 evaluations).
     "nonlocal_normal_derivative":
-        (-0.22258865580013346, 2.9326764872154496e-16, 526720, True),
+        (-0.22258865580013348, 2.93267648721545e-16, 472736, True),
     # Re-frozen on the harmonic route (one integral in the exterior radius
     # over the data's moments, degrees 1 and 3 of the ladder): 2.4e-16
     # from the 1024-direction polar reference 0.4861856928329459, where the
@@ -129,9 +142,11 @@ FROZEN = {
     # evaluations) was 1.2e-14 off.  Re-frozen with the two-family end
     # rule at q = R, graded half as deep: 6.1e-16 below that reference
     # (was 0.48618569283294566, 2.4e-16 below, estimate
-    # 2.532739948132726e-15, 21048 evaluations).
+    # 2.532739948132726e-15, 21048 evaluations).  Re-frozen with the end
+    # rule on every graded end: 1 ulp down, 6.7e-16 below that reference
+    # (was 0.4861856928329453, estimate 2.255184191976436e-15).
     "poisson_extend":
-        (0.4861856928329453, 2.255184191976436e-15, 17136, True),
+        (0.4861856928329452, 2.3662064944389508e-15, 17136, True),
     # The classical extension of 1 + y_1^2 (exact 1.54) on the same route at
     # q = R alone, degrees 1, 3 and 7; the boundary rule it replaced gave
     # 1.54 with estimate 6.0e-16 from 96 evaluations.  Re-frozen with one
